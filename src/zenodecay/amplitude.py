@@ -170,11 +170,7 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     g2 = np.atleast_1d(np.asarray(ff.g2(w), dtype=float))
-    if isinstance(ff, LorentzianCoupling):
-        lam2 = ff.coupling**2
-        dr = lam2 * w / (w * w + ff.bandwidth**2)
-    else:
-        dr = np.array([real_shift(ff, wi) for wi in w])
+    dr = real_shift(ff, w)
     out = np.zeros_like(g2)
     mask = g2 > 0.0
     out[mask] = g2[mask] / (
@@ -183,12 +179,12 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     return out if np.ndim(omega) else float(out[0])
 
 
-def _resonance_energy(ff: FormFactor, omega_a: float, delta_r) -> float:
+def _resonance_energy(ff: FormFactor, omega_a: float) -> float:
     """Root of ω − ω_a − Δ_R(ω) inside the support (peak of ρ)."""
     a, b = ff.support()
 
     def h(w):
-        return w - omega_a - delta_r(w)
+        return w - omega_a - real_shift(ff, w)
 
     half = 0.25 * ff.bandwidth
     lo, hi = omega_a - half, omega_a + half
@@ -197,13 +193,15 @@ def _resonance_energy(ff: FormFactor, omega_a: float, delta_r) -> float:
             lo = max(lo, a + 1e-12 * max(1.0, ff.bandwidth))
         if math.isfinite(b):
             hi = min(hi, b - 1e-12 * max(1.0, ff.bandwidth))
-        if lo < hi and h(lo) < 0.0 < h(hi):
-            return float(optimize.brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        if lo < hi:
+            h_lo, h_hi = h(np.array([lo, hi]))
+            if h_lo < 0.0 < h_hi:
+                return float(optimize.brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16))
         lo, hi = omega_a - 2.0 * (omega_a - lo), omega_a + 2.0 * (hi - omega_a)
         if (math.isfinite(a) and lo <= a) and (math.isfinite(b) and hi >= b):
             break
     # Shift-at-level fallback; adequate when the bracket degenerates.
-    return omega_a + float(delta_r(omega_a))
+    return omega_a + real_shift(ff, omega_a)
 
 
 def _breakpoints(ff: FormFactor, omega_r: float, gw: float, res: float):
@@ -274,17 +272,19 @@ def _local_table_shift(ff: TabulatedCoupling, lo: float, hi: float):
 
 
 def _shift_interpolant(
-    ff: FormFactor, omega_r: float, res: float, A: float, B: float, delta_exact, omega_a: float
+    ff: FormFactor, omega_r: float, res: float, A: float, B: float, omega_a: float
 ):
     """Spline surrogate for Δ_R over [A, B]; leading-moment tail outside.
 
-    Each exact Δ_R evaluation is itself an adaptive PV quadrature, far
-    too expensive to call at every node of the oscillatory integrator.
-    Δ_R is smooth on the coupling's own scale (it does not share the
-    narrow resonance structure of ρ), so a few hundred exact samples —
-    densified around the resonance and at a finite threshold — carry the
-    spline below the spectral error budget.  Outside [A, B] only the
-    far tails ask for it, where Δ_R → (∫g²)/ω.
+    The oscillatory integrator asks for ρ one node at a time, and a
+    single exact Δ_R costs a whole quadrature rule (or a sum over every
+    table knot), so the exact shift is sampled on grids, one batched
+    :func:`real_shift` call per grid, and interpolated.  Δ_R is smooth
+    on the coupling's own scale (it does not share the narrow resonance
+    structure of ρ), so a few hundred exact samples — densified around
+    the resonance and at a finite threshold — carry the spline below the
+    spectral error budget.  Outside [A, B] only the far tails ask for
+    it, where Δ_R → (∫g²)/ω.
 
     The norm ∫ρ is first-order sensitive to the *slope* error of the
     interpolated shift at the resonance (a tilted shift drags the peak
@@ -312,8 +312,7 @@ def _shift_interpolant(
     grid = np.unique(np.concatenate(parts))
     grid = grid[(grid >= lo_in) & (grid <= hi_in)]
     grid = grid[np.concatenate(([True], np.diff(grid) > 1e-12 * (B - A)))]
-    vals = np.array([delta_exact(float(w)) for w in grid])
-    spline = interpolate.CubicSpline(grid, vals)
+    spline = interpolate.CubicSpline(grid, real_shift(ff, grid))
 
     half_w = min(0.25 * (B - A), max(40.0 * res, 2e-3 * (B - A)))
     flo, fhi = max(lo_in, omega_r - half_w), min(hi_in, omega_r + half_w)
@@ -336,22 +335,12 @@ def _shift_interpolant(
 
     seen: dict = {}
 
-    def dval(w):
-        v = seen.get(w)
-        if v is None:
-            v = delta_exact(w)
-            seen[w] = v
-        return v
-
-    def rho_dev(w, d_fit):
-        """|δρ| at ω when the fitted shift replaces the exact one."""
-        g2 = float(ff.g2(w))
-        if g2 <= 0.0:
-            return 0.0
-        pg2 = math.pi * g2
-        u_true = w - omega_a - dval(w)
-        u_fit = w - omega_a - d_fit
-        return abs(g2 / (u_fit * u_fit + pg2 * pg2) - g2 / (u_true * u_true + pg2 * pg2))
+    def exact(ws):
+        """Exact Δ_R at ``ws``, one real_shift call for the points not seen yet."""
+        new = [w for w in dict.fromkeys(ws.tolist()) if w not in seen]
+        if new:
+            seen.update(zip(new, real_shift(ff, np.array(new)).tolist()))
+        return np.array([seen[w] for w in ws.tolist()])
 
     fgrid = np.linspace(flo, fhi, 321)
     if math.isfinite(a) and flo <= a + 0.05 * (fhi - flo):
@@ -364,19 +353,27 @@ def _shift_interpolant(
 
     bias = math.inf
     for _ in range(4):
-        fvals = np.array([dval(float(w)) for w in fgrid])
-        base = fvals - local(fgrid) if local is not None else fvals
-        fine = interpolate.CubicSpline(fgrid, base)
         mids = 0.5 * (fgrid[:-1] + fgrid[1:])
         if nudge is not None:
             mids = nudge(mids)
         step = max(1, mids.size // 48)
         probes = mids[step // 2 :: step]
         widths = np.diff(fgrid)[step // 2 :: step]
+        exact(np.concatenate([fgrid, probes]))
+        fvals = exact(fgrid)
+        base = fvals - local(fgrid) if local is not None else fvals
+        fine = interpolate.CubicSpline(fgrid, base)
         d_fit = np.asarray(fine(probes), dtype=float)
         if local is not None:
             d_fit = d_fit + local(probes)
-        dev = np.array([rho_dev(float(w), float(d)) for w, d in zip(probes, d_fit)])
+        # |δρ| at the probes when the fitted shift replaces the exact one.
+        g2 = np.asarray(ff.g2(probes), dtype=float)
+        pg2 = math.pi * g2
+        u_true = probes - omega_a - exact(probes)
+        u_fit = probes - omega_a - d_fit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.abs(g2 / (u_fit * u_fit + pg2 * pg2) - g2 / (u_true * u_true + pg2 * pg2))
+        dev = np.where(g2 > 0.0, dev, 0.0)
         bias = float(np.sum(dev * widths)) * (mids.size / probes.size)
         if bias <= 1e-9 or fgrid.size > 2400:
             break
@@ -411,20 +408,8 @@ def _shift_interpolant(
 
 
 def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
-    if isinstance(ff, LorentzianCoupling):
-        lam2 = ff.coupling**2
-        bw2 = ff.bandwidth**2
-
-        def delta_exact(w):
-            return lam2 * w / (w * w + bw2)
-
-    else:
-
-        def delta_exact(w):
-            return real_shift(ff, w)
-
     bound = find_bound_states(ff, omega_a) if math.isfinite(ff.threshold) else ()
-    omega_r = _resonance_energy(ff, omega_a, delta_exact)
+    omega_r = _resonance_energy(ff, omega_a)
     gw = max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth)
     # Resolution unit for the grids below: the resonance width, except
     # in the broad regime, where the density has no structure narrower
@@ -434,9 +419,14 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     A, B = pts[0], pts[-1]
 
     if isinstance(ff, LorentzianCoupling):
-        delta_fast = delta_exact
+        lam2 = ff.coupling**2
+        bw2 = ff.bandwidth**2
+
+        def delta_fast(w):
+            return lam2 * w / (w * w + bw2)
+
     else:
-        delta_fast = _shift_interpolant(ff, omega_r, res, A, B, delta_exact, omega_a)
+        delta_fast = _shift_interpolant(ff, omega_r, res, A, B, omega_a)
 
     def rho(w):
         g2 = float(ff.g2(w))
@@ -565,10 +555,14 @@ def survival_spectral_integral(
     Notes
     -----
     The ρ machinery — resonance location, breakpoints, bound states and
-    (for quadrature-based families) a spline surrogate of the level
-    shift accurate beyond the error budget — is built once per
+    (for non-Lorentzian families) a spline surrogate of the level shift
+    accurate beyond the error budget — is built once per
     (family, omega_a) pair and memoized, so repeated calls with
-    different time grids only pay for the oscillatory quadrature.
+    different time grids only pay for the oscillatory quadrature.  The
+    surrogate's exact samples come from :func:`~zenodecay.real_shift`
+    called on whole ω grids (the backbone, each refinement pass of the
+    resonance window together with its validation probes), so a kernel
+    build makes a few dozen batched calls rather than one per sample.
 
     Raises
     ------
@@ -581,7 +575,8 @@ def survival_spectral_integral(
     -----
     UserWarning
         When t·(integration span) exceeds 1e4 and the evaluation falls
-        back to the pole-plus-bound-state asymptote.
+        back to the pole-plus-bound-state asymptote: one warning per call,
+        giving the number of such times and their range.
     """
     t_in = _check_times(times, allow_negative=True)
     if ff.g2_integral() == 0.0:
@@ -687,15 +682,19 @@ def survival_spectral_integral(
 
     amps = np.empty(t_in.shape, dtype=complex)
     achieved = 0.0
+    beyond = np.abs(t_in) * k.span > _OSCILLATION_BUDGET
+    if np.any(beyond):
+        late = np.abs(t_in[beyond])
+        warnings.warn(
+            f"{late.size} of {t_in.size} times (|t| from {late.min():g} to {late.max():g}) "
+            "are beyond the oscillatory quadrature budget; "
+            "using the pole-plus-bound-state asymptote there",
+            UserWarning,
+            stacklevel=2,
+        )
     for i, tau in enumerate(t_in):
         ta = abs(float(tau))
-        if ta * k.span > _OSCILLATION_BUDGET:
-            warnings.warn(
-                f"t={ta:g} is beyond the oscillatory quadrature budget; "
-                "using the pole-plus-bound-state asymptote",
-                UserWarning,
-                stacklevel=2,
-            )
+        if beyond[i]:
             val = asymptote(ta)
             err = 0.0
         else:

@@ -5,6 +5,8 @@ Subcommands (all take ``--config PATH``):
 ``survival``
     Time series of the survival amplitude/probability for the chosen
     methods -> ``survival.csv`` with columns t, Re x, Im x, P per method.
+    The only subcommand that takes ``--tolerance`` / ``[task] tolerance``
+    (the spectral route's accuracy target); the others reject it.
 ``rate``
     Effective-rate curve gamma(tau) on a log grid -> ``rate.csv`` with
     columns tau, gamma, gamma0.
@@ -226,7 +228,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-cache", action="store_true", help="recompute cached sweep entries")
         sp.add_argument(
             "--tolerance", type=float, default=None,
-            help="override the spectral quadrature tolerance",
+            help="override the spectral quadrature tolerance (survival only)",
         )
         sp.set_defaults(runner=fn, name=name)
     return parser
@@ -242,6 +244,11 @@ def main(argv=None) -> int:
             tol = cfg.task["tolerance"]
         if tol is not None and not (tol > 0 and math.isfinite(tol)):
             raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+        if tol is not None and args.name != "survival":
+            raise ConfigError(
+                f"tolerance applies to the spectral survival route only; "
+                f"'{args.name}' does not use it (drop --tolerance / [task] tolerance)"
+            )
         if args.name == "sweep":
             return args.runner(cfg, out_dir, tol, args.no_cache)
         return args.runner(cfg, out_dir, tol)

@@ -14,11 +14,10 @@
     table_path = coupling.csv      # two columns: omega, g2
 
     [task]
-    # survival:    t_min, t_max, t_points, methods
+    # survival:    t_min, t_max, t_points, methods, tolerance
     # rate/sweep:  tau_min, tau_max, tau_points
     # transition:  tau_max, grid_points
     # sweep:       omega_a_values (comma list)
-    # any:         tolerance
 
     [output]
     out_dir = results

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import DomainError, NoDecayError, OutOfRangeError
 
@@ -548,10 +548,3 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
         )
     return BandwidthPoint(omega_bar, g2_bar, exact=True)
 
-
-def _quad_g2(ff: FormFactor, lo: float, hi: float, **kw) -> tuple[float, float]:
-    """Adaptive quadrature of g² over [lo, hi]; helper for oracles/tests."""
-    val, err = integrate.quad(
-        lambda w: float(ff.g2(w)), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200, **kw
-    )
-    return val, err

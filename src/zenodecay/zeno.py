@@ -186,22 +186,53 @@ def effective_rate(model, tau: float) -> float:
     if not (tau > 0.0) or not math.isfinite(tau):
         raise DomainError(f"measurement interval must be positive and finite, got {tau}")
     _require_decaying(model)
+    return float(_rates(model, np.array([tau]))[0])
+
+
+def _rates(model, taus: np.ndarray) -> np.ndarray:
+    """γ(τ) on an array of valid τ.
+
+    Below τ = 1e−3/Λ the small-interval law τ/τ_Z² applies.  Elsewhere
+    ln P comes from ``model._log_survival_array`` for the whole array in
+    one pass when the model has it (:class:`~zenodecay.model.DecayModel`),
+    and from ``log_survival_probability`` one τ at a time otherwise.
+    """
+    out = np.empty_like(taus)
     bw = getattr(model, "bandwidth", None)
     tz = getattr(model, "zeno_time", math.inf)
-    if bw is not None and math.isfinite(tz) and tau < _SMALL_TAU_FACTOR / bw:
-        return tau / tz**2
-    lp = model.log_survival_probability(tau)
-    if lp == -math.inf:
-        return math.inf
-    return max(0.0, -lp / tau)
+    small = np.zeros(taus.shape, dtype=bool)
+    if bw is not None and math.isfinite(tz):
+        small = taus < _SMALL_TAU_FACTOR / bw
+        out[small] = taus[small] / tz**2
+    rest = ~small
+    if np.any(rest):
+        t = taus[rest]
+        log_survival = getattr(model, "_log_survival_array", None)
+        if log_survival is not None:
+            lp = log_survival(t)
+        else:
+            lp = np.array([model.log_survival_probability(x) for x in t])
+        with np.errstate(invalid="ignore"):
+            # fmax(0, ·) answers like max(0.0, ·) for NaN and −0.0 too.
+            out[rest] = np.where(lp == -math.inf, math.inf, np.fmax(0.0, -lp / t))
+    return out
 
 
 def effective_rate_curve(model, taus) -> EffectiveRateCurve:
-    """Evaluate γ(τ) on a grid (order preserved)."""
+    """Evaluate γ(τ) on a grid (order preserved).
+
+    Equal, point by point, to :func:`effective_rate`; for a
+    :class:`~zenodecay.model.DecayModel` the survival amplitudes of the
+    whole grid are computed in one pass.
+    """
     gamma0 = _require_decaying(model)
     t = np.atleast_1d(np.asarray(taus, dtype=float))
-    gammas = np.array([effective_rate(model, tau) for tau in t])
-    return EffectiveRateCurve(taus=t, gammas=gammas, gamma0=gamma0, model=model)
+    bad = ~(np.isfinite(t) & (t > 0.0))
+    if np.any(bad):
+        raise DomainError(
+            f"measurement interval must be positive and finite, got {t[bad][0]}"
+        )
+    return EffectiveRateCurve(taus=t, gammas=_rates(model, t), gamma0=gamma0, model=model)
 
 
 def repeated_survival(p_tau: float, n: int) -> float:
@@ -297,7 +328,7 @@ def find_transition_time(
     points = grid_points
     for _attempt in range(2):
         taus = np.geomspace(tau_lo, tau_max, points)
-        vals = np.array([rate_shift(t) for t in taus])
+        vals = _rates(model, taus) - gamma0
         roots = []
         for i in range(len(taus) - 1):
             a, b = vals[i], vals[i + 1]

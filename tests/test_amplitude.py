@@ -123,6 +123,17 @@ def test_spectral_long_time_switches_to_pole_asymptote(lor):
     assert s.probabilities[0] == pytest.approx(expected, rel=1e-10)
 
 
+def test_spectral_budget_warning_is_one_per_call(lor):
+    # Three late times fall back to the asymptote: one warning says so.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        survival_spectral_integral(lor, 2.0, [1.0, 4000.0, 5000.0, -6000.0])
+    budget = [w for w in caught if "quadrature budget" in str(w.message)]
+    assert len(budget) == 1
+    assert "3 of 4 times" in str(budget[0].message)
+    assert "4000" in str(budget[0].message) and "6000" in str(budget[0].message)
+
+
 def test_spectral_density_normalization(lor):
     # rho integrates to 1 (no bound states for the Lorentzian family).
     from scipy import integrate

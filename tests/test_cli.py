@@ -180,6 +180,25 @@ def test_bad_tolerance_exits_2(tmp_path, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["rate", "transition", "sweep"])
+def test_tolerance_rejected_outside_survival(tmp_path, capsys, sub):
+    # Only the spectral survival route has a tolerance to honour; the
+    # other subcommands must refuse it rather than silently ignore it.
+    task = "[task]\nomega_a_values = 2.0, 5.0\n"
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task)
+    code = main([sub, "--config", cfg, "--out", str(tmp_path / "flag"), "--tolerance", "1e-6"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    m = re.fullmatch(ERROR_LINE, err)
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert f"'{sub}'" in err and "tolerance" in err
+
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task + "tolerance = 1e-6\n", "tol.ini")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "key")]) == 2
+    assert f"'{sub}'" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
+
 def test_untenable_transition_window_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=10.0) + "[task]\ntau_max = 1e-3\n")
     assert main(["transition", "--config", cfg, "--out", str(tmp_path)]) == 3

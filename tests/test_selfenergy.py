@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,154 @@ def test_tabulated_shift_diverges_at_nonzero_edge():
     ff = TabulatedCoupling([0.0, 1.0, 2.0], [0.5, 1.0, 0.5])
     with pytest.raises(DomainError):
         real_shift(ff, 2.0)
+
+
+# -- batched level shift: array form and independent oracles ------------
+
+# Power-law families of the oracle checks: (coupling, bandwidth, threshold,
+# rise exponent p, cutoff exponent q); the last is not continuable and has
+# its threshold off the origin.
+SHIFT_CASES = [
+    (0.1, 1.0, 0.0, 0.5, 4.0),
+    (1.0, 1.0, 0.0, 0.5, 4.0),
+    (0.1, 1.0, -0.3, 0.7, 6.0),
+]
+
+
+def _shift_points(ff):
+    """Just above the threshold, at typical level energies, beyond 30Λ."""
+    a = ff.threshold
+    return [a + 1e-8, 0.7, 2.4, a + 35.0 * ff.bandwidth]
+
+
+def _scipy_shift(ff, x):
+    """Cauchy-weight PV quadrature on a finite piece plus a plain tail."""
+    a = ff.threshold
+    cut = max(2.0 * x - a, a + 4.0 * ff.bandwidth)
+
+    def g(w):
+        return float(ff.g2(w))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        pv, _ = integrate.quad(
+            g, a, cut, weight="cauchy", wvar=x, epsabs=1e-14, epsrel=1e-13, limit=500
+        )
+        tail, _ = integrate.quad(
+            lambda w: g(w) / (w - x), cut, np.inf, epsabs=1e-14, epsrel=1e-13, limit=500
+        )
+    return -(pv + tail)
+
+
+def _mpmath_shift(mp, case, x):
+    """PV integral in 30-digit arithmetic: the symmetric window folded onto
+    (0, x − a], then the rest in the distance from x."""
+    lam, bw, thr, p, q = (mp.mpf(v) for v in case)
+    norm = q * mp.sin(mp.pi * (p + 1) / q) / (mp.pi * bw ** (p + 1))
+
+    def g(w):
+        s = w - thr
+        return lam**2 * norm * s**p / (1 + (s / bw) ** q) if s > 0 else mp.mpf(0)
+
+    x = mp.mpf(x)
+    h = x - thr
+    window = mp.quad(lambda s: (g(x - s) - g(x + s)) / s, [0, h / 2, h])
+    dists = [h]
+    while dists[-1] < 4 * bw:
+        dists.append(dists[-1] * 4)
+    rest = mp.quad(lambda d: -g(x + d) / d, dists + [mp.inf])
+    return float(window + rest)
+
+
+@pytest.mark.parametrize("case", SHIFT_CASES)
+def test_batched_shift_matches_cauchy_weight_quadrature(case):
+    ff = ThresholdPowerLawCoupling(*case)
+    xs = _shift_points(ff)
+    got = real_shift(ff, np.array(xs))
+    tol = 1e-12 * max(1.0, case[0] ** 2)
+    for x, value in zip(xs, got):
+        assert value == pytest.approx(_scipy_shift(ff, x), abs=tol)
+
+
+@pytest.mark.parametrize("case", SHIFT_CASES)
+def test_batched_shift_matches_mpmath_principal_value(case):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    ff = ThresholdPowerLawCoupling(*case)
+    xs = _shift_points(ff)
+    got = real_shift(ff, np.array(xs))
+    tol = 1e-12 * max(1.0, case[0] ** 2)
+    for x, value in zip(xs, got):
+        assert value == pytest.approx(_mpmath_shift(mp, case, x), abs=tol)
+
+
+def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
+    grid = np.array([[-3.0, 1e-9, 0.5], [1.1, 2.4, 40.0]])
+    for ff in (lor, tpl, tab_lorentzian):
+        arr = real_shift(ff, grid)
+        assert isinstance(arr, np.ndarray) and arr.shape == grid.shape
+        scalars = [real_shift(ff, float(w)) for w in grid.ravel()]
+        assert all(isinstance(v, float) for v in scalars)
+        assert arr.ravel().tolist() == scalars
+
+
+def test_table_knot_sum_matches_segment_sum(tab_lorentzian):
+    from zenodecay.selfenergy import _tabulated_value
+
+    om = tab_lorentzian.omegas
+    xs = np.concatenate([
+        np.linspace(-99.99, 99.99, 37),
+        om[[1, 4321, 10_000, 10_001, 19_999]],  # exact knot hits
+        [-150.0, 130.0],  # outside the table
+    ])
+    got = real_shift(tab_lorentzian, xs)
+    for x, value in zip(xs, got):
+        segment_sum = _tabulated_value(tab_lorentzian, complex(x, 0.0)).real
+        assert value == pytest.approx(segment_sum, abs=1e-14)
+
+
+def test_real_shift_rejects_non_finite(tpl):
+    with pytest.raises(DomainError):
+        real_shift(tpl, np.array([0.5, math.nan]))
+
+
+def test_custom_family_shift_matches_semicircle_hilbert_transform():
+    # g2 = (2 lam^2/pi) sqrt(1 - w^2) on [-1, 1]: a custom family with two
+    # finite edges, whose shift is 2 lam^2 (x - sign(x) sqrt(x^2 - 1)) outside
+    # the support and 2 lam^2 x inside it.
+    from dataclasses import dataclass
+
+    from zenodecay.formfactor import FormFactor
+
+    @dataclass(frozen=True)
+    class Semicircle(FormFactor):
+        coupling: float = 0.3
+        bandwidth: float = 1.0
+        family = "semicircle"
+
+        def g2(self, omega):
+            w = np.asarray(omega, dtype=float)
+            out = 2.0 * self.coupling**2 / math.pi * np.sqrt(np.clip(1.0 - w * w, 0.0, None))
+            return out if out.ndim else float(out)
+
+        def support(self):
+            return (-1.0, 1.0)
+
+        def g2_integral(self):
+            return self.coupling**2
+
+        def peak_energy(self):
+            return 0.0
+
+    ff = Semicircle()
+    lam2 = ff.coupling**2
+    xs = np.array([-3.0, -1.0 - 1e-9, -0.99, 0.0, 0.3, 1.0 - 1e-9, 1.5])
+    outside = np.abs(xs) > 1.0
+    branch = np.where(outside, np.sign(xs) * np.sqrt(np.abs(xs * xs - 1.0)), 0.0)
+    expected = 2.0 * lam2 * (xs - branch)
+    assert real_shift(ff, xs) == pytest.approx(expected, abs=1e-13)
+    # Exactly on an edge the integrand is ~ sqrt(edge distance)/distance,
+    # and g2 cannot resolve distances below one ulp of the edge: the mass
+    # lost there is ~ sqrt(1e-16) relative.
+    edges = real_shift(ff, np.array([-1.0, 1.0]))
+    assert edges == pytest.approx([-2.0 * lam2, 2.0 * lam2], abs=1e-8)

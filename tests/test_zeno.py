@@ -99,6 +99,46 @@ def test_curve_preserves_order_and_identity(model2):
         assert gamma == effective_rate(model2, tau)
 
 
+class _ScalarOnly:
+    """A model seen without its array path: γ(τ) one scalar call at a time."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        if name == "_log_survival_array":
+            raise AttributeError(name)
+        return getattr(self._model, name)
+
+
+def test_curve_array_path_equals_scalar_rates(model2, tpl):
+    # Both sides of the small-interval switch at 1e-3/bandwidth, the
+    # Lorentzian tail and the power law's spectral route.
+    power = DecayModel(tpl, 2.4)
+    for model, taus in ((model2, np.geomspace(1e-5, 300.0, 40)),
+                        (power, np.geomspace(1e-4, 40.0, 8))):
+        curve = effective_rate_curve(model, taus)
+        assert curve.gammas.tolist() == [effective_rate(model, t) for t in taus]
+    taus = np.geomspace(1e-5, 300.0, 40)
+    assert np.array_equal(effective_rate_curve(model2, taus).gammas,
+                          effective_rate_curve(_ScalarOnly(model2), taus).gammas)
+
+
+def test_transition_array_scan_keeps_tau_star(model2, tpl):
+    fast = find_transition_time(model2)
+    assert fast.tau_star == TAU_STAR
+    assert fast.all_roots == find_transition_time(_ScalarOnly(model2)).all_roots
+    # Power law at omega_a = 2.4 (Z < 1): the crossing found by the
+    # one-tau-at-a-time grid scan before the scan took whole grids.
+    power = find_transition_time(DecayModel(tpl, 2.4), tau_max=1.0, grid_points=64)
+    assert power.tau_star == pytest.approx(0.33977565854851666, rel=1e-10)
+
+
+def test_curve_rejects_bad_intervals(model2):
+    with pytest.raises(DomainError):
+        effective_rate_curve(model2, [0.5, 0.0])
+
+
 def test_curve_regimes_bracket_the_transition(model2):
     curve = effective_rate_curve(model2, [0.1, TAU_STAR, 2.0])
     assert curve.regimes == (Regime.ZENO, Regime.NATURAL, Regime.INVERSE_ZENO)
