@@ -613,7 +613,7 @@ def real_shift(ff: FormFactor, omega):
             if np.any(bad):
                 k = int(np.argmax(bad))
                 raise ToleranceError(
-                    f"level-shift rule did not converge at omega={flat[i + k]!r}",
+                    f"level-shift rule did not converge at omega={float(flat[i + k])!r}",
                     value=float(val[k]),
                     achieved=float(err[k]),
                     requested=EPSABS,

@@ -3,13 +3,14 @@
 import cmath
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from zenodecay.errors import ContinuationUnsupportedError, DomainError
-from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
+from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
+from zenodecay.formfactor import FormFactor, LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.selfenergy import Sheet, real_shift, self_energy
 
 
@@ -302,35 +303,51 @@ def test_real_shift_rejects_non_finite(tpl):
         real_shift(tpl, np.array([0.5, math.nan]))
 
 
+@dataclass(frozen=True)
+class _Semicircle(FormFactor):
+    """Custom family with two finite edges: g2 = (2 lam^2/pi) sqrt(1 - w^2)."""
+
+    coupling: float = 0.3
+    bandwidth: float = 1.0
+    family = "semicircle"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = 2.0 * self.coupling**2 / math.pi * np.sqrt(np.clip(1.0 - w * w, 0.0, None))
+        return out if out.ndim else float(out)
+
+    def support(self):
+        return (-1.0, 1.0)
+
+    def g2_integral(self):
+        return self.coupling**2
+
+    def peak_energy(self):
+        return 0.0
+
+
+@dataclass(frozen=True)
+class _Box(_Semicircle):
+    """Custom family g2 = lam^2 on (0, 1): the shift diverges at both edges."""
+
+    family = "box"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = np.where((w > 0.0) & (w < 1.0), self.coupling**2, 0.0)
+        return out if out.ndim else float(out)
+
+    def support(self):
+        return (0.0, 1.0)
+
+    def peak_energy(self):
+        return 0.5
+
+
 def test_custom_family_shift_matches_semicircle_hilbert_transform():
-    # g2 = (2 lam^2/pi) sqrt(1 - w^2) on [-1, 1]: a custom family with two
-    # finite edges, whose shift is 2 lam^2 (x - sign(x) sqrt(x^2 - 1)) outside
-    # the support and 2 lam^2 x inside it.
-    from dataclasses import dataclass
-
-    from zenodecay.formfactor import FormFactor
-
-    @dataclass(frozen=True)
-    class Semicircle(FormFactor):
-        coupling: float = 0.3
-        bandwidth: float = 1.0
-        family = "semicircle"
-
-        def g2(self, omega):
-            w = np.asarray(omega, dtype=float)
-            out = 2.0 * self.coupling**2 / math.pi * np.sqrt(np.clip(1.0 - w * w, 0.0, None))
-            return out if out.ndim else float(out)
-
-        def support(self):
-            return (-1.0, 1.0)
-
-        def g2_integral(self):
-            return self.coupling**2
-
-        def peak_energy(self):
-            return 0.0
-
-    ff = Semicircle()
+    # The shift is 2 lam^2 (x - sign(x) sqrt(x^2 - 1)) outside the support
+    # and 2 lam^2 x inside it.
+    ff = _Semicircle()
     lam2 = ff.coupling**2
     xs = np.array([-3.0, -1.0 - 1e-9, -0.99, 0.0, 0.3, 1.0 - 1e-9, 1.5])
     outside = np.abs(xs) > 1.0
@@ -342,3 +359,13 @@ def test_custom_family_shift_matches_semicircle_hilbert_transform():
     # lost there is ~ sqrt(1e-16) relative.
     edges = real_shift(ff, np.array([-1.0, 1.0]))
     assert edges == pytest.approx([-2.0 * lam2, 2.0 * lam2], abs=1e-8)
+
+
+def test_custom_family_shift_divergence_raises_tolerance_error():
+    ff = _Box()
+    xs = np.array([-2.0, 0.3, 0.5, 1.5])
+    expected = ff.coupling**2 * np.log(np.abs(xs / (xs - 1.0)))
+    assert real_shift(ff, xs) == pytest.approx(expected, abs=1e-13)
+    # A nonzero density at an edge makes the shift diverge there.
+    with pytest.raises(ToleranceError):
+        real_shift(ff, 1.0)
