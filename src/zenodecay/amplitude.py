@@ -21,9 +21,16 @@ Three evaluation routes are provided, all returning a
 
     where the sum covers bound states below the threshold (weights from
     the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
-    Oscillatory pieces use Fourier-weighted quadrature split at the
-    resonance peak; infinite tails use the Fourier transform rule on
-    semi-infinite intervals.
+    The integral runs over one fixed set of panels per (family, ω_a),
+    the same for every family.  ρ is sampled at Gauss–Legendre nodes on
+    each panel with the exact level shift Δ_R (a table, whose exact
+    shift costs one logarithm per knot, takes it only near the
+    resonance and a cubic-spline backbone elsewhere) and stored as
+    Legendre coefficients.  Their Fourier transforms are spherical
+    Bessel functions (the Filon–Legendre rule), exact in t for the
+    fitted polynomials, so every t uses the same coefficients.  Panels
+    are bisected until the fit is resolved; the summed truncation bound
+    is the achieved error for every t at once.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -37,14 +44,14 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
+from scipy import interpolate, optimize, special
 
 from .errors import DomainError, NoDecayError, ToleranceError
-from .formfactor import FormFactor, LorentzianCoupling, TabulatedCoupling
+from .formfactor import FormFactor, TabulatedCoupling
 from .resolvent import PoleData, find_bound_states, find_pole, lorentzian_pole_closed_form
 from .selfenergy import real_shift
 
@@ -60,9 +67,31 @@ __all__ = [
 #: Default overall quadrature tolerance of the spectral route.
 SPECTRAL_TOL = 1e-8
 
-#: Beyond t·(integration span) of this size the oscillatory quadrature is
+#: Beyond t·(integration span) of this size the spectral sum is
 #: abandoned for the pole(+bound states) asymptote, with a warning.
 _OSCILLATION_BUDGET = 1e4
+
+#: Gauss–Legendre nodes per spectral panel, and the Legendre degrees fitted.
+_NODES = 10
+_DEGREES = np.arange(_NODES)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES)
+#: The nodes as fractions of the panel width from its lower edge.
+_GL_FRACTION = 0.5 * (1.0 + _GL_X)
+#: Node values → Legendre coefficients c_k = (k + ½)·Σ_i w_i P_k(x_i) ρ_i.
+_FIT = (_DEGREES[:, None] + 0.5) * np.polynomial.legendre.legvander(_GL_X, _NODES - 1).T * _GL_W
+#: The nonzero real or imaginary part of (−i)^k: even k are real, odd k imaginary.
+_PHASE_SIGN = np.resize([1.0, -1.0, -1.0, 1.0], _NODES)
+#: Panels whose nodes share one ρ evaluation during a kernel build.
+_PANEL_CHUNK = 2048
+#: Bisection passes of a kernel build before the error bound is accepted as is.
+_MAX_PASSES = 60
+#: Width ratio of successive tail panels and their reach in units of max(|A|, |B|, Λ).
+_TAIL_RATIO = 1.5
+_TAIL_REACH = 1e4
+#: Half-width, in resonance widths, of the window where a table's nodes
+#: take the exact shift; its ends are panel edges, so that no panel
+#: straddles the switch to the backbone.
+_TABLE_EXACT_HALF_WIDTH = 40.0
 
 
 class SurvivalMethod(enum.Enum):
@@ -170,13 +199,16 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     g2 = np.atleast_1d(np.asarray(ff.g2(w), dtype=float))
-    dr = real_shift(ff, w)
+    out = _rho(w - omega_a, g2, real_shift(ff, w))
+    return out if np.ndim(omega) else float(out[0])
+
+
+def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """ρ from ω − ω_a, g² and Δ_R at the same energies; zero where g² vanishes."""
     out = np.zeros_like(g2)
     mask = g2 > 0.0
-    out[mask] = g2[mask] / (
-        (w[mask] - omega_a - dr[mask]) ** 2 + (math.pi * g2[mask]) ** 2
-    )
-    return out if np.ndim(omega) else float(out[0])
+    out[mask] = g2[mask] / ((detuning[mask] - shift[mask]) ** 2 + (math.pi * g2[mask]) ** 2)
+    return out
 
 
 def _resonance_energy(ff: FormFactor, omega_a: float) -> float:
@@ -239,176 +271,122 @@ def _breakpoints(ff: FormFactor, omega_r: float, gw: float, res: float):
     return ordered, (not math.isfinite(a)), (not math.isfinite(b))
 
 
-def _local_table_shift(ff: TabulatedCoupling, lo: float, hi: float):
-    """Exact on-cut shift contribution of the table segments overlapping [lo, hi].
+def _table_backbone(ff: TabulatedCoupling, omega_r: float, res: float, A: float, B: float):
+    """Cubic-spline backbone of a table's Δ_R over [A, B].
 
-    A piecewise-linear density gives a shift whose derivative has weak
-    logarithmic kinks at every knot — structure no smooth interpolant
-    can reproduce.  Restricted to a short slice of segments, the exact
-    per-segment sum is a dense vectorized expression and costs almost
-    nothing, so inside the resonance window the kink structure is kept
-    exactly and only the smooth far-segment remainder is interpolated.
-
-    Clamping |ω − knot| from below makes the two divergent log terms of
-    adjacent segments cancel identically at a knot hit, which is also
-    the correct merged limit.
+    The exact Δ_R of a table sums one logarithm per knot, and a table
+    kernel has a node count of the order of ten times its knots, so only
+    the nodes near the resonance take the exact sum; elsewhere ρ is small
+    and smooth enough for a spline through a few hundred exact samples,
+    densified around the resonance and at the lower edge.
     """
-    om = ff.omegas
-    g2v = ff.g2_values
-    k = np.where((om[1:] >= lo) & (om[:-1] <= hi))[0]
-    k0, k1 = int(k[0]), int(k[-1]) + 1
-    w0, w1 = om[k0 : k1], om[k0 + 1 : k1 + 1]
-    c = g2v[k0 : k1]
-    m = (g2v[k0 + 1 : k1 + 1] - c) / (w1 - w0)
-
-    def local(ws):
-        ws = np.asarray(ws, dtype=float)
-        alpha = ws[..., None] - w0
-        la0 = np.log(np.maximum(np.abs(alpha), 1e-300))
-        la1 = np.log(np.maximum(np.abs(ws[..., None] - w1), 1e-300))
-        return np.sum((c + m * alpha) * (la0 - la1) - m * (w1 - w0), axis=-1)
-
-    return local, float(om[k0]), float(om[k1])
-
-
-def _shift_interpolant(
-    ff: FormFactor, omega_r: float, res: float, A: float, B: float, omega_a: float
-):
-    """Spline surrogate for Δ_R over [A, B]; leading-moment tail outside.
-
-    The oscillatory integrator asks for ρ one node at a time, and a
-    single exact Δ_R costs a whole quadrature rule (or a sum over every
-    table knot), so the exact shift is sampled on grids, one batched
-    :func:`real_shift` call per grid, and interpolated.  Δ_R is smooth
-    on the coupling's own scale (it does not share the narrow resonance
-    structure of ρ), so a few hundred exact samples — densified around
-    the resonance and at a finite threshold — carry the spline below the
-    spectral error budget.  Outside [A, B] only the far tails ask for
-    it, where Δ_R → (∫g²)/ω.
-
-    The norm ∫ρ is first-order sensitive to the *slope* error of the
-    interpolated shift at the resonance (a tilted shift drags the peak
-    off the true level line), so a second, much finer layer covers a
-    window around ω_r; elsewhere plain backbone spacing suffices.  The
-    fine layer is *validated*: spline-vs-exact deviations are probed in
-    ρ itself at segment midpoints, turned into a norm-bias estimate, and
-    the grid is midpoint-refined until the estimate meets the budget
-    (exact samples are cached, so probes are recycled as nodes).  For
-    tabulated couplings the window additionally splits off the exact
-    near-segment sum (see _local_table_shift) and interpolates only the
-    smooth remainder.
-    """
-    a, _b = ff.support()
     # Keep sample points strictly inside the support: at an edge with a
     # nonzero density value the principal value diverges (the spline
     # extrapolates across the 1e-9 fringe, where ρ carries no weight).
     edge = 1e-9 * (B - A)
     lo_in, hi_in = A + edge, B - edge
-    parts = [np.linspace(lo_in, hi_in, 321)]
     core_half = min(0.5 * (B - A), max(64.0 * res, 0.02 * (B - A)))
-    parts.append(omega_r + np.linspace(-core_half, core_half, 241))
-    if math.isfinite(a) and a >= A:
-        parts.append(a + (B - a) * np.logspace(-8.0, 0.0, 33))
-    grid = np.unique(np.concatenate(parts))
+    grid = np.unique(
+        np.concatenate(
+            [
+                np.linspace(lo_in, hi_in, 321),
+                omega_r + np.linspace(-core_half, core_half, 241),
+                A + (B - A) * np.logspace(-8.0, 0.0, 33),
+            ]
+        )
+    )
     grid = grid[(grid >= lo_in) & (grid <= hi_in)]
     grid = grid[np.concatenate(([True], np.diff(grid) > 1e-12 * (B - A)))]
-    spline = interpolate.CubicSpline(grid, real_shift(ff, grid))
+    return interpolate.CubicSpline(grid, real_shift(ff, grid))
 
-    half_w = min(0.25 * (B - A), max(40.0 * res, 2e-3 * (B - A)))
-    flo, fhi = max(lo_in, omega_r - half_w), min(hi_in, omega_r + half_w)
 
-    local = None
-    nudge = None
+def _node_shift(ff: FormFactor, omega_r: float, res: float, A: float, B: float):
+    """Δ_R on arrays of panel nodes: exact, but a table's backbone far from ω_r."""
+    if not isinstance(ff, TabulatedCoupling):
+        return partial(real_shift, ff)
+    backbone = _table_backbone(ff, omega_r, res, A, B)
+
+    def shift(w):
+        out = backbone(w)
+        near = np.abs(w - omega_r) <= _TABLE_EXACT_HALF_WIDTH * res
+        if np.any(near):
+            out[near] = real_shift(ff, w[near])
+        return out
+
+    return shift
+
+
+def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail):
+    """Initial panel edges: breakpoints, graded resonance points, a table's
+    knots and exact-shift window, and tails.
+
+    On an infinite side, panels grow geometrically away from the
+    resonance out to 1e4·max(|A|, |B|, Λ); past that ρ ~ g²/ω² carries no
+    weight at any accuracy asked of the route.
+    """
+    A, B = pts[0], pts[-1]
+    steps = res * 2.0 ** np.arange(-3.0, 7.0)
+    parts = [np.asarray(pts), omega_r - steps, omega_r + steps]
     if isinstance(ff, TabulatedCoupling):
-        local, _kn_lo, _kn_hi = _local_table_shift(ff, flo - 0.5 * half_w, fhi + 0.5 * half_w)
-        # The slice boundary knots lie outside the window, so local()
-        # never sees their divergent logs; interior knot hits on the
-        # sample grid are nudged off (the remainder is smooth anyway).
-        knots = ff.omegas
-        h_min = float(np.min(np.diff(knots)))
+        window = _TABLE_EXACT_HALF_WIDTH * res
+        parts += [ff.omegas, np.array([omega_r - window, omega_r + window])]
+    reach = _TAIL_REACH * max(abs(A), abs(B), ff.bandwidth)
+    growth = _TAIL_RATIO ** np.arange(1.0, 64.0)
+    lo, hi = A, B
+    if left_tail:
+        lo = -reach
+        parts.append(np.maximum(omega_r - (omega_r - A) * growth, lo))
+    if right_tail:
+        hi = reach
+        parts.append(np.minimum(omega_r + (B - omega_r) * growth, hi))
+    edges = np.unique(np.concatenate(parts + [np.array([lo, hi])]))
+    return edges[(edges >= lo) & (edges <= hi)]
 
-        def nudge(ws):
-            up = np.clip(np.searchsorted(knots, ws), 0, knots.size - 1)
-            dn = np.clip(up - 1, 0, knots.size - 1)
-            near = np.minimum(np.abs(ws - knots[up]), np.abs(ws - knots[dn]))
-            return np.where(near < 1e-6 * h_min, ws + 1e-3 * h_min, ws)
 
-    seen: dict = {}
+def _refine(density, edges: np.ndarray):
+    """Panels over ``edges`` with the Legendre coefficients of ρ on each.
 
-    def exact(ws):
-        """Exact Δ_R at ``ws``, one real_shift call for the points not seen yet."""
-        new = [w for w in dict.fromkeys(ws.tolist()) if w not in seen]
-        if new:
-            seen.update(zip(new, real_shift(ff, np.array(new)).tolist()))
-        return np.array([seen[w] for w in ws.tolist()])
-
-    fgrid = np.linspace(flo, fhi, 321)
-    if math.isfinite(a) and flo <= a + 0.05 * (fhi - flo):
-        # Threshold inside (or hugging) the window: cluster toward it,
-        # a uniform grid converges slowly across the edge power law.
-        fgrid = np.concatenate([fgrid, flo + (fhi - flo) * np.logspace(-8.0, -1.0, 25)])
-    if nudge is not None:
-        fgrid = nudge(fgrid)
-    fgrid = np.unique(fgrid)
-
-    bias = math.inf
-    for _ in range(4):
-        mids = 0.5 * (fgrid[:-1] + fgrid[1:])
-        if nudge is not None:
-            mids = nudge(mids)
-        step = max(1, mids.size // 48)
-        probes = mids[step // 2 :: step]
-        widths = np.diff(fgrid)[step // 2 :: step]
-        exact(np.concatenate([fgrid, probes]))
-        fvals = exact(fgrid)
-        base = fvals - local(fgrid) if local is not None else fvals
-        fine = interpolate.CubicSpline(fgrid, base)
-        d_fit = np.asarray(fine(probes), dtype=float)
-        if local is not None:
-            d_fit = d_fit + local(probes)
-        # |δρ| at the probes when the fitted shift replaces the exact one.
-        g2 = np.asarray(ff.g2(probes), dtype=float)
-        pg2 = math.pi * g2
-        u_true = probes - omega_a - exact(probes)
-        u_fit = probes - omega_a - d_fit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.abs(g2 / (u_fit * u_fit + pg2 * pg2) - g2 / (u_true * u_true + pg2 * pg2))
-        dev = np.where(g2 > 0.0, dev, 0.0)
-        bias = float(np.sum(dev * widths)) * (mids.size / probes.size)
-        if bias <= 1e-9 or fgrid.size > 2400:
+    ``density(lo, offset)`` gives ρ at the nodes lo + offset.  Every
+    pass fits all open panels from one batched ρ evaluation (in chunks
+    of panels, to bound the memory of the node arrays) and bisects
+    those whose last two coefficients are not negligible against 1e-14
+    or 1e-11 of the panel's mass, as long as bisection still shrinks
+    them.  Returns lo, hi, the coefficients (one row per degree, one
+    column per panel) and the error bounds, with the panels in no
+    particular order.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    parent_est = None
+    kept = []
+    for n in range(_MAX_PASSES):
+        h = hi - lo
+        coef = np.empty((_NODES, lo.size))
+        for i in range(0, lo.size, _PANEL_CHUNK):
+            cols = slice(i, i + _PANEL_CHUNK)
+            coef[:, cols] = _FIT @ density(lo[cols, None], h[cols, None] * _GL_FRACTION).T
+        est = h * (np.abs(coef[-2]) + np.abs(coef[-1]))
+        mass = h * np.abs(coef[0])
+        split = est > np.maximum(1e-14, 1e-11 * mass)
+        if parent_est is not None:
+            # Resolved halves whose bounds add up to their parent's see
+            # rounding noise in ρ (e.g. a table's knot sum near a narrow
+            # resonance), not structure: halving again cannot help.
+            pairs = parent_est.size
+            stalled = np.tile(est[:pairs] + est[pairs:] >= 0.75 * parent_est, 2)
+            split &= ~(stalled & (est <= 1e-8 * mass))
+        mid = 0.5 * (lo + hi)
+        split &= (lo < mid) & (mid < hi) & (n + 1 < _MAX_PASSES)
+        kept.append((lo[~split], hi[~split], coef[:, ~split], est[~split]))
+        if not np.any(split):
             break
-        fgrid = np.unique(np.concatenate([fgrid, mids]))
-
-    m0 = ff.g2_integral()
-
-    if local is None:
-
-        def delta_fast(w):
-            if flo <= w <= fhi:
-                return float(fine(w))
-            if A <= w <= B:
-                return float(spline(w))
-            return m0 / w if w != 0.0 else 0.0
-
-    else:
-
-        def delta_fast(w):
-            if flo <= w <= fhi:
-                return float(fine(w)) + float(local(w))
-            if A <= w <= B:
-                return float(spline(w))
-            return m0 / w if w != 0.0 else 0.0
-
-    delta_fast.spline = spline
-    delta_fast.fine = fine
-    delta_fast.fine_window = (flo, fhi)
-    delta_fast.local = local
-    delta_fast.bias = bias
-    return delta_fast
+        parent_est = est[split]
+        lo = np.concatenate((lo[split], mid[split]))
+        hi = np.concatenate((mid[split], hi[split]))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*kept))
 
 
 def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
-    bound = find_bound_states(ff, omega_a) if math.isfinite(ff.threshold) else ()
+    bound = find_bound_states(ff, omega_a)
     omega_r = _resonance_energy(ff, omega_a)
     gw = max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth)
     # Resolution unit for the grids below: the resonance width, except
@@ -417,94 +395,43 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     res = min(gw, 0.5 * ff.bandwidth)
     pts, left_tail, right_tail = _breakpoints(ff, omega_r, gw, res)
     A, B = pts[0], pts[-1]
+    shift = _node_shift(ff, omega_r, res, A, B)
 
-    if isinstance(ff, LorentzianCoupling):
-        lam2 = ff.coupling**2
-        bw2 = ff.bandwidth**2
+    def density(lo, offset):
+        """ρ at the nodes lo + offset, as a (panels, nodes) array.
 
-        def delta_fast(w):
-            return lam2 * w / (w * w + bw2)
+        Nodes are placed from the exact panel edge, and the detuning from
+        ω_a is formed before the node is rounded: near a narrow resonance
+        an edge or node off by one rounding, though far below the panel
+        width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
+        """
+        w = (lo + offset).ravel()
+        detuning = ((lo - omega_a) + offset).ravel()
+        rho = _rho(detuning, np.asarray(ff.g2(w), dtype=float), shift(w))
+        return rho.reshape(offset.shape)
 
-    else:
-        delta_fast = _shift_interpolant(ff, omega_r, res, A, B, omega_a)
-
-    def rho(w):
-        g2 = float(ff.g2(w))
-        if g2 <= 0.0:
-            return 0.0
-        return g2 / ((w - omega_a - delta_fast(w)) ** 2 + (math.pi * g2) ** 2)
-
-    def rho_neg(u):
-        return rho(-u)
-
-    kernel = SimpleNamespace(
-        ff=ff,
-        omega_a=omega_a,
-        pts=pts,
-        left_tail=left_tail,
-        right_tail=right_tail,
-        bound=bound,
-        rho=rho,
-        rho_neg=rho_neg,
-        span=B - A,
-        npieces=len(pts) - 1 + left_tail + right_tail,
-        pole_cache={},
-        table=None,
-        bias=getattr(delta_fast, "bias", 0.0),
-    )
-    if isinstance(ff, TabulatedCoupling):
-        kernel.table = _table_panels(ff, omega_a, omega_r, res, delta_fast)
-    return kernel
-
-
-def _table_panels(ff: TabulatedCoupling, omega_a, omega_r, res, delta_fast):
-    """Knot-aligned fixed panels for tabulated densities.
-
-    Adaptive quadrature across a table sees a kink at every knot and its
-    error estimate never settles.  Between knots, though, ρ is perfectly
-    smooth, so a 4-point Gauss rule per knot segment is essentially exact
-    — except where the resonance peak puts structure narrower than the
-    knot spacing inside a segment; those few segments are left to the
-    adaptive oscillatory integrator.  Per time point the panel part is a
-    single vectorized inner product against e^{−iωt}.
-    """
-    om = ff.omegas
-    w0, w1 = om[:-1], om[1:]
-    h = w1 - w0
-    radius = np.maximum(25.0 * res, 5.0 * h)
-    adaptive = (w1 >= omega_r - radius) & (w0 <= omega_r + radius)
-
-    xg, wg = np.polynomial.legendre.leggauss(4)
-    mid = 0.5 * (w0[~adaptive] + w1[~adaptive])
-    half = 0.5 * h[~adaptive]
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-
-    g2n = np.asarray(ff.g2(nodes), dtype=float)
-    shift = np.asarray(delta_fast.spline(nodes), dtype=float)
-    flo, fhi = delta_fast.fine_window
-    near = (nodes >= flo) & (nodes <= fhi)
-    if np.any(near):
-        shift[near] = delta_fast.fine(nodes[near])
-        if delta_fast.local is not None:
-            shift[near] += delta_fast.local(nodes[near])
-    rho_n = np.zeros_like(g2n)
-    ok = g2n > 0.0
-    rho_n[ok] = g2n[ok] / (
-        (nodes[ok] - omega_a - shift[ok]) ** 2 + (math.pi * g2n[ok]) ** 2
-    )
-    segs = [(float(a), float(b)) for a, b in zip(w0[adaptive], w1[adaptive])]
-    wrho = weights * rho_n
+    lo, hi, coef, est = _refine(density, _panel_edges(ff, omega_r, res, pts, left_tail, right_tail))
+    h = hi - lo
+    widths, width_index = np.unique(h, return_inverse=True)
+    # h·c_k times the real or imaginary unit of (−i)^k.
+    coef *= h * _PHASE_SIGN[:, None]
     return SimpleNamespace(
-        nodes=nodes,
-        wrho=wrho,
-        adaptive_segs=segs,
-        h_max=float(np.max(h[~adaptive])) if np.any(~adaptive) else 0.0,
-        mass=float(np.sum(np.abs(wrho))),
+        omega_a=omega_a,
+        bound=bound,
+        span=B - A,
+        pole_cache={},
+        mids=0.5 * (lo + hi),
+        widths=widths,
+        # int32 keeps the index of a table kernel (~2·10⁴ panels) small.
+        width_index=width_index.astype(np.int32),
+        terms=coef,
+        error=float(np.sum(est)),
     )
 
 
-_kernel_cached = lru_cache(maxsize=16)(_kernel_uncached)
+# A table kernel holds ~2 MB, so the cache keeps only the few models a
+# caller works through at once.
+_kernel_cached = lru_cache(maxsize=4)(_kernel_uncached)
 
 
 def _spectral_kernel(ff: FormFactor, omega_a: float) -> SimpleNamespace:
@@ -514,21 +441,16 @@ def _spectral_kernel(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         return _kernel_uncached(ff, omega_a)
 
 
-def _wquad(f, lo, hi, weight, wvar, epsabs):
-    out = integrate.quad(
-        f, lo, hi, weight=weight, wvar=wvar, epsabs=epsabs, epsrel=1e-10,
-        limit=200, full_output=1,
-    )
-    return out[0], out[1]
+def _continuum(k: SimpleNamespace, t: float) -> complex:
+    """∫ρ(ω)e^{−iωt}dω over the kernel's panels (Filon–Legendre, exact in t).
 
-
-def _pquad(f, lo, hi, epsabs, points=None):
-    if points is not None and not (math.isfinite(lo) and math.isfinite(hi)):
-        points = None
-    out = integrate.quad(
-        f, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=200, points=points, full_output=1
-    )
-    return out[0], out[1]
+    One fixed-order reduction per t, so a value does not depend on which
+    other times share the call.
+    """
+    j = special.spherical_jn(_DEGREES[:, None], (0.5 * t) * k.widths)[:, k.width_index]
+    re = np.einsum("kp,kp->p", k.terms[0::2], j[0::2])
+    im = np.einsum("kp,kp->p", k.terms[1::2], j[1::2])
+    return complex(np.sum(np.exp(-1j * t * k.mids) * (re + 1j * im)))
 
 
 def survival_spectral_integral(
@@ -549,27 +471,35 @@ def survival_spectral_integral(
         Sample times; negative values are accepted and return the
         conjugate amplitude (ρ is real, so x(−t) = conj x(t)).
     tol : float
-        Overall absolute accuracy target per time point (t = 0 is always
-        evaluated at near-machine accuracy for the norm check).
+        Overall absolute accuracy target per time point.
 
     Notes
     -----
-    The ρ machinery — resonance location, breakpoints, bound states and
-    (for non-Lorentzian families) a spline surrogate of the level shift
-    accurate beyond the error budget — is built once per
-    (family, omega_a) pair and memoized, so repeated calls with
-    different time grids only pay for the oscillatory quadrature.  The
-    surrogate's exact samples come from :func:`~zenodecay.real_shift`
-    called on whole ω grids (the backbone, each refinement pass of the
-    resonance window together with its validation probes), so a kernel
-    build makes a few dozen batched calls rather than one per sample.
+    Everything that does not depend on t is built once per
+    (family, omega_a) pair and memoized: resonance location, bound
+    states and a fixed set of panels over the support — the breakpoints
+    around the resonance and the coupling peak, resonance-graded points,
+    a table's knots and, on an infinite side, geometrically growing tail
+    panels.  On each panel ρ is sampled at 10 Gauss–Legendre nodes with
+    the exact level shift of :func:`~zenodecay.real_shift` (for a table
+    only near the resonance; its far nodes take a cubic-spline backbone
+    of the exact shift) and stored as Legendre coefficients c_k.  A
+    panel of width h around ω_c then contributes, exactly for the
+    fitted polynomial,
+
+        ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
+
+    so every t costs one spherical-Bessel row per distinct panel width
+    and one sum over panels.  Panels are bisected until
+    h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
+    the sum of these bounds is the achieved error, the same for every t.
 
     Raises
     ------
     NoDecayError
         Zero coupling (the spectral density is empty).
     ToleranceError
-        Accumulated quadrature error estimate above ``tol``.
+        Summed panel error bound above ``tol``.
 
     Warns
     -----
@@ -582,106 +512,14 @@ def survival_spectral_integral(
     if ff.g2_integral() == 0.0:
         raise NoDecayError("zero coupling: no spectral density to integrate")
     k = _spectral_kernel(ff, float(omega_a))
-    pts, rho, rho_neg, bound = k.pts, k.rho, k.rho_neg, k.bound
-    A, B = pts[0], pts[-1]
 
     def asymptote(tau):
         if "pole" not in k.pole_cache:
             k.pole_cache["pole"] = find_pole(ff, k.omega_a)
         p = k.pole_cache["pole"]
-        val = math.sqrt(p.z_renorm) * np.exp((-1j * p.e_pole.real - 0.5 * p.gamma0) * tau)
-        for bs in bound:
-            val += bs.weight * np.exp(-1j * bs.energy * tau)
-        return val
-
-    def panel_sum(tau):
-        """Fixed-panel Fourier sum plus the adaptive resonance segments."""
-        tab = k.table
-        if tau == 0.0:
-            val = complex(np.sum(tab.wrho))
-        else:
-            val = complex(np.dot(tab.wrho, np.exp(-1j * tau * tab.nodes)))
-        # Degree-7 Gauss panels: the residual scales like (t·h/2)^8/8!.
-        err = 1e-12 + 70.0 * tab.mass * (0.5 * tau * tab.h_max) ** 8 / 40320.0
-        eps = (3e-14 if tau == 0.0 else tol) / (3.0 * max(1, len(tab.adaptive_segs)))
-        for lo, hi in tab.adaptive_segs:
-            if tau == 0.0:
-                v, e = _pquad(rho, lo, hi, eps)
-                val += v
-            else:
-                v, e = _wquad(rho, lo, hi, "cos", tau, eps)
-                val += v
-                err += e
-                v, e = _wquad(rho, lo, hi, "sin", tau, eps)
-                val += complex(0.0, -v)
-            err += e
-        return val, err
-
-    def eval_zero():
-        if k.table is not None:
-            total, err = panel_sum(0.0)
-            for bs in bound:
-                total += bs.weight
-            return total, err
-        eps = 3e-14
-        total = 0.0
-        err = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            v, e = _pquad(rho, lo, hi, eps)
-            total += v
-            err += e
-        if k.left_tail:
-            v, e = _pquad(rho_neg, -A, math.inf, eps)
-            total += v
-            err += e
-        if k.right_tail:
-            v, e = _pquad(rho, B, math.inf, eps)
-            total += v
-            err += e
-        for bs in bound:
-            total += bs.weight
-        return complex(total, 0.0), err
-
-    def eval_at(tau):
-        if tau == 0.0:
-            return eval_zero()
-        if k.table is not None:
-            val, err = panel_sum(tau)
-            for bs in bound:
-                val += bs.weight * np.exp(-1j * bs.energy * tau)
-            return val, err
-        eps = tol / (3.0 * k.npieces)
-        cos_sum = 0.0
-        sin_sum = 0.0
-        err = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            v, e = _wquad(rho, lo, hi, "cos", tau, eps)
-            cos_sum += v
-            err += e
-            v, e = _wquad(rho, lo, hi, "sin", tau, eps)
-            sin_sum += v
-            err += e
-        if k.left_tail:
-            v, e = _wquad(rho_neg, -A, math.inf, "cos", tau, eps)
-            cos_sum += v
-            err += e
-            v, e = _wquad(rho_neg, -A, math.inf, "sin", tau, eps)
-            sin_sum -= v
-            err += e
-        if k.right_tail:
-            v, e = _wquad(rho, B, math.inf, "cos", tau, eps)
-            cos_sum += v
-            err += e
-            v, e = _wquad(rho, B, math.inf, "sin", tau, eps)
-            sin_sum += v
-            err += e
-        val = complex(cos_sum, -sin_sum)
-        for bs in bound:
-            val += bs.weight * np.exp(-1j * bs.energy * tau)
-        return val, err
+        return math.sqrt(p.z_renorm) * np.exp((-1j * p.e_pole.real - 0.5 * p.gamma0) * tau)
 
     amps = np.empty(t_in.shape, dtype=complex)
-    achieved = 0.0
     beyond = np.abs(t_in) * k.span > _OSCILLATION_BUDGET
     if np.any(beyond):
         late = np.abs(t_in[beyond])
@@ -694,22 +532,16 @@ def survival_spectral_integral(
         )
     for i, tau in enumerate(t_in):
         ta = abs(float(tau))
-        if beyond[i]:
-            val = asymptote(ta)
-            err = 0.0
-        else:
-            # The shift-surrogate bias is a systematic error on ρ itself,
-            # on top of whatever the quadrature reports.
-            val, err = eval_at(ta)
-            err += k.bias
+        val = asymptote(ta) if beyond[i] else _continuum(k, ta)
+        for bs in k.bound:
+            val += bs.weight * np.exp(-1j * bs.energy * ta)
         amps[i] = np.conj(val) if tau < 0 else val
-        achieved = max(achieved, err)
 
-    if achieved > tol:
+    if k.error > tol:
         raise ToleranceError(
-            f"spectral quadrature achieved {achieved:.3e}, above the target {tol:.3e}",
+            f"spectral panels achieved {k.error:.3e}, above the target {tol:.3e}",
             value=amps,
-            achieved=achieved,
+            achieved=k.error,
             requested=tol,
         )
     return _series(t_in, amps, SurvivalMethod.SPECTRAL_INTEGRAL)

@@ -29,6 +29,7 @@ g²(ω̄)·Λ = 1/τ_Z².
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,6 +100,13 @@ class FormFactor:
     def support(self) -> tuple[float, float]:
         """Lower and upper edge of the continuum (may be infinite)."""
         raise NotImplementedError
+
+    # A cached_property is a non-data descriptor, so a family may store
+    # its own ``threshold`` as a dataclass field instead.
+    @functools.cached_property
+    def threshold(self) -> float:
+        """Lower edge of the continuum, ``support()[0]``."""
+        return self.support()[0]
 
     def g2_integral(self) -> float:
         """∫ g²(ω) dω over the support (the inverse squared Zeno time)."""
@@ -182,10 +190,6 @@ class LorentzianCoupling(FormFactor):
     def support(self):
         return (-math.inf, math.inf)
 
-    @property
-    def threshold(self):
-        return -math.inf
-
     def g2_integral(self):
         return self.coupling**2
 
@@ -249,7 +253,8 @@ class ThresholdPowerLawCoupling(FormFactor):
 
     coupling: float
     bandwidth: float
-    threshold: float
+    # field() keeps the base class's ``threshold`` from becoming a default.
+    threshold: float = dataclasses.field()
     rise_exponent: float
     cutoff_exponent: float
 
@@ -421,10 +426,6 @@ class TabulatedCoupling(FormFactor):
 
     def support(self):
         return (float(self.omegas[0]), float(self.omegas[-1]))
-
-    @property
-    def threshold(self):
-        return float(self.omegas[0])
 
     def g2_integral(self):
         return float(np.trapezoid(self.g2_values, self.omegas))

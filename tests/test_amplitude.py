@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from spectral_reference import reference_amplitude
+from test_selfenergy import _Semicircle
 from zenodecay.amplitude import (
     SurvivalMethod,
     SurvivalSeries,
@@ -15,7 +17,7 @@ from zenodecay.amplitude import (
     survival_spectral_integral,
 )
 from zenodecay.errors import DomainError
-from zenodecay.formfactor import LorentzianCoupling
+from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
 
@@ -113,6 +115,26 @@ def test_spectral_includes_bound_state(tpl_strong):
     # omitting it would leave P(0) near 0.57.
     s = survival_spectral_integral(tpl_strong, 0.7, [0.0])
     assert abs(s.probabilities[0] - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "ff, omega_a",
+    [
+        (ThresholdPowerLawCoupling(1.0, 1.0, 0.0, 0.5, 4.0), 2.0),
+        (ThresholdPowerLawCoupling(0.3, 1.0, -0.3, 0.7, 6.0), 1.0),
+    ],
+)
+def test_spectral_power_law_matches_reference(ff, omega_a):
+    x = survival_spectral_integral(ff, omega_a, [30.0]).amplitudes[0]
+    assert abs(x - reference_amplitude(ff, omega_a, 30.0)) < 1e-9
+
+
+def test_spectral_custom_family():
+    # A FormFactor subclass with only g2, support and moments.
+    ff = _Semicircle()
+    s = survival_spectral_integral(ff, 0.2, [0.0, 5.0])
+    assert abs(s.probabilities[0] - 1.0) < 1e-8
+    assert abs(s.amplitudes[1] - reference_amplitude(ff, 0.2, 5.0)) < 1e-9
 
 
 def test_spectral_long_time_switches_to_pole_asymptote(lor):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_reference import reference_rate
 from zenodecay.errors import DomainError, GridError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling
 from zenodecay.model import DecayModel, ExponentialDecayModel
@@ -128,10 +129,19 @@ def test_transition_array_scan_keeps_tau_star(model2, tpl):
     fast = find_transition_time(model2)
     assert fast.tau_star == TAU_STAR
     assert fast.all_roots == find_transition_time(_ScalarOnly(model2)).all_roots
-    # Power law at omega_a = 2.4 (Z < 1): the crossing found by the
-    # one-tau-at-a-time grid scan before the scan took whole grids.
-    power = find_transition_time(DecayModel(tpl, 2.4), tau_max=1.0, grid_points=64)
-    assert power.tau_star == pytest.approx(0.33977565854851666, rel=1e-10)
+    # Power law at omega_a = 2.4 (Z < 1), pinned from the panel engine;
+    # the independent reference rate must cross gamma0 there too.
+    model = DecayModel(tpl, 2.4)
+    power = find_transition_time(model, tau_max=1.0, grid_points=64)
+    assert power.tau_star == pytest.approx(0.3397756166558609, rel=1e-10)
+    assert abs(reference_rate(tpl, 2.4, power.tau_star) - model.gamma0) <= 1e-11
+
+
+def test_rate_just_above_small_interval_switch(tpl):
+    # 1 - P is ~1.5e-8 here, so the rate needs x(tau) to ~1e-13.
+    tau = 1.2424e-3
+    gamma = effective_rate(DecayModel(tpl, 2.4), tau)
+    assert gamma == pytest.approx(reference_rate(tpl, 2.4, tau), rel=1e-5)
 
 
 def test_curve_rejects_bad_intervals(model2):
