@@ -19,8 +19,8 @@ Three evaluation routes are provided, all returning a
         x(t) = ∫ ρ(ω)·e^{−iωt} dω  +  Σ_b w_b·e^{−iE_b t},
         ρ(ω) = g²(ω) / [(ω − ω_a − Δ_R(ω))² + π²·g⁴(ω)],
 
-    where the sum covers bound states below the threshold (weights from
-    the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
+    where the sum covers bound states past a finite band edge (weights
+    from the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
     The integral runs over one fixed set of panels per (family, ω_a),
     the same for every family.  ρ is sampled at Gauss–Legendre nodes on
     each panel with the exact level shift Δ_R (a table, whose exact
@@ -194,7 +194,7 @@ def pole_approximation(pole: PoleData, times) -> SurvivalSeries:
 def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     """Continuum density ρ(ω) of the surviving component (array-safe).
 
-    ρ(ω) = g²(ω) / [(ω − ω_a − Δ_R(ω))² + π²g⁴(ω)]; integrates to one
+    ρ(ω) = g²(ω) / [(ω − ω_a − Δ_R(ω))² + π²g⁴(ω)]; its integral is one
     minus the total bound-state weight.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -459,7 +459,7 @@ def survival_spectral_integral(
     """Survival series from the spectral representation of the propagator.
 
     Works for any family with a finite coupling integral; bound states
-    below a finite threshold are detected and included (omitting them
+    past a finite band edge are detected and included (omitting them
     would violate unit norm at t = 0).
 
     Parameters
@@ -510,7 +510,7 @@ def survival_spectral_integral(
     """
     t_in = _check_times(times, allow_negative=True)
     if ff.g2_integral() == 0.0:
-        raise NoDecayError("zero coupling: no spectral density to integrate")
+        raise NoDecayError("zero coupling: the spectral density is empty")
     k = _spectral_kernel(ff, float(omega_a))
 
     def asymptote(tau):

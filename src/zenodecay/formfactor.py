@@ -151,7 +151,7 @@ class LorentzianCoupling(FormFactor):
     Parameters
     ----------
     coupling : float
-        Strength λ ≥ 0; the density integrates to λ² exactly.
+        Strength λ ≥ 0; the density has integral λ² exactly.
     bandwidth : float
         Half-width Λ > 0 of the Lorentzian profile.
 

@@ -20,10 +20,10 @@ family the pole equation is the quadratic (E − omega_a)(E + iΛ) = λ², and
 solution, falling back to the quadratic roots (the ground truth) if the
 radical branch goes astray at strong coupling.
 
-Threshold families can additionally split off a genuine bound state below
-the continuum edge; :func:`find_bound_states` detects it and reports its
-spectral weight, which the amplitude module must include to conserve
-probability.
+Families with a finite band edge can additionally split off a genuine
+bound state below the lower or above the upper edge;
+:func:`find_bound_states` detects them and reports their spectral
+weights, which the amplitude module must include to conserve probability.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     NoDecayError,
 )
 from .formfactor import FormFactor, LorentzianCoupling
-from .selfenergy import Sheet, _sigma_first_quad, self_energy
+from .selfenergy import Sheet, real_shift, self_energy
 
 __all__ = [
     "BoundState",
@@ -60,7 +60,7 @@ _NEWTON_TARGET = 1e-13
 
 
 class BoundState(NamedTuple):
-    """A real propagator pole below the continuum threshold.
+    """A real propagator pole outside the continuum, past a finite band edge.
 
     ``weight`` is the residue 1/(1 − Sigma'(E)) ∈ (0, 1); it is the
     probability permanently trapped in the discrete-continuum mixture.
@@ -89,7 +89,7 @@ class PoleData:
     residual : float
         |e_pole − omega_a − Sigma_II(e_pole)|, the convergence witness.
     bound_states : tuple of BoundState
-        Real poles below threshold, if any were detected.
+        Real poles outside the continuum, if any were detected.
     """
 
     e_pole: complex
@@ -170,8 +170,6 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
             f"omega_a={omega_a} must lie above the continuum threshold {lo}"
         )
 
-    from .selfenergy import real_shift  # local import avoids cycle at module load
-
     scale = max(1.0, abs(omega_a), ff.bandwidth)
     seed = complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a)))
     if seed.imag == 0.0:
@@ -219,10 +217,7 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
         )
     z = abs(1.0 - sv.derivative) ** -2.0
 
-    bound = ()
-    if math.isfinite(lo):
-        bound = find_bound_states(ff, omega_a)
-    return _pole_data_from(E, omega_a, z, residual, bound)
+    return _pole_data_from(E, omega_a, z, residual, find_bound_states(ff, omega_a))
 
 
 def _lorentzian_quadratic_roots(lam: float, bandwidth: float, omega_a: float):
@@ -334,41 +329,43 @@ def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:
 
 
 def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
-    """Scan for a real propagator pole below the continuum threshold.
+    """Scan for real propagator poles past each finite band edge.
 
-    The level function F(E) = E − omega_a − Sigma_I(E) is strictly
-    increasing on (−∞, threshold) because Sigma_I' < 0 there, so at most
-    one bound state exists; it does iff F just below the edge is positive.
+    The level function F(E) = E − omega_a − Δ_R(E) is strictly
+    increasing outside the support because Sigma_I' < 0 there, so each
+    side holds at most one bound state: below a finite lower edge one
+    exists iff F just below it is positive, above a finite upper edge
+    iff F just above it is negative.
 
     Returns
     -------
     tuple of BoundState
-        Empty for families without a finite threshold (no real axis below
-        the continuum) and at weak coupling.
+        Lower state first.  Empty for families without a finite edge (no
+        real axis outside the continuum) and at weak coupling.
     """
     omega_a = float(omega_a)
-    lo = ff.threshold
-    if not math.isfinite(lo) or ff.g2_integral() == 0.0:
+    if ff.g2_integral() == 0.0:
         return ()
 
     def level_fn(E):
-        # Value-only path: the derivative quadrature is needlessly hard
-        # (and fragile) this close to the branch point.
-        sigma = _sigma_first_quad(ff, complex(E, 0.0))
-        return E - omega_a - sigma.real
+        return E - omega_a - real_shift(ff, E)
 
-    edge = lo - 1e-6 * max(1.0, ff.bandwidth)
-    if level_fn(edge) <= 0.0:
-        return ()
-    span = max(ff.bandwidth, abs(omega_a - lo), 1.0)
-    low = lo - span
-    for _ in range(60):
-        if level_fn(low) < 0.0:
-            break
-        low = lo - 2.0 * (lo - low)
-    else:
-        return ()
-    energy = optimize.brentq(level_fn, low, edge, xtol=1e-14, rtol=8.9e-16)
-    sv = self_energy(ff, complex(energy, 0.0), Sheet.FIRST)
-    weight = 1.0 / (1.0 - sv.derivative.real)
-    return (BoundState(float(energy), float(weight)),)
+    states = []
+    for edge, side in zip(ff.support(), (-1.0, 1.0)):
+        if not math.isfinite(edge):
+            continue
+        near = edge + side * 1e-6 * max(1.0, ff.bandwidth)
+        if side * level_fn(near) >= 0.0:
+            continue
+        far = edge + side * max(ff.bandwidth, abs(omega_a - edge), 1.0)
+        for _ in range(60):
+            if side * level_fn(far) > 0.0:
+                break
+            far = edge + 2.0 * (far - edge)
+        else:
+            continue
+        lo, hi = sorted((near, far))
+        energy = optimize.brentq(level_fn, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        sv = self_energy(ff, complex(energy, 0.0), Sheet.FIRST)
+        states.append(BoundState(float(energy), float(1.0 / (1.0 - sv.derivative.real))))
+    return tuple(states)

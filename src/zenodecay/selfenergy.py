@@ -17,20 +17,20 @@ pole lives.  On the cut itself the boundary value from above is
 
 Evaluation strategy
 -------------------
-Closed forms are used for the Lorentzian family (Sigma is rational).
-Otherwise the integral is computed by adaptive quadrature with a
-singularity-subtracted window around Re E whenever Re E lies inside the
-support: the subtraction
+Closed forms are used for the Lorentzian family (Sigma is rational) and
+for tables (exact segment sums of the piecewise-linear density; Δ_R by
+its knot sum).  Every other family goes through one fixed
+double-exponential rule, vectorized over Re E = x: a symmetric window
+around x with g²(x) subtracted,
 
-    ∫ (g²(ω) − g²(x)) / (E − ω) dω  +  g²(x)·[ln(E − lo) − ln(E − hi)]
+    ∫ (g²(ω) − g²(x)) / (E − ω) dω  −  2i·g²(x)·atan(h/Im E)    (|ω − x| < h),
 
-is uniformly well-conditioned in the distance to the cut, so the same
-code path serves points close to, far from, and exactly on the cut (the
-``+0j`` convention of the complex logarithm picks the limit from above).
-
-The level shift Δ_R takes whole arrays of ω instead: tables by their
-exact knot sum, every other non-Lorentzian family by a fixed
-double-exponential rule (see :func:`real_shift`).
+which is uniformly well-conditioned in the distance to the cut, then
+log-distance pieces and a mapped tail.  Off the cut the rule gives Sigma
+and Sigma′ from the same samples of g²; on the real axis it gives the
+principal value Δ_R in real arithmetic (see :func:`real_shift`).  Only
+exactly on the cut inside the support is the second-sheet Sigma′ taken
+by parts, as the boundary value of the transform of (g²)′.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ContinuationUnsupportedError,
@@ -52,10 +51,10 @@ from .formfactor import FormFactor, LorentzianCoupling, TabulatedCoupling
 
 __all__ = ["Sheet", "SelfEnergyValue", "self_energy", "real_shift"]
 
-#: Default absolute / relative tolerances for all quadratures here.
+#: Absolute / relative tolerances of Sigma and Δ_R; a rule is accepted
+#: while its error estimate is within 1e3·max(EPSABS, EPSREL·|value|).
 EPSABS = 1e-12
 EPSREL = 1e-10
-_LIMIT = 200
 
 
 class Sheet(enum.Enum):
@@ -84,31 +83,6 @@ class SelfEnergyValue:
     sheet: Sheet
 
 
-def _quad(f, lo, hi, points=None, strict=True):
-    """Adaptive quadrature returning (value, abserr).
-
-    With ``strict`` (the default) a QUADPACK warning whose error estimate
-    exceeds the requested accuracy by more than 1e3 raises ToleranceError.
-    Non-strict callers collect the per-piece error estimates and apply
-    their own budget to the assembled total instead.
-    """
-    if points is not None and not (math.isfinite(lo) and math.isfinite(hi)):
-        points = None
-    out = integrate.quad(
-        f, lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=_LIMIT, points=points, full_output=1
-    )
-    val, err = out[0], out[1]
-    if strict and len(out) > 3:  # ier != 0 message present
-        if err > max(EPSABS, abs(val) * EPSREL) * 1e3:
-            raise ToleranceError(
-                f"quadrature failed to converge: {out[3].splitlines()[0]}",
-                value=val,
-                achieved=err,
-                requested=EPSABS,
-            )
-    return val, err
-
-
 def _cut_distance(ff: FormFactor, E: complex) -> float:
     """Distance from E to the continuum cut (the support of g²)."""
     a, b = ff.support()
@@ -118,78 +92,6 @@ def _cut_distance(ff: FormFactor, E: complex) -> float:
     gap = min(abs(x - a) if math.isfinite(a) else math.inf,
               abs(x - b) if math.isfinite(b) else math.inf)
     return math.hypot(gap, y)
-
-
-def _stieltjes_windowed(fval, fslope, a, b, window, x, y, strict=True) -> tuple[complex, float]:
-    """∫ f(ω)/(E−ω) dω with the pole subtracted out; x must be interior.
-
-    ``fslope(x)`` is only used as the removable-point value of the
-    subtracted integrand.  For y == 0 the result is the boundary value
-    from above, PV − iπf(x) (+0j branch of the logarithm).
-    """
-    lo, hi = max(a, x - window), min(b, x + window)
-    fx = float(fval(x))
-    fdx = float(fslope(x))
-
-    def sub_re(w):
-        dx = x - w
-        den = dx * dx + y * y
-        if den == 0.0:
-            return -fdx
-        return (float(fval(w)) - fx) * dx / den
-
-    val, err = _quad(sub_re, lo, hi, points=[x], strict=strict)
-    total = complex(val, 0.0)
-    toterr = err
-    if y != 0.0:
-
-        def sub_im(w):
-            dx = x - w
-            return -(float(fval(w)) - fx) * y / (dx * dx + y * y)
-
-        val, err = _quad(sub_im, lo, hi, points=[x], strict=strict)
-        total += 1j * val
-        toterr += err
-
-    Ex = complex(x, y)  # y == +0.0 keeps the limit-from-above branch
-    total += fx * (np.log(Ex - lo) - np.log(Ex - hi))
-
-    for ta, tb in ((a, lo), (hi, b)):
-        if ta < tb:
-            v, e = _stieltjes_plain(fval, Ex, ta, tb, strict=strict)
-            total += v
-            toterr += e
-    return total, toterr
-
-
-def _stieltjes_plain(fval, E: complex, lo: float, hi: float, strict=True) -> tuple[complex, float]:
-    """Direct quadrature of f/(E−ω) over [lo, hi]; no singularity inside."""
-    x, y = E.real, E.imag
-
-    def f_re(w):
-        dx = x - w
-        return float(fval(w)) * dx / (dx * dx + y * y)
-
-    val, err = _quad(f_re, lo, hi, strict=strict)
-    total = complex(val, 0.0)
-    toterr = err
-    if y != 0.0:
-
-        def f_im(w):
-            dx = x - w
-            return -float(fval(w)) * y / (dx * dx + y * y)
-
-        val, err = _quad(f_im, lo, hi, strict=strict)
-        total += 1j * val
-        toterr += err
-    return total, toterr
-
-
-def _stieltjes_transform(fval, fslope, a, b, window, E: complex, strict=True) -> tuple[complex, float]:
-    x = E.real
-    if a < x < b:
-        return _stieltjes_windowed(fval, fslope, a, b, window, x, E.imag, strict=strict)
-    return _stieltjes_plain(fval, E, a, b, strict=strict)
 
 
 def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:
@@ -297,8 +199,8 @@ def _table_shift(ff: TabulatedCoupling, x: np.ndarray) -> np.ndarray:
     return out - (fv[-1] - fv[0])
 
 
-#: Double-exponential rules of the batched level shift on the unit
-#: parameter t ∈ [−T, T] at step 2^−_DE_LEVEL.  The sum over every other
+#: Double-exponential rules of the self-energy and the level shift on the
+#: unit parameter t ∈ [−T, T] at step 2^−_DE_LEVEL.  The sum over every other
 #: node is the same rule at twice the step; the difference of the two is
 #: the error estimate (the finer sum is the more accurate by far, since
 #: the rules converge double-exponentially).
@@ -306,13 +208,14 @@ _DE_LEVEL = 5
 
 
 def _de_nodes(t_max: float):
+    """Nodes t = j·step for |j| ≤ n, and the slice of those with even j."""
     step = 2.0**-_DE_LEVEL
-    j = np.arange(-round(t_max / step), round(t_max / step) + 1)
-    return j * step, step, j % 2 == 0
+    n = round(t_max / step)
+    return np.arange(-n, n + 1) * step, step, slice(n % 2, None, 2)
 
 
 def _tanh_sinh_rule():
-    """tanh–sinh nodes on [0, 1], which also integrate endpoint singularities.
+    """tanh–sinh nodes on [0, 1], which also resolve endpoint singularities.
 
     ``lo`` and ``hi`` are the distances of each node to the two ends, each
     exact where it is the smaller; ``upper`` marks the nodes nearer 1.
@@ -337,52 +240,112 @@ _TANH_SINH = _tanh_sinh_rule()
 _EXP_SINH = _exp_sinh_rule()
 
 
-def _de_sum(f: np.ndarray, weights: np.ndarray, coarse: np.ndarray):
+def _de_sum(f: np.ndarray, weights: np.ndarray, coarse: slice):
     """Row sums of the rule and |fine − coarse| as their error estimate."""
     fw = f * weights
     fine = fw.sum(axis=-1)
     return fine, np.abs(fine - 2.0 * fw[..., coarse].sum(axis=-1))
 
 
-def _rule_shift(ff: FormFactor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Δ_R and its error estimate on a 1-D array of ω by fixed DE rules.
+def _log_nodes(d1: np.ndarray, d2: np.ndarray):
+    """tanh–sinh nodes on [d1, d2] in ln d, with weights per unit ln d."""
+    ts = _TANH_SINH
+    span = np.log(d2 / d1)
+    near = np.where(ts.upper, d2, d1)
+    return near * np.exp(np.where(ts.upper, -span * ts.hi, span * ts.lo)), span * ts.w
 
-    Per ω the support splits into
 
-    * the symmetric PV window [x − h, x + h], folded onto s ∈ (0, h] as
-      ∫ (g²(x − s) − g²(x + s))/s ds, which is regular at s = 0; h is
-      half a bandwidth or the distance to the nearer support edge, and a
-      tanh–sinh rule clusters its nodes at a threshold on the window edge;
+def _de_rule(ff: FormFactor, g, x: np.ndarray, y: float | None = None):
+    """∫ g(ω′)/(E − ω′) dω′ at E = x + iy by fixed DE rules, on a 1-D array of x.
+
+    With ``y`` None, E is real and the result is the principal value,
+    in real arithmetic (Δ_R for g = g²).  With a float ``y`` (E off the
+    cut) the result has two complex rows taken from the same samples of
+    g: the transform and its derivative −∫ g/(E − ω′)² dω′.  Returns
+    (values, error estimates), both of that shape.
+
+    Per x the support splits into
+
+    * the symmetric window [x − h, x + h] (h half a bandwidth or the
+      distance to the nearer support edge), folded onto s ∈ (0, h] with
+      g(x) subtracted, ∫ Σ± (g(x ± s) − g(x))/(iy ∓ s) ds, plus the
+      closed form −2i·g(x)·atan(h/y) of the subtracted part, which is
+      −iπg(x) at y = +0: the real path keeps only the principal value
+      ∫ (g(x − s) − g(x + s))/s ds.  A tanh–sinh rule clusters its nodes
+      at a threshold on the window edge.  For 0 < |y| < h the window is
+      cut at s = |y| and its outer part taken in ln s;
     * finite pieces on each side, cut at the structure points around the
       coupling peak so that the bump near ω ≈ Λ has pieces of its own.
-      They are integrated in u = ln|ω′ − x|, where the kernel 1/(x − ω′)
-      turns into ±1 and the scale of the window (down to the distance to
-      a threshold) costs nothing; a piece that starts at x itself (x on a
-      support edge) takes an exp–sinh rule in ln(d₂/|ω′ − x|) instead;
+      They are taken in u = ln d, d = |ω′ − x|, where the kernel
+      d/(E − ω′) = d/(iy ∓ d) is ∓1 on the real axis and the scale of
+      the window (down to the distance to a threshold) costs nothing; a
+      piece that starts at x itself (x on a support edge) takes an
+      exp–sinh rule in ln(d₂/d) instead on the real axis, and off it is
+      cut at d = |y| like the window;
     * a semi-infinite tail past the last structure point, mapped by an
       exp–sinh rule.
     """
     a, b = ff.support()
-    g = ff.g2
     half = 0.5 * ff.bandwidth
     peak = ff.peak_energy()
     cuts = np.array([c for c in (peak - 4.0 * half, peak - half, peak + 4.0 * half) if a < c < b])
     h = np.where((x > a) & (x < b), np.minimum(half, np.minimum(x - a, b - x)), 0.0)
-    val = np.zeros_like(x)
-    err = np.zeros_like(x)
-
-    def add(mask, sums):
-        val[mask] += sums[0]
-        err[mask] += sums[1]
-
+    real = y is None
+    val = np.zeros_like(x) if real else np.zeros((2, x.size), dtype=complex)
+    err = np.zeros(val.shape)
     ts, es = _TANH_SINH, _EXP_SINH
+
+    def terms(mask, side, d, log, sub=None):
+        """g(x + side·d), less ``sub``, times the kernel, on the rows of ``mask``.
+
+        The kernel is per unit d, or per unit ln d if ``log``.  Off the
+        axis it is 1/(E − ω′) = 1/(iy − side·d) for Sigma and −1/(E − ω′)²
+        for Sigma′.  On the real path it is −side/d or −side, and the
+        factor −side is left to the caller, which applies it to the sums.
+        """
+        gs = g(x[mask, None] + side * d)
+        if sub is not None:
+            gs = gs - sub[mask, None]
+        if real:
+            return gs if log else gs / d
+        r = 1.0 / (1j * y - side * d)
+        return np.stack((r, -r * r)) * (gs * d if log else gs)
+
+    def add(mask, f, w, coarse, sign=1.0):
+        fine, est = _de_sum(f, w, coarse)
+        val[..., mask] += sign * fine
+        err[..., mask] += est
+
+    def from_x(reach, sides, sub=None):
+        """Pieces over d ∈ (0, reach] on ``sides`` of x (rows with reach > 0).
+
+        Off the axis they are cut at d = |y|, and the outer part is taken
+        in ln d, where the kernel varies on the scale of d alone.  On the
+        real axis only the window comes here, and its two sides fold to
+        (g(x − s) − g(x + s))/s.
+        """
+        cut = reach if real else np.minimum(abs(y), reach)
+        m = cut > 0.0
+        if np.any(m):
+            cm = cut[m, None]
+            s = np.where(ts.upper, cm - cm * ts.hi, cm * ts.lo)
+            f = [terms(m, side, s, False, sub) for side in sides]
+            add(m, f[0] - f[1] if real else sum(f), cm * ts.w, ts.coarse)
+        m = cut < reach
+        if np.any(m):
+            s, w = _log_nodes(cut[m, None], reach[m, None])
+            add(m, sum(terms(m, side, s, True, sub) for side in sides), w, ts.coarse)
+
+    gx = None if real else g(x)
+    from_x(h, (-1.0, 1.0), gx)
     m = h > 0.0
-    if np.any(m):
-        xm, hm = x[m, None], h[m, None]
-        s = np.where(ts.upper, hm - hm * ts.hi, hm * ts.lo)
-        add(m, _de_sum((g(xm - s) - g(xm + s)) / s, hm * ts.w, ts.coarse))
+    if not real and np.any(m):
+        hm, gm = h[m], gx[m]
+        val[0, m] -= 2j * gm * np.copysign(np.arctan2(hm, abs(y)), y)
+        val[1, m] += 2.0 * gm * hm / (hm * hm + y * y)
 
     for side in (-1.0, 1.0):
+        sign = -side if real else 1.0
         # Distances d = |ω′ − x| covered on this side, outside the window.
         if side < 0.0:
             d_lo, d_hi, marks = np.maximum(h, x - b), x - a, x[:, None] - cuts[::-1]
@@ -396,72 +359,47 @@ def _rule_shift(ff: FormFactor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_end = np.maximum(d_end, d_lo)
         edges = np.column_stack([d_lo, np.clip(marks, d_lo[:, None], d_end[:, None]), d_end])
         for d1, d2 in zip(edges.T[:-1], edges.T[1:]):
-            for from_x in (False, True):
-                m = (d2 > d1) & ((d1 == 0.0) == from_x)
-                if not np.any(m):
-                    continue
-                xm, d1m, d2m = x[m, None], d1[m, None], d2[m, None]
-                if from_x:
-                    fv = _de_sum(g(xm + side * d2m * np.exp(-es.v)), es.w, es.coarse)
-                else:
-                    span = np.log(d2m / d1m)
-                    d = np.where(ts.upper, d2m * np.exp(-span * ts.hi), d1m * np.exp(span * ts.lo))
-                    fv = _de_sum(g(xm + side * d), span * ts.w, ts.coarse)
-                add(m, (-side * fv[0], fv[1]))
+            m = (d2 > d1) & (d1 > 0.0)
+            if np.any(m):
+                d, w = _log_nodes(d1[m, None], d2[m, None])
+                add(m, terms(m, side, d, True), w, ts.coarse, sign)
+            m = (d2 > d1) & (d1 == 0.0)
+            if np.any(m) and not real:
+                from_x(np.where(m, d2, 0.0), (side,))
+            elif np.any(m):
+                d = d2[m, None] * np.exp(-es.v)
+                add(m, terms(m, side, d, True), es.w, es.coarse, sign)
         if np.any(tail):
-            xm, dt = x[tail, None], d_end[tail, None]
-            d = dt * (1.0 + es.v)
-            add(tail, _de_sum(g(xm + side * d) / (-side * d), dt * es.w, es.coarse))
+            dt = d_end[tail, None]
+            add(tail, terms(tail, side, dt * (1.0 + es.v), False), dt * es.w, es.coarse, sign)
     return val, err
 
 
-def _sigma_first_quad(ff: FormFactor, E: complex) -> complex:
-    if isinstance(ff, TabulatedCoupling):
-        return _tabulated_value(ff, E)
-    a, b = ff.support()
-    val, _ = _stieltjes_transform(ff.g2, ff.g2_deriv, a, b, ff.bandwidth, E)
-    return val
+def _accept(what: str, at, val, err, absolute: float, relative: float) -> None:
+    """Raise ToleranceError unless err ≤ max(absolute, relative·|val|).
 
-
-def _dsigma_first_quad(ff: FormFactor, E: complex) -> complex:
-    """dSigma/dE by parts: ∫ (g²)′/(E−ω) dω plus endpoint terms.
-
-    Differentiating under the integral gives a double pole that is badly
-    conditioned near the cut; one integration by parts trades it for the
-    single-pole transform of (g²)′, handled by the same subtraction as
-    the value.  The boundary terms vanish whenever g² → 0 at the support
-    edges (all built-in families except arbitrary tables).
+    Written so that a NaN value or estimate fails the check as well.
     """
-    if isinstance(ff, TabulatedCoupling):
-        return _tabulated_deriv(ff, E)
-    a, b = ff.support()
-
-    def slope_of_deriv(x):
-        h = 1e-6 * (1.0 + abs(x))
-        return (float(ff.g2_deriv(x + h)) - float(ff.g2_deriv(x - h))) / (2.0 * h)
-
-    # Near-cut evaluation of a singular density trips QUADPACK roundoff
-    # warnings even when the estimate is fine on the derivative's own
-    # accuracy scale, so the budget is applied to the assembled total.
-    val, err = _stieltjes_transform(
-        ff.g2_deriv, slope_of_deriv, a, b, ff.bandwidth, E, strict=False
-    )
-    if err > max(1e-8, 1e-6 * abs(val)):
+    at, val, err = np.atleast_1d(at, val, err)
+    bad = ~(err <= np.maximum(absolute, relative * np.abs(val)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise ToleranceError(
-            "self-energy derivative quadrature did not converge",
-            value=val,
-            achieved=err,
-            requested=max(1e-8, 1e-6 * abs(val)),
+            f"{what} did not converge at {at[k].item()!r}",
+            value=val[k].item(),
+            achieved=float(err[k]),
+            requested=max(absolute, relative * abs(val[k].item())),
         )
-    if math.isfinite(a):
-        ga = float(ff.g2(a))
-        if ga != 0.0:
-            val += ga / (E - a)
-    if math.isfinite(b):
-        gb = float(ff.g2(b))
-        if gb != 0.0:
-            val -= gb / (E - b)
-    return val
+
+
+def _sigma_first(ff: FormFactor, E: complex) -> tuple[complex, complex]:
+    """Sigma_I(E) and Sigma_I′(E) of a non-Lorentzian family, E off the cut."""
+    if isinstance(ff, TabulatedCoupling):
+        return _tabulated_value(ff, E), _tabulated_deriv(ff, E)
+    (val, der), (err, der_err) = _de_rule(ff, ff.g2, np.array([E.real]), E.imag)
+    _accept("self-energy rule", E, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
+    _accept("self-energy derivative rule", E, der, der_err, 1e-8, 1e-6)
+    return complex(val[0]), complex(der[0])
 
 
 def _lorentzian_first(ff: LorentzianCoupling, E: complex) -> tuple[complex, complex]:
@@ -507,7 +445,20 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     ContinuationUnsupportedError
         Second-sheet request for a family without analytic continuation.
     ToleranceError
-        Quadrature failed to reach its accuracy target.
+        The rule's error estimate for Sigma exceeds 1e3·max(1e−12,
+        1e−10·|Sigma|), or that for Sigma′ exceeds max(1e−8, 1e−6·|Sigma′|);
+        a value or estimate that is not finite (g² NaN somewhere) fails too.
+
+    Notes
+    -----
+    The Lorentzian family has closed forms on both sheets and tables
+    exact segment sums.  Every other family takes the double-exponential
+    rule of :func:`real_shift` at complex E, with the kernel 1/(E − ω′)
+    and, on the same samples of g², −1/(E − ω′)² for Sigma′; the second
+    sheet adds −2πi times the continued density and its derivative below
+    the axis.  On the cut inside the support (second sheet, Im E = 0)
+    Sigma′ is the boundary value of ∫ (g²)′/(E − ω) dω plus the endpoint
+    terms of g².
     """
     E = complex(energy)
     if ff.g2_integral() == 0.0:
@@ -521,8 +472,7 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
         if isinstance(ff, LorentzianCoupling):
             val, der = _lorentzian_first(ff, E)
         else:
-            val = _sigma_first_quad(ff, E)
-            der = _dsigma_first_quad(ff, E)
+            val, der = _sigma_first(ff, E)
         return SelfEnergyValue(val, der, sheet)
 
     # --- second sheet ---
@@ -534,23 +484,30 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
         val, der = _lorentzian_second(ff, E)
         return SelfEnergyValue(val, der, sheet)
 
-    # Threshold power law: continuation of the quadrature representation.
-    if E.imag > 0.0:
-        val = _sigma_first_quad(ff, E)
-        der = _dsigma_first_quad(ff, E)
-    elif E.imag < 0.0:
-        val = _sigma_first_quad(ff, E) - 2j * math.pi * ff.g2_analytic(E)
-        der = _dsigma_first_quad(ff, E) - 2j * math.pi * ff.g2_analytic_deriv(E)
-    else:
-        x = E.real
-        a, _ = ff.support()
-        if x <= a:
-            raise DomainError(
-                f"second-sheet value at E={x} is ambiguous at/below the branch point {a}"
-            )
-        # On the cut both sheets meet at the boundary value from above.
-        val = complex(real_shift(ff, x), -math.pi * float(ff.g2(x)))
-        der = _dsigma_first_quad(ff, complex(x, 0.0))
+    # Threshold power law: continuation of the first-sheet transform.
+    if E.imag != 0.0:
+        val, der = _sigma_first(ff, E)
+        if E.imag < 0.0:
+            val -= 2j * math.pi * ff.g2_analytic(E)
+            der -= 2j * math.pi * ff.g2_analytic_deriv(E)
+        return SelfEnergyValue(val, der, sheet)
+    x = E.real
+    a, b = ff.support()
+    if x <= a:
+        raise DomainError(
+            f"second-sheet value at E={x} is ambiguous at/below the branch point {a}"
+        )
+    # On the cut both sheets meet at the boundary value from above.  The
+    # squared kernel's folded sum is a second difference of g² over s²
+    # there, which cancels, so Sigma′ is taken by parts: the boundary
+    # value of ∫ (g²)′/(E − ω) dω plus the endpoint terms of g².
+    val = complex(real_shift(ff, x), -math.pi * float(ff.g2(x)))
+    pv, err = _de_rule(ff, ff.g2_deriv, np.array([x]))
+    _accept("self-energy derivative rule", x, pv, err, 1e-8, 1e-6)
+    der = complex(pv[0], -math.pi * float(ff.g2_deriv(x)))
+    for edge, sign in ((a, 1.0), (b, -1.0)):
+        if math.isfinite(edge):
+            der += sign * float(ff.g2(edge)) / (x - edge)
     return SelfEnergyValue(val, der, sheet)
 
 
@@ -584,7 +541,9 @@ def real_shift(ff: FormFactor, omega):
       a fixed, singularity-subtracted double-exponential rule vectorized
       over ω — a symmetric PV window, log-distance pieces clustering at a
       threshold, and a mapped semi-infinite tail — with the difference
-      to the rule of twice the step as error estimate.
+      to the rule of twice the step as error estimate.  It is the y = +0
+      case of the rule :func:`self_energy` takes off the cut, evaluated
+      in real arithmetic.
 
     Raises
     ------
@@ -593,7 +552,8 @@ def real_shift(ff: FormFactor, omega):
         nonzero (the shift diverges logarithmically).
     ToleranceError
         The rule's error estimate exceeds 1e3 times max(1e−12, 1e−10·|Δ_R|)
-        at some ω, the same acceptance as the adaptive quadratures here.
+        at some ω, the acceptance of Sigma off the cut, or a value or
+        estimate is not finite (g² NaN somewhere).
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -608,16 +568,9 @@ def real_shift(ff: FormFactor, omega):
         flat = w.ravel()
         out = np.empty_like(flat)
         for i in range(0, flat.size, _RULE_CHUNK):
-            val, err = _rule_shift(ff, flat[i : i + _RULE_CHUNK])
-            bad = err > np.maximum(EPSABS, np.abs(val) * EPSREL) * 1e3
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise ToleranceError(
-                    f"level-shift rule did not converge at omega={float(flat[i + k])!r}",
-                    value=float(val[k]),
-                    achieved=float(err[k]),
-                    requested=EPSABS,
-                )
+            chunk = flat[i : i + _RULE_CHUNK]
+            val, err = _de_rule(ff, ff.g2, chunk)
+            _accept("level-shift rule", chunk, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
             out[i : i + _RULE_CHUNK] = val
         out = out.reshape(w.shape)
     return out if out.ndim else float(out)

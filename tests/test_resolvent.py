@@ -22,7 +22,10 @@ from zenodecay.resolvent import (
     golden_rule_rate,
     lorentzian_pole_closed_form,
 )
+from zenodecay.amplitude import survival_spectral_integral
 from zenodecay.selfenergy import Sheet, self_energy
+
+from test_selfenergy import SHIFT_CASES, _mp_g2, _mp_transform, _Semicircle
 
 # Frozen oracles for lambda = 0.1, Lambda = 1: roots of the quadratic
 # level equation (E - omega_a)(E + i*Lambda) = lambda^2, solved
@@ -247,3 +250,43 @@ def test_pole_data_rejects_inconsistent_fields():
             z_renorm=1.0,
             residual=0.0,
         )
+
+
+# -- pole oracle and bound states past either band edge -----------------
+
+
+@pytest.mark.parametrize("omega_a", [0.7, 1.1, 2.4])
+def test_pole_and_z_match_mpmath(omega_a):
+    mp = pytest.importorskip("mpmath")
+    case = SHIFT_CASES[0]
+    pole = find_pole(ThresholdPowerLawCoupling(*case), omega_a)
+    with mp.workdps(20):
+        g = _mp_g2(mp, case)
+
+        def level(E):  # E - omega_a - Sigma_II(E): Sigma_I continued through the cut
+            return E - omega_a - _mp_transform(mp, case, E, 1) + 2j * mp.pi * g(E)
+
+        E = mp.findroot(level, mp.mpc(omega_a, -mp.pi * g(mp.mpf(omega_a))))
+        dsigma = -_mp_transform(mp, case, E, 2) - 2j * mp.pi * mp.diff(g, E)
+        z = abs(1 - dsigma) ** -2
+    assert pole.e_pole == pytest.approx(complex(E), rel=1e-13)
+    assert pole.z_renorm == pytest.approx(float(z), rel=1e-12)
+
+
+# Semicircle custom family (lambda = 0.3, band [-1, 1]) at omega_a = 0.9:
+# above the band the level equation is E - omega_a - 2 lambda^2 (E -
+# sqrt(E^2 - 1)) = 0, solved in 30-digit arithmetic, and the weight is
+# 1/(1 - Sigma'(E)) with Sigma' = 2 lambda^2 (1 - E/sqrt(E^2 - 1)).  The
+# level at -0.9 mirrors it below the band.
+SEMICIRCLE_BOUND_ENERGY = 1.0371626542795034
+SEMICIRCLE_BOUND_WEIGHT = 0.6673316991267826
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_bound_state_past_either_band_edge(side):
+    ff = _Semicircle()
+    (bs,) = find_bound_states(ff, side * 0.9)
+    assert bs.energy == pytest.approx(side * SEMICIRCLE_BOUND_ENERGY, rel=1e-12)
+    assert bs.weight == pytest.approx(SEMICIRCLE_BOUND_WEIGHT, rel=1e-10)
+    p0 = survival_spectral_integral(ff, side * 0.9, [0.0]).probabilities[0]
+    assert abs(p0 - 1.0) <= 1e-8

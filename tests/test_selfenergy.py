@@ -361,6 +361,20 @@ def test_custom_family_shift_matches_semicircle_hilbert_transform():
     assert edges == pytest.approx([-2.0 * lam2, 2.0 * lam2], abs=1e-8)
 
 
+@pytest.mark.parametrize("E", [1.0 - 1e-3j, -1.0 + 1e-6j, 0.3 + 1e-8j, 1.5, -3.0, 5.0 + 100.0j])
+def test_custom_family_self_energy_matches_semicircle_closed_form(E):
+    # Off the cut Sigma = 2 lam^2 (E - r) and Sigma' = 2 lam^2 (1 - E/r),
+    # r = sqrt(E - 1) sqrt(E + 1) (~E at infinity); exactly above an edge
+    # the rule's pieces from x are cut at the scale |Im E|.
+    ff = _Semicircle()
+    E = complex(E)
+    lam2 = ff.coupling**2
+    r = cmath.sqrt(E - 1.0) * cmath.sqrt(E + 1.0)
+    sv = self_energy(ff, E)
+    assert sv.value == pytest.approx(2.0 * lam2 * (E - r), rel=1e-11)
+    assert sv.derivative == pytest.approx(2.0 * lam2 * (1.0 - E / r), rel=1e-9)
+
+
 def test_custom_family_shift_divergence_raises_tolerance_error():
     ff = _Box()
     xs = np.array([-2.0, 0.3, 0.5, 1.5])
@@ -369,3 +383,66 @@ def test_custom_family_shift_divergence_raises_tolerance_error():
     # A nonzero density at an edge makes the shift diverge there.
     with pytest.raises(ToleranceError):
         real_shift(ff, 1.0)
+
+
+# -- one rule on and off the cut: mpmath oracles, non-finite samples ----
+
+
+def _mp_g2(mp, case):
+    """The power-law density of ``case`` in mpmath, continued off the axis."""
+    lam, bw, thr, p, q = (mp.mpf(v) for v in case)
+    norm = q * mp.sin(mp.pi * (p + 1) / q) / (mp.pi * bw ** (p + 1))
+    return lambda w: lam**2 * norm * (w - thr) ** p / (1 + ((w - thr) / bw) ** q)
+
+
+def _mp_transform(mp, case, E, power):
+    """∫ g2(w)/(E - w)^power dw on the support, split at the distances
+    |Im E|·4^k from Re E so that the near-pole scale has pieces of its own."""
+    g = _mp_g2(mp, case)
+    thr, bw = mp.mpf(case[2]), mp.mpf(case[1])
+    E = mp.mpc(E)
+    x, d = E.real, abs(E.imag)
+    pts = {thr, x} if x > thr else {thr}
+    while d < 4 * bw:
+        pts.update(w for w in (x - d, x + d) if w > thr)
+        d *= 4
+    return mp.quad(lambda w: g(w) / (E - w) ** power, sorted(pts) + [mp.inf])
+
+
+@pytest.mark.parametrize(
+    "case, E",
+    [
+        (SHIFT_CASES[0], 0.8 + 1e-6j),
+        (SHIFT_CASES[1], 0.8 + 1e-6j),
+        (SHIFT_CASES[0], 1e-7 - 1e-9j),  # below the cut, just past the threshold
+    ],
+)
+def test_self_energy_near_cut_matches_mpmath(case, E):
+    mp = pytest.importorskip("mpmath")
+    sv = self_energy(ThresholdPowerLawCoupling(*case), E)
+    with mp.workdps(20):
+        sigma = complex(_mp_transform(mp, case, E, 1))
+        dsigma = -complex(_mp_transform(mp, case, E, 2))
+    assert sv.value == pytest.approx(sigma, rel=1e-12)
+    assert sv.derivative == pytest.approx(dsigma, rel=1e-9)
+
+
+@dataclass(frozen=True)
+class _Holed(_Semicircle):
+    """Semicircle whose density is NaN on (0.2, 0.4)."""
+
+    family = "holed"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = np.where((w > 0.2) & (w < 0.4), math.nan, super().g2(w))
+        return out if out.ndim else float(out)
+
+
+def test_non_finite_density_raises_tolerance_error():
+    ff = _Holed()
+    with pytest.raises(ToleranceError):
+        real_shift(ff, np.array([-3.0, 0.5, 2.0]))
+    for E in (0.5 + 0.1j, 3.0):
+        with pytest.raises(ToleranceError):
+            self_energy(ff, E)
