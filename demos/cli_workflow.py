@@ -99,9 +99,8 @@ def run(workdir):
         tau = entry["tau_star"]
         label = "none (Z >= 1)" if tau is None else f"{tau:.6g}"
         print(f"    omega_a = {entry['omega_a']:4.1f}: tau_star = {label}, "
-              f"curve cached in {entry['csv']}")
-    print("  rerunning the sweep reuses the cached per-level curves "
-          "(pass --no-cache to force recomputation)")
+              f"curve in {entry['csv']}")
+    print("  rerunning the sweep recomputes every curve and rewrites the same bytes")
 
     print("\n4. failure modes are exit codes, not tracebacks")
     with open(cfg, "w", encoding="utf-8") as fh:

@@ -30,7 +30,8 @@ Three evaluation routes are provided, all returning a
     Bessel functions (the Filon–Legendre rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
     are bisected until the fit is resolved; the summed truncation bound
-    is the achieved error for every t at once.
+    is the achieved error for every t at once, and there is no late-time
+    fallback to the pole term.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -52,7 +52,7 @@ from scipy import interpolate, optimize, special
 
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, TabulatedCoupling
-from .resolvent import PoleData, find_bound_states, find_pole, lorentzian_pole_closed_form
+from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
 from .selfenergy import real_shift
 
 __all__ = [
@@ -66,10 +66,6 @@ __all__ = [
 
 #: Default overall quadrature tolerance of the spectral route.
 SPECTRAL_TOL = 1e-8
-
-#: Beyond t·(integration span) of this size the spectral sum is
-#: abandoned for the pole(+bound states) asymptote, with a warning.
-_OSCILLATION_BUDGET = 1e4
 
 #: Gauss–Legendre nodes per spectral panel, and the Legendre degrees fitted.
 _NODES = 10
@@ -416,10 +412,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     # h·c_k times the real or imaginary unit of (−i)^k.
     coef *= h * _PHASE_SIGN[:, None]
     return SimpleNamespace(
-        omega_a=omega_a,
         bound=bound,
-        span=B - A,
-        pole_cache={},
         mids=0.5 * (lo + hi),
         widths=widths,
         # int32 keeps the index of a table kernel (~2·10⁴ panels) small.
@@ -493,6 +486,10 @@ def survival_spectral_integral(
     and one sum over panels.  Panels are bisected until
     h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
     the sum of these bounds is the achieved error, the same for every t.
+    The panel sum is the only route at every t: late times keep the
+    non-exponential tail that departs from the pole term Z·e^{−γ₀t},
+    and a table, which has no pole, is evaluated like any other family.
+    Only the rounding of the phases t·ω grows with t.
 
     Raises
     ------
@@ -500,39 +497,16 @@ def survival_spectral_integral(
         Zero coupling (the spectral density is empty).
     ToleranceError
         Summed panel error bound above ``tol``.
-
-    Warns
-    -----
-    UserWarning
-        When t·(integration span) exceeds 1e4 and the evaluation falls
-        back to the pole-plus-bound-state asymptote: one warning per call,
-        giving the number of such times and their range.
     """
     t_in = _check_times(times, allow_negative=True)
     if ff.g2_integral() == 0.0:
         raise NoDecayError("zero coupling: the spectral density is empty")
     k = _spectral_kernel(ff, float(omega_a))
 
-    def asymptote(tau):
-        if "pole" not in k.pole_cache:
-            k.pole_cache["pole"] = find_pole(ff, k.omega_a)
-        p = k.pole_cache["pole"]
-        return math.sqrt(p.z_renorm) * np.exp((-1j * p.e_pole.real - 0.5 * p.gamma0) * tau)
-
     amps = np.empty(t_in.shape, dtype=complex)
-    beyond = np.abs(t_in) * k.span > _OSCILLATION_BUDGET
-    if np.any(beyond):
-        late = np.abs(t_in[beyond])
-        warnings.warn(
-            f"{late.size} of {t_in.size} times (|t| from {late.min():g} to {late.max():g}) "
-            "are beyond the oscillatory quadrature budget; "
-            "using the pole-plus-bound-state asymptote there",
-            UserWarning,
-            stacklevel=2,
-        )
     for i, tau in enumerate(t_in):
         ta = abs(float(tau))
-        val = asymptote(ta) if beyond[i] else _continuum(k, ta)
+        val = _continuum(k, ta)
         for bs in k.bound:
             val += bs.weight * np.exp(-1j * bs.energy * ta)
         amps[i] = np.conj(val) if tau < 0 else val

@@ -14,7 +14,8 @@ Subcommands (all take ``--config PATH``):
     Transition-time search -> ``transition.json`` (report + config echo).
 ``sweep``
     Rate curve + transition report per omega_a value; one CSV per entry
-    under a content-addressed name (cached), plus ``sweep_summary.json``.
+    under a content-addressed name, plus ``sweep_summary.json``.  Every
+    run recomputes and rewrites each entry.
 
 Exit codes: 0 success, 2 configuration/domain error, 3 numerical
 tolerance failure, 4 no-decay input.  Errors are printed to stderr as a
@@ -169,7 +170,7 @@ def _run_transition(cfg: RunConfig, out_dir: str, tol) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, out_dir: str, tol, no_cache: bool) -> int:
+def _run_sweep(cfg: RunConfig, out_dir: str, tol) -> int:
     values = cfg.task.get("omega_a_values")
     if not values:
         raise ConfigError("[task] omega_a_values is required for sweep")
@@ -187,13 +188,11 @@ def _run_sweep(cfg: RunConfig, out_dir: str, tol, no_cache: bool) -> int:
                        ).encode()
         ).hexdigest()[:16]
         csv_name = f"rate_{digest}.csv"
-        csv_path = os.path.join(out_dir, csv_name)
 
         model = _build_model(entry_cfg)
-        if no_cache or not os.path.exists(csv_path):
-            curve = effective_rate_curve(model, _tau_grid(entry_cfg, model))
-            rows = ((t, g, curve.gamma0) for t, g in zip(curve.taus, curve.gammas))
-            _write_text(csv_path, _csv(["tau", "gamma", "gamma0"], rows))
+        curve = effective_rate_curve(model, _tau_grid(entry_cfg, model))
+        rows = ((t, g, curve.gamma0) for t, g in zip(curve.taus, curve.gammas))
+        _write_text(os.path.join(out_dir, csv_name), _csv(["tau", "gamma", "gamma0"], rows))
         report = find_transition_time(
             model,
             tau_max=cfg.task.get("tau_max"),
@@ -225,7 +224,6 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} task")
         sp.add_argument("--config", required=True, help="path to the run config file")
         sp.add_argument("--out", default=None, help="output directory (overrides [output])")
-        sp.add_argument("--no-cache", action="store_true", help="recompute cached sweep entries")
         sp.add_argument(
             "--tolerance", type=float, default=None,
             help="override the spectral quadrature tolerance (survival only)",
@@ -249,8 +247,6 @@ def main(argv=None) -> int:
                 f"tolerance applies to the spectral survival route only; "
                 f"'{args.name}' does not use it (drop --tolerance / [task] tolerance)"
             )
-        if args.name == "sweep":
-            return args.runner(cfg, out_dir, tol, args.no_cache)
         return args.runner(cfg, out_dir, tol)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, exc)

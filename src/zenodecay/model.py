@@ -5,7 +5,10 @@ It caches the resonance pole and exposes the survival probability in a
 form safe for the small-interval regime: ``log_survival_probability``
 computes ln P directly from the amplitude with compensated arithmetic,
 so that effective rates −ln P/τ stay accurate where 1 − P is below
-rounding noise.
+rounding noise.  The Lorentzian family takes ln P from its two-pole
+closed form; every other family takes it from the spectral amplitude at
+every τ, so late intervals see the true non-exponential tail rather than
+the pole term ln Z − γ₀τ.
 
 :class:`ExponentialDecayModel` is the idealized pure-exponential decay
 P(τ) = Z·e^{−γ₀τ}; with Z = 1 its effective rate is γ₀ at every τ,
@@ -152,14 +155,7 @@ class DecayModel:
             with np.errstate(divide="ignore"):  # exact amplitude zeros
                 correction = np.log1p(2.0 * np.real(r) + np.abs(r) ** 2)
             return 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
-        amps = self.survival_series(taus, SurvivalMethod.SPECTRAL_INTEGRAL).amplitudes
-        out = _log_abs2(amps)
-        # Far beyond the oscillation budget the asymptote amplitude can
-        # underflow; ln P = ln Z − γ₀t is still exactly representable.
-        dead = ~np.isfinite(out) & (taus > 0)
-        if np.any(dead):
-            out[dead] = math.log(self.z_renorm) - self.gamma0 * taus[dead]
-        return out
+        return _log_abs2(self.survival_series(taus, SurvivalMethod.SPECTRAL_INTEGRAL).amplitudes)
 
     def survival_probability(self, tau: float) -> float:
         return float(math.exp(self.log_survival_probability(tau)))

@@ -11,7 +11,11 @@ Zeno region (γ < γ₀, measurement slows decay) and an inverse-Zeno region
 defines the transition time; a renormalization Z < 1 is a sufficient
 condition for τ* to exist, because then the large-τ asymptote
 γ(τ) ≈ γ₀ − ln(Z)/τ approaches γ₀ from above while the small-τ side
-γ ≈ τ/τ_Z² starts below.
+γ ≈ τ/τ_Z² starts below.  That asymptote holds only in the exponential
+era: for a family with a threshold the survival amplitude ends in a
+power-law tail that outlives the pole term, and there γ(τ) can cross γ₀
+again, so a search window reaching past the exponential era may hold
+several late crossings besides τ*.
 
 Characteristic scales: the Zeno time τ_Z (curvature of the initial
 quadratic decay), the bandwidth time 1/Λ (duration of the short-time
@@ -276,7 +280,10 @@ def find_transition_time(
 
     Scans a log-spaced grid on [1e−4/Λ, tau_max] (default tau_max =
     100/γ₀), brackets every sign change of γ(τ) − γ₀ and refines each by
-    bisection to relative 1e−12.
+    bisection to relative 1e−12.  For a threshold family the window can
+    reach past the exponential era, where the power-law tail of P(τ)
+    overtakes the pole term and γ(τ) crosses γ₀ again; those late
+    crossings are reported in ``all_roots`` like any other.
 
     Parameters
     ----------
@@ -329,21 +336,11 @@ def find_transition_time(
     for _attempt in range(2):
         taus = np.geomspace(tau_lo, tau_max, points)
         vals = _rates(model, taus) - gamma0
-        roots = []
-        for i in range(len(taus) - 1):
-            a, b = vals[i], vals[i + 1]
-            if a == 0.0:
-                roots.append(float(taus[i]))
-            elif a * b < 0.0:
-                roots.append(
-                    float(
-                        optimize.brentq(
-                            rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12
-                        )
-                    )
-                )
-        if vals[-1] == 0.0:
-            roots.append(float(taus[-1]))
+        roots = [float(x) for x in taus[vals == 0.0]]
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            roots.append(
+                float(optimize.brentq(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12))
+            )
         # Deduplicate refinements that landed on the same crossing.
         dedup: list[float] = []
         for r in sorted(roots):

@@ -1,7 +1,6 @@
 """Survival amplitude: closed form, spectral route, pole approximation."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +76,12 @@ def test_spectral_matches_closed_form(lor):
     spectral = survival_spectral_integral(lor, 2.0, t)
     assert np.max(np.abs(spectral.amplitudes - closed.amplitudes)) < 1e-6
     assert spectral.method is SurvivalMethod.SPECTRAL_INTEGRAL
+    # Late times take the same panel sum; x(-t) = conj x(t).
+    late = np.array([2000.0, 4000.0, 5000.0, -6000.0])
+    closed = survival_closed_form_lorentzian(0.1, 1.0, 2.0, np.abs(late)).amplitudes
+    closed = np.where(late < 0.0, np.conj(closed), closed)
+    spectral = survival_spectral_integral(lor, 2.0, late).amplitudes
+    assert np.max(np.abs(spectral - closed)) < 1e-12
 
 
 def test_spectral_unit_norm(lor, tpl, tab_lorentzian):
@@ -102,10 +107,11 @@ def test_spectral_time_reversal_conjugation(lor):
     assert s.amplitudes[1] == pytest.approx(np.conj(s.amplitudes[2]), abs=1e-10)
 
 
-def test_spectral_tabulated_tracks_lorentzian(lor, tab_lorentzian):
-    t = np.linspace(1.0, 40.0, 14)
+def test_spectral_tabulated_tracks_lorentzian(tab_lorentzian):
+    # A table has no pole; late times take the panel sum like early ones.
+    t = np.concatenate((np.linspace(1.0, 40.0, 14), [100.0, 300.0, 1000.0]))
     a = survival_spectral_integral(tab_lorentzian, 2.0, t).amplitudes
-    b = survival_spectral_integral(lor, 2.0, t).amplitudes
+    b = survival_closed_form_lorentzian(0.1, 1.0, 2.0, t).amplitudes
     # Bounded by the table's linear-interpolation error, not quadrature.
     assert np.max(np.abs(a - b)) < 5e-6
 
@@ -113,20 +119,25 @@ def test_spectral_tabulated_tracks_lorentzian(lor, tab_lorentzian):
 def test_spectral_includes_bound_state(tpl_strong):
     # Nearly half the initial norm sits in a bound state below threshold;
     # omitting it would leave P(0) near 0.57.
-    s = survival_spectral_integral(tpl_strong, 0.7, [0.0])
+    s = survival_spectral_integral(tpl_strong, 0.7, [0.0, 200.0])
     assert abs(s.probabilities[0] - 1.0) < 1e-8
+    assert abs(s.amplitudes[1] - reference_amplitude(tpl_strong, 0.7, 200.0)) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "ff, omega_a",
+    "ff, omega_a, late",
     [
-        (ThresholdPowerLawCoupling(1.0, 1.0, 0.0, 0.5, 4.0), 2.0),
-        (ThresholdPowerLawCoupling(0.3, 1.0, -0.3, 0.7, 6.0), 1.0),
+        (ThresholdPowerLawCoupling(1.0, 1.0, 0.0, 0.5, 4.0), 2.0, [2000.0]),
+        (ThresholdPowerLawCoupling(0.3, 1.0, -0.3, 0.7, 6.0), 1.0, [2000.0]),
+        (ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0), 0.7, [289.0, 788.0, 2000.0, 1e4]),
     ],
 )
-def test_spectral_power_law_matches_reference(ff, omega_a):
-    x = survival_spectral_integral(ff, omega_a, [30.0]).amplitudes[0]
-    assert abs(x - reference_amplitude(ff, omega_a, 30.0)) < 1e-9
+def test_spectral_power_law_matches_reference(ff, omega_a, late):
+    # The late times reach the power-law tail past the exponential era.
+    x = survival_spectral_integral(ff, omega_a, [30.0] + late).amplitudes
+    assert abs(x[0] - reference_amplitude(ff, omega_a, 30.0)) < 1e-9
+    for t, xt in zip(late, x[1:]):
+        assert abs(xt - reference_amplitude(ff, omega_a, t)) < 1e-12
 
 
 def test_spectral_custom_family():
@@ -135,25 +146,6 @@ def test_spectral_custom_family():
     s = survival_spectral_integral(ff, 0.2, [0.0, 5.0])
     assert abs(s.probabilities[0] - 1.0) < 1e-8
     assert abs(s.amplitudes[1] - reference_amplitude(ff, 0.2, 5.0)) < 1e-9
-
-
-def test_spectral_long_time_switches_to_pole_asymptote(lor):
-    pole = lorentzian_pole_closed_form(0.1, 1.0, 2.0)
-    with pytest.warns(UserWarning, match="quadrature budget"):
-        s = survival_spectral_integral(lor, 2.0, [5000.0])
-    expected = pole.z_renorm * math.exp(-pole.gamma0 * 5000.0)
-    assert s.probabilities[0] == pytest.approx(expected, rel=1e-10)
-
-
-def test_spectral_budget_warning_is_one_per_call(lor):
-    # Three late times fall back to the asymptote: one warning says so.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        survival_spectral_integral(lor, 2.0, [1.0, 4000.0, 5000.0, -6000.0])
-    budget = [w for w in caught if "quadrature budget" in str(w.message)]
-    assert len(budget) == 1
-    assert "3 of 4 times" in str(budget[0].message)
-    assert "4000" in str(budget[0].message) and "6000" in str(budget[0].message)
 
 
 def test_spectral_density_normalization(lor):

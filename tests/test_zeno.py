@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_reference import reference_rate
+from spectral_reference import reference_amplitude, reference_rate
 from zenodecay.errors import DomainError, GridError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling
 from zenodecay.model import DecayModel, ExponentialDecayModel
@@ -135,6 +135,23 @@ def test_transition_array_scan_keeps_tau_star(model2, tpl):
     power = find_transition_time(model, tau_max=1.0, grid_points=64)
     assert power.tau_star == pytest.approx(0.3397756166558609, rel=1e-10)
     assert abs(reference_rate(tpl, 2.4, power.tau_star) - model.gamma0) <= 1e-11
+
+
+def test_transition_reports_late_power_law_crossing(tpl):
+    # Past the exponential era the power-law tail of P(tau) overtakes the
+    # pole term and gamma(tau) crosses gamma0 again, from above; the
+    # reference amplitude must straddle gamma0 at that root too.
+    model = DecayModel(tpl, 2.4)
+    report = find_transition_time(model, grid_points=64)
+    assert len(report.all_roots) == 2
+    assert report.tau_star == pytest.approx(0.3397756166558609, rel=1e-10)
+    late = report.all_roots[1]
+    assert late == pytest.approx(11033.16, rel=1e-6)
+    shifts = [
+        -math.log(abs(reference_amplitude(tpl, 2.4, tau)) ** 2) / tau - model.gamma0
+        for tau in (late * (1.0 - 1e-6), late * (1.0 + 1e-6))
+    ]
+    assert shifts[0] > 0.0 > shifts[1]
 
 
 def test_rate_just_above_small_interval_switch(tpl):
