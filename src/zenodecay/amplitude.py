@@ -51,7 +51,7 @@ import numpy as np
 from scipy import interpolate, optimize, special
 
 from .errors import DomainError, NoDecayError, ToleranceError
-from .formfactor import FormFactor, TabulatedCoupling
+from .formfactor import FormFactor, LorentzianCoupling, TabulatedCoupling
 from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
 from .selfenergy import real_shift
 
@@ -141,20 +141,6 @@ def _check_times(times, allow_negative=False) -> np.ndarray:
     return t
 
 
-def lorentzian_pole_pair(pole: PoleData, bandwidth: float):
-    """Both second-sheet poles and their residues for the Lorentzian family.
-
-    The pole equation is quadratic, so the partner of ``pole.e_pole`` is
-    fixed by the root sum ω_a − iΛ; the residues C₁, C₂ of
-    (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1 exactly.
-    """
-    e1 = pole.e_pole
-    e2 = pole.omega_a - 1j * bandwidth - e1
-    c1 = (e1 + 1j * bandwidth) / (e1 - e2)
-    c2 = 1.0 - c1
-    return e1, e2, c1, c2
-
-
 def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> SurvivalSeries:
     """Exact Lorentzian survival series from the two-pole residue sum.
 
@@ -169,7 +155,7 @@ def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> Surv
     """
     t = _check_times(times)
     pole = lorentzian_pole_closed_form(coupling, bandwidth, omega_a)
-    e1, e2, c1, c2 = lorentzian_pole_pair(pole, float(bandwidth))
+    e1, e2, c1, c2 = LorentzianCoupling(coupling, bandwidth).pole_pair(pole)
     amps = c1 * np.exp(-1j * e1 * t) + c2 * np.exp(-1j * e2 * t)
     return _series(t, amps, SurvivalMethod.CLOSED_FORM)
 
@@ -297,24 +283,30 @@ def _table_backbone(ff: TabulatedCoupling, omega_r: float, res: float, A: float,
 
 
 def _node_shift(ff: FormFactor, omega_r: float, res: float, A: float, B: float):
-    """Δ_R on arrays of panel nodes: exact, but a table's backbone far from ω_r."""
+    """Δ_R on arrays of panel nodes, and the energies where its route switches.
+
+    The shift is exact, but a table takes its backbone far from ω_r; the
+    ends of its exact-shift window are returned as panel edges, so that
+    no panel straddles the switch.
+    """
     if not isinstance(ff, TabulatedCoupling):
-        return partial(real_shift, ff)
+        return partial(real_shift, ff), np.empty(0)
     backbone = _table_backbone(ff, omega_r, res, A, B)
+    window = _TABLE_EXACT_HALF_WIDTH * res
 
     def shift(w):
         out = backbone(w)
-        near = np.abs(w - omega_r) <= _TABLE_EXACT_HALF_WIDTH * res
+        near = np.abs(w - omega_r) <= window
         if np.any(near):
             out[near] = real_shift(ff, w[near])
         return out
 
-    return shift
+    return shift, np.array([omega_r - window, omega_r + window])
 
 
-def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail):
-    """Initial panel edges: breakpoints, graded resonance points, a table's
-    knots and exact-shift window, and tails.
+def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail, switches):
+    """Initial panel edges: breakpoints, graded resonance points, the kinks
+    of g², the ``switches`` of the node shift, and tails.
 
     On an infinite side, panels grow geometrically away from the
     resonance out to 1e4·max(|A|, |B|, Λ); past that ρ ~ g²/ω² carries no
@@ -322,10 +314,7 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, rig
     """
     A, B = pts[0], pts[-1]
     steps = res * 2.0 ** np.arange(-3.0, 7.0)
-    parts = [np.asarray(pts), omega_r - steps, omega_r + steps]
-    if isinstance(ff, TabulatedCoupling):
-        window = _TABLE_EXACT_HALF_WIDTH * res
-        parts += [ff.omegas, np.array([omega_r - window, omega_r + window])]
+    parts = [np.asarray(pts), omega_r - steps, omega_r + steps, ff.kinks(), switches]
     reach = _TAIL_REACH * max(abs(A), abs(B), ff.bandwidth)
     growth = _TAIL_RATIO ** np.arange(1.0, 64.0)
     lo, hi = A, B
@@ -391,7 +380,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     res = min(gw, 0.5 * ff.bandwidth)
     pts, left_tail, right_tail = _breakpoints(ff, omega_r, gw, res)
     A, B = pts[0], pts[-1]
-    shift = _node_shift(ff, omega_r, res, A, B)
+    shift, switches = _node_shift(ff, omega_r, res, A, B)
 
     def density(lo, offset):
         """ρ at the nodes lo + offset, as a (panels, nodes) array.
@@ -406,7 +395,8 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         rho = _rho(detuning, np.asarray(ff.g2(w), dtype=float), shift(w))
         return rho.reshape(offset.shape)
 
-    lo, hi, coef, est = _refine(density, _panel_edges(ff, omega_r, res, pts, left_tail, right_tail))
+    edges = _panel_edges(ff, omega_r, res, pts, left_tail, right_tail, switches)
+    lo, hi, coef, est = _refine(density, edges)
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
     # h·c_k times the real or imaginary unit of (−i)^k.

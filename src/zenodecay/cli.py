@@ -6,7 +6,8 @@ Subcommands (all take ``--config PATH``):
     Time series of the survival amplitude/probability for the chosen
     methods -> ``survival.csv`` with columns t, Re x, Im x, P per method.
     The only subcommand that takes ``--tolerance`` / ``[task] tolerance``
-    (the spectral route's accuracy target); the others reject it.
+    (the spectral route's accuracy target), and only when one of its
+    methods is ``spectral_integral``; every other case rejects it.
 ``rate``
     Effective-rate curve gamma(tau) on a log grid -> ``rate.csv`` with
     columns tau, gamma, gamma0.
@@ -113,6 +114,11 @@ def _run_survival(cfg: RunConfig, out_dir: str, tol) -> int:
         raise ConfigError(f"t_points must be at least 2, got {points}")
     times = np.linspace(t_min, t_max, points)
     names = task.get("methods", [model.default_method().value])
+    if tol is not None and SurvivalMethod.SPECTRAL_INTEGRAL.value not in names:
+        raise ConfigError(
+            f"tolerance applies to the spectral_integral method only; methods "
+            f"{', '.join(names)} do not use it (drop --tolerance / [task] tolerance)"
+        )
 
     columns = [times]
     header = ["t"]
@@ -132,17 +138,18 @@ def _run_survival(cfg: RunConfig, out_dir: str, tol) -> int:
     return EXIT_OK
 
 
-def _run_rate(cfg: RunConfig, out_dir: str, tol) -> int:
-    model = _build_model(cfg)
+def _write_rate(cfg: RunConfig, model: DecayModel, path: str) -> None:
     curve = effective_rate_curve(model, _tau_grid(cfg, model))
-    path = os.path.join(out_dir, "rate.csv")
     rows = ((t, g, curve.gamma0) for t, g in zip(curve.taus, curve.gammas))
     _write_text(path, _csv(["tau", "gamma", "gamma0"], rows))
-    print(path)
-    return EXIT_OK
 
 
-def _report_payload(report) -> dict:
+def _transition_payload(cfg: RunConfig, model: DecayModel) -> dict:
+    report = find_transition_time(
+        model,
+        tau_max=cfg.task.get("tau_max"),
+        grid_points=cfg.task.get("grid_points", 2048),
+    )
     return {
         "tau_star": report.tau_star,
         "all_roots": list(report.all_roots),
@@ -155,14 +162,15 @@ def _report_payload(report) -> dict:
     }
 
 
+def _run_rate(cfg: RunConfig, out_dir: str, tol) -> int:
+    path = os.path.join(out_dir, "rate.csv")
+    _write_rate(cfg, _build_model(cfg), path)
+    print(path)
+    return EXIT_OK
+
+
 def _run_transition(cfg: RunConfig, out_dir: str, tol) -> int:
-    model = _build_model(cfg)
-    report = find_transition_time(
-        model,
-        tau_max=cfg.task.get("tau_max"),
-        grid_points=cfg.task.get("grid_points", 2048),
-    )
-    payload = _report_payload(report)
+    payload = _transition_payload(cfg, _build_model(cfg))
     payload["config"] = cfg.echo()
     path = os.path.join(out_dir, "transition.json")
     _write_text(path, _json_text(payload))
@@ -190,17 +198,8 @@ def _run_sweep(cfg: RunConfig, out_dir: str, tol) -> int:
         csv_name = f"rate_{digest}.csv"
 
         model = _build_model(entry_cfg)
-        curve = effective_rate_curve(model, _tau_grid(entry_cfg, model))
-        rows = ((t, g, curve.gamma0) for t, g in zip(curve.taus, curve.gammas))
-        _write_text(os.path.join(out_dir, csv_name), _csv(["tau", "gamma", "gamma0"], rows))
-        report = find_transition_time(
-            model,
-            tau_max=cfg.task.get("tau_max"),
-            grid_points=cfg.task.get("grid_points", 2048),
-        )
-        entry = {"omega_a": omega_a, "csv": csv_name}
-        entry.update(_report_payload(report))
-        entries.append(entry)
+        _write_rate(entry_cfg, model, os.path.join(out_dir, csv_name))
+        entries.append({"omega_a": omega_a, "csv": csv_name, **_transition_payload(entry_cfg, model)})
 
     payload = {"entries": entries, "config": cfg.echo()}
     path = os.path.join(out_dir, "sweep_summary.json")

@@ -21,6 +21,12 @@ Three families are provided:
     Piecewise-linear interpolation of (ω, g²) samples; zero outside the
     tabulated range.  No analytic continuation.
 
+Each family also owns whatever it knows in closed form — the Lorentzian's
+rational self-energy and two-pole residue sum, the table's segment sums
+and knot sum — through the optional hooks listed on :class:`FormFactor`;
+the numerical layers fall back to their generic routes where a hook is
+absent and never branch on a concrete family.
+
 Module-level operations: point queries with validation, the Zeno time
 τ_Z = (∫g²dω)^(−1/2), and the effective bandwidth point ω̄ defined by
 g²(ω̄)·Λ = 1/τ_Z².
@@ -78,9 +84,39 @@ class FormFactor:
 
     Concrete families are immutable dataclasses; every method is pure, so
     instances may be shared freely between threads.
+
+    A custom family defines ``family`` (a name), ``bandwidth`` (its
+    energy scale), :meth:`g2`, :meth:`g2_deriv`, :meth:`support`,
+    :meth:`g2_integral`, :meth:`peak_energy` and :meth:`scaled`; for a
+    second sheet (pole search) also :attr:`continuable`,
+    :meth:`g2_analytic` and :meth:`g2_analytic_deriv`.  That is enough for
+    every quantity in the package, by the numerical routes.
+
+    Optional closed-form hooks, ``None`` here; a family that knows the
+    quantity exactly defines a method of that name instead:
+
+    ``shift_closed_form(x)``
+        Δ_R on a 1-D float array of real ω (else: the double-exponential
+        rule of :func:`~zenodecay.real_shift`).
+    ``sigma_closed_form(E, second)``
+        (Σ, Σ′) at complex E off the cut, on the second sheet if
+        ``second`` (asked only of continuable families), else the first
+        (else: the rule, continued by −2πi·g²(E) below the axis).
+    ``pole_pair(pole)``
+        For a propagator with exactly two second-sheet poles, the partner
+        of ``pole.e_pole`` and both residues, ``(e1, e2, c1, c2)`` with
+        C₁ + C₂ = 1 (else: no closed-form survival; ln P comes from the
+        spectral route).
+
+    Two more members have defaults: :meth:`kinks` (none) and
+    :meth:`transition_asymmetry` (None).
     """
 
     family: str = "abstract"
+
+    shift_closed_form = None
+    sigma_closed_form = None
+    pole_pair = None
 
     # -- squared coupling density ------------------------------------
 
@@ -115,6 +151,18 @@ class FormFactor:
     def peak_energy(self) -> float:
         """Energy at which g² attains its maximum."""
         raise NotImplementedError
+
+    def kinks(self) -> np.ndarray:
+        """Energies where g² is not smooth, which quadrature takes as panel edges."""
+        return np.empty(0)
+
+    def transition_asymmetry(self, omega_a: float):
+        """The family's own reading of whether a transition time exists.
+
+        None when the family has no such reading; the general criterion
+        is Z < 1 (see :func:`~zenodecay.existence_criteria`).
+        """
+        return None
 
     # -- analytic continuation ---------------------------------------
 
@@ -213,6 +261,42 @@ class LorentzianCoupling(FormFactor):
             * z
             / (z * z + self.bandwidth**2) ** 2
         )
+
+    def shift_closed_form(self, x):
+        """Δ_R(ω) = λ²ω/(ω² + Λ²)."""
+        return self.coupling**2 * x / (x * x + self.bandwidth**2)
+
+    def sigma_closed_form(self, E, second):
+        """Σ = λ²/(E ± iΛ): +iΛ on the second sheet and above the axis.
+
+        The first sheet below the axis takes −iΛ; the second sheet has its
+        only pole at E = −iΛ.
+        """
+        lam2 = self.coupling**2
+        den = E + (1j if second or E.imag > 0 else -1j) * self.bandwidth
+        if abs(den) < 1e-12 * self.bandwidth:
+            raise DomainError(
+                "second-sheet self-energy has a pole at E = -i*bandwidth; "
+                f"requested E={E!r} is too close"
+            )
+        return lam2 / den, -lam2 / (den * den)
+
+    def pole_pair(self, pole):
+        """Both second-sheet poles and their residues.
+
+        The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic, so the
+        partner of ``pole.e_pole`` is fixed by the root sum ω_a − iΛ; the
+        residues C₁, C₂ of (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1
+        exactly.
+        """
+        e1 = pole.e_pole
+        e2 = pole.omega_a - 1j * self.bandwidth - e1
+        c1 = (e1 + 1j * self.bandwidth) / (e1 - e2)
+        return e1, e2, c1, 1.0 - c1
+
+    def transition_asymmetry(self, omega_a):
+        """ω_a² > Λ²: the level sits outside the Lorentzian's half-width."""
+        return bool(omega_a**2 > self.bandwidth**2)
 
     def scaled(self, factor):
         return dataclasses.replace(self, coupling=factor * self.coupling)
@@ -433,8 +517,117 @@ class TabulatedCoupling(FormFactor):
     def peak_energy(self):
         return float(self.omegas[int(np.argmax(self.g2_values))])
 
+    def kinks(self):
+        return self.omegas
+
+    def shift_closed_form(self, x):
+        """Exact Δ_R of the piecewise-linear density on a 1-D array of ω.
+
+        Summing the segment closed forms of :func:`_tabulated_value` on the
+        real axis and collecting the logarithm of each knot leaves one real
+        log per knot:
+
+            Δ_R(x) = Σ_j κ_j (x − ω_j) ln|x − ω_j|
+                     + v_0 ln|x − ω_0| − v_N ln|x − ω_N| − (v_N − v_0),
+
+        with κ_j the jump of the slope at knot j (the slope is zero outside
+        the table) and v_0, v_N the edge values.  At an exact knot hit the
+        term (x − ω_j) ln|x − ω_j| is zero; at an edge with a nonzero value
+        the shift diverges.
+        """
+        om = self.omegas
+        fv = self.g2_values
+        for edge, value in ((om[0], fv[0]), (om[-1], fv[-1])):
+            if value != 0.0 and np.any(x == edge):
+                raise DomainError(
+                    f"on-cut value diverges at the support edge {edge} where the table is nonzero"
+                )
+        slopes = np.diff(fv) / np.diff(om)
+        kappa = np.diff(slopes, prepend=0.0, append=0.0)
+        out = np.empty_like(x)
+        for i in range(0, x.size, _TABLE_CHUNK):
+            d = x[i : i + _TABLE_CHUNK, None] - om
+            ad = np.abs(d)
+            ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
+            la = np.log(ad)
+            edges = fv[0] * la[:, 0] - fv[-1] * la[:, -1]
+            out[i : i + _TABLE_CHUNK] = (d * la * kappa).sum(axis=1) + edges
+        return out - (fv[-1] - fv[0])
+
+    def sigma_closed_form(self, E, second):
+        """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
+        return _tabulated_value(self, E), _tabulated_deriv(self, E)
+
     def scaled(self, factor):
         return TabulatedCoupling(self.omegas, factor**2 * self.g2_values, self.bandwidth)
+
+
+#: ω values of a table evaluated together by its knot sum: each row holds
+#: one real log per knot, so this bounds the working set.
+_TABLE_CHUNK = 4
+
+
+def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:
+    """Exact segment-by-segment ∫ g²/(E−ω) dω for a tabulated density.
+
+    The tabulated density *is* its linear interpolant, so each segment
+    [ω_k, ω_{k+1}] contributes in closed form:
+
+        (c + mα)·ln((E−ω_k)/(E−ω_{k+1})) − m·Δω,   α = E−ω_k,
+
+    with c the left knot value and m the segment slope.  This is exact,
+    immune to the interpolation kinks that defeat adaptive quadrature,
+    and valid on the cut (y == +0 gives the limit from above) as long as
+    x does not sit exactly on a knot; an exact hit is handled by merging
+    the two adjacent segments, whose log singularities cancel in pairs.
+    """
+    om = ff.omegas
+    fv = ff.g2_values
+    w0, w1 = om[:-1], om[1:]
+    dw = w1 - w0
+    m = np.diff(fv) / dw
+    u0 = E - w0
+    u1 = E - w1
+    x, y = E.real, E.imag
+
+    if y == 0.0 and om[0] < x < om[-1]:
+        hit = np.nonzero(om == x)[0]
+        if hit.size:
+            k = int(hit[0])
+            keep = np.ones(len(dw), dtype=bool)
+            keep[k - 1] = keep[k] = False
+            fE = fv[:-1] + m * u0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.log(u0) - np.log(u1)
+            val = np.sum(fE[keep] * logs[keep] - m[keep] * dw[keep])
+            fx = fv[k]
+            val += fx * (math.log(x - om[k - 1]) - math.log(om[k + 1] - x))
+            val -= m[k - 1] * dw[k - 1] + m[k] * dw[k]
+            return complex(val - 1j * math.pi * fx)
+
+    fE = fv[:-1] + m * u0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(u0) - np.log(u1)
+    if y == 0.0 and (x == om[0] or x == om[-1]):
+        if (fv[0] if x == om[0] else fv[-1]) != 0.0:
+            raise DomainError(
+                f"on-cut value diverges at the support edge {x} where the table is nonzero"
+            )
+        logs = np.where(np.isfinite(logs), logs, 0.0)  # 0·log(0) limit
+    return complex(np.sum(fE * logs - m * dw))
+
+
+def _tabulated_deriv(ff: TabulatedCoupling, E: complex) -> complex:
+    """Exact −∫ g²/(E−ω)² dω for a tabulated density, off knots and cut."""
+    om = ff.omegas
+    fv = ff.g2_values
+    w0, w1 = om[:-1], om[1:]
+    m = np.diff(fv) / (w1 - w0)
+    u0 = E - w0
+    u1 = E - w1
+    fE = fv[:-1] + m * u0
+    logs = np.log(u0) - np.log(u1)
+    return complex(np.sum(-(fE * (1.0 / u1 - 1.0 / u0)) + m * logs))
 
 
 def coupling_strength_squared(ff: FormFactor, omega: float) -> float:

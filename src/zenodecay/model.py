@@ -5,10 +5,10 @@ It caches the resonance pole and exposes the survival probability in a
 form safe for the small-interval regime: ``log_survival_probability``
 computes ln P directly from the amplitude with compensated arithmetic,
 so that effective rates −ln P/τ stay accurate where 1 − P is below
-rounding noise.  The Lorentzian family takes ln P from its two-pole
-closed form; every other family takes it from the spectral amplitude at
-every τ, so late intervals see the true non-exponential tail rather than
-the pole term ln Z − γ₀τ.
+rounding noise.  A family with a closed-form pole pair (the Lorentzian)
+takes ln P from its two-pole residue sum; every other family takes it
+from the spectral amplitude at every τ, so late intervals see the true
+non-exponential tail rather than the pole term ln Z − γ₀τ.
 
 :class:`ExponentialDecayModel` is the idealized pure-exponential decay
 P(τ) = Z·e^{−γ₀τ}; with Z = 1 its effective rate is γ₀ at every τ,
@@ -25,13 +25,12 @@ import numpy as np
 from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
-    lorentzian_pole_pair,
     pole_approximation,
     survival_closed_form_lorentzian,
     survival_spectral_integral,
 )
 from .errors import DomainError, NoDecayError
-from .formfactor import FormFactor, LorentzianCoupling, zeno_time as _ff_zeno_time
+from .formfactor import FormFactor, zeno_time as _ff_zeno_time
 from .resolvent import PoleData, find_pole
 
 __all__ = ["DecayModel", "ExponentialDecayModel"]
@@ -106,30 +105,29 @@ class DecayModel:
 
     @cached_property
     def _closed_form_pair(self):
-        ff = self.form_factor
-        if not isinstance(ff, LorentzianCoupling):
-            return None
-        return lorentzian_pole_pair(self.pole, ff.bandwidth)
+        pair = self.form_factor.pole_pair
+        return None if pair is None else pair(self.pole)
 
     # -- survival ----------------------------------------------------
 
     def default_method(self) -> SurvivalMethod:
-        if isinstance(self.form_factor, LorentzianCoupling):
+        if self.form_factor.pole_pair is not None:
             return SurvivalMethod.CLOSED_FORM
         return SurvivalMethod.SPECTRAL_INTEGRAL
 
     def survival_series(self, times, method: SurvivalMethod | None = None) -> SurvivalSeries:
         """Sample the survival amplitude/probability on a time grid.
 
-        ``method`` defaults to the exact closed form for Lorentzian
-        couplings and to the spectral integral otherwise.
+        ``method`` defaults to the exact closed form for families with a
+        closed-form pole pair (the Lorentzian) and to the spectral
+        integral otherwise.
         """
         if method is None:
             method = self.default_method()
         ff = self.form_factor
         if method is SurvivalMethod.CLOSED_FORM:
-            if not isinstance(ff, LorentzianCoupling):
-                raise DomainError("closed-form survival exists only for Lorentzian couplings")
+            if ff.pole_pair is None:
+                raise DomainError(f"the {ff.family} family has no closed-form survival")
             return survival_closed_form_lorentzian(ff.coupling, ff.bandwidth, self.omega_a, times)
         if method is SurvivalMethod.SPECTRAL_INTEGRAL:
             return survival_spectral_integral(ff, self.omega_a, times)

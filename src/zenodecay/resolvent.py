@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     NoDecayError,
 )
-from .formfactor import FormFactor, LorentzianCoupling
+from .formfactor import FormFactor
 from .selfenergy import Sheet, real_shift, self_energy
 
 __all__ = [

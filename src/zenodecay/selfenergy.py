@@ -17,11 +17,13 @@ pole lives.  On the cut itself the boundary value from above is
 
 Evaluation strategy
 -------------------
-Closed forms are used for the Lorentzian family (Sigma is rational) and
-for tables (exact segment sums of the piecewise-linear density; Δ_R by
-its knot sum).  Every other family goes through one fixed
-double-exponential rule, vectorized over Re E = x: a symmetric window
-around x with g²(x) subtracted,
+A family that knows Sigma or Δ_R in closed form carries it as a hook
+on its class (``sigma_closed_form``, ``shift_closed_form``; see
+:class:`~zenodecay.formfactor.FormFactor`): the Lorentzian's rational
+Sigma on both sheets, a table's exact segment sums and the knot sum of
+its Δ_R.  This module only asks for the hook.  Every other family goes
+through one fixed double-exponential rule, vectorized over Re E = x: a
+symmetric window around x with g²(x) subtracted,
 
     ∫ (g²(ω) − g²(x)) / (E − ω) dω  −  2i·g²(x)·atan(h/Im E)    (|ω − x| < h),
 
@@ -47,7 +49,7 @@ from .errors import (
     DomainError,
     ToleranceError,
 )
-from .formfactor import FormFactor, LorentzianCoupling, TabulatedCoupling
+from .formfactor import FormFactor
 
 __all__ = ["Sheet", "SelfEnergyValue", "self_energy", "real_shift"]
 
@@ -94,109 +96,8 @@ def _cut_distance(ff: FormFactor, E: complex) -> float:
     return math.hypot(gap, y)
 
 
-def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:
-    """Exact segment-by-segment ∫ g²/(E−ω) dω for a tabulated density.
-
-    The tabulated density *is* its linear interpolant, so each segment
-    [ω_k, ω_{k+1}] contributes in closed form:
-
-        (c + mα)·ln((E−ω_k)/(E−ω_{k+1})) − m·Δω,   α = E−ω_k,
-
-    with c the left knot value and m the segment slope.  This is exact,
-    immune to the interpolation kinks that defeat adaptive quadrature,
-    and valid on the cut (y == +0 gives the limit from above) as long as
-    x does not sit exactly on a knot; an exact hit is handled by merging
-    the two adjacent segments, whose log singularities cancel in pairs.
-    """
-    om = ff.omegas
-    fv = ff.g2_values
-    w0, w1 = om[:-1], om[1:]
-    dw = w1 - w0
-    m = np.diff(fv) / dw
-    u0 = E - w0
-    u1 = E - w1
-    x, y = E.real, E.imag
-
-    if y == 0.0 and om[0] < x < om[-1]:
-        hit = np.nonzero(om == x)[0]
-        if hit.size:
-            k = int(hit[0])
-            keep = np.ones(len(dw), dtype=bool)
-            keep[k - 1] = keep[k] = False
-            fE = fv[:-1] + m * u0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.log(u0) - np.log(u1)
-            val = np.sum(fE[keep] * logs[keep] - m[keep] * dw[keep])
-            fx = fv[k]
-            val += fx * (math.log(x - om[k - 1]) - math.log(om[k + 1] - x))
-            val -= m[k - 1] * dw[k - 1] + m[k] * dw[k]
-            return complex(val - 1j * math.pi * fx)
-
-    fE = fv[:-1] + m * u0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(u0) - np.log(u1)
-    if y == 0.0 and (x == om[0] or x == om[-1]):
-        if (fv[0] if x == om[0] else fv[-1]) != 0.0:
-            raise DomainError(
-                f"on-cut value diverges at the support edge {x} where the table is nonzero"
-            )
-        logs = np.where(np.isfinite(logs), logs, 0.0)  # 0·log(0) limit
-    return complex(np.sum(fE * logs - m * dw))
-
-
-def _tabulated_deriv(ff: TabulatedCoupling, E: complex) -> complex:
-    """Exact −∫ g²/(E−ω)² dω for a tabulated density, off knots and cut."""
-    om = ff.omegas
-    fv = ff.g2_values
-    w0, w1 = om[:-1], om[1:]
-    m = np.diff(fv) / (w1 - w0)
-    u0 = E - w0
-    u1 = E - w1
-    fE = fv[:-1] + m * u0
-    logs = np.log(u0) - np.log(u1)
-    return complex(np.sum(-(fE * (1.0 / u1 - 1.0 / u0)) + m * logs))
-
-
-#: ω values of a table evaluated together: each row holds one real log
-#: per knot, so this bounds the working set of the knot sum.
-_TABLE_CHUNK = 4
 #: ω values evaluated together by the double-exponential rule.
 _RULE_CHUNK = 64
-
-
-def _table_shift(ff: TabulatedCoupling, x: np.ndarray) -> np.ndarray:
-    """Exact Δ_R of a piecewise-linear density on a 1-D array of ω.
-
-    Summing the segment closed forms of :func:`_tabulated_value` on the
-    real axis and collecting the logarithm of each knot leaves one real
-    log per knot:
-
-        Δ_R(x) = Σ_j κ_j (x − ω_j) ln|x − ω_j|
-                 + v_0 ln|x − ω_0| − v_N ln|x − ω_N| − (v_N − v_0),
-
-    with κ_j the jump of the slope at knot j (the slope is zero outside
-    the table) and v_0, v_N the edge values.  At an exact knot hit the
-    term (x − ω_j) ln|x − ω_j| is zero; at an edge with a nonzero value
-    the shift diverges.
-    """
-    om = ff.omegas
-    fv = ff.g2_values
-    for edge, value in ((om[0], fv[0]), (om[-1], fv[-1])):
-        if value != 0.0 and np.any(x == edge):
-            raise DomainError(
-                f"on-cut value diverges at the support edge {edge} where the table is nonzero"
-            )
-    slopes = np.diff(fv) / np.diff(om)
-    kappa = np.diff(slopes, prepend=0.0, append=0.0)
-    out = np.empty_like(x)
-    for i in range(0, x.size, _TABLE_CHUNK):
-        d = x[i : i + _TABLE_CHUNK, None] - om
-        ad = np.abs(d)
-        ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
-        la = np.log(ad)
-        edges = fv[0] * la[:, 0] - fv[-1] * la[:, -1]
-        out[i : i + _TABLE_CHUNK] = (d * la * kappa).sum(axis=1) + edges
-    return out - (fv[-1] - fv[0])
 
 
 #: Double-exponential rules of the self-energy and the level shift on the
@@ -393,31 +294,11 @@ def _accept(what: str, at, val, err, absolute: float, relative: float) -> None:
 
 
 def _sigma_first(ff: FormFactor, E: complex) -> tuple[complex, complex]:
-    """Sigma_I(E) and Sigma_I′(E) of a non-Lorentzian family, E off the cut."""
-    if isinstance(ff, TabulatedCoupling):
-        return _tabulated_value(ff, E), _tabulated_deriv(ff, E)
+    """Sigma_I(E) and Sigma_I′(E) by the double-exponential rule, E off the cut."""
     (val, der), (err, der_err) = _de_rule(ff, ff.g2, np.array([E.real]), E.imag)
     _accept("self-energy rule", E, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
     _accept("self-energy derivative rule", E, der, der_err, 1e-8, 1e-6)
     return complex(val[0]), complex(der[0])
-
-
-def _lorentzian_first(ff: LorentzianCoupling, E: complex) -> tuple[complex, complex]:
-    lam2 = ff.coupling**2
-    pole = 1j * ff.bandwidth if E.imag > 0 else -1j * ff.bandwidth
-    den = E + pole
-    return lam2 / den, -lam2 / (den * den)
-
-
-def _lorentzian_second(ff: LorentzianCoupling, E: complex) -> tuple[complex, complex]:
-    lam2 = ff.coupling**2
-    den = E + 1j * ff.bandwidth
-    if abs(den) < 1e-12 * ff.bandwidth:
-        raise DomainError(
-            "second-sheet self-energy has a pole at E = -i*bandwidth; "
-            f"requested E={E!r} is too close"
-        )
-    return lam2 / den, -lam2 / (den * den)
 
 
 def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> SelfEnergyValue:
@@ -451,43 +332,33 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
 
     Notes
     -----
-    The Lorentzian family has closed forms on both sheets and tables
-    exact segment sums.  Every other family takes the double-exponential
-    rule of :func:`real_shift` at complex E, with the kernel 1/(E − ω′)
-    and, on the same samples of g², −1/(E − ω′)² for Sigma′; the second
-    sheet adds −2πi times the continued density and its derivative below
-    the axis.  On the cut inside the support (second sheet, Im E = 0)
-    Sigma′ is the boundary value of ∫ (g²)′/(E − ω) dω plus the endpoint
-    terms of g².
+    A family's ``sigma_closed_form`` hook, where it has one, gives both
+    values (the Lorentzian on both sheets, tables by exact segment sums).
+    Every other family takes the double-exponential rule of
+    :func:`real_shift` at complex E, with the kernel 1/(E − ω′) and, on
+    the same samples of g², −1/(E − ω′)² for Sigma′; the second sheet adds
+    −2πi times the continued density and its derivative below the axis.
+    On the cut inside the support (second sheet, Im E = 0) Sigma′ is the
+    boundary value of ∫ (g²)′/(E − ω) dω plus the endpoint terms of g².
     """
     E = complex(energy)
     if ff.g2_integral() == 0.0:
         return SelfEnergyValue(0j, 0j, sheet)
-
-    if sheet is Sheet.FIRST:
-        if _cut_distance(ff, E) <= 1e-12:
-            raise DomainError(
-                f"E={E!r} lies on the continuum cut; use Sheet.SECOND or real_shift"
-            )
-        if isinstance(ff, LorentzianCoupling):
-            val, der = _lorentzian_first(ff, E)
-        else:
-            val, der = _sigma_first(ff, E)
-        return SelfEnergyValue(val, der, sheet)
-
-    # --- second sheet ---
-    if not ff.continuable:
+    second = sheet is Sheet.SECOND
+    if not second and _cut_distance(ff, E) <= 1e-12:
+        raise DomainError(
+            f"E={E!r} lies on the continuum cut; use Sheet.SECOND or real_shift"
+        )
+    if second and not ff.continuable:
         raise ContinuationUnsupportedError(
             f"{ff.family} family does not support second-sheet continuation"
         )
-    if isinstance(ff, LorentzianCoupling):
-        val, der = _lorentzian_second(ff, E)
-        return SelfEnergyValue(val, der, sheet)
+    if ff.sigma_closed_form is not None:
+        return SelfEnergyValue(*ff.sigma_closed_form(E, second), sheet)
 
-    # Threshold power law: continuation of the first-sheet transform.
-    if E.imag != 0.0:
+    if not second or E.imag != 0.0:
         val, der = _sigma_first(ff, E)
-        if E.imag < 0.0:
+        if second and E.imag < 0.0:
             val -= 2j * math.pi * ff.g2_analytic(E)
             der -= 2j * math.pi * ff.g2_analytic_deriv(E)
         return SelfEnergyValue(val, der, sheet)
@@ -534,9 +405,9 @@ def real_shift(ff: FormFactor, omega):
     -----
     Each family has one route for scalars and arrays alike:
 
-    * Lorentzian: the rational closed form λ²ω/(ω² + Λ²);
-    * tabulated: the exact knot sum of the piecewise-linear density, one
-      real logarithm per knot, evaluated a few ω at a time;
+    * a family with a ``shift_closed_form`` hook takes it: the Lorentzian's
+      rational form λ²ω/(ω² + Λ²), a table's exact knot sum (one real
+      logarithm per knot, a few ω at a time);
     * every other family (the threshold power law and custom families):
       a fixed, singularity-subtracted double-exponential rule vectorized
       over ω — a symmetric PV window, log-distance pieces clustering at a
@@ -560,10 +431,8 @@ def real_shift(ff: FormFactor, omega):
         raise DomainError(f"omega must be finite, got {omega!r}")
     if ff.g2_integral() == 0.0:
         out = np.zeros_like(w)
-    elif isinstance(ff, LorentzianCoupling):
-        out = ff.coupling**2 * w / (w * w + ff.bandwidth**2)
-    elif isinstance(ff, TabulatedCoupling):
-        out = _table_shift(ff, w.ravel()).reshape(w.shape)
+    elif ff.shift_closed_form is not None:
+        out = ff.shift_closed_form(w.ravel()).reshape(w.shape)
     else:
         flat = w.ravel()
         out = np.empty_like(flat)

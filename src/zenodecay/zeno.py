@@ -34,7 +34,6 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, GridError, NoDecayError
-from .formfactor import LorentzianCoupling
 
 __all__ = [
     "Regime",
@@ -70,7 +69,8 @@ class ExistenceCriteria(NamedTuple):
     """Sufficiency diagnostics for the existence of a transition time.
 
     ``z_less_1`` is the theorem's sufficient condition; ``asymmetry`` is
-    the Lorentzian-specific reading ω_a² > Λ² (None for other families);
+    the family's own reading (Lorentzian: ω_a² > Λ²; None for families
+    without one);
     ``near_boundary`` flags |Z − 1| < 10λ², where the O(λ²) corrections
     decide and the boolean answers are fragile.
     """
@@ -115,15 +115,7 @@ class EffectiveRateCurve:
     @property
     def regimes(self) -> tuple:
         """Per-point classification against gamma0."""
-        out = []
-        for g in self.gammas:
-            if g < self.gamma0 * (1.0 - CLASSIFY_EPS):
-                out.append(Regime.ZENO)
-            elif g > self.gamma0 * (1.0 + CLASSIFY_EPS):
-                out.append(Regime.INVERSE_ZENO)
-            else:
-                out.append(Regime.NATURAL)
-        return tuple(out)
+        return tuple(_regime(g, self.gamma0) for g in self.gammas)
 
 
 @dataclass(frozen=True)
@@ -153,6 +145,15 @@ class TransitionReport:
             raise ValueError("tau_star must be the smallest root")
         if not roots and self.tau_star is not None:
             raise ValueError("tau_star without roots")
+
+
+def _regime(gamma: float, gamma0: float) -> Regime:
+    """Label of a rate against gamma0, with the relative dead band CLASSIFY_EPS."""
+    if gamma < gamma0 * (1.0 - CLASSIFY_EPS):
+        return Regime.ZENO
+    if gamma > gamma0 * (1.0 + CLASSIFY_EPS):
+        return Regime.INVERSE_ZENO
+    return Regime.NATURAL
 
 
 def _require_decaying(model) -> float:
@@ -265,12 +266,7 @@ def classify_regime(model, tau: float) -> Regime:
     within it count as Natural rather than leaning on rounding noise.
     """
     gamma0 = _require_decaying(model)
-    g = effective_rate(model, tau)
-    if g < gamma0 * (1.0 - CLASSIFY_EPS):
-        return Regime.ZENO
-    if g > gamma0 * (1.0 + CLASSIFY_EPS):
-        return Regime.INVERSE_ZENO
-    return Regime.NATURAL
+    return _regime(effective_rate(model, tau), gamma0)
 
 
 def find_transition_time(
@@ -302,8 +298,9 @@ def find_transition_time(
     NoDecayError
         Zero coupling / γ₀ ≤ 0.
     GridError
-        Z < 1 guarantees a crossing, but none was found even after one
-        automatic grid refinement — the search window or grid must grow.
+        Z < 1 with a finite Zeno time guarantees a crossing, but none was
+        found even after one automatic grid refinement — the search window
+        or grid must grow.
     """
     gamma0 = _require_decaying(model)
     if tau_max is None:
@@ -321,12 +318,11 @@ def find_transition_time(
     if tau_lo >= tau_max:
         tau_lo = tau_max * 1e-8
 
-    z = model.z_renorm
-    criterion = z < 1.0
-    ff = getattr(model, "form_factor", None)
-    asymmetry = None
-    if isinstance(ff, LorentzianCoupling):
-        asymmetry = bool(model.omega_a**2 > ff.bandwidth**2)
+    criteria = existence_criteria(model)
+    tz = getattr(model, "zeno_time", math.inf)
+    # Z < 1 promises a crossing only when γ(τ) starts below γ₀, i.e. when
+    # the short-time decay is quadratic on a finite Zeno time.
+    guaranteed = criteria.z_less_1 and math.isfinite(tz)
 
     def rate_shift(tau):
         return effective_rate(model, tau) - gamma0
@@ -347,23 +343,22 @@ def find_transition_time(
             if not dedup or r - dedup[-1] > 1e-9 * max(r, dedup[-1]):
                 dedup.append(r)
         roots = dedup
-        if roots or not criterion:
+        if roots or not guaranteed:
             break
         points *= 4  # the theorem promises a root; look harder once
 
-    if criterion and not roots:
+    if guaranteed and not roots:
         raise GridError(
-            f"z_renorm={z:.12g} < 1 guarantees a transition, but no crossing "
+            f"z_renorm={model.z_renorm:.12g} < 1 guarantees a transition, but no crossing "
             f"was found on ({tau_lo:g}, {tau_max:g}) with {points} points"
         )
 
-    tz = getattr(model, "zeno_time", math.inf)
     return TransitionReport(
         tau_star=roots[0] if roots else None,
         all_roots=tuple(roots),
-        z_renorm=float(z),
-        criterion_z_less_1=bool(criterion),
-        lorentzian_asymmetry_holds=asymmetry,
+        z_renorm=float(model.z_renorm),
+        criterion_z_less_1=criteria.z_less_1,
+        lorentzian_asymmetry_holds=criteria.asymmetry,
         tau_max_searched=tau_max,
         jump_time=gamma0 * tz**2,
         zeno_time=tz,
@@ -373,8 +368,8 @@ def find_transition_time(
 def existence_criteria(model) -> ExistenceCriteria:
     """Transition-existence diagnostics from the pole data.
 
-    ``z_less_1`` (the sufficient condition), the Lorentzian asymmetry
-    reading ω_a² > Λ² where applicable, and a near-boundary flag for
+    ``z_less_1`` (the sufficient condition), the family's own asymmetry
+    reading where it has one (Lorentzian: ω_a² > Λ²), and a near-boundary flag for
     |Z − 1| < 10λ² marking parameter sets where the O(λ²) band makes the
     booleans fragile.
     """
@@ -383,10 +378,8 @@ def existence_criteria(model) -> ExistenceCriteria:
     asymmetry = None
     near = False
     if ff is not None:
-        lam2 = ff.g2_integral()
-        near = abs(z - 1.0) < 10.0 * lam2
-        if isinstance(ff, LorentzianCoupling):
-            asymmetry = bool(model.omega_a**2 > ff.bandwidth**2)
+        near = abs(z - 1.0) < 10.0 * ff.g2_integral()
+        asymmetry = ff.transition_asymmetry(model.omega_a)
     return ExistenceCriteria(z_less_1=bool(z < 1.0), asymmetry=asymmetry, near_boundary=near)
 
 

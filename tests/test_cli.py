@@ -192,6 +192,34 @@ def test_tolerance_rejected_outside_survival(tmp_path, capsys, sub):
     assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
 
 
+@pytest.mark.parametrize("task", [
+    "",  # the Lorentzian default method is closed_form
+    "[task]\nmethods = closed_form, pole_approx\n",
+])
+def test_tolerance_rejected_without_spectral_method(tmp_path, capsys, task):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task)
+    code = main(["survival", "--config", cfg, "--out", str(tmp_path / "flag"),
+                 "--tolerance", "1e-30"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    m = re.fullmatch(ERROR_LINE, err)
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert "tolerance" in err and "closed_form" in err
+
+    key = task or "[task]\n"
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + key + "tolerance = 1e-30\n", "tol.ini")
+    assert main(["survival", "--config", cfg, "--out", str(tmp_path / "key")]) == 2
+    assert "closed_form" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
+
+def test_tolerance_reaches_spectral_method_among_others(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
+        "[task]\nt_max = 5.0\nt_points = 3\nmethods = closed_form, spectral_integral\n"))
+    assert main(["survival", "--config", cfg, "--out", str(tmp_path), "--tolerance", "1e-30"]) == 3
+    assert "ToleranceError" in capsys.readouterr().err
+
+
 def test_untenable_transition_window_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=10.0) + "[task]\ntau_max = 1e-3\n")
     assert main(["transition", "--config", cfg, "--out", str(tmp_path)]) == 3

@@ -1,10 +1,14 @@
-"""Coupling families: density values, moments, bandwidth point."""
+"""Coupling families: density values, moments, bandwidth point, and the
+rule that family knowledge lives in the family classes."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import zenodecay
 from zenodecay.errors import DomainError, NoDecayError, OutOfRangeError
 from zenodecay.formfactor import (
     BandwidthPoint,
@@ -178,3 +182,55 @@ def test_invalid_parameters_rejected():
 def test_tabulated_default_bandwidth_is_half_span():
     ff = TabulatedCoupling([-3.0, 0.0, 5.0], [0.0, 1.0, 0.0])
     assert ff.bandwidth == 4.0
+
+
+# -- family knowledge stays with the families ---------------------------
+
+#: Modules written against the FormFactor interface alone.
+GENERIC_MODULES = ("selfenergy", "resolvent", "model", "zeno")
+#: The one selector outside formfactor.py that may still test for a family.
+ALLOWED_ISINSTANCE = {("amplitude", "_node_shift")}
+
+
+def _names_in(node):
+    """Every bare name, attribute name and imported name under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def test_family_knowledge_stays_in_formfactor():
+    package = pathlib.Path(zenodecay.__file__).parent
+    tree = ast.parse((package / "formfactor.py").read_text(encoding="utf-8"))
+    families = {
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef) and "FormFactor" in _names_in(ast.Tuple(node.bases))
+    }
+    assert families >= {"LorentzianCoupling", "TabulatedCoupling", "ThresholdPowerLawCoupling"}
+
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        if module == "formfactor":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and families & set(_names_in(node.args[1]))
+                    and (module, owner) not in ALLOWED_ISINSTANCE
+                ):
+                    offences.append(f"{module}.py:{node.lineno} isinstance on a family")
+        if module in GENERIC_MODULES:
+            for name in families & set(_names_in(tree)):
+                offences.append(f"{module}.py names {name}")
+    assert offences == []

@@ -284,7 +284,7 @@ def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
 
 
 def test_table_knot_sum_matches_segment_sum(tab_lorentzian):
-    from zenodecay.selfenergy import _tabulated_value
+    from zenodecay.formfactor import _tabulated_value
 
     om = tab_lorentzian.omegas
     xs = np.concatenate([

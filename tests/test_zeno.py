@@ -262,6 +262,16 @@ def test_transition_search_flags_untenable_window(model10):
         find_transition_time(model10, tau_max=1e-3)
 
 
+def test_pure_exponential_with_z_below_one_has_no_transition():
+    # γ(τ) = γ₀ − ln Z/τ stays above γ₀ at every τ: with an infinite Zeno
+    # time the short-time side never starts below γ₀, so Z < 1 promises
+    # nothing and the search reports no crossing instead of a grid failure.
+    report = find_transition_time(ExponentialDecayModel(0.25, z_renorm=0.9))
+    assert report.tau_star is None and report.all_roots == ()
+    assert report.criterion_z_less_1 is True
+    assert report.zeno_time == math.inf
+
+
 def test_transition_search_validation(model2):
     with pytest.raises(DomainError):
         find_transition_time(model2, tau_max=-1.0)
