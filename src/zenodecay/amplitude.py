@@ -23,10 +23,9 @@ Three evaluation routes are provided, all returning a
     from the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
     The integral runs over one fixed set of panels per (family, ω_a),
     the same for every family.  ρ is sampled at Gauss–Legendre nodes on
-    each panel with the exact level shift Δ_R (a table, whose exact
-    shift costs one logarithm per knot, takes it only near the
-    resonance and a cubic-spline backbone elsewhere) and stored as
-    Legendre coefficients.  Their Fourier transforms are spherical
+    each panel with the exact level shift Δ_R at every node (a table
+    sums its one logarithm per knot by a tree built once per table) and
+    stored as Legendre coefficients.  Their Fourier transforms are spherical
     Bessel functions (the Filon–Legendre rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
     are bisected until the fit is resolved; the summed truncation bound
@@ -44,14 +43,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import interpolate, optimize, special
+from scipy import optimize, special
 
 from .errors import DomainError, NoDecayError, ToleranceError
-from .formfactor import FormFactor, LorentzianCoupling, TabulatedCoupling
+from .formfactor import FormFactor, LorentzianCoupling
 from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
 from .selfenergy import real_shift
 
@@ -84,10 +83,6 @@ _MAX_PASSES = 60
 #: Width ratio of successive tail panels and their reach in units of max(|A|, |B|, Λ).
 _TAIL_RATIO = 1.5
 _TAIL_REACH = 1e4
-#: Half-width, in resonance widths, of the window where a table's nodes
-#: take the exact shift; its ends are panel edges, so that no panel
-#: straddles the switch to the backbone.
-_TABLE_EXACT_HALF_WIDTH = 40.0
 
 
 class SurvivalMethod(enum.Enum):
@@ -153,9 +148,14 @@ def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> Surv
     times : array_like
         Non-negative sample times.
     """
-    t = _check_times(times)
     pole = lorentzian_pole_closed_form(coupling, bandwidth, omega_a)
-    e1, e2, c1, c2 = LorentzianCoupling(coupling, bandwidth).pole_pair(pole)
+    return _pole_pair_series(LorentzianCoupling(coupling, bandwidth).pole_pair(pole), times)
+
+
+def _pole_pair_series(pair, times) -> SurvivalSeries:
+    """x(t) = C₁e^{−iE₁t} + C₂e^{−iE₂t} from a family's ``pole_pair``."""
+    t = _check_times(times)
+    e1, e2, c1, c2 = pair
     amps = c1 * np.exp(-1j * e1 * t) + c2 * np.exp(-1j * e2 * t)
     return _series(t, amps, SurvivalMethod.CLOSED_FORM)
 
@@ -253,60 +253,9 @@ def _breakpoints(ff: FormFactor, omega_r: float, gw: float, res: float):
     return ordered, (not math.isfinite(a)), (not math.isfinite(b))
 
 
-def _table_backbone(ff: TabulatedCoupling, omega_r: float, res: float, A: float, B: float):
-    """Cubic-spline backbone of a table's Δ_R over [A, B].
-
-    The exact Δ_R of a table sums one logarithm per knot, and a table
-    kernel has a node count of the order of ten times its knots, so only
-    the nodes near the resonance take the exact sum; elsewhere ρ is small
-    and smooth enough for a spline through a few hundred exact samples,
-    densified around the resonance and at the lower edge.
-    """
-    # Keep sample points strictly inside the support: at an edge with a
-    # nonzero density value the principal value diverges (the spline
-    # extrapolates across the 1e-9 fringe, where ρ carries no weight).
-    edge = 1e-9 * (B - A)
-    lo_in, hi_in = A + edge, B - edge
-    core_half = min(0.5 * (B - A), max(64.0 * res, 0.02 * (B - A)))
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(lo_in, hi_in, 321),
-                omega_r + np.linspace(-core_half, core_half, 241),
-                A + (B - A) * np.logspace(-8.0, 0.0, 33),
-            ]
-        )
-    )
-    grid = grid[(grid >= lo_in) & (grid <= hi_in)]
-    grid = grid[np.concatenate(([True], np.diff(grid) > 1e-12 * (B - A)))]
-    return interpolate.CubicSpline(grid, real_shift(ff, grid))
-
-
-def _node_shift(ff: FormFactor, omega_r: float, res: float, A: float, B: float):
-    """Δ_R on arrays of panel nodes, and the energies where its route switches.
-
-    The shift is exact, but a table takes its backbone far from ω_r; the
-    ends of its exact-shift window are returned as panel edges, so that
-    no panel straddles the switch.
-    """
-    if not isinstance(ff, TabulatedCoupling):
-        return partial(real_shift, ff), np.empty(0)
-    backbone = _table_backbone(ff, omega_r, res, A, B)
-    window = _TABLE_EXACT_HALF_WIDTH * res
-
-    def shift(w):
-        out = backbone(w)
-        near = np.abs(w - omega_r) <= window
-        if np.any(near):
-            out[near] = real_shift(ff, w[near])
-        return out
-
-    return shift, np.array([omega_r - window, omega_r + window])
-
-
-def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail, switches):
+def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail):
     """Initial panel edges: breakpoints, graded resonance points, the kinks
-    of g², the ``switches`` of the node shift, and tails.
+    of g², and tails.
 
     On an infinite side, panels grow geometrically away from the
     resonance out to 1e4·max(|A|, |B|, Λ); past that ρ ~ g²/ω² carries no
@@ -314,7 +263,7 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, rig
     """
     A, B = pts[0], pts[-1]
     steps = res * 2.0 ** np.arange(-3.0, 7.0)
-    parts = [np.asarray(pts), omega_r - steps, omega_r + steps, ff.kinks(), switches]
+    parts = [np.asarray(pts), omega_r - steps, omega_r + steps, ff.kinks()]
     reach = _TAIL_REACH * max(abs(A), abs(B), ff.bandwidth)
     growth = _TAIL_RATIO ** np.arange(1.0, 64.0)
     lo, hi = A, B
@@ -379,8 +328,6 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     # than the coupling scale and the bandwidth takes over.
     res = min(gw, 0.5 * ff.bandwidth)
     pts, left_tail, right_tail = _breakpoints(ff, omega_r, gw, res)
-    A, B = pts[0], pts[-1]
-    shift, switches = _node_shift(ff, omega_r, res, A, B)
 
     def density(lo, offset):
         """ρ at the nodes lo + offset, as a (panels, nodes) array.
@@ -392,10 +339,10 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         """
         w = (lo + offset).ravel()
         detuning = ((lo - omega_a) + offset).ravel()
-        rho = _rho(detuning, np.asarray(ff.g2(w), dtype=float), shift(w))
+        rho = _rho(detuning, np.asarray(ff.g2(w), dtype=float), real_shift(ff, w))
         return rho.reshape(offset.shape)
 
-    edges = _panel_edges(ff, omega_r, res, pts, left_tail, right_tail, switches)
+    edges = _panel_edges(ff, omega_r, res, pts, left_tail, right_tail)
     lo, hi, coef, est = _refine(density, edges)
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
@@ -464,9 +411,10 @@ def survival_spectral_integral(
     around the resonance and the coupling peak, resonance-graded points,
     a table's knots and, on an infinite side, geometrically growing tail
     panels.  On each panel ρ is sampled at 10 Gauss–Legendre nodes with
-    the exact level shift of :func:`~zenodecay.real_shift` (for a table
-    only near the resonance; its far nodes take a cubic-spline backbone
-    of the exact shift) and stored as Legendre coefficients c_k.  A
+    the exact level shift of :func:`~zenodecay.real_shift` at every node
+    (a table's by the tree sum of its knot logarithms, see
+    :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`) and stored
+    as Legendre coefficients c_k.  A
     panel of width h around ω_c then contributes, exactly for the
     fitted polynomial,
 

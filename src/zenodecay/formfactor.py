@@ -102,6 +102,11 @@ class FormFactor:
         (Σ, Σ′) at complex E off the cut, on the second sheet if
         ``second`` (asked only of continuable families), else the first
         (else: the rule, continued by −2πi·g²(E) below the axis).
+    ``pole_closed_form(omega_a)``
+        The second-sheet pole E of the level at ``omega_a``, which the
+        pole search polishes by Newton, or None where the closed form
+        cannot resolve it (else: Newton starts from the golden-rule
+        point).
     ``pole_pair(pole)``
         For a propagator with exactly two second-sheet poles, the partner
         of ``pole.e_pole`` and both residues, ``(e1, e2, c1, c2)`` with
@@ -116,6 +121,7 @@ class FormFactor:
 
     shift_closed_form = None
     sigma_closed_form = None
+    pole_closed_form = None
     pole_pair = None
 
     # -- squared coupling density ------------------------------------
@@ -280,6 +286,20 @@ class LorentzianCoupling(FormFactor):
                 f"requested E={E!r} is too close"
             )
         return lam2 / den, -lam2 / (den * den)
+
+    def pole_closed_form(self, omega_a):
+        """The pole of :func:`~zenodecay.lorentzian_pole_closed_form`, or
+        None where its radicals round the width to zero (weak coupling).
+
+        The golden-rule point would not do as a seed: at ω_a = 0 it is
+        −iλ²/Λ, the second-sheet singularity −iΛ of Σ when λ = Λ.
+        """
+        from .resolvent import lorentzian_pole_closed_form
+
+        try:
+            return lorentzian_pole_closed_form(self.coupling, self.bandwidth, omega_a).e_pole
+        except DomainError:
+            return None
 
     def pole_pair(self, pole):
         """Both second-sheet poles and their residues.
@@ -520,6 +540,11 @@ class TabulatedCoupling(FormFactor):
     def kinks(self):
         return self.omegas
 
+    @functools.cached_property
+    def _knot_tree(self) -> "_KnotTree":
+        """The tree of :meth:`shift_closed_form`, built once per table."""
+        return _build_knot_tree(self.omegas, self.g2_values)
+
     def shift_closed_form(self, x):
         """Exact Δ_R of the piecewise-linear density on a 1-D array of ω.
 
@@ -534,6 +559,35 @@ class TabulatedCoupling(FormFactor):
         the table) and v_0, v_N the edge values.  At an exact knot hit the
         term (x − ω_j) ln|x − ω_j| is zero; at an edge with a nonzero value
         the shift diverges.
+
+        The knot sum is a tree sum (Greengard and Rokhlin, J. Comput. Phys.
+        73, 325 (1987)), built on the first call and kept with the table.
+        The root box, a power-of-two span on a multiple of it, covers
+        [c − 2R, c + 2R] (c, R the centre and half-span of the table); a
+        box is halved until its near zone — the box and its two neighbours
+        of equal width — holds at most ``_TREE_NEAR`` knots, so clustered
+        knots make deep leaves, not long near sums.  Every box carries its
+        far field, the sum over the knots outside its near zone, as values
+        at ``_TREE_ORDER`` Chebyshev nodes: its parent's far field
+        interpolated there, plus the knots that join its far set between
+        the two levels, box by box, each box acting through its two lowest
+        moments and its Chebyshev proxy charges (see
+        :func:`_build_knot_tree`).  At
+        x the leaf's far-field series is summed and the knots of its near
+        zone are added exactly; past |x − c| > 2R, where every knot is far,
+        the series of the knot sum in R/(x − c) is summed instead.
+
+        Error bound: a far knot sits at least one box width outside the
+        box, so its term is analytic inside the Bernstein ellipse of
+        parameter ρ = 3 + √8 ≈ 5.83 around the box (and around the knot's
+        own box, for its proxy charges), and Chebyshev interpolation on
+        n = ``_TREE_ORDER`` = 24 nodes misses it by at most
+        4ρ^(−n)/(ρ − 1) ≈ 3.5·10^(−19) of its largest modulus on that
+        ellipse; each interpolation between levels adds the same factor on
+        the parent's far field, and the moment series is cut at
+        2^(−48)/48².  What remains is rounding, the size of the direct
+        knot sum's: ε·Σ_j |κ_j (x − ω_j) ln|x − ω_j||.  The tree costs
+        O(n) per knot and level once, and O(``_TREE_NEAR`` + n) per x.
         """
         om = self.omegas
         fv = self.g2_values
@@ -542,17 +596,11 @@ class TabulatedCoupling(FormFactor):
                 raise DomainError(
                     f"on-cut value diverges at the support edge {edge} where the table is nonzero"
                 )
-        slopes = np.diff(fv) / np.diff(om)
-        kappa = np.diff(slopes, prepend=0.0, append=0.0)
-        out = np.empty_like(x)
-        for i in range(0, x.size, _TABLE_CHUNK):
-            d = x[i : i + _TABLE_CHUNK, None] - om
-            ad = np.abs(d)
-            ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
-            la = np.log(ad)
-            edges = fv[0] * la[:, 0] - fv[-1] * la[:, -1]
-            out[i : i + _TABLE_CHUNK] = (d * la * kappa).sum(axis=1) + edges
-        return out - (fv[-1] - fv[0])
+        edges = np.zeros_like(x)
+        for edge, value in ((om[0], fv[0]), (om[-1], -fv[-1])):
+            if value != 0.0:
+                edges += value * np.log(np.abs(x - edge))
+        return _knot_sum(self._knot_tree, x) + edges - (fv[-1] - fv[0])
 
     def sigma_closed_form(self, E, second):
         """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
@@ -562,9 +610,203 @@ class TabulatedCoupling(FormFactor):
         return TabulatedCoupling(self.omegas, factor**2 * self.g2_values, self.bandwidth)
 
 
-#: ω values of a table evaluated together by its knot sum: each row holds
-#: one real log per knot, so this bounds the working set.
-_TABLE_CHUNK = 4
+#: Chebyshev nodes per box of a table's knot tree (series degree 23).
+_TREE_ORDER = 24
+#: A box of the knot tree is a leaf once its near zone holds at most this
+#: many knots; they are the exact terms of every point in the leaf.
+_TREE_NEAR = 24
+#: Halvings of the knot tree's root after which every box is a leaf: box
+#: indices stay exact in a float, and no table needs boxes that narrow.
+_TREE_LEVELS = 52
+#: Terms of the moment series of a table's knot sum past |x − c| > 2R.
+_TREE_MOMENTS = 48
+#: First-kind Chebyshev nodes on [−1, 1], and node values → coefficients.
+_CHEB_T = np.cos(np.pi * (np.arange(_TREE_ORDER) + 0.5) / _TREE_ORDER)
+_CHEB_FIT = (2.0 / _TREE_ORDER) * np.cos(np.outer(np.arange(_TREE_ORDER), np.arccos(_CHEB_T)))
+_CHEB_FIT[0] *= 0.5
+
+
+#: Node values of a box → values at the nodes of its left and right half.
+_CHEB_HALVES = tuple(
+    np.cos(np.outer(np.arccos(0.5 * (_CHEB_T + side)), np.arange(_TREE_ORDER))) @ _CHEB_FIT
+    for side in (-1.0, 1.0)
+)
+
+
+class _KnotTree(NamedTuple):
+    """Leaves of a table's knot tree, in order, and its moment series.
+
+    Leaf i spans [lo[i], lo[i+1]] around ``mid`` with half-width
+    ``half``; ``coef`` holds the Chebyshev coefficients of its far field
+    (one row per degree, one column per leaf), and knots ``near_lo[i]``
+    up to ``near_hi[i]`` (exclusive) are its near zone.  ``knots`` are
+    the ω_j, ``kappa`` the slope jumps κ_j, and ``moments`` the
+    Σ_j κ_j ((ω_j − c)/R)^k.
+    """
+
+    lo: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    coef: np.ndarray
+    near_lo: np.ndarray
+    near_hi: np.ndarray
+    knots: np.ndarray
+    kappa: np.ndarray
+    centre: float
+    radius: float
+    moments: np.ndarray
+
+
+def _x_log_x(d):
+    """d·ln|d|, for d ≠ 0."""
+    return d * np.log(np.abs(d))
+
+
+def _chebyshev(coef, t: np.ndarray) -> np.ndarray:
+    """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef(k)`` broadcast against t."""
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for k in range(_TREE_ORDER - 1, 0, -1):
+        b1, b2 = 2.0 * t * b1 - b2 + coef(k), b1
+    return t * b1 - b2 + coef(0)
+
+
+def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _KnotTree:
+    """The knot tree of :meth:`TabulatedCoupling.shift_closed_form`.
+
+    The root is a power-of-two span on a multiple of it, so every box edge
+    and centre is exact and all boxes of one level are translates: one
+    interpolation matrix per half and one interaction matrix per offset
+    serve the whole level.  The products run in ``einsum``'s own loops:
+    a threaded BLAS call on matrices this small can stall for
+    milliseconds when another process holds the other cores.
+
+    Going down a level, the knots that join a box's far set fill the
+    boxes two and three widths away on its outer side and two on its
+    inner side.  Such a source box S, centre c, acts at distance
+    D = x − c through
+
+        Σ_j κ_j φ(D − δ_j) = M₀φ(D) − M₁φ′(D) + Σ_j κ_j D·h(δ_j/D),
+
+    φ(d) = d·ln|d|, δ_j = ω_j − c, M_k = Σ_j κ_j δ_j^k, and
+    h(u) = (1 − u)·ln(1 − u) + u = O(u²).  M₀ and M₁ are summed from the
+    knots; the last sum, smooth in δ, goes through the Chebyshev proxy
+    charges Σ_j κ_j ℓ_m(2δ_j/w) of the box (w its width, ℓ_m the Lagrange
+    basis of the nodes), whose rounding therefore never meets the large
+    φ(D).
+    """
+    slopes = np.diff(values) / np.diff(om)
+    kappa = np.diff(slopes, prepend=0.0, append=0.0)
+    centre = 0.5 * (om[0] + om[-1])
+    radius = 0.5 * (om[-1] - om[0])
+    span = 2.0 ** math.ceil(math.log2(4.0 * radius))
+    origin = span * math.floor((centre - 2.0 * radius) / span)
+    box = np.zeros(1, dtype=np.int64)
+    far = np.zeros((1, _TREE_ORDER))
+    leaves = []
+    for level in range(_TREE_LEVELS + 1):
+        width = 2.0 * span / 2.0**level
+        held = np.floor((om - origin) / width).astype(np.int64)
+        near_lo = np.searchsorted(held, box - 1, "left")
+        near_hi = np.searchsorted(held, box + 1, "right")
+        if level:
+            delta = om - (origin + (held + 0.5) * width)
+            t = delta * (2.0 / width)
+            ids, first = np.unique(held, return_index=True)
+            cheb_sums = np.empty((ids.size, _TREE_ORDER))
+            cheb_prev, cheb = np.ones_like(t), t
+            cheb_sums[:, 0] = np.add.reduceat(kappa, first)
+            for k in range(1, _TREE_ORDER):
+                cheb_sums[:, k] = np.add.reduceat(kappa * cheb, first)
+                cheb_prev, cheb = cheb, 2.0 * t * cheb - cheb_prev
+            charges = np.einsum("bk,km->bm", cheb_sums, _CHEB_FIT)
+            m1 = np.add.reduceat(kappa * delta, first)
+            right = (box & 1) == 1
+            for offset, use in ((-3, right), (-2, True), (2, True), (3, ~right)):
+                src = box + offset
+                pos = np.minimum(np.searchsorted(ids, src), ids.size - 1)
+                use = use & (ids[pos] == src)
+                pos = pos[use]
+                dist = 0.5 * width * _CHEB_T - offset * width
+                u = (0.5 * width * _CHEB_T) / dist[:, None]
+                smooth = dist[:, None] * ((1.0 - u) * np.log1p(-u) + u)
+                far[use] += (np.outer(cheb_sums[pos, 0], _x_log_x(dist))
+                             - np.outer(m1[pos], np.log(np.abs(dist)) + 1.0)
+                             + np.einsum("bm,nm->bn", charges[pos], smooth))
+        split = (near_hi - near_lo > _TREE_NEAR) & (level < _TREE_LEVELS)
+        leaf = ~split
+        lo = origin + box[leaf] * width
+        leaves.append((lo, lo + 0.5 * width, np.full(lo.size, 0.5 * width),
+                       np.einsum("km,bm->kb", _CHEB_FIT, far[leaf]), near_lo[leaf], near_hi[leaf]))
+        if not np.any(split):
+            break
+        box = np.column_stack((2 * box[split], 2 * box[split] + 1)).ravel()
+        far = np.stack([np.einsum("bm,nm->bn", far[split], half) for half in _CHEB_HALVES], axis=1)
+        far = far.reshape(-1, _TREE_ORDER)
+
+    parts = [np.concatenate(part, axis=-1) for part in zip(*leaves)]
+    order = np.argsort(parts[0], kind="stable")
+    return _KnotTree(*(part[..., order] for part in parts), om, kappa, centre, radius,
+                     _knot_moments(om, values, centre, radius))
+
+
+def _knot_moments(om, values, centre, radius) -> np.ndarray:
+    """M_k = Σ_j κ_j s_j^k, s = (ω − c)/R, for k < ``_TREE_MOMENTS``.
+
+    Summed by parts over the segments, −Σ Δv·(s₁^k − s₀^k)/(s₁ − s₀)/R,
+    so that no cancellation between slope jumps enters: M₀ = 0 and
+    M₁ = −(v_N − v_0)/R exactly.  The divided difference obeys
+    d_k = s₁·d_{k−1} + s₀^(k−1).
+    """
+    s = (om - centre) / radius
+    s0, s1 = s[:-1], s[1:]
+    dv = np.diff(values) / radius
+    moments = np.zeros(_TREE_MOMENTS)
+    diff, power = np.zeros_like(s0), np.ones_like(s0)
+    for k in range(1, _TREE_MOMENTS):
+        diff = s1 * diff + power
+        power = power * s0
+        moments[k] = -np.sum(dv * diff)
+    return moments
+
+
+def _knot_sum(tree: _KnotTree, x: np.ndarray) -> np.ndarray:
+    """Σ_j κ_j (x − ω_j) ln|x − ω_j| on a 1-D array by the knot tree."""
+    out = np.empty_like(x)
+    rel = x - tree.centre
+    outer = np.abs(rel) > 2.0 * tree.radius
+    if np.any(outer):
+        # With (1 − u)·ln(1 − u) = −u + Σ_{k≥2} u^k/(k(k − 1)) and M₀ = 0:
+        # Σ_j κ_j φ(x − ω_j) = R·[Σ_{k≥2} M_k z^(k−1)/(k(k − 1))
+        #                         − M₁·(ln|x − c| + 1)],  z = R/(x − c).
+        r = rel[outer]
+        z = tree.radius / r
+        k = np.arange(2, _TREE_MOMENTS)
+        series = np.zeros_like(z)
+        for c in (tree.moments[2:] / (k * (k - 1.0)))[::-1]:
+            series = series * z + c
+        out[outer] = tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
+    inner = np.nonzero(~outer)[0]
+    if inner.size:
+        xi = x[inner]
+        leaf = np.clip(np.searchsorted(tree.lo, xi, "right") - 1, 0, tree.lo.size - 1)
+        val = _chebyshev(lambda k: tree.coef[k, leaf], (xi - tree.mid[leaf]) / tree.half[leaf])
+        # Near zones, the longest first, so that the points still taking
+        # their j-th near knot are always a leading slice.
+        count = tree.near_hi[leaf] - tree.near_lo[leaf]
+        order = np.argsort(-count, kind="stable")
+        count, xs, start = count[order], xi[order], tree.near_lo[leaf][order]
+        near = np.zeros_like(xs)
+        for j in range(int(count[0])):
+            n = np.searchsorted(-count, -j, "left")
+            knot = start[:n] + j
+            d = xs[:n] - tree.knots[knot]
+            ad = np.abs(d)
+            ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
+            near[:n] += tree.kappa[knot] * d * np.log(ad)
+        val[order] += near
+        out[inner] = val
+    return out
 
 
 def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:

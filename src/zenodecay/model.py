@@ -25,8 +25,8 @@ import numpy as np
 from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
+    _pole_pair_series,
     pole_approximation,
-    survival_closed_form_lorentzian,
     survival_spectral_integral,
 )
 from .errors import DomainError, NoDecayError
@@ -128,7 +128,7 @@ class DecayModel:
         if method is SurvivalMethod.CLOSED_FORM:
             if ff.pole_pair is None:
                 raise DomainError(f"the {ff.family} family has no closed-form survival")
-            return survival_closed_form_lorentzian(ff.coupling, ff.bandwidth, self.omega_a, times)
+            return _pole_pair_series(self._closed_form_pair, times)
         if method is SurvivalMethod.SPECTRAL_INTEGRAL:
             return survival_spectral_integral(ff, self.omega_a, times)
         if method is SurvivalMethod.POLE_APPROX:

@@ -13,12 +13,14 @@ whose real shift ``Delta``, width ``gamma0`` and squared-residue magnitude
 control the exponential era of the decay, P(t) ≈ Z·exp(−gamma0·t).
 
 :func:`find_pole` locates the pole by a damped complex Newton iteration on
-f(E) = E − omega_a − Sigma_II(E), seeded at the second-order golden-rule
-point omega_a + Delta_R(omega_a) − iπg²(omega_a).  For the Lorentzian
-family the pole equation is the quadratic (E − omega_a)(E + iΛ) = λ², and
-:func:`lorentzian_pole_closed_form` evaluates the explicit nested-radical
-solution, falling back to the quadratic roots (the ground truth) if the
-radical branch goes astray at strong coupling.
+f(E) = E − omega_a − Sigma_II(E), seeded at the family's closed-form pole
+where it has one (``pole_closed_form``) and otherwise at the second-order
+golden-rule point omega_a + Delta_R(omega_a) − iπg²(omega_a).  For the
+Lorentzian family the pole equation is the quadratic
+(E − omega_a)(E + iΛ) = λ², and :func:`lorentzian_pole_closed_form`
+evaluates the explicit nested-radical solution, falling back to the
+quadratic roots (the ground truth) if the radical branch goes astray at
+strong coupling.
 
 Families with a finite band edge can additionally split off a genuine
 bound state below the lower or above the upper edge;
@@ -28,6 +30,7 @@ weights, which the amplitude module must include to conserve probability.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -140,7 +143,8 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
     Returns
     -------
     PoleData
-        The pole nearest the golden-rule seed, with residual below
+        The pole nearest the seed (the family's closed-form pole, else
+        the golden-rule point), with residual below
         1e−10·max(1, |e_pole|), plus any detected bound states.
 
     Raises
@@ -170,12 +174,12 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
             f"omega_a={omega_a} must lie above the continuum threshold {lo}"
         )
 
-    scale = max(1.0, abs(omega_a), ff.bandwidth)
-    seed = complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a)))
-    if seed.imag == 0.0:
-        seed -= 1j * 1e-12 * scale
+    E = None if ff.pole_closed_form is None else ff.pole_closed_form(omega_a)
+    if E is None:
+        E = complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a)))
+        if E.imag == 0.0:
+            E -= 1j * 1e-12 * max(1.0, abs(omega_a), ff.bandwidth)
 
-    E = seed
     trajectory = [E]
     best = (math.inf, E)
     step_cap = 2.0 * ff.bandwidth
@@ -225,8 +229,14 @@ def _lorentzian_quadratic_roots(lam: float, bandwidth: float, omega_a: float):
 
     Ordering: smaller |Im| first; ties broken by larger residue magnitude,
     then by Re ≥ 0 for determinism in the symmetric strong-coupling case.
+    The roots of E² + bE + c are q = −(b ± √(b² − 4c))/2, the sign
+    avoiding cancellation, and c/q.
     """
-    roots = np.roots([1.0, 1j * bandwidth - omega_a, -(1j * bandwidth * omega_a + lam**2)])
+    b = 1j * bandwidth - omega_a
+    c = -(1j * bandwidth * omega_a + lam**2)
+    root = cmath.sqrt(b * b - 4.0 * c)
+    q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
+    roots = (q, c / q)
 
     def sort_key(E):
         den = E + 1j * bandwidth

@@ -407,7 +407,7 @@ def real_shift(ff: FormFactor, omega):
 
     * a family with a ``shift_closed_form`` hook takes it: the Lorentzian's
       rational form λ²ω/(ω² + Λ²), a table's exact knot sum (one real
-      logarithm per knot, a few ω at a time);
+      logarithm per knot, summed by a tree built once per table);
     * every other family (the threshold power law and custom families):
       a fixed, singularity-subtracted double-exponential rule vectorized
       over ω — a symmetric PV window, log-distance pieces clustering at a

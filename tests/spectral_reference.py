@@ -6,6 +6,10 @@ the exact level shift ``real_shift``; the integrals are adaptive
 the coupling peak, with QUADPACK's Fourier weights for x(t).  Nothing
 here shares code with the panel engine of ``survival_spectral_integral``.
 Bound states are added with the weights of ``find_bound_states``.
+
+``direct_knot_sum`` is the reference of a table's level shift: its knot
+sum taken term by term, which the tree sum of
+``TabulatedCoupling.shift_closed_form`` replaces.
 """
 
 import math
@@ -79,6 +83,27 @@ def reference_deficit(ff, omega_a, tau):
     for bs in find_bound_states(ff, omega_a):
         d += bs.weight * complex(2.0 * math.sin(0.5 * bs.energy * tau) ** 2, math.sin(bs.energy * tau))
     return d
+
+
+def direct_knot_sum(ff, x):
+    """Δ_R of a table at each x, one real logarithm per knot:
+
+    Σ_j κ_j (x − ω_j) ln|x − ω_j| + v_0 ln|x − ω_0| − v_N ln|x − ω_N|
+    − (v_N − v_0),
+
+    κ_j the slope jumps; a term whose knot x hits is zero.
+    """
+    om, fv = ff.omegas, ff.g2_values
+    slopes = np.diff(fv) / np.diff(om)
+    kappa = np.diff(slopes, prepend=0.0, append=0.0)
+    out = np.empty(len(x))
+    for i, xi in enumerate(x):
+        d = xi - om
+        ad = np.abs(d)
+        ad[ad == 0.0] = 1.0
+        la = np.log(ad)
+        out[i] = (d * la * kappa).sum() + fv[0] * la[0] - fv[-1] * la[-1] - (fv[-1] - fv[0])
+    return out
 
 
 def reference_rate(ff, omega_a, tau):

@@ -9,7 +9,7 @@ import pytest
 from zenodecay.cli import main
 from zenodecay.config import validate_mapping
 
-TAU_STAR = 0.5037246420094716  # shared anchor with test_zeno
+TAU_STAR = 0.5037246419993174  # shared anchor with test_zeno
 
 BASE = """\
 [model]
@@ -98,6 +98,16 @@ def test_transition_json_null_for_symmetric_level(tmp_path, capsys):
     assert payload["tau_star"] is None
     assert payload["all_roots"] == []
     assert payload["criterion_z_less_1"] is False
+
+
+@pytest.mark.parametrize("sub", ["survival", "transition"])
+def test_strong_coupling_symmetric_level_exits_0(tmp_path, capsys, sub):
+    # lambda = Lambda at omega_a = 0: the golden-rule seed of the pole
+    # search would sit on the second-sheet singularity of Sigma.
+    body = BASE.replace("coupling = 0.1", "coupling = 1.0").format(omega_a=0.0)
+    cfg = write_config(tmp_path, body)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 def test_transition_json_is_deterministic(tmp_path, capsys):

@@ -188,8 +188,8 @@ def test_tabulated_default_bandwidth_is_half_span():
 
 #: Modules written against the FormFactor interface alone.
 GENERIC_MODULES = ("selfenergy", "resolvent", "model", "zeno")
-#: The one selector outside formfactor.py that may still test for a family.
-ALLOWED_ISINSTANCE = {("amplitude", "_node_shift")}
+#: Selectors outside formfactor.py that may still test for a family.
+ALLOWED_ISINSTANCE = set()
 
 
 def _names_in(node):

@@ -90,6 +90,15 @@ def test_log_survival_matches_series(lor):
     assert model.survival_probability(1.0) == pytest.approx(p_direct, rel=1e-11)
 
 
+def test_closed_form_series_shares_the_model_pole(lor):
+    # ln P of the series and of the compensated path come from one pole.
+    model = DecayModel(lor, 2.0)
+    taus = np.array([10.0, 100.0])
+    from_series = np.log(model.survival_series(taus).probabilities)
+    direct = [model.log_survival_probability(tau) for tau in taus]
+    np.testing.assert_allclose(from_series, direct, rtol=1e-14, atol=0.0)
+
+
 def test_log_survival_small_interval_quadratic_law(lor):
     # At the small-interval handover (tau ~ 1e-3/bandwidth) the deviation
     # 1 - P ~ 1e-8 sits far below a naive |x|^2 - 1 in doubles; the

@@ -121,6 +121,15 @@ def test_find_pole_agrees_with_closed_form(lam, omega_ratio):
     assert found.residual < 1e-10 * max(1.0, abs(found.e_pole))
 
 
+@pytest.mark.parametrize("lam, bw", [(1.0, 1.0), (0.5, 0.25)])
+def test_find_pole_seeds_from_closed_form(lam, bw):
+    # At omega_a = 0 the golden-rule point -i*lam^2/bw is the second-sheet
+    # singularity -i*bw of Sigma when lam = bw, and Newton from it stalls
+    # at (0.5, 0.25); the family's closed-form pole is the seed instead.
+    found = find_pole(LorentzianCoupling(lam, bw), 0.0)
+    assert abs(found.e_pole - lorentzian_pole_closed_form(lam, bw, 0.0).e_pole) <= 1e-12
+
+
 def test_find_pole_near_zero_coupling_limit():
     pole = find_pole(LorentzianCoupling(1e-10, 1.0), 2.0)
     assert pole.e_pole.real == pytest.approx(2.0, abs=1e-12)

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from spectral_reference import direct_knot_sum
 from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
-from zenodecay.formfactor import FormFactor, LorentzianCoupling, ThresholdPowerLawCoupling
+from zenodecay.formfactor import (
+    FormFactor,
+    LorentzianCoupling,
+    TabulatedCoupling,
+    ThresholdPowerLawCoupling,
+)
 from zenodecay.selfenergy import Sheet, real_shift, self_energy
 
 
@@ -187,8 +193,6 @@ def test_tabulated_derivative_matches_finite_differences(tab_lorentzian):
 
 def test_tabulated_shift_diverges_at_nonzero_edge():
     # A table that ends mid-density has a genuine log divergence there.
-    from zenodecay.formfactor import TabulatedCoupling
-
     ff = TabulatedCoupling([0.0, 1.0, 2.0], [0.5, 1.0, 0.5])
     with pytest.raises(DomainError):
         real_shift(ff, 2.0)
@@ -283,19 +287,55 @@ def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
         assert arr.ravel().tolist() == scalars
 
 
-def test_table_knot_sum_matches_segment_sum(tab_lorentzian):
-    from zenodecay.formfactor import _tabulated_value
+def _geometric_table():
+    """A threshold table whose knots crowd the edge: 0 and 1e-6 ... 50."""
+    om = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 3000)))
+    return TabulatedCoupling(om, np.sqrt(om) / (1.0 + om * om) ** 2)
 
-    om = tab_lorentzian.omegas
-    xs = np.concatenate([
-        np.linspace(-99.99, 99.99, 37),
-        om[[1, 4321, 10_000, 10_001, 19_999]],  # exact knot hits
-        [-150.0, 130.0],  # outside the table
-    ])
-    got = real_shift(tab_lorentzian, xs)
-    for x, value in zip(xs, got):
-        segment_sum = _tabulated_value(tab_lorentzian, complex(x, 0.0)).real
-        assert value == pytest.approx(segment_sum, abs=1e-14)
+
+def _rough_table():
+    """4000 random knots with random values."""
+    rng = np.random.default_rng(7)
+    return TabulatedCoupling(np.sort(rng.uniform(-5.0, 5.0, 4000)), rng.uniform(0.0, 1.0, 4000))
+
+
+@pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough", "three", "two"])
+def test_table_knot_sum_matches_segment_sum(request, table):
+    # The tree sum against the direct knot sum and the segment form, on
+    # and off the support, exact knot hits included: no worse than ten
+    # times the direct sum's own distance from the segment form.
+    from zenodecay.formfactor import _TREE_NEAR, _tabulated_value
+
+    ff = {
+        "tab_lorentzian": lambda: request.getfixturevalue("tab_lorentzian"),
+        "geometric": _geometric_table,
+        "rough": _rough_table,
+        "three": lambda: TabulatedCoupling([-3.0, 0.0, 5.0], [0.0, 1.0, 0.0]),
+        "two": lambda: TabulatedCoupling([0.0, 1.0], [1.0, 2.0]),
+    }[table]()
+    om = ff.omegas
+    lo, hi = ff.support()
+    span = hi - lo
+    rng = np.random.default_rng(3)
+    inside = np.concatenate((
+        rng.uniform(lo, hi, 200),
+        om[rng.integers(1, om.size - 1, 40)] if om.size > 2 else [],
+        om[[0, -1]] if ff.g2_values[0] == ff.g2_values[-1] == 0.0 else [],
+    ))
+    outside = np.concatenate((
+        lo - span * rng.uniform(1e-9, 1.5, 20),
+        hi + span * rng.uniform(1e-9, 1.5, 20),
+        [lo - 40.0 * span, hi + 3e3 * span],
+    ))
+    for xs in (inside, outside):
+        tree = real_shift(ff, xs)
+        direct = direct_knot_sum(ff, xs)
+        segment = np.array([_tabulated_value(ff, complex(x, 0.0)).real for x in xs])
+        bound = max(10.0 * np.max(np.abs(direct - segment)), 1e-15 * np.max(np.abs(segment)))
+        assert np.max(np.abs(tree - segment)) <= bound
+        assert np.max(np.abs(tree - direct)) <= bound
+    near = ff._knot_tree.near_hi - ff._knot_tree.near_lo
+    assert np.max(near) <= _TREE_NEAR
 
 
 def test_real_shift_rejects_non_finite(tpl):
