@@ -149,7 +149,8 @@ def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> Surv
         Non-negative sample times.
     """
     pole = lorentzian_pole_closed_form(coupling, bandwidth, omega_a)
-    return _pole_pair_series(LorentzianCoupling(coupling, bandwidth).pole_pair(pole), times)
+    pair = LorentzianCoupling(coupling, bandwidth).pole_pair(pole.e_pole, pole.omega_a)
+    return _pole_pair_series(pair, times)
 
 
 def _pole_pair_series(pair, times) -> SurvivalSeries:

@@ -34,6 +34,7 @@ g²(ω̄)·Λ = 1/τ_Z².
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -104,14 +105,14 @@ class FormFactor:
         (else: the rule, continued by −2πi·g²(E) below the axis).
     ``pole_closed_form(omega_a)``
         The second-sheet pole E of the level at ``omega_a``, which the
-        pole search polishes by Newton, or None where the closed form
-        cannot resolve it (else: Newton starts from the golden-rule
-        point).
-    ``pole_pair(pole)``
+        pole search polishes by Newton (else: Newton starts from the
+        golden-rule point).
+    ``pole_pair(e_pole, omega_a)``
         For a propagator with exactly two second-sheet poles, the partner
-        of ``pole.e_pole`` and both residues, ``(e1, e2, c1, c2)`` with
+        of ``e_pole`` and both residues, ``(e1, e2, c1, c2)`` with
         C₁ + C₂ = 1 (else: no closed-form survival; ln P comes from the
-        spectral route).
+        spectral route).  A family with this hook also has
+        ``pole_closed_form``, whose pole it is given.
 
     Two more members have defaults: :meth:`kinks` (none) and
     :meth:`transition_asymmetry` (None).
@@ -288,29 +289,21 @@ class LorentzianCoupling(FormFactor):
         return lam2 / den, -lam2 / (den * den)
 
     def pole_closed_form(self, omega_a):
-        """The pole of :func:`~zenodecay.lorentzian_pole_closed_form`, or
-        None where its radicals round the width to zero (weak coupling).
+        """The second-sheet pole, by radicals (:func:`_lorentzian_pole`)."""
+        if self.coupling == 0.0:
+            raise NoDecayError("zero coupling: the level is stationary, no pole exists")
+        return _lorentzian_pole(self.coupling, self.bandwidth, omega_a)
 
-        The golden-rule point would not do as a seed: at ω_a = 0 it is
-        −iλ²/Λ, the second-sheet singularity −iΛ of Σ when λ = Λ.
-        """
-        from .resolvent import lorentzian_pole_closed_form
-
-        try:
-            return lorentzian_pole_closed_form(self.coupling, self.bandwidth, omega_a).e_pole
-        except DomainError:
-            return None
-
-    def pole_pair(self, pole):
+    def pole_pair(self, e_pole, omega_a):
         """Both second-sheet poles and their residues.
 
         The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic, so the
-        partner of ``pole.e_pole`` is fixed by the root sum ω_a − iΛ; the
+        partner of ``e_pole`` is fixed by the root sum ω_a − iΛ; the
         residues C₁, C₂ of (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1
         exactly.
         """
-        e1 = pole.e_pole
-        e2 = pole.omega_a - 1j * self.bandwidth - e1
+        e1 = e_pole
+        e2 = omega_a - 1j * self.bandwidth - e1
         c1 = (e1 + 1j * self.bandwidth) / (e1 - e2)
         return e1, e2, c1, 1.0 - c1
 
@@ -320,6 +313,60 @@ class LorentzianCoupling(FormFactor):
 
     def scaled(self, factor):
         return dataclasses.replace(self, coupling=factor * self.coupling)
+
+
+def _lorentzian_pole(lam: float, bw: float, omega_a: float) -> complex:
+    """The Lorentzian's second-sheet pole E = ω_a + Δ − iγ₀/2 by radicals.
+
+    With Ω² = ω_a² + 4λ² − Λ², S = √(Ω⁴ + 4ω_a²Λ²), u = √((S + Ω²)/2)
+    and v = √((S − Ω²)/2),
+
+        Δ  = −ω_a/2 + sign(ω_a)·u/2,
+        γ₀ = Λ − v = 8λ²Λ² / ((ω_a² + Λ² + 4λ² + S)(Λ + v)),
+
+    the last form free of the cancellation that rounds Λ − v to zero at
+    weak coupling.  The radicals presuppose a branch; the roots of the
+    pole equation (E − ω_a)(E + iΛ) = λ² are the ground truth, and unless
+    the radical value solves it to 1e−10 and is the longest-lived root,
+    that root is returned instead.
+    """
+    omega2 = omega_a**2 + 4.0 * lam**2 - bw**2
+    s = math.sqrt(omega2**2 + 4.0 * omega_a**2 * bw**2)
+    u = math.sqrt(max(s + omega2, 0.0) / 2.0)
+    v = math.sqrt(max(s - omega2, 0.0) / 2.0)
+    delta = -omega_a / 2.0 + float(np.sign(omega_a)) * u / 2.0
+    gamma0 = 8.0 * lam**2 * bw**2 / ((omega_a**2 + bw**2 + 4.0 * lam**2 + s) * (bw + v))
+    candidate = complex(omega_a + delta, -gamma0 / 2.0)
+
+    scale = max(1.0, abs(candidate))
+    best = _lorentzian_roots(lam, bw, omega_a)[0]
+    residual = abs((candidate - omega_a) * (candidate + 1j * bw) - lam**2)
+    if residual > 1e-10 * scale or abs(candidate - best) > 1e-10 * scale:
+        candidate = best
+    if not (candidate.imag < 0.0):
+        raise DomainError(f"no decaying pole for coupling={lam}, bandwidth={bw}, omega_a={omega_a}")
+    return candidate
+
+
+def _lorentzian_roots(lam: float, bw: float, omega_a: float) -> list:
+    """Both roots of (E − ω_a)(E + iΛ) = λ², best first.
+
+    Ordering: smaller |Im| first; ties broken by larger residue magnitude,
+    then by Re ≥ 0 for determinism in the symmetric strong-coupling case.
+    The roots of E² + bE + c are q = −(b ± √(b² − 4c))/2, the sign
+    avoiding cancellation, and c/q.
+    """
+    b = 1j * bw - omega_a
+    c = -(1j * bw * omega_a + lam**2)
+    root = cmath.sqrt(b * b - 4.0 * c)
+    q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
+
+    def sort_key(E):
+        den = E + 1j * bw
+        resid_mag = abs(1.0 / (1.0 + lam**2 / den**2)) if den != 0 else 0.0
+        return (abs(E.imag), -resid_mag, -E.real)
+
+    return sorted((complex(q), complex(c / q)), key=sort_key)
 
 
 @dataclass(frozen=True)
@@ -575,7 +622,11 @@ class TabulatedCoupling(FormFactor):
         :func:`_build_knot_tree`).  At
         x the leaf's far-field series is summed and the knots of its near
         zone are added exactly; past |x − c| > 2R, where every knot is far,
-        the series of the knot sum in R/(x − c) is summed instead.
+        the series of the knot sum in R/(x − c) is summed instead.  There
+        the knot terms, of size |κ_j·x·ln|x||, cancel to a Δ_R of order
+        1/x, and a term-by-term sum keeps none of its digits on a rough
+        table; the series, from moments summed without that cancellation,
+        does.
 
         Error bound: a far knot sits at least one box width outside the
         box, so its term is analytic inside the Bernstein ellipse of

@@ -105,8 +105,16 @@ class DecayModel:
 
     @cached_property
     def _closed_form_pair(self):
-        pair = self.form_factor.pole_pair
-        return None if pair is None else pair(self.pole)
+        """The family's pole pair at its closed-form pole, or None.
+
+        x(t) of the closed form and every ln P take this one pair.  The
+        cached :attr:`pole` is the same pole polished by Newton, which
+        leaves it as it is once it solves the pole equation to 1e-13.
+        """
+        ff = self.form_factor
+        if ff.pole_pair is None:
+            return None
+        return ff.pole_pair(ff.pole_closed_form(self.omega_a), self.omega_a)
 
     # -- survival ----------------------------------------------------
 

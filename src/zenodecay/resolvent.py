@@ -30,13 +30,11 @@ weights, which the amplitude module must include to conserve probability.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
 from scipy import optimize
 
 from .errors import (
@@ -46,7 +44,7 @@ from .errors import (
     DomainError,
     NoDecayError,
 )
-from .formfactor import FormFactor
+from .formfactor import FormFactor, _lorentzian_pole
 from .selfenergy import Sheet, real_shift, self_energy
 
 __all__ = [
@@ -174,8 +172,9 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
             f"omega_a={omega_a} must lie above the continuum threshold {lo}"
         )
 
-    E = None if ff.pole_closed_form is None else ff.pole_closed_form(omega_a)
-    if E is None:
+    if ff.pole_closed_form is not None:
+        E = complex(ff.pole_closed_form(omega_a))
+    else:
         E = complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a)))
         if E.imag == 0.0:
             E -= 1j * 1e-12 * max(1.0, abs(omega_a), ff.bandwidth)
@@ -224,44 +223,14 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
     return _pole_data_from(E, omega_a, z, residual, find_bound_states(ff, omega_a))
 
 
-def _lorentzian_quadratic_roots(lam: float, bandwidth: float, omega_a: float):
-    """Both roots of (E − omega_a)(E + iΛ) = λ², best first.
-
-    Ordering: smaller |Im| first; ties broken by larger residue magnitude,
-    then by Re ≥ 0 for determinism in the symmetric strong-coupling case.
-    The roots of E² + bE + c are q = −(b ± √(b² − 4c))/2, the sign
-    avoiding cancellation, and c/q.
-    """
-    b = 1j * bandwidth - omega_a
-    c = -(1j * bandwidth * omega_a + lam**2)
-    root = cmath.sqrt(b * b - 4.0 * c)
-    q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
-    roots = (q, c / q)
-
-    def sort_key(E):
-        den = E + 1j * bandwidth
-        resid_mag = abs(1.0 / (1.0 + lam**2 / den**2)) if den != 0 else 0.0
-        return (abs(E.imag), -resid_mag, -E.real)
-
-    return sorted((complex(r) for r in roots), key=sort_key)
-
-
 def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: float) -> PoleData:
     """Explicit Lorentzian pole via the nested-radical solution.
 
-    Evaluates, with Ω² = omega_a² + 4λ² − Λ² and S = sqrt(Ω⁴ + 4·omega_a²Λ²),
-
-        Delta  = −omega_a/2 + sign(omega_a)·sqrt((S + Ω²)/2)/2,
-        gamma0 = Λ − sqrt((S − Ω²)/2),
-
-    and Z from the closed expression
+    The pole comes by radicals, checked against the roots of
+    (E − omega_a)(E + iΛ) = λ² (the family's ``pole_closed_form``), and Z
+    from the closed expression
 
         Z = [(omega_a+Δ)² + (Λ−γ₀/2)²] / [(omega_a+2Δ)² + (Λ−γ₀)²].
-
-    The radicals presuppose a branch; the quadratic roots of
-    (E − omega_a)(E + iΛ) = λ² are the ground truth, and whenever the
-    radical values fail to satisfy the pole equation to 1e−10 the
-    longest-lived quadratic root is used instead.
 
     Parameters
     ----------
@@ -284,32 +253,9 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
     if not math.isfinite(omega_a):
         raise DomainError(f"omega_a must be finite, got {omega_a!r}")
 
-    omega2 = omega_a**2 + 4.0 * lam**2 - bw**2
-    s = math.sqrt(omega2**2 + 4.0 * omega_a**2 * bw**2)
-    u = math.sqrt(max(s + omega2, 0.0) / 2.0)
-    v = math.sqrt(max(s - omega2, 0.0) / 2.0)
-    delta = -omega_a / 2.0 + float(np.sign(omega_a)) * u / 2.0
-    gamma0 = bw - v
-    candidate = complex(omega_a + delta, -gamma0 / 2.0)
-
-    scale = max(1.0, abs(candidate))
-    roots = _lorentzian_quadratic_roots(lam, bw, omega_a)
-    best = roots[0]
-
-    def pole_eq_residual(E):
-        return abs((E - omega_a) * (E + 1j * bw) - lam**2)
-
-    # Radicals win when they solve the pole equation and match the
-    # designated root; otherwise trust the quadratic.
-    if pole_eq_residual(candidate) > 1e-10 * scale or abs(candidate - best) > 1e-10 * scale:
-        candidate = best
-        delta = candidate.real - omega_a
-        gamma0 = -2.0 * candidate.imag
-    if not (candidate.imag < 0.0):
-        raise DomainError(
-            f"no decaying pole for coupling={lam}, bandwidth={bw}, omega_a={omega_a}"
-        )
-
+    candidate = _lorentzian_pole(lam, bw, omega_a)
+    delta = candidate.real - omega_a
+    gamma0 = -2.0 * candidate.imag
     z = ((omega_a + delta) ** 2 + (bw - gamma0 / 2.0) ** 2) / (
         (omega_a + 2.0 * delta) ** 2 + (bw - gamma0) ** 2
     )

@@ -9,7 +9,8 @@ Bound states are added with the weights of ``find_bound_states``.
 
 ``direct_knot_sum`` is the reference of a table's level shift: its knot
 sum taken term by term, which the tree sum of
-``TabulatedCoupling.shift_closed_form`` replaces.
+``TabulatedCoupling.shift_closed_form`` replaces; ``exact_knot_sum`` takes
+the same sum in mpmath arithmetic.
 """
 
 import math
@@ -85,6 +86,18 @@ def reference_deficit(ff, omega_a, tau):
     return d
 
 
+def _knot_terms(ff, x):
+    """The terms of a table's knot sum at one x, as an array."""
+    om, fv = ff.omegas, ff.g2_values
+    slopes = np.diff(fv) / np.diff(om)
+    kappa = np.diff(slopes, prepend=0.0, append=0.0)
+    d = x - om
+    ad = np.abs(d)
+    ad[ad == 0.0] = 1.0
+    la = np.log(ad)
+    return np.concatenate((d * la * kappa, [fv[0] * la[0], -fv[-1] * la[-1], -(fv[-1] - fv[0])]))
+
+
 def direct_knot_sum(ff, x):
     """Δ_R of a table at each x, one real logarithm per knot:
 
@@ -93,17 +106,30 @@ def direct_knot_sum(ff, x):
 
     κ_j the slope jumps; a term whose knot x hits is zero.
     """
-    om, fv = ff.omegas, ff.g2_values
-    slopes = np.diff(fv) / np.diff(om)
-    kappa = np.diff(slopes, prepend=0.0, append=0.0)
     out = np.empty(len(x))
     for i, xi in enumerate(x):
-        d = xi - om
-        ad = np.abs(d)
-        ad[ad == 0.0] = 1.0
-        la = np.log(ad)
-        out[i] = (d * la * kappa).sum() + fv[0] * la[0] - fv[-1] * la[-1] - (fv[-1] - fv[0])
+        terms = _knot_terms(ff, xi)
+        out[i] = terms[:-3].sum() + terms[-3] + terms[-2] + terms[-1]
     return out
+
+
+def knot_sum_scale(ff, x):
+    """Σ|terms| of the knot sum at each x: ε times it is the rounding
+    scale of any summation order."""
+    return np.array([np.abs(_knot_terms(ff, xi)).sum() for xi in x])
+
+
+def exact_knot_sum(mp, ff, x):
+    """The knot sum of ``direct_knot_sum`` at one x outside the support,
+    in the working precision of the mpmath module ``mp``, from the
+    table's knots and values taken as exact."""
+    om = [mp.mpf(float(w)) for w in ff.omegas]
+    fv = [mp.mpf(float(v)) for v in ff.g2_values]
+    slopes = [(fv[i + 1] - fv[i]) / (om[i + 1] - om[i]) for i in range(len(om) - 1)]
+    kappa = [slopes[0]] + [b - a for a, b in zip(slopes, slopes[1:])] + [-slopes[-1]]
+    x = mp.mpf(float(x))
+    total = mp.fsum(k * (x - w) * mp.log(abs(x - w)) for k, w in zip(kappa, om))
+    return total + fv[0] * mp.log(abs(x - om[0])) - fv[-1] * mp.log(abs(x - om[-1])) - (fv[-1] - fv[0])
 
 
 def reference_rate(ff, omega_a, tau):

@@ -91,12 +91,16 @@ def test_log_survival_matches_series(lor):
 
 
 def test_closed_form_series_shares_the_model_pole(lor):
-    # ln P of the series and of the compensated path come from one pole.
+    # ln P of the series and of the compensated path come from one pole,
+    # which the Newton search of the cached pole leaves as it is.
     model = DecayModel(lor, 2.0)
     taus = np.array([10.0, 100.0])
     from_series = np.log(model.survival_series(taus).probabilities)
     direct = [model.log_survival_probability(tau) for tau in taus]
     np.testing.assert_allclose(from_series, direct, rtol=1e-14, atol=0.0)
+    for lam, bw, omega_a in [(0.1, 1.0, 2.0), (1.0, 1.0, 0.0), (0.5, 0.25, 0.0), (1e-10, 1.0, 2.0)]:
+        model = DecayModel(LorentzianCoupling(lam, bw), omega_a)
+        assert model.pole.e_pole == model._closed_form_pair[0]
 
 
 def test_log_survival_small_interval_quadratic_law(lor):

@@ -95,6 +95,16 @@ def test_closed_form_continuity_to_zero_coupling():
     assert pole.z_renorm == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("lam", [1e-10, 1e-6, 1e-3])
+def test_closed_form_width_keeps_its_digits_at_weak_coupling(lam):
+    # gamma0 = Lambda - v cancels as lam -> 0; its cancellation-free form
+    # must keep the weak-coupling width 2*lam^2*Lambda/(omega_a^2 + Lambda^2)
+    # (times 1 + O(lam^2)) to the last digits.
+    pole = lorentzian_pole_closed_form(lam, 1.0, 2.0)
+    leading = 2.0 * lam**2 / 5.0
+    assert pole.gamma0 == pytest.approx(leading, rel=1e-14 + 2.0 * lam**2)
+
+
 def test_closed_form_symmetric_strong_coupling_branch():
     # lambda > Lambda/2 at omega_a = 0: the quadratic roots split
     # symmetrically about Re E = 0; the closed form must stay on the

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spectral_reference import direct_knot_sum
+from spectral_reference import direct_knot_sum, exact_knot_sum, knot_sum_scale
 from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
 from zenodecay.formfactor import (
     FormFactor,
@@ -299,20 +299,26 @@ def _rough_table():
     return TabulatedCoupling(np.sort(rng.uniform(-5.0, 5.0, 4000)), rng.uniform(0.0, 1.0, 4000))
 
 
-@pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough", "three", "two"])
-def test_table_knot_sum_matches_segment_sum(request, table):
-    # The tree sum against the direct knot sum and the segment form, on
-    # and off the support, exact knot hits included: no worse than ten
-    # times the direct sum's own distance from the segment form.
-    from zenodecay.formfactor import _TREE_NEAR, _tabulated_value
-
-    ff = {
+def _test_table(request, table):
+    return {
         "tab_lorentzian": lambda: request.getfixturevalue("tab_lorentzian"),
         "geometric": _geometric_table,
         "rough": _rough_table,
         "three": lambda: TabulatedCoupling([-3.0, 0.0, 5.0], [0.0, 1.0, 0.0]),
         "two": lambda: TabulatedCoupling([0.0, 1.0], [1.0, 2.0]),
     }[table]()
+
+
+@pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough", "three", "two"])
+def test_table_knot_sum_matches_segment_sum(request, table):
+    # The tree sum against the direct knot sum and the segment form, on
+    # and off the support, exact knot hits included.  On the support it
+    # is no worse than ten times the direct sum's own distance from the
+    # segment form; outside, where Δ_R is far below the knot terms, each
+    # point is held to the rounding scale ε·Σ|terms| of its own sum.
+    from zenodecay.formfactor import _TREE_NEAR, _tabulated_value
+
+    ff = _test_table(request, table)
     om = ff.omegas
     lo, hi = ff.support()
     span = hi - lo
@@ -331,11 +337,33 @@ def test_table_knot_sum_matches_segment_sum(request, table):
         tree = real_shift(ff, xs)
         direct = direct_knot_sum(ff, xs)
         segment = np.array([_tabulated_value(ff, complex(x, 0.0)).real for x in xs])
-        bound = max(10.0 * np.max(np.abs(direct - segment)), 1e-15 * np.max(np.abs(segment)))
-        assert np.max(np.abs(tree - segment)) <= bound
-        assert np.max(np.abs(tree - direct)) <= bound
+        if xs is inside:
+            bound = max(10.0 * np.max(np.abs(direct - segment)),
+                        1e-15 * np.max(np.abs(segment)))
+        else:
+            bound = 4.0 * np.finfo(float).eps * knot_sum_scale(ff, xs)
+        assert np.all(np.abs(tree - segment) <= bound)
+        assert np.all(np.abs(tree - direct) <= bound)
     near = ff._knot_tree.near_hi - ff._knot_tree.near_lo
     assert np.max(near) <= _TREE_NEAR
+
+
+@pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough"])
+def test_table_shift_far_outside_matches_exact_knot_sum(request, table):
+    # Far outside a table its knot terms, of size |κ·x·ln x|, cancel to a
+    # Δ_R of order 1/x: the term-by-term sum loses those digits (on the
+    # rough table it is 1.6e-3 off at x ≈ 3e4, ten times Δ_R), the moment
+    # series of the tree does not.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ff = _test_table(request, table)
+    lo, hi = ff.support()
+    span = hi - lo
+    xs = np.array([lo - 0.6 * span, hi + 1.5 * span, lo - 40.0 * span, hi + 3e3 * span])
+    scale = np.max(np.abs(real_shift(ff, np.linspace(lo, hi, 101)[1:-1])))
+    got = real_shift(ff, xs)
+    for x, value in zip(xs, got):
+        assert abs(value - float(exact_knot_sum(mp, ff, x))) <= 1e-13 * scale
 
 
 def test_real_shift_rejects_non_finite(tpl):

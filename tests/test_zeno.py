@@ -33,7 +33,7 @@ from zenodecay.zeno import (
 )
 
 # Lorentzian(0.1, 1.0) at omega_a = 2: smallest root of gamma(tau) = gamma0.
-TAU_STAR = 0.5037246419993174
+TAU_STAR = 0.5037246419993172
 
 
 @pytest.fixture(scope="module")
