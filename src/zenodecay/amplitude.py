@@ -47,8 +47,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import optimize, special
 
+from ._roots import bracketed_roots
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, LorentzianCoupling
 from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
@@ -83,6 +83,21 @@ _MAX_PASSES = 60
 #: Width ratio of successive tail panels and their reach in units of max(|A|, |B|, Λ).
 _TAIL_RATIO = 1.5
 _TAIL_REACH = 1e4
+
+#: The spherical-Bessel table j_k(x), k < _NODES, takes two terms of the
+#: power series below _JN_SERIES_BELOW, Miller's backward recurrence from
+#: order _JN_MILLER_START up to _JN_UPWARD_FROM, and the upward recurrence
+#: from sin x and cos x above; each is within 2.3e-16 of j_k on its range.
+_JN_SERIES_BELOW = 1e-4
+_JN_UPWARD_FROM = 8.0
+_JN_MILLER_START = 24
+#: Table arguments per build: bounds the memory of a batch of times.
+_JN_CHUNK = 1 << 14
+#: 2k + 1 for k < 32, the Miller rows padded to a power of two.
+_ODD = np.arange(1.0, 64.0, 2.0)[:, None]
+#: 1/(2k+1)!! and 1/(2(2k+3)): j_k(x) = x^k/(2k+1)!!·(1 − x²/(2(2k+3)) + O(x⁴)).
+_JN_LEAD = 1.0 / np.cumprod(_ODD[:_NODES])[:, None]
+_JN_NEXT = 1.0 / (2.0 * _ODD[1:_NODES + 1])
 
 
 class SurvivalMethod(enum.Enum):
@@ -211,7 +226,8 @@ def _resonance_energy(ff: FormFactor, omega_a: float) -> float:
         if lo < hi:
             h_lo, h_hi = h(np.array([lo, hi]))
             if h_lo < 0.0 < h_hi:
-                return float(optimize.brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16))
+                root = bracketed_roots(h, lo, hi, xtol=1e-14, rtol=8.9e-16, f_lo=h_lo, f_hi=h_hi)
+                return float(root[0])
         lo, hi = omega_a - 2.0 * (omega_a - lo), omega_a + 2.0 * (hi - omega_a)
         if (math.isfinite(a) and lo <= a) and (math.isfinite(b) and hi >= b):
             break
@@ -372,13 +388,87 @@ def _spectral_kernel(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         return _kernel_uncached(ff, omega_a)
 
 
-def _continuum(k: SimpleNamespace, t: float) -> complex:
+def _jn_series(x: np.ndarray) -> np.ndarray:
+    """j_k(x) for x < 10⁻⁴ from the series, all k at once; the x⁴ term is below 1e-18."""
+    out = np.empty((_NODES, x.size))
+    out[0] = 1.0
+    out[1:] = x
+    np.multiply.accumulate(out, axis=0, out=out)  # x^k
+    out *= _JN_LEAD
+    out *= 1.0 - (x * x) * _JN_NEXT
+    return out
+
+
+def _jn_miller(x: np.ndarray) -> np.ndarray:
+    """j_k(x) for 10⁻⁴ ≤ x < 8 by Miller's backward recurrence.
+
+    f_{k−1} = (2k+1)/x·f_k − f_{k+1} runs down from f_N = 10⁻¹⁰⁰,
+    f_{N+1} = 0 at the fixed order N = 24 (Gautschi, SIAM Rev. 9, 24
+    (1967)), and the sum rule Σ(2k+1)j_k² = 1 fixes the scale.  The sign
+    needs no check: f_k = λ·(j_k − (j_{N+1}/y_{N+1})·y_k) with
+    λ = −x²·f_N·y_{N+1}(x) > 0 for x < N.  The rule is summed by
+    pairwise folds of the rows, so every x gets the same additions
+    however many share the call.
+    """
+    f = np.zeros((_ODD.size, x.size))
+    rows = list(f)
+    scale = list(_ODD[: _JN_MILLER_START + 1] / x)
+    rows[_JN_MILLER_START][:] = 1e-100
+    for k in range(_JN_MILLER_START, 0, -1):
+        np.multiply(scale[k], rows[k], out=rows[k - 1])
+        rows[k - 1] -= rows[k + 1]
+    norm = f * f
+    norm *= _ODD
+    while norm.shape[0] > 1:
+        half = norm.shape[0] // 2
+        norm = norm[:half] + norm[half:]
+    jn = f[:_NODES]
+    jn /= np.sqrt(norm[0])
+    return jn
+
+
+def _jn_upward(x: np.ndarray) -> np.ndarray:
+    """j_k(x) for x ≥ 8 by the upward recurrence from j₀ and j₁."""
+    out = np.empty((_NODES, x.size))
+    rows = list(out)
+    scale = list(_ODD[:_NODES] / x)
+    np.divide(np.sin(x), x, out=rows[0])
+    np.subtract(rows[0], np.cos(x), out=rows[1])
+    rows[1] /= x
+    for k in range(1, _NODES - 1):
+        np.multiply(scale[k], rows[k], out=rows[k + 1])
+        rows[k + 1] -= rows[k - 1]
+    return out
+
+
+def _jn_table(x: np.ndarray) -> np.ndarray:
+    """Spherical Bessel functions j_k(x), k = 0 … 9, at x ≥ 0: (10, x.size).
+
+    Each x takes its route and its start order from its own value, and
+    every step is elementwise, so a column does not depend on which other
+    arguments share the call.
+    """
+    out = np.empty((_NODES, x.size))
+    series = np.flatnonzero(x < _JN_SERIES_BELOW)
+    upward = np.flatnonzero(x >= _JN_UPWARD_FROM)
+    if series.size:
+        out[:, series] = _jn_series(x[series])
+    if upward.size:
+        out[:, upward] = _jn_upward(x[upward])
+    if series.size + upward.size < x.size:
+        miller = np.flatnonzero((x >= _JN_SERIES_BELOW) & (x < _JN_UPWARD_FROM))
+        out[:, miller] = _jn_miller(x[miller])
+    return out
+
+
+def _continuum(k: SimpleNamespace, t: float, jn: np.ndarray) -> complex:
     """∫ρ(ω)e^{−iωt}dω over the kernel's panels (Filon–Legendre, exact in t).
 
-    One fixed-order reduction per t, so a value does not depend on which
+    ``jn`` holds j_k(t·h/2) for the kernel's distinct widths h.  One
+    fixed-order reduction per t, so a value does not depend on which
     other times share the call.
     """
-    j = special.spherical_jn(_DEGREES[:, None], (0.5 * t) * k.widths)[:, k.width_index]
+    j = jn[:, k.width_index]
     re = np.einsum("kp,kp->p", k.terms[0::2], j[0::2])
     im = np.einsum("kp,kp->p", k.terms[1::2], j[1::2])
     return complex(np.sum(np.exp(-1j * t * k.mids) * (re + 1j * im)))
@@ -421,8 +511,11 @@ def survival_spectral_integral(
 
         ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
 
-    so every t costs one spherical-Bessel row per distinct panel width
-    and one sum over panels.  Panels are bisected until
+    so every t costs one sum over panels, and the j_k of all times of a
+    call come from one table, one column per time and distinct panel
+    width (``_jn_table``: series, Miller's backward recurrence or the
+    upward recurrence by the size of the argument, elementwise, so a
+    time's value does not depend on the others in the call).  Panels are bisected until
     h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
     the sum of these bounds is the achieved error, the same for every t.
     The panel sum is the only route at every t: late times keep the
@@ -443,12 +536,17 @@ def survival_spectral_integral(
     k = _spectral_kernel(ff, float(omega_a))
 
     amps = np.empty(t_in.shape, dtype=complex)
-    for i, tau in enumerate(t_in):
-        ta = abs(float(tau))
-        val = _continuum(k, ta)
-        for bs in k.bound:
-            val += bs.weight * np.exp(-1j * bs.energy * ta)
-        amps[i] = np.conj(val) if tau < 0 else val
+    t_abs = np.abs(t_in)
+    step = max(1, _JN_CHUNK // k.widths.size)
+    for start in range(0, t_abs.size, step):
+        ts = t_abs[start:start + step]
+        jn = _jn_table(((0.5 * ts)[:, None] * k.widths).ravel()).reshape(_NODES, ts.size, -1)
+        for i, ta in enumerate(ts.tolist()):
+            val = _continuum(k, ta, jn[:, i])
+            for bs in k.bound:
+                val += bs.weight * np.exp(-1j * bs.energy * ta)
+            amps[start + i] = val
+    amps = np.where(t_in < 0, np.conj(amps), amps)
 
     if k.error > tol:
         raise ToleranceError(

@@ -30,6 +30,7 @@ order, so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -63,21 +64,18 @@ _CONFIG_ERRORS = (ConfigError, DomainError, ContinuationUnsupportedError)
 _TOLERANCE_ERRORS = (ToleranceError, ConvergenceError, GridError)
 
 
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(x))
-
-
 def _write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(header: list[str], columns) -> str:
+    """CSV text of equal-length float columns, each float as its shortest
+    round-trip decimal (``repr`` of the Python float)."""
+    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -133,15 +131,15 @@ def _run_survival(cfg: RunConfig, out_dir: str, tol) -> int:
         columns += [series.amplitudes.real, series.amplitudes.imag, series.probabilities]
         header += [f"re_x_{name}", f"im_x_{name}", f"p_{name}"]
     path = os.path.join(out_dir, "survival.csv")
-    _write_text(path, _csv(header, zip(*columns)))
+    _write_text(path, _csv(header, columns))
     print(path)
     return EXIT_OK
 
 
 def _write_rate(cfg: RunConfig, model: DecayModel, path: str) -> None:
     curve = effective_rate_curve(model, _tau_grid(cfg, model))
-    rows = ((t, g, curve.gamma0) for t, g in zip(curve.taus, curve.gammas))
-    _write_text(path, _csv(["tau", "gamma", "gamma0"], rows))
+    gamma0 = np.full(curve.taus.shape, curve.gamma0)
+    _write_text(path, _csv(["tau", "gamma", "gamma0"], (curve.taus, curve.gammas, gamma0)))
 
 
 def _transition_payload(cfg: RunConfig, model: DecayModel) -> dict:
@@ -208,7 +206,9 @@ def _run_sweep(cfg: RunConfig, out_dir: str, tol) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="zenodecay",
         description="Survival probability and measurement-modified decay rates.",

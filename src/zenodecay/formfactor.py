@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import bracketed_roots
 from .errors import DomainError, NoDecayError, OutOfRangeError
 
 __all__ = [
@@ -999,9 +999,9 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
     lo, hi = ff.support()
 
     def shifted(w):
-        return float(ff.g2(w)) - target
+        return np.asarray(ff.g2(w), dtype=float) - target
 
-    candidates = []
+    brackets = []
     # March outward from the peak on each side until g2 falls below target.
     span = ff.bandwidth
     left = omega_max - span
@@ -1014,7 +1014,7 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
             if left == lo:
                 break
     if shifted(left) < 0:
-        candidates.append(optimize.brentq(shifted, left, omega_max, xtol=1e-15, rtol=1e-15))
+        brackets.append((left, omega_max))
     right = omega_max + span
     while shifted(right) > 0:
         right = omega_max + (right - omega_max) * 2.0
@@ -1022,10 +1022,11 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
             right = hi
             break
     if shifted(right) < 0:
-        candidates.append(optimize.brentq(shifted, omega_max, right, xtol=1e-15, rtol=1e-15))
+        brackets.append((omega_max, right))
 
-    if not candidates:
+    if not brackets:
         return BandwidthPoint(omega_max, g2_max, exact=False)
+    candidates = bracketed_roots(shifted, *np.array(brackets).T, xtol=1e-15, rtol=1e-15).tolist()
     omega_bar = min(candidates, key=lambda w: abs(w - omega_max))
     g2_bar = float(ff.g2(omega_bar))
     if abs(g2_bar - target) > 1e-10 * max(target, 1e-300):

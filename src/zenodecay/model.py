@@ -35,6 +35,8 @@ from .resolvent import PoleData, find_pole
 
 __all__ = ["DecayModel", "ExponentialDecayModel"]
 
+_LN2 = math.log(2.0)
+
 
 def _log_abs2(values: np.ndarray) -> np.ndarray:
     """ln|x|² without cancellation for |x| near 1.
@@ -160,7 +162,16 @@ class DecayModel:
             r = (c2 / c1) * np.exp(-1j * (e2 - e1) * taus)
             with np.errstate(divide="ignore"):  # exact amplitude zeros
                 correction = np.log1p(2.0 * np.real(r) + np.abs(r) ** 2)
-            return 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
+            out = 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
+            # Where P ≥ ½ those terms cancel.  There take u = 1 − x·e^{i·Re(e1)·t}
+            # itself: with C₁ + C₂ = 1 it is −C₁·expm1(Im(e1)·t) −
+            # C₂·expm1(−i(e2 − Re e1)t), and ln P = log1p(−2 Re u + |u|²).
+            near = out >= -_LN2
+            if np.any(near):
+                t = taus[near]
+                u = -c1 * np.expm1(e1.imag * t) - c2 * np.expm1(-1j * (e2 - e1.real) * t)
+                out[near] = np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
+            return out
         return _log_abs2(self.survival_series(taus, SurvivalMethod.SPECTRAL_INTEGRAL).amplitudes)
 
     def survival_probability(self, tau: float) -> float:

@@ -35,8 +35,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy import optimize
+import numpy as np
 
+from ._roots import bracketed_roots
 from .errors import (
     BelowThresholdWarning,
     ContinuationUnsupportedError,
@@ -306,7 +307,7 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
     def level_fn(E):
         return E - omega_a - real_shift(ff, E)
 
-    states = []
+    brackets = []
     for edge, side in zip(ff.support(), (-1.0, 1.0)):
         if not math.isfinite(edge):
             continue
@@ -320,8 +321,12 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
             far = edge + 2.0 * (far - edge)
         else:
             continue
-        lo, hi = sorted((near, far))
-        energy = optimize.brentq(level_fn, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        brackets.append(sorted((near, far)))
+    if not brackets:
+        return ()
+    lo, hi = np.array(brackets).T
+    states = []
+    for energy in bracketed_roots(level_fn, lo, hi, xtol=1e-14, rtol=8.9e-16).tolist():
         sv = self_energy(ff, complex(energy, 0.0), Sheet.FIRST)
-        states.append(BoundState(float(energy), float(1.0 / (1.0 - sv.derivative.real))))
+        states.append(BoundState(energy, float(1.0 / (1.0 - sv.derivative.real))))
     return tuple(states)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import bracketed_roots
 from .errors import DomainError, GridError, NoDecayError
 
 __all__ = [
@@ -275,11 +275,12 @@ def find_transition_time(
     """Find all crossings of γ(τ) = γ₀ and designate τ* = smallest.
 
     Scans a log-spaced grid on [1e−4/Λ, tau_max] (default tau_max =
-    100/γ₀), brackets every sign change of γ(τ) − γ₀ and refines each by
-    bisection to relative 1e−12.  For a threshold family the window can
-    reach past the exponential era, where the power-law tail of P(τ)
-    overtakes the pole term and γ(τ) crosses γ₀ again; those late
-    crossings are reported in ``all_roots`` like any other.
+    100/γ₀), brackets every sign change of γ(τ) − γ₀ and refines all
+    brackets together to relative 1e−12 (Brent's method, one γ(τ) array
+    per iteration for every bracket still open).  For a threshold family
+    the window can reach past the exponential era, where the power-law
+    tail of P(τ) overtakes the pole term and γ(τ) crosses γ₀ again; those
+    late crossings are reported in ``all_roots`` like any other.
 
     Parameters
     ----------
@@ -324,19 +325,20 @@ def find_transition_time(
     # the short-time decay is quadratic on a finite Zeno time.
     guaranteed = criteria.z_less_1 and math.isfinite(tz)
 
-    def rate_shift(tau):
-        return effective_rate(model, tau) - gamma0
+    def rate_shift(taus):
+        return _rates(model, taus) - gamma0
 
     roots: list[float] = []
     points = grid_points
     for _attempt in range(2):
         taus = np.geomspace(tau_lo, tau_max, points)
-        vals = _rates(model, taus) - gamma0
+        vals = rate_shift(taus)
         roots = [float(x) for x in taus[vals == 0.0]]
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-            roots.append(
-                float(optimize.brentq(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12))
-            )
+        i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        if i.size:
+            refined = bracketed_roots(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12,
+                                      f_lo=vals[i], f_hi=vals[i + 1])
+            roots += refined.tolist()
         # Deduplicate refinements that landed on the same crossing.
         dedup: list[float] = []
         for r in sorted(roots):

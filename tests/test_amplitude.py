@@ -8,8 +8,11 @@ import pytest
 from spectral_reference import reference_amplitude
 from test_selfenergy import _Semicircle
 from zenodecay.amplitude import (
+    _JN_SERIES_BELOW,
+    _JN_UPWARD_FROM,
     SurvivalMethod,
     SurvivalSeries,
+    _jn_table,
     _spectral_kernel,
     pole_approximation,
     spectral_density,
@@ -212,3 +215,46 @@ def test_series_shape_validation():
             probabilities=np.array([1.0, 0.5]),
             method=SurvivalMethod.CLOSED_FORM,
         )
+
+
+# -- spherical-Bessel table ----------------------------------------------
+
+
+def _bessel_points():
+    rng = np.random.default_rng(20)
+    switches = [np.nextafter(x, side) for x in (_JN_SERIES_BELOW, _JN_UPWARD_FROM)
+                for side in (0.0, math.inf)]
+    return np.concatenate([
+        [0.0, 5e-324, 1e-300, math.pi, np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)],
+        switches, [_JN_SERIES_BELOW, _JN_UPWARD_FROM],
+        math.pi * np.arange(1, 40),  # the zeros of j0
+        np.linspace(0.0, 30.0, 30001),
+        np.geomspace(1e-12, 1e8, 20001),
+        rng.uniform(0.0, 1e8, 100000),
+    ])
+
+
+def test_bessel_table_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = _bessel_points()
+    table = _jn_table(x)
+    assert table.shape == (10, x.size)
+    # scipy gives NaN at subnormal x; j_k there is x^k/(2k+1)!!.
+    oracle = np.where(x >= 1e-300, special.spherical_jn(np.arange(10)[:, None], x), 0.0)
+    oracle[0, x < 1e-300] = 1.0
+    assert np.max(np.abs(table - oracle)) <= 1e-15
+
+
+def test_bessel_table_columns_do_not_depend_on_the_batch():
+    x = _bessel_points()[::53]
+    batch = _jn_table(x)
+    for i in range(x.size):
+        assert np.array_equal(_jn_table(x[i:i + 1])[:, 0], batch[:, i])
+
+
+def test_spectral_time_points_do_not_depend_on_the_batch(tpl, tab_lorentzian):
+    times = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40)])
+    for ff, omega_a in ((tpl, 2.4), (tab_lorentzian, 2.0)):
+        batch = survival_spectral_integral(ff, omega_a, times).amplitudes
+        alone = [survival_spectral_integral(ff, omega_a, [t]).amplitudes[0] for t in times]
+        assert batch.tolist() == alone

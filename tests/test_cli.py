@@ -1,15 +1,19 @@
 """Command-line front end: outputs, determinism, caching, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zenodecay
 from zenodecay.cli import main
 from zenodecay.config import validate_mapping
 
-TAU_STAR = 0.5037246419993172  # shared anchor with test_zeno
+TAU_STAR = 0.5037246419993476  # shared anchor with test_zeno
 
 BASE = """\
 [model]
@@ -245,3 +249,44 @@ def test_out_flag_overrides_output_section(tmp_path, capsys):
     capsys.readouterr()
     assert (override / "transition.json").exists()
     assert not (tmp_path / "sect").exists()
+
+
+# -- numpy-only runtime ---------------------------------------------------
+
+# Refuses every scipy import, then runs the package end to end.
+_WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import zenodecay
+from zenodecay.cli import main
+
+codes = [main([cmd, "--config", sys.argv[1], "--out", sys.argv[2]])
+         for cmd in ("survival", "rate", "transition")]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    cfg = write_config(tmp_path, (
+        "[model]\nfamily = threshold_power_law\ncoupling = 0.1\nbandwidth = 1.0\n"
+        "omega_a = 2.4\nthreshold = 0.0\nshape_params = 0.5, 4\n"
+        "[task]\nmethods = spectral_integral\nt_points = 11\ntau_points = 16\n"
+        "grid_points = 64\n"))
+    src = os.path.dirname(os.path.dirname(zenodecay.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, cfg, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    for name in ("survival.csv", "rate.csv", "transition.json"):
+        assert (tmp_path / name).exists()

@@ -113,6 +113,25 @@ def test_log_survival_small_interval_quadratic_law(lor):
     assert ratio == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("lam, bw, omega_a", [(0.1, 1.0, 2.0), (1.0, 1.0, 0.0), (0.3, 2.0, 5.0)])
+def test_closed_form_log_survival_against_mpmath(lam, bw, omega_a):
+    # ln P of the model's own float pole pair, summed exactly by mpmath
+    # (the float C1 + C2 is exactly 1).  Near tau = 1e-3/bandwidth,
+    # 1 - P ~ 1e-8 and the factored form alone lost up to 8.5e-9 relative.
+    mpmath = pytest.importorskip("mpmath")
+    model = DecayModel(LorentzianCoupling(lam, bw), omega_a)
+    e1, e2, c1, c2 = (mpmath.mpc(v) for v in model._closed_form_pair)
+    taus = np.geomspace(1e-3 / bw, 100.0 / model.gamma0, 150)
+    with mpmath.workdps(40):
+        assert c1 + c2 == 1
+        exact = np.array([float(mpmath.log(abs(c1 * mpmath.exp(-1j * e1 * t)
+                                                + c2 * mpmath.exp(-1j * e2 * t)) ** 2))
+                          for t in taus])
+    got = model._log_survival_array(taus)
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-12
+    assert [model.log_survival_probability(t) for t in taus] == got.tolist()
+
+
 def test_log_survival_far_tail_lorentzian(lor):
     model = DecayModel(lor, 2.0)
     expected = math.log(model.z_renorm) - model.gamma0 * 2000.0
