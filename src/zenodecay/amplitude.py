@@ -84,12 +84,14 @@ _MAX_PASSES = 60
 _TAIL_RATIO = 1.5
 _TAIL_REACH = 1e4
 
-#: The spherical-Bessel table j_k(x), k < _NODES, takes two terms of the
-#: power series below _JN_SERIES_BELOW, Miller's backward recurrence from
-#: order _JN_MILLER_START up to _JN_UPWARD_FROM, and the upward recurrence
-#: from sin x and cos x above; each is within 2.3e-16 of j_k on its range.
+#: The spherical-Bessel table j_k(x), k < _NODES: where x > k, the upward
+#: recurrence from j₀ = sin x/x and j₁, with the operations in the order
+#: of scipy's ``spherical_jn``, so those entries are the same floats (the
+#: late-time γ(τ) of a threshold family beats through γ₀, and which sign
+#: change a search lands on follows its last bits); where x ≤ k, two terms
+#: of the power series below _JN_SERIES_BELOW and Miller's backward
+#: recurrence from order _JN_MILLER_START above, within 2.3e-16 of j_k.
 _JN_SERIES_BELOW = 1e-4
-_JN_UPWARD_FROM = 8.0
 _JN_MILLER_START = 24
 #: Table arguments per build: bounds the memory of a batch of times.
 _JN_CHUNK = 1 << 14
@@ -400,7 +402,7 @@ def _jn_series(x: np.ndarray) -> np.ndarray:
 
 
 def _jn_miller(x: np.ndarray) -> np.ndarray:
-    """j_k(x) for 10⁻⁴ ≤ x < 8 by Miller's backward recurrence.
+    """j_k(x) for 10⁻⁴ ≤ x ≤ 9 by Miller's backward recurrence.
 
     f_{k−1} = (2k+1)/x·f_k − f_{k+1} runs down from f_N = 10⁻¹⁰⁰,
     f_{N+1} = 0 at the fixed order N = 24 (Gautschi, SIAM Rev. 9, 24
@@ -428,15 +430,19 @@ def _jn_miller(x: np.ndarray) -> np.ndarray:
 
 
 def _jn_upward(x: np.ndarray) -> np.ndarray:
-    """j_k(x) for x ≥ 8 by the upward recurrence from j₀ and j₁."""
+    """j_k(x) for x > 1 by the upward recurrence from j₀ and j₁.
+
+    j_{k+1} = ((2k+1)·j_k)/x − j_{k−1}: multiply, divide, subtract, in
+    that order.  Rows k ≥ x lose digits and are not used.
+    """
     out = np.empty((_NODES, x.size))
     rows = list(out)
-    scale = list(_ODD[:_NODES] / x)
     np.divide(np.sin(x), x, out=rows[0])
     np.subtract(rows[0], np.cos(x), out=rows[1])
     rows[1] /= x
     for k in range(1, _NODES - 1):
-        np.multiply(scale[k], rows[k], out=rows[k + 1])
+        np.multiply(_ODD[k, 0], rows[k], out=rows[k + 1])
+        rows[k + 1] /= x
         rows[k + 1] -= rows[k - 1]
     return out
 
@@ -444,20 +450,24 @@ def _jn_upward(x: np.ndarray) -> np.ndarray:
 def _jn_table(x: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_k(x), k = 0 … 9, at x ≥ 0: (10, x.size).
 
-    Each x takes its route and its start order from its own value, and
-    every step is elementwise, so a column does not depend on which other
-    arguments share the call.
+    j₀ and the j_k with k < x take the upward recurrence; the j_k with
+    k ≥ x take the series or Miller's recurrence.  Each x takes its
+    routes from its own value, and every step is elementwise, so a
+    column does not depend on which other arguments share the call.
     """
     out = np.empty((_NODES, x.size))
     series = np.flatnonzero(x < _JN_SERIES_BELOW)
-    upward = np.flatnonzero(x >= _JN_UPWARD_FROM)
+    miller = np.flatnonzero((x >= _JN_SERIES_BELOW) & (x <= _NODES - 1))
+    upward = np.flatnonzero(x > 1.0)
+    head = np.flatnonzero((x > 0.0) & (x <= 1.0))
     if series.size:
         out[:, series] = _jn_series(x[series])
-    if upward.size:
-        out[:, upward] = _jn_upward(x[upward])
-    if series.size + upward.size < x.size:
-        miller = np.flatnonzero((x >= _JN_SERIES_BELOW) & (x < _JN_UPWARD_FROM))
+    if miller.size:
         out[:, miller] = _jn_miller(x[miller])
+    if upward.size:
+        xu = x[upward]
+        out[:, upward] = np.where(_DEGREES[:, None] < xu, _jn_upward(xu), out[:, upward])
+    out[0, head] = np.sin(x[head]) / x[head]
     return out
 
 
@@ -513,9 +523,10 @@ def survival_spectral_integral(
 
     so every t costs one sum over panels, and the j_k of all times of a
     call come from one table, one column per time and distinct panel
-    width (``_jn_table``: series, Miller's backward recurrence or the
-    upward recurrence by the size of the argument, elementwise, so a
-    time's value does not depend on the others in the call).  Panels are bisected until
+    width (``_jn_table``: the upward recurrence where the argument
+    exceeds the order, the series or Miller's backward recurrence
+    elsewhere, elementwise, so a time's value does not depend on the
+    others in the call).  Panels are bisected until
     h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
     the sum of these bounds is the achieved error, the same for every t.
     The panel sum is the only route at every t: late times keep the

@@ -164,7 +164,7 @@ def _require_decaying(model) -> float:
     return gamma0
 
 
-def effective_rate(model, tau: float) -> float:
+def effective_rate(model, tau):
     """Effective decay rate γ(τ) = −ln P(τ)/τ under measurements at τ.
 
     Parameters
@@ -172,26 +172,32 @@ def effective_rate(model, tau: float) -> float:
     model : DecayModel or compatible
         Needs ``log_survival_probability``; the small-τ shortcut also
         uses ``zeno_time`` and ``bandwidth`` when available.
-    tau : float
-        Measurement interval, τ > 0.
+    tau : float or array_like
+        Measurement interval, τ > 0, or an array of them.
 
     Returns
     -------
-    float
-        γ(τ) ≥ 0; ``inf`` if the survival probability vanishes at τ.
+    float or numpy.ndarray
+        γ(τ) ≥ 0; ``inf`` if the survival probability vanishes at τ.  An
+        array of τ gives an array of the same shape, each entry the rate
+        that τ gets alone, from one pass over the survival amplitudes.
 
     Raises
     ------
     DomainError
-        τ ≤ 0.
+        Some τ ≤ 0 or not finite.
     NoDecayError
         The model does not decay (zero coupling).
     """
-    tau = float(tau)
-    if not (tau > 0.0) or not math.isfinite(tau):
-        raise DomainError(f"measurement interval must be positive and finite, got {tau}")
+    t = np.asarray(tau, dtype=float)
+    bad = ~(np.isfinite(t) & (t > 0.0))
+    if np.any(bad):
+        raise DomainError(
+            f"measurement interval must be positive and finite, got {t[bad].flat[0]}"
+        )
     _require_decaying(model)
-    return float(_rates(model, np.array([tau]))[0])
+    rates = _rates(model, t.ravel()).reshape(t.shape)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def _rates(model, taus: np.ndarray) -> np.ndarray:
@@ -232,12 +238,7 @@ def effective_rate_curve(model, taus) -> EffectiveRateCurve:
     """
     gamma0 = _require_decaying(model)
     t = np.atleast_1d(np.asarray(taus, dtype=float))
-    bad = ~(np.isfinite(t) & (t > 0.0))
-    if np.any(bad):
-        raise DomainError(
-            f"measurement interval must be positive and finite, got {t[bad][0]}"
-        )
-    return EffectiveRateCurve(taus=t, gammas=_rates(model, t), gamma0=gamma0, model=model)
+    return EffectiveRateCurve(taus=t, gammas=effective_rate(model, t), gamma0=gamma0, model=model)
 
 
 def repeated_survival(p_tau: float, n: int) -> float:
@@ -326,7 +327,7 @@ def find_transition_time(
     guaranteed = criteria.z_less_1 and math.isfinite(tz)
 
     def rate_shift(taus):
-        return _rates(model, taus) - gamma0
+        return effective_rate(model, taus) - gamma0
 
     roots: list[float] = []
     points = grid_points

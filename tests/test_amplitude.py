@@ -9,7 +9,6 @@ from spectral_reference import reference_amplitude
 from test_selfenergy import _Semicircle
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
-    _JN_UPWARD_FROM,
     SurvivalMethod,
     SurvivalSeries,
     _jn_table,
@@ -222,11 +221,11 @@ def test_series_shape_validation():
 
 def _bessel_points():
     rng = np.random.default_rng(20)
-    switches = [np.nextafter(x, side) for x in (_JN_SERIES_BELOW, _JN_UPWARD_FROM)
-                for side in (0.0, math.inf)]
+    # The routes switch at the series bound and, per order k, at x = k.
+    switches = [_JN_SERIES_BELOW, *range(1, 10)]
     return np.concatenate([
         [0.0, 5e-324, 1e-300, math.pi, np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)],
-        switches, [_JN_SERIES_BELOW, _JN_UPWARD_FROM],
+        switches, [np.nextafter(x, side) for x in switches for side in (0.0, math.inf)],
         math.pi * np.arange(1, 40),  # the zeros of j0
         np.linspace(0.0, 30.0, 30001),
         np.geomspace(1e-12, 1e8, 20001),
@@ -240,9 +239,13 @@ def test_bessel_table_matches_scipy():
     table = _jn_table(x)
     assert table.shape == (10, x.size)
     # scipy gives NaN at subnormal x; j_k there is x^k/(2k+1)!!.
-    oracle = np.where(x >= 1e-300, special.spherical_jn(np.arange(10)[:, None], x), 0.0)
+    degrees = np.arange(10)[:, None]
+    oracle = np.where(x >= 1e-300, special.spherical_jn(degrees, x), 0.0)
     oracle[0, x < 1e-300] = 1.0
     assert np.max(np.abs(table - oracle)) <= 1e-15
+    # Where x > k both take the upward recurrence from sin x/x, step for step.
+    upward = degrees < x
+    assert np.array_equal(table[upward], oracle[upward])
 
 
 def test_bessel_table_columns_do_not_depend_on_the_batch():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from spectral_reference import reference_amplitude, reference_rate
+from zenodecay import amplitude
 from zenodecay.errors import DomainError, GridError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling
 from zenodecay.model import DecayModel, ExponentialDecayModel
@@ -35,24 +36,48 @@ from zenodecay.zeno import (
 # Lorentzian(0.1, 1.0) at omega_a = 2: smallest root of gamma(tau) = gamma0.
 TAU_STAR = 0.5037246419993476
 
-# Crossings of the power law (0.1, 1, 0, 1/2, 4) on the default window and
-# grid, found by one scalar brentq per bracket with scipy's spherical_jn,
-# before the package had its own root solver and Bessel table.
-TPL_ROOTS_24 = (
-    0.3397756166558351, 8892.712393166432, 8922.122996864991, 9211.086607090154,
-    9373.933097038604, 9472.09480573996, 9658.5518912927, 9740.955180438623,
-    9945.764115451202, 10075.09095938001, 10225.133182347523, 10534.54443673962,
-    11355.63889914798, 11620.5239284486, 11909.174035648653, 12106.03605391012,
-)
-TPL_ROOTS_07 = (
-    374.5129021457659, 376.0792697902277, 400.67360659843075, 403.64917020651217,
-    409.51313507594284, 412.7212155720937, 418.3836646795478, 421.76284764260146,
-    427.2793275710514, 430.77983158822866, 436.1965332620601, 439.77563143271163,
-    445.13316713921074, 448.7522164370436, 463.06172980762256, 466.65008724580565,
-    472.05465600823453, 475.5700384577383, 490.1091699182279, 493.33977434826716,
-    499.18086841303295, 502.17915120913995, 508.2952906223026, 510.97494096325806,
-    517.4743737994171, 519.705118785689,
-)
+# Crossings of gamma(tau) = gamma0 for the power law (0.1, 1, 0, 1/2, 4) on
+# the default window, by (omega_a, grid points).  SCIPY_CROSSINGS were found
+# by one scalar brentq per bracket on the rate built with scipy's
+# spherical_jn, before the package had its own root solver and Bessel table;
+# TABLE_CROSSINGS are the package's own.  They differ only through the j_k
+# with k >= x, where the table runs Miller's recurrence and scipy runs AMOS.
+SCIPY_CROSSINGS = {
+    (2.4, 64): (0.33977561665589007, 11033.161846733348),
+    (2.4, 2048): (
+        0.3397756166558351, 8892.712393166432, 8922.122996864991, 9211.086607090154,
+        9373.933097038604, 9472.09480573996, 9658.5518912927, 9740.955180438623,
+        9945.764115451202, 10075.09095938001, 10225.133182347523, 10534.54443673962,
+        11355.63889914798, 11620.5239284486, 11909.174035648653, 12106.03605391012,
+    ),
+    (0.7, 2048): (
+        374.5129021457659, 376.0792697902277, 400.67360659843075, 403.64917020651217,
+        409.51313507594284, 412.7212155720937, 418.3836646795478, 421.76284764260146,
+        427.2793275710514, 430.77983158822866, 436.1965332620601, 439.77563143271163,
+        445.13316713921074, 448.7522164370436, 463.06172980762256, 466.65008724580565,
+        472.05465600823453, 475.5700384577383, 490.1091699182279, 493.33977434826716,
+        499.18086841303295, 502.17915120913995, 508.2952906223026, 510.97494096325806,
+        517.4743737994171, 519.705118785689,
+    ),
+}
+TABLE_CROSSINGS = {
+    (2.4, 64): (0.33977561665589007, 10534.54442221604),
+    (2.4, 2048): (
+        0.3397756166558351, 8892.712406474255, 8922.12297583975, 9211.086594302316,
+        9373.933090720495, 9472.09479889062, 9658.5518912927, 9740.955180438623,
+        9945.764115451202, 10075.09095938001, 10225.133148098235, 10534.54443673962,
+        11355.63890004274, 11620.523946414967, 11909.174022650772, 12106.03605391012,
+    ),
+    (0.7, 2048): (
+        374.5129021464221, 376.07926979065843, 400.67360659855115, 403.6491702052521,
+        409.5131350771081, 412.7212155715305, 418.383664679399, 421.7628476434929,
+        427.27932757137114, 430.7798315880387, 436.1965332623554, 439.7756314319751,
+        445.13316713915964, 448.75221643835215, 463.06172980671306, 466.6500872470552,
+        472.054656008076, 475.57003845736085, 490.10916991922943, 493.33977434717315,
+        499.1808684131276, 502.1791512089278, 508.29529062227977, 510.97494096371076,
+        517.4743738003757, 519.7051187863643,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +115,16 @@ def test_rate_rejects_bad_intervals(model2):
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             effective_rate(model2, bad)
+
+
+def test_rate_of_an_array_is_the_rate_of_each_interval(model2):
+    taus = np.geomspace(1e-5, 300.0, 12).reshape(3, 4)
+    rates = effective_rate(model2, taus)
+    assert rates.shape == (3, 4)
+    assert rates.ravel().tolist() == [effective_rate(model2, t) for t in taus.ravel().tolist()]
+    assert isinstance(effective_rate(model2, np.float64(0.5)), float)
+    with pytest.raises(DomainError, match="got -1.0"):
+        effective_rate(model2, [0.5, -1.0, 2.0])
 
 
 def test_rate_requires_decay():
@@ -158,45 +193,31 @@ def test_transition_array_scan_keeps_tau_star(model2, tpl):
     assert abs(reference_rate(tpl, 2.4, power.tau_star) - model.gamma0) <= 1e-11
 
 
-def test_transition_reports_late_power_law_crossing(tpl):
+@pytest.mark.parametrize("omega_a, grid_points", list(SCIPY_CROSSINGS))
+def test_transition_reports_late_power_law_crossing(tpl, monkeypatch, omega_a, grid_points):
     # Past the exponential era the power-law tail of P(tau) overtakes the
-    # pole term and gamma(tau) crosses gamma0 again, from above; the
+    # pole term and gamma(tau) crosses gamma0 again, first from above; the
     # reference amplitude must straddle gamma0 at that root too.  The two
-    # terms beat with period ~2.6 there, so the 64-point grid's last
-    # bracket, [8753.3, 11934.0], holds some 2400 sign changes; which one
-    # it resolves to follows the last bits of gamma(tau) (11033.16 with
-    # scipy's Bessel functions, 11001.84 with the package's own table).
-    model = DecayModel(tpl, 2.4)
-    report = find_transition_time(model, grid_points=64)
-    assert len(report.all_roots) == 2
-    assert report.tau_star == pytest.approx(0.3397756166558609, rel=1e-10)
-    late = report.all_roots[1]
-    assert 8753.3 < late < 11934.0
-    shifts = [
-        -math.log(abs(reference_amplitude(tpl, 2.4, tau)) ** 2) / tau - model.gamma0
-        for tau in (late * (1.0 - 1e-6), late * (1.0 + 1e-6))
-    ]
-    assert shifts[0] > 0.0 > shifts[1]
-
-
-def test_power_law_crossings_keep_their_values(tpl):
-    # tau* at omega_a = 2.4 is a clean crossing and keeps 1e-12.  At 0.7,
-    # tau ~ 374-520, gamma(tau) carries rounding noise of ~1e-11 relative
-    # (the Bessel table moved it by up to 1.2e-11), so the sign changes of
-    # gamma - gamma0 scatter by a few 1e-12 around each crossing.  The late
-    # crossings at 2.4 lie in grid brackets with several sign changes each
-    # (see above); only their count and their brackets are fixed.
-    report = find_transition_time(DecayModel(tpl, 0.7))
-    assert len(report.all_roots) == len(TPL_ROOTS_07)
-    for root, pinned in zip(report.all_roots, TPL_ROOTS_07):
-        assert root == pytest.approx(pinned, rel=1e-11)
-    model = DecayModel(tpl, 2.4)
-    report = find_transition_time(model)
-    assert len(report.all_roots) == len(TPL_ROOTS_24)
-    assert report.tau_star == pytest.approx(TPL_ROOTS_24[0], rel=1e-12)
-    grid = np.geomspace(1e-4, report.tau_max_searched, 2048)
-    assert np.array_equal(np.searchsorted(grid, report.all_roots),
-                          np.searchsorted(grid, TPL_ROOTS_24))
+    # terms beat with period ~2.6 at omega_a = 2.4, and a bracket holding
+    # several of their sign changes (the 64-point grid's last one holds
+    # some 2400) resolves to one that follows the last bits of gamma(tau),
+    # so each set of pins holds for its own Bessel functions.
+    model = DecayModel(tpl, omega_a)
+    report = find_transition_time(model, grid_points=grid_points)
+    assert report.all_roots == pytest.approx(TABLE_CROSSINGS[omega_a, grid_points], rel=1e-12)
+    if grid_points == 64:
+        late = report.all_roots[1]
+        shifts = [
+            -math.log(abs(reference_amplitude(tpl, omega_a, tau)) ** 2) / tau - model.gamma0
+            for tau in (late * (1.0 - 1e-6), late * (1.0 + 1e-6))
+        ]
+        assert shifts[0] > 0.0 > shifts[1]
+    # Given scipy's j_k the search returns the former scalar brentq roots.
+    special = pytest.importorskip("scipy.special")
+    monkeypatch.setattr(amplitude, "_jn_table",
+                        lambda x: special.spherical_jn(np.arange(10)[:, None], x))
+    report = find_transition_time(model, grid_points=grid_points)
+    assert report.all_roots == SCIPY_CROSSINGS[omega_a, grid_points]
 
 
 def test_rate_just_above_small_interval_switch(tpl):
