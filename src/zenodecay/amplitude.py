@@ -467,7 +467,8 @@ def _jn_table(x: np.ndarray) -> np.ndarray:
     if upward.size:
         xu = x[upward]
         out[:, upward] = np.where(_DEGREES[:, None] < xu, _jn_upward(xu), out[:, upward])
-    out[0, head] = np.sin(x[head]) / x[head]
+    if head.size:
+        out[0, head] = np.sin(x[head]) / x[head]
     return out
 
 
