@@ -30,7 +30,10 @@ Three evaluation routes are provided, all returning a
     fitted polynomials, so every t uses the same coefficients.  Panels
     are bisected until the fit is resolved; the summed truncation bound
     is the achieved error for every t at once, and there is no late-time
-    fallback to the pole term.
+    fallback to the pole term.  The same panels and j_k give the deficit
+    u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
+    each panel's detuning from ω_a, a series for 1 − j₀), from which
+    :class:`~zenodecay.model.DecayModel` takes ln P where P ≥ ½.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -93,13 +96,15 @@ _TAIL_REACH = 1e4
 #: recurrence from order _JN_MILLER_START above, within 2.3e-16 of j_k.
 _JN_SERIES_BELOW = 1e-4
 _JN_MILLER_START = 24
-#: Table arguments per build: bounds the memory of a batch of times.
+#: Table arguments, and panel values, per batch of times: bounds their memory.
 _JN_CHUNK = 1 << 14
 #: 2k + 1 for k < 32, the Miller rows padded to a power of two.
 _ODD = np.arange(1.0, 64.0, 2.0)[:, None]
 #: 1/(2k+1)!! and 1/(2(2k+3)): j_k(x) = x^k/(2k+1)!!·(1 − x²/(2(2k+3)) + O(x⁴)).
 _JN_LEAD = 1.0 / np.cumprod(_ODD[:_NODES])[:, None]
 _JN_NEXT = 1.0 / (2.0 * _ODD[1:_NODES + 1])
+#: 1/(2m+3)!: 1 − j₀(x) = x²·Σ_m (−x²)^m/(2m+3)!, to 5e-17 relative for x < 1.
+_J0_DEFICIT = np.polynomial.Polynomial([1.0 / math.factorial(2 * m + 3) for m in range(8)])
 
 
 class SurvivalMethod(enum.Enum):
@@ -370,6 +375,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     return SimpleNamespace(
         bound=bound,
         mids=0.5 * (lo + hi),
+        detunings=(lo - omega_a) + 0.5 * h,
         widths=widths,
         # int32 keeps the index of a table kernel (~2·10⁴ panels) small.
         width_index=width_index.astype(np.int32),
@@ -472,17 +478,88 @@ def _jn_table(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continuum(k: SimpleNamespace, t: float, jn: np.ndarray) -> complex:
+def _continuum(k: SimpleNamespace, ts: np.ndarray, j: np.ndarray) -> np.ndarray:
     """∫ρ(ω)e^{−iωt}dω over the kernel's panels (Filon–Legendre, exact in t).
 
-    ``jn`` holds j_k(t·h/2) for the kernel's distinct widths h.  One
-    fixed-order reduction per t, so a value does not depend on which
-    other times share the call.
+    ``j`` holds j_k(t·h/2) for each time of ``ts`` (rows) and panel
+    (columns).  Every step is elementwise until one fixed-order sum over
+    the panels per time, so a value does not depend on which other times
+    share the call.
     """
-    j = jn[:, k.width_index]
-    re = np.einsum("kp,kp->p", k.terms[0::2], j[0::2])
-    im = np.einsum("kp,kp->p", k.terms[1::2], j[1::2])
-    return complex(np.sum(np.exp(-1j * t * k.mids) * (re + 1j * im)))
+    re = np.einsum("kp,ktp->tp", k.terms[0::2], j[0::2])
+    im = np.einsum("kp,ktp->tp", k.terms[1::2], j[1::2])
+    return np.sum(np.exp(np.multiply.outer(-1j * ts, k.mids)) * (re + 1j * im), axis=1)
+
+
+def _deficit(k: SimpleNamespace, omega_a: float, ts, j, x, j0) -> np.ndarray:
+    """u(t) = 1 − e^{iω_a t}·x(t) over the kernel's panels, free of cancellation as t → 0.
+
+    ``j`` holds the j_k of :func:`_continuum`; ``x`` holds their arguments
+    t·h/2 and ``j0`` j₀(x), one row per time of ``ts`` and one column per
+    distinct width.  With the sum rule Σ h·c₀ + Σ_b w_b = 1, a panel
+    detuned by δ from ω_a adds
+    h·c₀·[(1 − j₀) − j₀·expm1(−iδt)] − e^{−iδt}·Σ_{k≥1} h·c_k(−i)^k j_k
+    and a bound state w_b·(−expm1(−i(E_b − ω_a)t)), so u(0) = 0 exactly;
+    1 − j₀ takes its series below x = 1.  Every step is elementwise until one sum
+    over the panels per time, so u(t) does not depend on the other times.
+    """
+    y = np.minimum(x, 1.0) ** 2
+    one_minus_j0 = np.where(x < 1.0, y * _J0_DEFICIT(-y), 1.0 - j0)[:, k.width_index]
+    even = sum(k.terms[n] * j[n] for n in range(2, _NODES, 2))
+    odd = sum(k.terms[n] * j[n] for n in range(1, _NODES, 2))
+    # expm1(−iδt) = c − i·s with c = −2 sin²(δt/2), s = sin δt.
+    phase = np.multiply.outer(ts, k.detunings)
+    c = -2.0 * np.sin(0.5 * phase) ** 2
+    s = np.sin(phase)
+    re = k.terms[0] * (one_minus_j0 - j[0] * c) - (1.0 + c) * even - s * odd
+    im = k.terms[0] * j[0] * s - (1.0 + c) * odd + s * even
+    u = re.sum(axis=1) + 1j * im.sum(axis=1)
+    return u - sum(bs.weight * np.expm1(-1j * (bs.energy - omega_a) * ts) for bs in k.bound)
+
+
+def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPECTRAL_TOL,
+                         deficit: bool = False):
+    """Times, x(t) and, with ``deficit``, u(t) = 1 − e^{iω_a t}·x(t) on the panels.
+
+    The body of :func:`survival_spectral_integral`; u is None without
+    ``deficit``.  Raises as that function does.
+    """
+    t_in = _check_times(times, allow_negative=True)
+    if ff.g2_integral() == 0.0:
+        raise NoDecayError("zero coupling: the spectral density is empty")
+    k = _spectral_kernel(ff, float(omega_a))
+
+    amps = np.empty(t_in.shape, dtype=complex)
+    defs = np.empty(t_in.shape, dtype=complex) if deficit else None
+    t_abs = np.abs(t_in)
+    # Chunks of times whose table holds up to _JN_CHUNK arguments, in runs
+    # of times whose panel arrays hold up to _JN_CHUNK values.
+    rows = max(1, _JN_CHUNK // k.mids.size)
+    step = rows * max(1, _JN_CHUNK // (k.widths.size * rows))
+    for start in range(0, t_abs.size, step):
+        args = (0.5 * t_abs[start:start + step])[:, None] * k.widths
+        jn = _jn_table(args.ravel()).reshape(_NODES, args.shape[0], -1)
+        for i in range(0, args.shape[0], rows):
+            out, part = slice(start + i, start + i + rows), slice(i, i + rows)
+            j = jn[:, part, k.width_index]
+            amps[out] = _continuum(k, t_abs[out], j)
+            if deficit:
+                defs[out] = _deficit(k, omega_a, t_abs[out], j, args[part], jn[0, part])
+    for bs in k.bound:
+        amps += bs.weight * np.exp(-1j * bs.energy * t_abs)
+    # ρ is real, so x(−t) = conj x(t), and u(−t) = conj u(t) with it.
+    amps = np.where(t_in < 0, np.conj(amps), amps)
+    if deficit:
+        defs = np.where(t_in < 0, np.conj(defs), defs)
+
+    if k.error > tol:
+        raise ToleranceError(
+            f"spectral panels achieved {k.error:.3e}, above the target {tol:.3e}",
+            value=amps,
+            achieved=k.error,
+            requested=tol,
+        )
+    return t_in, amps, defs
 
 
 def survival_spectral_integral(
@@ -522,12 +599,13 @@ def survival_spectral_integral(
 
         ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
 
-    so every t costs one sum over panels, and the j_k of all times of a
-    call come from one table, one column per time and distinct panel
-    width (``_jn_table``: the upward recurrence where the argument
+    so every t costs one sum over panels.  Times go through in chunks,
+    each with one table of the j_k, one column per time and distinct
+    panel width (``_jn_table``: the upward recurrence where the argument
     exceeds the order, the series or Miller's backward recurrence
-    elsewhere, elementwise, so a time's value does not depend on the
-    others in the call).  Panels are bisected until
+    elsewhere), and with panel arrays of one row per time; every step is
+    elementwise until the sum over panels, so a time's value does not
+    depend on the others in the call.  Panels are bisected until
     h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
     the sum of these bounds is the achieved error, the same for every t.
     The panel sum is the only route at every t: late times keep the
@@ -542,29 +620,5 @@ def survival_spectral_integral(
     ToleranceError
         Summed panel error bound above ``tol``.
     """
-    t_in = _check_times(times, allow_negative=True)
-    if ff.g2_integral() == 0.0:
-        raise NoDecayError("zero coupling: the spectral density is empty")
-    k = _spectral_kernel(ff, float(omega_a))
-
-    amps = np.empty(t_in.shape, dtype=complex)
-    t_abs = np.abs(t_in)
-    step = max(1, _JN_CHUNK // k.widths.size)
-    for start in range(0, t_abs.size, step):
-        ts = t_abs[start:start + step]
-        jn = _jn_table(((0.5 * ts)[:, None] * k.widths).ravel()).reshape(_NODES, ts.size, -1)
-        for i, ta in enumerate(ts.tolist()):
-            val = _continuum(k, ta, jn[:, i])
-            for bs in k.bound:
-                val += bs.weight * np.exp(-1j * bs.energy * ta)
-            amps[start + i] = val
-    amps = np.where(t_in < 0, np.conj(amps), amps)
-
-    if k.error > tol:
-        raise ToleranceError(
-            f"spectral panels achieved {k.error:.3e}, above the target {tol:.3e}",
-            value=amps,
-            achieved=k.error,
-            requested=tol,
-        )
+    t_in, amps, _ = _spectral_amplitudes(ff, omega_a, times, tol)
     return _series(t_in, amps, SurvivalMethod.SPECTRAL_INTEGRAL)

@@ -89,8 +89,7 @@ def _build_model(cfg: RunConfig) -> DecayModel:
 
 def _tau_grid(cfg: RunConfig, model: DecayModel):
     task = cfg.task
-    bw = model.bandwidth if model.bandwidth is not None else model.gamma0
-    tau_min = task.get("tau_min", 1e-4 / bw)
+    tau_min = task.get("tau_min", 1e-4 / model.bandwidth)
     tau_max = task.get("tau_max", 100.0 / model.gamma0)
     points = task.get("tau_points", 256)
     if not (0.0 < tau_min < tau_max):

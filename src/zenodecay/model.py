@@ -1,14 +1,15 @@
 """Decay models: a coupling family bound to a discrete-level energy.
 
 :class:`DecayModel` is the object the measurement machinery operates on.
-It caches the resonance pole and exposes the survival probability in a
-form safe for the small-interval regime: ``log_survival_probability``
-computes ln P directly from the amplitude with compensated arithmetic,
-so that effective rates −ln P/τ stay accurate where 1 − P is below
-rounding noise.  A family with a closed-form pole pair (the Lorentzian)
-takes ln P from its two-pole residue sum; every other family takes it
-from the spectral amplitude at every τ, so late intervals see the true
-non-exponential tail rather than the pole term ln Z − γ₀τ.
+It caches the resonance pole and gives ln P(τ) of a float or an array
+of τ by one route at every τ: where P ≥ ½ from the deficit
+u = 1 − x·e^{iθτ}, formed without cancellation, as log1p(−2 Re u + |u|²),
+so effective rates −ln P/τ keep their relative accuracy where 1 − P is
+far below rounding of 1; below ½ from x itself.  A family with a
+closed-form pole pair (the Lorentzian) takes u and x from its two-pole
+residue sum; every other family takes them from the spectral panels at
+every τ, so late intervals see the true non-exponential tail rather
+than the pole term ln Z − γ₀τ.
 
 :class:`ExponentialDecayModel` is the idealized pure-exponential decay
 P(τ) = Z·e^{−γ₀τ}; with Z = 1 its effective rate is γ₀ at every τ,
@@ -26,6 +27,7 @@ from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
     _pole_pair_series,
+    _spectral_amplitudes,
     pole_approximation,
     survival_spectral_integral,
 )
@@ -36,26 +38,6 @@ from .resolvent import PoleData, find_pole
 __all__ = ["DecayModel", "ExponentialDecayModel"]
 
 _LN2 = math.log(2.0)
-
-
-def _log_abs2(values: np.ndarray) -> np.ndarray:
-    """ln|x|² without cancellation for |x| near 1.
-
-    |x|² − 1 = (re−1)(re+1) + im² is exact to rounding; log1p does the
-    rest.  That form degrades once |x|² is itself below rounding (the
-    argument collapses to −1), so small amplitudes take the direct log,
-    where no cancellation exists.
-    """
-    re = np.real(values)
-    im = np.imag(values)
-    mag2 = re * re + im * im
-    out = np.empty_like(mag2)
-    small = mag2 < 0.25
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(mag2[small])
-    big = ~small
-    out[big] = np.log1p((re[big] - 1.0) * (re[big] + 1.0) + im[big] * im[big])
-    return out
 
 
 class DecayModel:
@@ -148,31 +130,34 @@ class DecayModel:
     def amplitudes(self, times) -> np.ndarray:
         return self.survival_series(times).amplitudes
 
-    def log_survival_probability(self, tau: float) -> float:
-        """ln P(τ) through the compensated small-deviation path."""
-        return float(self._log_survival_array(np.atleast_1d(float(tau)))[0])
+    def log_survival_probability(self, tau):
+        """ln P(τ) at a float or an array of τ (a float in gives a float out).
 
-    def _log_survival_array(self, taus: np.ndarray) -> np.ndarray:
+        Where P ≥ ½, ln P = log1p(−2 Re u + |u|²) with u = 1 − x·e^{iθτ}
+        formed without cancellation, so it keeps its relative accuracy as
+        τ → 0: from the pole pair rotated by θ = Re E₁ (C₁ + C₂ = 1), or
+        from the panels rotated by θ = ω_a.  Below ½ it is the pole pair's
+        factored form, which never underflows, or ln|x|² of the panels.
+        """
+        taus = np.ravel(np.asarray(tau, dtype=float))
         pair = self._closed_form_pair
         if pair is not None:
-            # Factor out the resonance exponential so that arbitrarily
-            # late times never underflow: with r the (decaying) partner
-            # ratio, ln P = ln|c1|² + 2·Im(e1)·t + ln|1+r|².
+            # With r the (decaying) partner ratio, ln P = ln|c1|² + 2·Im(e1)·t + ln|1+r|².
             e1, e2, c1, c2 = pair
             r = (c2 / c1) * np.exp(-1j * (e2 - e1) * taus)
             with np.errstate(divide="ignore"):  # exact amplitude zeros
                 correction = np.log1p(2.0 * np.real(r) + np.abs(r) ** 2)
             out = 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
-            # Where P ≥ ½ those terms cancel.  There take u = 1 − x·e^{i·Re(e1)·t}
-            # itself: with C₁ + C₂ = 1 it is −C₁·expm1(Im(e1)·t) −
-            # C₂·expm1(−i(e2 − Re e1)t), and ln P = log1p(−2 Re u + |u|²).
-            near = out >= -_LN2
-            if np.any(near):
-                t = taus[near]
-                u = -c1 * np.expm1(e1.imag * t) - c2 * np.expm1(-1j * (e2 - e1.real) * t)
-                out[near] = np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
-            return out
-        return _log_abs2(self.survival_series(taus, SurvivalMethod.SPECTRAL_INTEGRAL).amplitudes)
+            u = -c1 * np.expm1(e1.imag * taus) - c2 * np.expm1(-1j * (e2 - e1.real) * taus)
+        else:
+            _, x, u = _spectral_amplitudes(self.form_factor, self.omega_a, taus, deficit=True)
+            with np.errstate(divide="ignore"):
+                out = np.log(x.real * x.real + x.imag * x.imag)
+        near = out >= -_LN2
+        u = u[near]
+        out[near] = np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
+        out = out.reshape(np.shape(tau))
+        return float(out) if out.ndim == 0 else out
 
     def survival_probability(self, tau: float) -> float:
         return float(math.exp(self.log_survival_probability(tau)))
@@ -195,14 +180,17 @@ class ExponentialDecayModel:
             raise ValueError(f"z_renorm must be positive, got {z_renorm}")
         self.gamma0 = gamma0
         self.z_renorm = z_renorm
+        self.form_factor = None
         self.bandwidth = None
         self.zeno_time = math.inf
 
     def __repr__(self):
         return f"ExponentialDecayModel(gamma0={self.gamma0!r}, z_renorm={self.z_renorm!r})"
 
-    def log_survival_probability(self, tau: float) -> float:
-        return math.log(self.z_renorm) - self.gamma0 * float(tau)
+    def log_survival_probability(self, tau):
+        """ln Z − γ₀τ at a float or an array of τ (a float in gives a float out)."""
+        out = math.log(self.z_renorm) - self.gamma0 * np.asarray(tau, dtype=float)
+        return float(out) if out.ndim == 0 else out
 
     def survival_probability(self, tau: float) -> float:
         return math.exp(self.log_survival_probability(tau))

@@ -5,6 +5,10 @@ them the survival is P(τ)^N = e^{−γ(τ)·Nτ} with the effective rate
 
     γ(τ) = −(1/τ)·ln P(τ).
 
+The model's ``log_survival_probability`` gives ln P for a whole array
+of τ by one route at every τ, accurate in relative terms down to the
+smallest τ, so γ(τ) needs no small-interval law of its own.
+
 Comparing γ(τ) with the undisturbed rate γ₀ splits the τ axis into a
 Zeno region (γ < γ₀, measurement slows decay) and an inverse-Zeno region
 (γ > γ₀, measurement accelerates decay).  The boundary γ(τ*) = γ₀
@@ -53,10 +57,6 @@ __all__ = [
 
 #: Relative dead band around gamma0 inside which a rate counts as Natural.
 CLASSIFY_EPS = 1e-9
-
-#: Below tau = 1e-3/bandwidth the linear small-interval form is exact to
-#: better than the evaluation noise of the amplitude, and is used directly.
-_SMALL_TAU_FACTOR = 1e-3
 
 
 class Regime(enum.Enum):
@@ -170,8 +170,8 @@ def effective_rate(model, tau):
     Parameters
     ----------
     model : DecayModel or compatible
-        Needs ``log_survival_probability``; the small-τ shortcut also
-        uses ``zeno_time`` and ``bandwidth`` when available.
+        Needs ``gamma0`` and a ``log_survival_probability`` that takes an
+        array of τ.
     tau : float or array_like
         Measurement interval, τ > 0, or an array of them.
 
@@ -180,7 +180,7 @@ def effective_rate(model, tau):
     float or numpy.ndarray
         γ(τ) ≥ 0; ``inf`` if the survival probability vanishes at τ.  An
         array of τ gives an array of the same shape, each entry the rate
-        that τ gets alone, from one pass over the survival amplitudes.
+        that τ gets alone, from one ln P call on the whole array.
 
     Raises
     ------
@@ -196,37 +196,11 @@ def effective_rate(model, tau):
             f"measurement interval must be positive and finite, got {t[bad].flat[0]}"
         )
     _require_decaying(model)
-    rates = _rates(model, t.ravel()).reshape(t.shape)
+    lp = model.log_survival_probability(t)
+    with np.errstate(invalid="ignore"):
+        # fmax(0, ·) answers like max(0.0, ·) for NaN and −0.0 too.
+        rates = np.where(lp == -math.inf, math.inf, np.fmax(0.0, -lp / t))
     return float(rates) if rates.ndim == 0 else rates
-
-
-def _rates(model, taus: np.ndarray) -> np.ndarray:
-    """γ(τ) on an array of valid τ.
-
-    Below τ = 1e−3/Λ the small-interval law τ/τ_Z² applies.  Elsewhere
-    ln P comes from ``model._log_survival_array`` for the whole array in
-    one pass when the model has it (:class:`~zenodecay.model.DecayModel`),
-    and from ``log_survival_probability`` one τ at a time otherwise.
-    """
-    out = np.empty_like(taus)
-    bw = getattr(model, "bandwidth", None)
-    tz = getattr(model, "zeno_time", math.inf)
-    small = np.zeros(taus.shape, dtype=bool)
-    if bw is not None and math.isfinite(tz):
-        small = taus < _SMALL_TAU_FACTOR / bw
-        out[small] = taus[small] / tz**2
-    rest = ~small
-    if np.any(rest):
-        t = taus[rest]
-        log_survival = getattr(model, "_log_survival_array", None)
-        if log_survival is not None:
-            lp = log_survival(t)
-        else:
-            lp = np.array([model.log_survival_probability(x) for x in t])
-        with np.errstate(invalid="ignore"):
-            # fmax(0, ·) answers like max(0.0, ·) for NaN and −0.0 too.
-            out[rest] = np.where(lp == -math.inf, math.inf, np.fmax(0.0, -lp / t))
-    return out
 
 
 def effective_rate_curve(model, taus) -> EffectiveRateCurve:
@@ -314,14 +288,13 @@ def find_transition_time(
     if grid_points < 64:
         raise DomainError(f"grid_points must be at least 64, got {grid_points}")
 
-    bw = getattr(model, "bandwidth", None)
-    scale = bw if bw is not None else gamma0
+    scale = model.bandwidth if model.bandwidth is not None else gamma0
     tau_lo = 1e-4 / scale
     if tau_lo >= tau_max:
         tau_lo = tau_max * 1e-8
 
     criteria = existence_criteria(model)
-    tz = getattr(model, "zeno_time", math.inf)
+    tz = model.zeno_time
     # Z < 1 promises a crossing only when γ(τ) starts below γ₀, i.e. when
     # the short-time decay is quadratic on a finite Zeno time.
     guaranteed = criteria.z_less_1 and math.isfinite(tz)
@@ -377,7 +350,7 @@ def existence_criteria(model) -> ExistenceCriteria:
     booleans fragile.
     """
     z = model.z_renorm
-    ff = getattr(model, "form_factor", None)
+    ff = model.form_factor
     asymmetry = None
     near = False
     if ff is not None:
@@ -397,10 +370,10 @@ def characteristic_scales(model) -> CharacteristicScales:
         The model has no bandwidth scale (idealized exponential models).
     """
     gamma0 = _require_decaying(model)
-    tz = getattr(model, "zeno_time", math.inf)
+    tz = model.zeno_time
     if not math.isfinite(tz):
         raise NoDecayError("model has an infinite Zeno time (no coupling curvature)")
-    bw = getattr(model, "bandwidth", None)
+    bw = model.bandwidth
     if bw is None:
         raise DomainError("model has no bandwidth scale")
     jump = gamma0 * tz**2

@@ -234,3 +234,26 @@ def test_family_knowledge_stays_in_formfactor():
             for name in families & set(_names_in(tree)):
                 offences.append(f"{module}.py names {name}")
     assert offences == []
+
+
+def test_zeno_reads_the_model_protocol_directly(lor):
+    # The measurement layer reads the model protocol as plain attributes,
+    # which every model class carries, with no getattr fallback.
+    from zenodecay.model import DecayModel, ExponentialDecayModel
+
+    package = pathlib.Path(zenodecay.__file__).parent
+    tree = ast.parse((package / "zeno.py").read_text(encoding="utf-8"))
+    offences = [
+        f"zeno.py:{node.lineno} {node.func.id} on a model"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and node.args
+        and "model" in set(_names_in(node.args[0]))
+    ]
+    assert offences == []
+    protocol = ("gamma0", "z_renorm", "bandwidth", "zeno_time", "form_factor",
+                "log_survival_probability")
+    for model in (DecayModel(lor, 2.0), ExponentialDecayModel(0.25)):
+        assert all(hasattr(model, name) for name in protocol)

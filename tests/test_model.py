@@ -104,9 +104,9 @@ def test_closed_form_series_shares_the_model_pole(lor):
 
 
 def test_log_survival_small_interval_quadratic_law(lor):
-    # At the small-interval handover (tau ~ 1e-3/bandwidth) the deviation
-    # 1 - P ~ 1e-8 sits far below a naive |x|^2 - 1 in doubles; the
-    # compensated path must still show the quadratic Zeno law.
+    # At tau ~ 1e-3/bandwidth the deviation 1 - P ~ 1e-8 sits far below
+    # a naive |x|^2 - 1 in doubles; the deficit path must still show the
+    # quadratic Zeno law.
     model = DecayModel(lor, 2.0)
     tau = 1e-3
     ratio = -model.log_survival_probability(tau) * model.zeno_time**2 / tau**2
@@ -118,18 +118,33 @@ def test_closed_form_log_survival_against_mpmath(lam, bw, omega_a):
     # ln P of the model's own float pole pair, summed exactly by mpmath
     # (the float C1 + C2 is exactly 1).  Near tau = 1e-3/bandwidth,
     # 1 - P ~ 1e-8 and the factored form alone lost up to 8.5e-9 relative.
+    # Below that, Re u is O(tau^2) but its two terms are O(tau) each, and
+    # their rounding leaves at most ~3e-16/(tau*bandwidth) relative: up to
+    # 1.03e-10 on this grid, 2.2e-10 at worst on a denser one.
     mpmath = pytest.importorskip("mpmath")
     model = DecayModel(LorentzianCoupling(lam, bw), omega_a)
     e1, e2, c1, c2 = (mpmath.mpc(v) for v in model._closed_form_pair)
-    taus = np.geomspace(1e-3 / bw, 100.0 / model.gamma0, 150)
+    taus = np.geomspace(1e-6 / bw, 100.0 / model.gamma0, 200)
     with mpmath.workdps(40):
         assert c1 + c2 == 1
         exact = np.array([float(mpmath.log(abs(c1 * mpmath.exp(-1j * e1 * t)
                                                 + c2 * mpmath.exp(-1j * e2 * t)) ** 2))
                           for t in taus])
-    got = model._log_survival_array(taus)
-    assert np.max(np.abs(got / exact - 1.0)) <= 1e-12
+    got = model.log_survival_probability(taus)
+    err = np.abs(got / exact - 1.0)
+    head = taus < 1e-3 / bw
+    assert np.max(err[head]) <= 5e-10
+    assert np.max(err[~head]) <= 1e-12
     assert [model.log_survival_probability(t) for t in taus] == got.tolist()
+
+
+def test_log_survival_takes_arrays(lor, tpl):
+    taus = np.array([[1e-5, 0.3], [20.0, 2000.0]])
+    for model in (DecayModel(lor, 2.0), DecayModel(tpl, 0.7), ExponentialDecayModel(0.25, 0.9)):
+        got = model.log_survival_probability(taus)
+        assert got.shape == taus.shape
+        assert got.ravel().tolist() == [model.log_survival_probability(t) for t in taus.ravel()]
+        assert isinstance(model.log_survival_probability(np.float64(0.3)), float)
 
 
 def test_log_survival_far_tail_lorentzian(lor):
