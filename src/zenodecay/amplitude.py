@@ -24,7 +24,8 @@ Three evaluation routes are provided, all returning a
     The integral runs over one fixed set of panels per (family, ω_a),
     the same for every family.  ρ is sampled at Gauss–Legendre nodes on
     each panel with the exact level shift Δ_R at every node (a table
-    sums its one logarithm per knot by a tree built once per table) and
+    sums its one logarithm per knot by a tree built once per table, and
+    keeps Δ_R at the nodes of its knot segments for every ω_a) and
     stored as Legendre coefficients.  Their Fourier transforms are spherical
     Bessel functions (the Filon–Legendre rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
@@ -33,7 +34,8 @@ Three evaluation routes are provided, all returning a
     fallback to the pole term.  The same panels and j_k give the deficit
     u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
     each panel's detuning from ω_a, a series for 1 − j₀), from which
-    :class:`~zenodecay.model.DecayModel` takes ln P where P ≥ ½.
+    :class:`~zenodecay.model.DecayModel` takes ln P where P ≥ ½; u is
+    summed only at those times.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -105,6 +107,8 @@ _JN_LEAD = 1.0 / np.cumprod(_ODD[:_NODES])[:, None]
 _JN_NEXT = 1.0 / (2.0 * _ODD[1:_NODES + 1])
 #: 1/(2m+3)!: 1 − j₀(x) = x²·Σ_m (−x²)^m/(2m+3)!, to 5e-17 relative for x < 1.
 _J0_DEFICIT = np.polynomial.Polynomial([1.0 / math.factorial(2 * m + 3) for m in range(8)])
+#: ln P at and above which it is taken from the deficit u (P ≥ ½), below from x.
+_DEFICIT_FLOOR = -math.log(2.0)
 
 
 class SurvivalMethod(enum.Enum):
@@ -304,7 +308,7 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, rig
 def _refine(density, edges: np.ndarray):
     """Panels over ``edges`` with the Legendre coefficients of ρ on each.
 
-    ``density(lo, offset)`` gives ρ at the nodes lo + offset.  Every
+    ``density(lo, h)`` gives ρ at the nodes of the panels [lo, lo + h].  Every
     pass fits all open panels from one batched ρ evaluation (in chunks
     of panels, to bound the memory of the node arrays) and bisects
     those whose last two coefficients are not negligible against 1e-14
@@ -321,7 +325,7 @@ def _refine(density, edges: np.ndarray):
         coef = np.empty((_NODES, lo.size))
         for i in range(0, lo.size, _PANEL_CHUNK):
             cols = slice(i, i + _PANEL_CHUNK)
-            coef[:, cols] = _FIT @ density(lo[cols, None], h[cols, None] * _GL_FRACTION).T
+            coef[:, cols] = _FIT @ density(lo[cols], h[cols]).T
         est = h * (np.abs(coef[-2]) + np.abs(coef[-1]))
         mass = h * np.abs(coef[0])
         split = est > np.maximum(1e-14, 1e-11 * mass)
@@ -343,6 +347,60 @@ def _refine(density, edges: np.ndarray):
     return tuple(np.concatenate(part, axis=-1) for part in zip(*kept))
 
 
+def _segment_shifts_uncached(ff: FormFactor):
+    """The sorted kinks of g² and Δ_R at the nodes of every segment between them.
+
+    Row j holds Δ_R at kinks[j] + (kinks[j+1] − kinks[j])·_GL_FRACTION, the
+    nodes a panel spanning exactly that segment samples, filled in chunks
+    of _PANEL_CHUNK segments to bound the memory of the node arrays.
+    """
+    kinks = np.unique(ff.kinks())
+    lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
+    shifts = np.empty((lo.size, _NODES))
+    for i in range(0, lo.size, _PANEL_CHUNK):
+        rows = slice(i, i + _PANEL_CHUNK)
+        shifts[rows] = real_shift(ff, lo[rows] + h[rows] * _GL_FRACTION)
+    return kinks, shifts
+
+
+# Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
+# them panels of every kernel, take their node shifts once per table
+# (1.6 MB for 20001 knots), not once per ω_a.
+_segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
+
+
+def _memoized(cached, ff: FormFactor, *args):
+    """``cached(ff, *args)``, or its uncached builder for an unhashable custom family."""
+    try:
+        hash(ff)
+    except TypeError:
+        return cached.__wrapped__(ff, *args)
+    return cached(ff, *args)
+
+
+def _node_shifts(ff: FormFactor, segments, lo: np.ndarray, h: np.ndarray, w: np.ndarray):
+    """Δ_R at the nodes w of the panels [lo, lo + h], as a (panels, nodes) array.
+
+    A panel that is exactly one kink segment of ``segments`` (see
+    :func:`_segment_shifts_uncached`) has the same node floats as that
+    segment's row and reads it; every other panel calls
+    :func:`~zenodecay.real_shift`, which is elementwise, so the values
+    are those of a call on every node.
+    """
+    if segments is None or segments[0].size < 2:
+        return real_shift(ff, w)
+    kinks, shifts = segments
+    j = np.minimum(np.searchsorted(kinks, lo), kinks.size - 2)
+    whole = (kinks[j] == lo) & (kinks[j + 1] - kinks[j] == h)
+    if not np.any(whole):
+        return real_shift(ff, w)
+    out = shifts[j]
+    rest = ~whole
+    if np.any(rest):
+        out[rest] = real_shift(ff, w[rest])
+    return out
+
+
 def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     bound = find_bound_states(ff, omega_a)
     omega_r = _resonance_energy(ff, omega_a)
@@ -352,18 +410,21 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     # than the coupling scale and the bandwidth takes over.
     res = min(gw, 0.5 * ff.bandwidth)
     pts, left_tail, right_tail = _breakpoints(ff, omega_r, gw, res)
+    segments = _memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1 else None
 
-    def density(lo, offset):
-        """ρ at the nodes lo + offset, as a (panels, nodes) array.
+    def density(lo, h):
+        """ρ at the nodes of the panels [lo, lo + h], as a (panels, nodes) array.
 
         Nodes are placed from the exact panel edge, and the detuning from
         ω_a is formed before the node is rounded: near a narrow resonance
         an edge or node off by one rounding, though far below the panel
         width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        w = (lo + offset).ravel()
-        detuning = ((lo - omega_a) + offset).ravel()
-        rho = _rho(detuning, np.asarray(ff.g2(w), dtype=float), real_shift(ff, w))
+        offset = h[:, None] * _GL_FRACTION
+        w = lo[:, None] + offset
+        detuning = ((lo - omega_a)[:, None] + offset).ravel()
+        shift = _node_shifts(ff, segments, lo, h, w).ravel()
+        rho = _rho(detuning, np.asarray(ff.g2(w.ravel()), dtype=float), shift)
         return rho.reshape(offset.shape)
 
     edges = _panel_edges(ff, omega_r, res, pts, left_tail, right_tail)
@@ -384,16 +445,14 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
     )
 
 
-# A table kernel holds ~2 MB, so the cache keeps only the few models a
-# caller works through at once.
-_kernel_cached = lru_cache(maxsize=4)(_kernel_uncached)
+# A table kernel holds ~2 MB and, with its segment shifts memoized,
+# rebuilds in 30–45 ms, so the cache keeps only the two models a caller
+# works through at once, which leaves room for the 1.6 MB memo.
+_kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
 def _spectral_kernel(ff: FormFactor, omega_a: float) -> SimpleNamespace:
-    try:
-        return _kernel_cached(ff, omega_a)
-    except TypeError:  # unhashable custom family: build without caching
-        return _kernel_uncached(ff, omega_a)
+    return _memoized(_kernel_cached, ff, omega_a)
 
 
 def _jn_series(x: np.ndarray) -> np.ndarray:
@@ -517,12 +576,24 @@ def _deficit(k: SimpleNamespace, omega_a: float, ts, j, x, j0) -> np.ndarray:
     return u - sum(bs.weight * np.expm1(-1j * (bs.energy - omega_a) * ts) for bs in k.bound)
 
 
+def _log_abs2(x: np.ndarray) -> np.ndarray:
+    """ln|x|², −inf at an exact zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(x.real * x.real + x.imag * x.imag)
+
+
+def _takes_deficit(log_p: np.ndarray) -> np.ndarray:
+    """Where ln P is taken from the deficit u rather than from x: P ≥ ½."""
+    return log_p >= _DEFICIT_FLOOR
+
+
 def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPECTRAL_TOL,
                          deficit: bool = False):
     """Times, x(t) and, with ``deficit``, u(t) = 1 − e^{iω_a t}·x(t) on the panels.
 
     The body of :func:`survival_spectral_integral`; u is None without
-    ``deficit``.  Raises as that function does.
+    ``deficit``, and NaN at the times where ``_takes_deficit(_log_abs2(x))``
+    is false, since ln P takes x there.  Raises as that function does.
     """
     t_in = _check_times(times, allow_negative=True)
     if ff.g2_integral() == 0.0:
@@ -530,7 +601,7 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPE
     k = _spectral_kernel(ff, float(omega_a))
 
     amps = np.empty(t_in.shape, dtype=complex)
-    defs = np.empty(t_in.shape, dtype=complex) if deficit else None
+    defs = np.full(t_in.shape, np.nan, dtype=complex) if deficit else None
     t_abs = np.abs(t_in)
     # Chunks of times whose table holds up to _JN_CHUNK arguments, in runs
     # of times whose panel arrays hold up to _JN_CHUNK values.
@@ -542,11 +613,19 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPE
         for i in range(0, args.shape[0], rows):
             out, part = slice(start + i, start + i + rows), slice(i, i + rows)
             j = jn[:, part, k.width_index]
-            amps[out] = _continuum(k, t_abs[out], j)
+            x = _continuum(k, t_abs[out], j)
+            for bs in k.bound:
+                x += bs.weight * np.exp(-1j * bs.energy * t_abs[out])
+            amps[out] = x
             if deficit:
-                defs[out] = _deficit(k, omega_a, t_abs[out], j, args[part], jn[0, part])
-    for bs in k.bound:
-        amps += bs.weight * np.exp(-1j * bs.energy * t_abs)
+                # Rows are independent, so u of the rows that use it is
+                # the u of a call at every time.
+                near = np.flatnonzero(_takes_deficit(_log_abs2(x)))
+                if near.size:
+                    if near[-1] - near[0] + 1 == near.size:  # one run: views, not copies
+                        near = slice(near[0], near[-1] + 1)
+                    defs[out][near] = _deficit(k, omega_a, t_abs[out][near], j[:, near],
+                                               args[part][near], jn[0, part][near])
     # ρ is real, so x(−t) = conj x(t), and u(−t) = conj u(t) with it.
     amps = np.where(t_in < 0, np.conj(amps), amps)
     if deficit:
@@ -593,7 +672,12 @@ def survival_spectral_integral(
     the exact level shift of :func:`~zenodecay.real_shift` at every node
     (a table's by the tree sum of its knot logarithms, see
     :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`) and stored
-    as Legendre coefficients c_k.  A
+    as Legendre coefficients c_k.  Δ_R depends on g² alone, so the
+    shifts at the nodes of every segment between consecutive kinks of
+    g² are memoized once per family (the last one used) and read by
+    each panel that is exactly such a segment, most panels of a table
+    at any ω_a; the other panels call :func:`~zenodecay.real_shift`.
+    The values are the same floats either way.  A
     panel of width h around ω_c then contributes, exactly for the
     fitted polynomial,
 

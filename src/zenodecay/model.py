@@ -26,8 +26,10 @@ import numpy as np
 from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
+    _log_abs2,
     _pole_pair_series,
     _spectral_amplitudes,
+    _takes_deficit,
     pole_approximation,
     survival_spectral_integral,
 )
@@ -36,8 +38,6 @@ from .formfactor import FormFactor, zeno_time as _ff_zeno_time
 from .resolvent import PoleData, find_pole
 
 __all__ = ["DecayModel", "ExponentialDecayModel"]
-
-_LN2 = math.log(2.0)
 
 
 class DecayModel:
@@ -151,9 +151,8 @@ class DecayModel:
             u = -c1 * np.expm1(e1.imag * taus) - c2 * np.expm1(-1j * (e2 - e1.real) * taus)
         else:
             _, x, u = _spectral_amplitudes(self.form_factor, self.omega_a, taus, deficit=True)
-            with np.errstate(divide="ignore"):
-                out = np.log(x.real * x.real + x.imag * x.imag)
-        near = out >= -_LN2
+            out = _log_abs2(x)
+        near = _takes_deficit(out)
         u = u[near]
         out[near] = np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
         out = out.reshape(np.shape(tau))

@@ -7,6 +7,7 @@ import pytest
 
 from spectral_reference import reference_amplitude
 from test_selfenergy import _Semicircle
+from zenodecay import amplitude
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
     SurvivalMethod,
@@ -22,6 +23,7 @@ from zenodecay.errors import DomainError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
+from zenodecay.selfenergy import real_shift
 
 # Spectral-route survival probabilities for the threshold power law
 # (0.1, 1, 0, 1/2, 4) at omega_a = 0.7, frozen after cross-validation
@@ -151,6 +153,56 @@ def test_spectral_custom_family():
     s = survival_spectral_integral(ff, 0.2, [0.0, 5.0])
     assert abs(s.probabilities[0] - 1.0) < 1e-8
     assert abs(s.amplitudes[1] - reference_amplitude(ff, 0.2, 5.0)) < 1e-9
+
+
+class _KinkedSemicircle(_Semicircle):
+    """The semicircle with panel edges at its quarter points."""
+
+    def kinks(self):
+        return np.linspace(-1.0, 1.0, 5)
+
+
+class _UnhashableSemicircle(_KinkedSemicircle):
+    __hash__ = None
+
+
+def test_spectral_unhashable_custom_family_with_kinks():
+    ff = _UnhashableSemicircle()
+    with pytest.raises(TypeError):
+        hash(ff)
+    times = [0.0, 5.0]
+    s = survival_spectral_integral(ff, 0.2, times)
+    assert abs(s.probabilities[0] - 1.0) <= 1e-8
+    # Built without the caches, the same as the hashable family with them.
+    hashable = survival_spectral_integral(_KinkedSemicircle(), 0.2, times)
+    assert np.array_equal(s.amplitudes, hashable.amplitudes)
+
+
+@pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
+def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a, monkeypatch):
+    # At omega_a = 0 the resonance sits on the coupling peak, where
+    # resonance points split knot segments and bisection runs.
+    nodes = []
+
+    def counted(ff, w):
+        nodes.append(np.size(w))
+        return real_shift(ff, w)
+
+    monkeypatch.setattr(amplitude, "real_shift", counted)
+    amplitude._segment_shifts.cache_clear()
+    cold = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    nodes.clear()
+    warm = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    assert amplitude._segment_shifts.cache_info().hits == 1
+    memo_nodes = sum(nodes)
+    nodes.clear()
+    monkeypatch.setattr(amplitude, "_node_shifts", lambda ff, segments, lo, h, w: counted(ff, w))
+    direct = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    # The memo serves the knot segments, most of the table's panels.
+    assert memo_nodes < 0.2 * sum(nodes)
+    for built in (cold, warm):
+        for name in ("terms", "mids", "detunings", "widths", "width_index", "error"):
+            assert np.array_equal(getattr(built, name), getattr(direct, name)), name
 
 
 def test_spectral_density_normalization(lor):

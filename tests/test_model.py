@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from spectral_reference import reference_amplitude
-from zenodecay.amplitude import SurvivalMethod
+from zenodecay import amplitude
+from zenodecay.amplitude import SurvivalMethod, _spectral_amplitudes
 from zenodecay.errors import DomainError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling, zeno_time
 from zenodecay.model import DecayModel, ExponentialDecayModel
@@ -101,6 +102,23 @@ def test_closed_form_series_shares_the_model_pole(lor):
     for lam, bw, omega_a in [(0.1, 1.0, 2.0), (1.0, 1.0, 0.0), (0.5, 0.25, 0.0), (1e-10, 1.0, 2.0)]:
         model = DecayModel(LorentzianCoupling(lam, bw), omega_a)
         assert model.pole.e_pole == model._closed_form_pair[0]
+
+
+@pytest.mark.parametrize("omega_a", [0.7, 2.4])
+def test_spectral_deficit_only_where_log_survival_uses_it(tpl, omega_a, monkeypatch):
+    # The default transition grid; a quarter or more of it has P < 1/2,
+    # where ln P takes x and the deficit u is not summed.
+    model = DecayModel(tpl, omega_a)
+    taus = np.geomspace(1e-4 / model.bandwidth, 100.0 / model.gamma0, 2048)
+    log_p = model.log_survival_probability(taus)
+    _, _, u = _spectral_amplitudes(tpl, omega_a, taus, deficit=True)
+    below = log_p < -math.log(2.0)
+    assert np.mean(below) > 0.25
+    assert np.array_equal(np.isnan(u), below)
+    # Rows are independent: u summed at every tau gives the same ln P.
+    monkeypatch.setattr(amplitude, "_takes_deficit", lambda log_p: np.ones(log_p.shape, bool))
+    assert np.all(np.isfinite(_spectral_amplitudes(tpl, omega_a, taus, deficit=True)[2]))
+    assert np.array_equal(model.log_survival_probability(taus), log_p)
 
 
 def test_log_survival_small_interval_quadratic_law(lor):
