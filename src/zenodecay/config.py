@@ -127,7 +127,7 @@ class RunConfig:
             path = os.path.join(self.base_dir, path)
         try:
             table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # missing, or not a numeric CSV
             raise ConfigError(f"cannot read table_path {path!r}: {exc}") from None
         if table.shape[1] != 2:
             raise ConfigError(f"table_path {path!r} must have two columns (omega, g2)")

@@ -35,7 +35,6 @@ g²(ω̄)·Λ = 1/τ_Z².
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import bracketed_roots
-from .errors import DomainError, NoDecayError, OutOfRangeError
+from .errors import ContinuationUnsupportedError, DomainError, NoDecayError, OutOfRangeError
 
 __all__ = [
     "FormFactor",
@@ -86,12 +85,13 @@ class FormFactor:
     Concrete families are immutable dataclasses; every method is pure, so
     instances may be shared freely between threads.
 
-    A custom family defines ``family`` (a name), ``bandwidth`` (its
-    energy scale), :meth:`g2`, :meth:`g2_deriv`, :meth:`support`,
-    :meth:`g2_integral`, :meth:`peak_energy` and :meth:`scaled`; for a
-    second sheet (pole search) also :attr:`continuable`,
-    :meth:`g2_analytic` and :meth:`g2_analytic_deriv`.  That is enough for
-    every quantity in the package, by the numerical routes.
+    A custom family defines six members: ``family`` (a name),
+    ``bandwidth`` (its energy scale), :meth:`g2`, :meth:`support`,
+    :meth:`g2_integral` and :meth:`peak_energy`; for a second sheet (pole
+    search) two more, :attr:`continuable` and :meth:`g2_continued`, which
+    only a family without a second-sheet ``sigma_closed_form`` is asked
+    for.  That is enough for every quantity in the package, by the
+    numerical routes.
 
     Optional closed-form hooks, ``None`` here; a family that knows the
     quantity exactly defines a method of that name instead:
@@ -100,9 +100,10 @@ class FormFactor:
         Δ_R on a 1-D float array of real ω (else: the double-exponential
         rule of :func:`~zenodecay.real_shift`).
     ``sigma_closed_form(E, second)``
-        (Σ, Σ′) at complex E off the cut, on the second sheet if
-        ``second`` (asked only of continuable families), else the first
-        (else: the rule, continued by −2πi·g²(E) below the axis).
+        (Σ, Σ′) at complex E on the second sheet if ``second`` (asked
+        only of continuable families, the real axis included), else on
+        the first, off the cut (else: the rule, continued by −2πi·g²(E)
+        below the axis; a second-sheet E on the real axis is refused).
     ``pole_closed_form(omega_a)``
         The second-sheet pole E of the level at ``omega_a``, which the
         pole search polishes by Newton (else: Newton starts from the
@@ -134,22 +135,11 @@ class FormFactor:
         """
         raise NotImplementedError
 
-    def g2_deriv(self, omega):
-        """d(g²)/dω at real ``omega``, zero outside the support."""
-        raise NotImplementedError
-
     # -- support and moments -----------------------------------------
 
     def support(self) -> tuple[float, float]:
         """Lower and upper edge of the continuum (may be infinite)."""
         raise NotImplementedError
-
-    # A cached_property is a non-data descriptor, so a family may store
-    # its own ``threshold`` as a dataclass field instead.
-    @functools.cached_property
-    def threshold(self) -> float:
-        """Lower edge of the continuum, ``support()[0]``."""
-        return self.support()[0]
 
     def g2_integral(self) -> float:
         """∫ g²(ω) dω over the support (the inverse squared Zeno time)."""
@@ -178,25 +168,11 @@ class FormFactor:
         """Whether g² extends to an analytic function near the cut."""
         return False
 
-    def g2_analytic(self, z: complex) -> complex:
-        """Analytic continuation of g² evaluated at complex ``z``."""
-        from .errors import ContinuationUnsupportedError
-
+    def g2_continued(self, z: complex) -> tuple[complex, complex]:
+        """The continued g² and its derivative d(g²)/dz at complex ``z``."""
         raise ContinuationUnsupportedError(
             f"{self.family} family has no analytic continuation"
         )
-
-    def g2_analytic_deriv(self, z: complex) -> complex:
-        """Derivative of the continued g² at complex ``z``."""
-        from .errors import ContinuationUnsupportedError
-
-        raise ContinuationUnsupportedError(
-            f"{self.family} family has no analytic continuation"
-        )
-
-    def scaled(self, factor: float) -> "FormFactor":
-        """A copy with the coupling multiplied by ``factor`` (g² by factor²)."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -236,12 +212,6 @@ class LorentzianCoupling(FormFactor):
         out = (lam2 / math.pi) * self.bandwidth / (omega**2 + self.bandwidth**2)
         return out if out.ndim else float(out)
 
-    def g2_deriv(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        lam2 = self.coupling**2
-        out = -(lam2 / math.pi) * self.bandwidth * 2.0 * omega / (omega**2 + self.bandwidth**2) ** 2
-        return out if out.ndim else float(out)
-
     def support(self):
         return (-math.inf, math.inf)
 
@@ -254,20 +224,6 @@ class LorentzianCoupling(FormFactor):
     @property
     def continuable(self):
         return True
-
-    def g2_analytic(self, z):
-        z = complex(z)
-        return (self.coupling**2 / math.pi) * self.bandwidth / (z * z + self.bandwidth**2)
-
-    def g2_analytic_deriv(self, z):
-        z = complex(z)
-        return (
-            -(self.coupling**2 / math.pi)
-            * self.bandwidth
-            * 2.0
-            * z
-            / (z * z + self.bandwidth**2) ** 2
-        )
 
     def shift_closed_form(self, x):
         """Δ_R(ω) = λ²ω/(ω² + Λ²)."""
@@ -310,9 +266,6 @@ class LorentzianCoupling(FormFactor):
     def transition_asymmetry(self, omega_a):
         """ω_a² > Λ²: the level sits outside the Lorentzian's half-width."""
         return bool(omega_a**2 > self.bandwidth**2)
-
-    def scaled(self, factor):
-        return dataclasses.replace(self, coupling=factor * self.coupling)
 
 
 def _lorentzian_pole(lam: float, bw: float, omega_a: float) -> complex:
@@ -404,8 +357,7 @@ class ThresholdPowerLawCoupling(FormFactor):
 
     coupling: float
     bandwidth: float
-    # field() keeps the base class's ``threshold`` from becoming a default.
-    threshold: float = dataclasses.field()
+    threshold: float
     rise_exponent: float
     cutoff_exponent: float
 
@@ -445,23 +397,6 @@ class ThresholdPowerLawCoupling(FormFactor):
         )
         return out if out.ndim else float(out)
 
-    def g2_deriv(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        s = omega - self.threshold
-        pos = s > 0
-        out = np.zeros_like(s)
-        sp = s[pos]
-        p, q = self.rise_exponent, self.cutoff_exponent
-        u = (sp / self.bandwidth) ** q
-        out[pos] = (
-            self.coupling**2
-            * self._norm
-            * sp ** (p - 1.0)
-            * (p * (1.0 + u) - q * u)
-            / (1.0 + u) ** 2
-        )
-        return out if out.ndim else float(out)
-
     def support(self):
         return (self.threshold, math.inf)
 
@@ -477,36 +412,15 @@ class ThresholdPowerLawCoupling(FormFactor):
     def continuable(self):
         return any(abs(self.rise_exponent - p) < 1e-12 for p in _CONTINUABLE_EXPONENTS)
 
-    def g2_analytic(self, z):
+    def g2_continued(self, z):
         if not self.continuable:
-            return super().g2_analytic(z)
-        z = complex(z)
-        s = z - self.threshold
+            return super().g2_continued(z)
         # Principal powers: analytic off the ray below the threshold.
-        return (
-            self.coupling**2
-            * self._norm
-            * s**self.rise_exponent
-            / (1.0 + (s / self.bandwidth) ** self.cutoff_exponent)
-        )
-
-    def g2_analytic_deriv(self, z):
-        if not self.continuable:
-            return super().g2_analytic_deriv(z)
-        z = complex(z)
-        s = z - self.threshold
+        s = complex(z) - self.threshold
         p, q = self.rise_exponent, self.cutoff_exponent
+        c = self.coupling**2 * self._norm
         u = (s / self.bandwidth) ** q
-        return (
-            self.coupling**2
-            * self._norm
-            * s ** (p - 1.0)
-            * (p * (1.0 + u) - q * u)
-            / (1.0 + u) ** 2
-        )
-
-    def scaled(self, factor):
-        return dataclasses.replace(self, coupling=factor * self.coupling)
+        return c * s**p / (1.0 + u), c * s ** (p - 1.0) * (p * (1.0 + u) - q * u) / (1.0 + u) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,16 +477,6 @@ class TabulatedCoupling(FormFactor):
     def g2(self, omega):
         omega = np.asarray(omega, dtype=float)
         out = np.interp(omega, self.omegas, self.g2_values, left=0.0, right=0.0)
-        return out if out.ndim else float(out)
-
-    def g2_deriv(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        idx = np.clip(np.searchsorted(self.omegas, omega) - 1, 0, self.omegas.size - 2)
-        slope = (self.g2_values[idx + 1] - self.g2_values[idx]) / (
-            self.omegas[idx + 1] - self.omegas[idx]
-        )
-        inside = (omega > self.omegas[0]) & (omega < self.omegas[-1])
-        out = np.where(inside, slope, 0.0)
         return out if out.ndim else float(out)
 
     def support(self):
@@ -656,9 +560,6 @@ class TabulatedCoupling(FormFactor):
     def sigma_closed_form(self, E, second):
         """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
         return _tabulated_value(self, E), _tabulated_deriv(self, E)
-
-    def scaled(self, factor):
-        return TabulatedCoupling(self.omegas, factor**2 * self.g2_values, self.bandwidth)
 
 
 #: Chebyshev nodes per box of a table's knot tree (series degree 23).

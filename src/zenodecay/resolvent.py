@@ -59,6 +59,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _NEWTON_TARGET = 1e-13
+_MAX_NEWTON_STEPS = 200
 
 
 class BoundState(NamedTuple):
@@ -126,7 +127,7 @@ def _pole_data_from(E: complex, omega_a: float, z: float, residual: float,
     )
 
 
-def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
+def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
     """Locate the second-sheet pole of the propagator by complex Newton.
 
     Parameters
@@ -136,8 +137,6 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
     omega_a : float
         Discrete-level energy; must exceed the threshold for threshold
         families.
-    max_steps : int
-        Newton iteration budget.
 
     Returns
     -------
@@ -155,8 +154,8 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
     DomainError
         omega_a at or below the continuum threshold.
     ConvergenceError
-        Newton failed to meet the residual target within ``max_steps``;
-        the exception carries the iterate trajectory.
+        Newton failed to meet the residual target within 200 steps; the
+        exception carries the iterate trajectory.
     """
     omega_a = float(omega_a)
     if not math.isfinite(omega_a):
@@ -167,24 +166,29 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
         raise ContinuationUnsupportedError(
             f"{ff.family} family has no analytic continuation to search for a pole"
         )
-    lo = ff.threshold
+    lo = ff.support()[0]
     if math.isfinite(lo) and omega_a <= lo:
         raise DomainError(
             f"omega_a={omega_a} must lie above the continuum threshold {lo}"
         )
 
+    # The pole lies below the real axis, and the generic second sheet is
+    # refused on it: the seed and every iterate stay strictly below.
+    nudge = 1e-12 * max(1.0, abs(omega_a), ff.bandwidth)
+
+    def below(E):
+        return complex(E.real, -abs(E.imag) or -nudge)
+
     if ff.pole_closed_form is not None:
-        E = complex(ff.pole_closed_form(omega_a))
+        E = below(ff.pole_closed_form(omega_a))
     else:
-        E = complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a)))
-        if E.imag == 0.0:
-            E -= 1j * 1e-12 * max(1.0, abs(omega_a), ff.bandwidth)
+        E = below(complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a))))
 
     trajectory = [E]
     best = (math.inf, E)
     step_cap = 2.0 * ff.bandwidth
     converged = False
-    for _ in range(max_steps):
+    for _ in range(_MAX_NEWTON_STEPS):
         sv = self_energy(ff, E, Sheet.SECOND)
         f = E - omega_a - sv.value
         fabs = abs(f)
@@ -199,10 +203,7 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
         step = f / fprime
         if abs(step) > step_cap:
             step *= step_cap / abs(step)
-        E = E - step
-        if E.imag > 0.0:
-            # The physical pole is below the axis; fold the iterate back.
-            E = complex(E.real, -abs(E.imag))
+        E = below(E - step)
         trajectory.append(E)
 
     if not converged:
@@ -212,12 +213,8 @@ def find_pole(ff: FormFactor, omega_a: float, max_steps: int = 200) -> PoleData:
     residual = abs(E - omega_a - sv.value)
     if residual > _RESIDUAL_TOL * max(1.0, abs(E)):
         raise ConvergenceError(
-            f"pole search stalled: residual {residual:.3e} after {max_steps} steps",
+            f"pole search stalled: residual {residual:.3e} after {_MAX_NEWTON_STEPS} steps",
             trajectory=trajectory,
-        )
-    if E.imag >= 0.0:
-        raise ConvergenceError(
-            f"search converged to a non-decaying root {E!r}", trajectory=trajectory
         )
     z = abs(1.0 - sv.derivative) ** -2.0
 
@@ -273,7 +270,7 @@ def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:
     omega_a = float(omega_a)
     if not math.isfinite(omega_a):
         raise DomainError(f"omega_a must be finite, got {omega_a!r}")
-    lo = ff.threshold
+    lo = ff.support()[0]
     if math.isfinite(lo) and omega_a < lo:
         warnings.warn(
             f"omega_a={omega_a} lies below the continuum threshold {lo}; "

@@ -30,9 +30,9 @@ symmetric window around x with g²(x) subtracted,
 which is uniformly well-conditioned in the distance to the cut, then
 log-distance pieces and a mapped tail.  Off the cut the rule gives Sigma
 and Sigma′ from the same samples of g²; on the real axis it gives the
-principal value Δ_R in real arithmetic (see :func:`real_shift`).  Only
-exactly on the cut inside the support is the second-sheet Sigma′ taken
-by parts, as the boundary value of the transform of (g²)′.
+principal value Δ_R in real arithmetic (see :func:`real_shift`).  On
+the real axis the second sheet comes from a hook or else from
+:func:`real_shift` with −iπg², the boundary value from above.
 """
 
 from __future__ import annotations
@@ -156,14 +156,15 @@ def _log_nodes(d1: np.ndarray, d2: np.ndarray):
     return near * np.exp(np.where(ts.upper, -span * ts.hi, span * ts.lo)), span * ts.w
 
 
-def _de_rule(ff: FormFactor, g, x: np.ndarray, y: float | None = None):
+def _de_rule(ff: FormFactor, x: np.ndarray, y: float | None = None):
     """∫ g(ω′)/(E − ω′) dω′ at E = x + iy by fixed DE rules, on a 1-D array of x.
 
-    With ``y`` None, E is real and the result is the principal value,
-    in real arithmetic (Δ_R for g = g²).  With a float ``y`` (E off the
-    cut) the result has two complex rows taken from the same samples of
-    g: the transform and its derivative −∫ g/(E − ω′)² dω′.  Returns
-    (values, error estimates), both of that shape.
+    Here g is the density g² of ``ff``.  With ``y`` None, E is real and
+    the result is the principal value Δ_R, in real arithmetic.  With a
+    float ``y`` (E off the cut) the result has two complex rows taken
+    from the same samples of g: the transform and its derivative
+    −∫ g/(E − ω′)² dω′.  Returns (values, error estimates), both of that
+    shape.
 
     Per x the support splits into
 
@@ -204,7 +205,7 @@ def _de_rule(ff: FormFactor, g, x: np.ndarray, y: float | None = None):
         for Sigma′.  On the real path it is −side/d or −side, and the
         factor −side is left to the caller, which applies it to the sums.
         """
-        gs = g(x[mask, None] + side * d)
+        gs = ff.g2(x[mask, None] + side * d)
         if sub is not None:
             gs = gs - sub[mask, None]
         if real:
@@ -237,7 +238,7 @@ def _de_rule(ff: FormFactor, g, x: np.ndarray, y: float | None = None):
             s, w = _log_nodes(cut[m, None], reach[m, None])
             add(m, sum(terms(m, side, s, True, sub) for side in sides), w, ts.coarse)
 
-    gx = None if real else g(x)
+    gx = None if real else ff.g2(x)
     from_x(h, (-1.0, 1.0), gx)
     m = h > 0.0
     if not real and np.any(m):
@@ -295,7 +296,7 @@ def _accept(what: str, at, val, err, absolute: float, relative: float) -> None:
 
 def _sigma_first(ff: FormFactor, E: complex) -> tuple[complex, complex]:
     """Sigma_I(E) and Sigma_I′(E) by the double-exponential rule, E off the cut."""
-    (val, der), (err, der_err) = _de_rule(ff, ff.g2, np.array([E.real]), E.imag)
+    (val, der), (err, der_err) = _de_rule(ff, np.array([E.real]), E.imag)
     _accept("self-energy rule", E, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
     _accept("self-energy derivative rule", E, der, der_err, 1e-8, 1e-6)
     return complex(val[0]), complex(der[0])
@@ -322,7 +323,9 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     Raises
     ------
     DomainError
-        First-sheet request on (or within 1e−12 of) the cut.
+        First-sheet request on (or within 1e−12 of) the cut; second-sheet
+        request on the real axis where no ``sigma_closed_form`` hook
+        answers (take :func:`real_shift` and −iπg² there).
     ContinuationUnsupportedError
         Second-sheet request for a family without analytic continuation.
     ToleranceError
@@ -338,8 +341,9 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     :func:`real_shift` at complex E, with the kernel 1/(E − ω′) and, on
     the same samples of g², −1/(E − ω′)² for Sigma′; the second sheet adds
     −2πi times the continued density and its derivative below the axis.
-    On the cut inside the support (second sheet, Im E = 0) Sigma′ is the
-    boundary value of ∫ (g²)′/(E − ω) dω plus the endpoint terms of g².
+    On the real axis the second sheet comes from the hook or else from
+    :func:`real_shift` with −iπg², the boundary value from above; the
+    generic route refuses it there.
     """
     E = complex(energy)
     if ff.g2_integral() == 0.0:
@@ -355,30 +359,17 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
         )
     if ff.sigma_closed_form is not None:
         return SelfEnergyValue(*ff.sigma_closed_form(E, second), sheet)
-
-    if not second or E.imag != 0.0:
-        val, der = _sigma_first(ff, E)
-        if second and E.imag < 0.0:
-            val -= 2j * math.pi * ff.g2_analytic(E)
-            der -= 2j * math.pi * ff.g2_analytic_deriv(E)
-        return SelfEnergyValue(val, der, sheet)
-    x = E.real
-    a, b = ff.support()
-    if x <= a:
+    if second and E.imag == 0.0:
         raise DomainError(
-            f"second-sheet value at E={x} is ambiguous at/below the branch point {a}"
+            f"E={E!r} lies on the real axis; the second sheet there is "
+            "real_shift(E) - i*pi*g2(E)"
         )
-    # On the cut both sheets meet at the boundary value from above.  The
-    # squared kernel's folded sum is a second difference of g² over s²
-    # there, which cancels, so Sigma′ is taken by parts: the boundary
-    # value of ∫ (g²)′/(E − ω) dω plus the endpoint terms of g².
-    val = complex(real_shift(ff, x), -math.pi * float(ff.g2(x)))
-    pv, err = _de_rule(ff, ff.g2_deriv, np.array([x]))
-    _accept("self-energy derivative rule", x, pv, err, 1e-8, 1e-6)
-    der = complex(pv[0], -math.pi * float(ff.g2_deriv(x)))
-    for edge, sign in ((a, 1.0), (b, -1.0)):
-        if math.isfinite(edge):
-            der += sign * float(ff.g2(edge)) / (x - edge)
+
+    val, der = _sigma_first(ff, E)
+    if second and E.imag < 0.0:
+        g2, dg2 = ff.g2_continued(E)
+        val -= 2j * math.pi * g2
+        der -= 2j * math.pi * dg2
     return SelfEnergyValue(val, der, sheet)
 
 
@@ -438,7 +429,7 @@ def real_shift(ff: FormFactor, omega):
         out = np.empty_like(flat)
         for i in range(0, flat.size, _RULE_CHUNK):
             chunk = flat[i : i + _RULE_CHUNK]
-            val, err = _de_rule(ff, ff.g2, chunk)
+            val, err = _de_rule(ff, chunk)
             _accept("level-shift rule", chunk, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
             out[i : i + _RULE_CHUNK] = val
         out = out.reshape(w.shape)

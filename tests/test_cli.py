@@ -174,6 +174,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
 
 
+def test_malformed_table_exits_2(tmp_path, capsys):
+    (tmp_path / "header.csv").write_text("omega,g2\n0,0\n1,1\n2,0\n", encoding="utf-8")
+    cfg = write_config(tmp_path, "[model]\nfamily = tabulated\ntable_path = header.csv\n"
+                                 "omega_a = 1.0\n")
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[task]\nbogus = 1\n")
     assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -144,14 +144,18 @@ def test_missing_file_and_malformed_ini(tmp_path):
 
 
 def test_missing_table_file(tmp_path):
-    cfg = parse_config(write(tmp_path, """\
-        [model]
-        family = tabulated
-        table_path = absent.csv
-        omega_a = 2.0
-        """))
-    with pytest.raises(ConfigError, match="cannot read table_path"):
-        cfg.build_form_factor()
+    # Absent, or not a numeric CSV: a header row, a ragged row.
+    (tmp_path / "header.csv").write_text("omega,g2\n0,0\n1,1\n2,0\n", encoding="utf-8")
+    (tmp_path / "ragged.csv").write_text("0,0\n1,1,5\n2,0\n", encoding="utf-8")
+    for name in ("absent.csv", "header.csv", "ragged.csv"):
+        cfg = parse_config(write(tmp_path, f"""\
+            [model]
+            family = tabulated
+            table_path = {name}
+            omega_a = 2.0
+            """))
+        with pytest.raises(ConfigError, match="cannot read table_path"):
+            cfg.build_form_factor()
 
 
 def test_wrong_table_shape(tmp_path):

@@ -3,7 +3,7 @@
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -94,7 +94,7 @@ def test_derivative_matches_central_differences(lor, tpl):
 
 def test_coupling_scaling_is_quadratic(tpl):
     # Sigma depends on the coupling only through g2 ~ lambda^2.
-    tripled = tpl.scaled(3.0)
+    tripled = replace(tpl, coupling=3 * tpl.coupling)
     for E in (0.4 + 0.2j, 2.0 - 0.5j):
         base = self_energy(tpl, E).value
         assert self_energy(tripled, E).value == pytest.approx(9.0 * base, rel=1e-12)
@@ -134,12 +134,17 @@ def test_two_sheet_gap_is_continued_density(tpl):
     assert first - second == pytest.approx(2j * math.pi * float(tpl.g2(w)), abs=1e-5)
 
 
-def test_second_sheet_on_cut_equals_boundary_value(tpl):
-    # The +0j convention evaluates the limit from above exactly.
+def test_second_sheet_on_real_axis_needs_a_hook(lor, tpl):
+    # On the real axis the generic second sheet is refused, and the
+    # boundary value from above is real_shift - i*pi*g2; a closed-form
+    # hook still answers there, with that value.
     w = 1.2
-    sv = self_energy(tpl, complex(w, 0.0), Sheet.SECOND)
-    expected = complex(real_shift(tpl, w), -math.pi * float(tpl.g2(w)))
-    assert sv.value == pytest.approx(expected, rel=1e-10)
+    for E in (complex(w, 0.0), complex(-0.3, 0.0), complex(w, -0.0)):
+        with pytest.raises(DomainError, match="real_shift"):
+            self_energy(tpl, E, Sheet.SECOND)
+    sv = self_energy(lor, complex(w, 0.0), Sheet.SECOND)
+    expected = complex(real_shift(lor, w), -math.pi * float(lor.g2(w)))
+    assert sv.value == pytest.approx(expected, rel=1e-14)
 
 
 def test_first_sheet_on_cut_rejected(lor, tpl):
