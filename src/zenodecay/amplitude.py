@@ -53,6 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _refine
 from ._roots import bracketed_roots
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, LorentzianCoupling
@@ -71,20 +72,8 @@ __all__ = [
 #: Default overall quadrature tolerance of the spectral route.
 SPECTRAL_TOL = 1e-8
 
-#: Gauss–Legendre nodes per spectral panel, and the Legendre degrees fitted.
-_NODES = 10
-_DEGREES = np.arange(_NODES)
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES)
-#: The nodes as fractions of the panel width from its lower edge.
-_GL_FRACTION = 0.5 * (1.0 + _GL_X)
-#: Node values → Legendre coefficients c_k = (k + ½)·Σ_i w_i P_k(x_i) ρ_i.
-_FIT = (_DEGREES[:, None] + 0.5) * np.polynomial.legendre.legvander(_GL_X, _NODES - 1).T * _GL_W
 #: The nonzero real or imaginary part of (−i)^k: even k are real, odd k imaginary.
 _PHASE_SIGN = np.resize([1.0, -1.0, -1.0, 1.0], _NODES)
-#: Panels whose nodes share one ρ evaluation during a kernel build.
-_PANEL_CHUNK = 2048
-#: Bisection passes of a kernel build before the error bound is accepted as is.
-_MAX_PASSES = 60
 #: Width ratio of successive tail panels and their reach in units of max(|A|, |B|, Λ).
 _TAIL_RATIO = 1.5
 _TAIL_REACH = 1e4
@@ -303,48 +292,6 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, rig
         parts.append(np.minimum(omega_r + (B - omega_r) * growth, hi))
     edges = np.unique(np.concatenate(parts + [np.array([lo, hi])]))
     return edges[(edges >= lo) & (edges <= hi)]
-
-
-def _refine(density, edges: np.ndarray):
-    """Panels over ``edges`` with the Legendre coefficients of ρ on each.
-
-    ``density(lo, h)`` gives ρ at the nodes of the panels [lo, lo + h].  Every
-    pass fits all open panels from one batched ρ evaluation (in chunks
-    of panels, to bound the memory of the node arrays) and bisects
-    those whose last two coefficients are not negligible against 1e-14
-    or 1e-11 of the panel's mass, as long as bisection still shrinks
-    them.  Returns lo, hi, the coefficients (one row per degree, one
-    column per panel) and the error bounds, with the panels in no
-    particular order.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    parent_est = None
-    kept = []
-    for n in range(_MAX_PASSES):
-        h = hi - lo
-        coef = np.empty((_NODES, lo.size))
-        for i in range(0, lo.size, _PANEL_CHUNK):
-            cols = slice(i, i + _PANEL_CHUNK)
-            coef[:, cols] = _FIT @ density(lo[cols], h[cols]).T
-        est = h * (np.abs(coef[-2]) + np.abs(coef[-1]))
-        mass = h * np.abs(coef[0])
-        split = est > np.maximum(1e-14, 1e-11 * mass)
-        if parent_est is not None:
-            # Resolved halves whose bounds add up to their parent's see
-            # rounding noise in ρ (e.g. a table's knot sum near a narrow
-            # resonance), not structure: halving again cannot help.
-            pairs = parent_est.size
-            stalled = np.tile(est[:pairs] + est[pairs:] >= 0.75 * parent_est, 2)
-            split &= ~(stalled & (est <= 1e-8 * mass))
-        mid = 0.5 * (lo + hi)
-        split &= (lo < mid) & (mid < hi) & (n + 1 < _MAX_PASSES)
-        kept.append((lo[~split], hi[~split], coef[:, ~split], est[~split]))
-        if not np.any(split):
-            break
-        parent_est = est[split]
-        lo = np.concatenate((lo[split], mid[split]))
-        hi = np.concatenate((mid[split], hi[split]))
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*kept))
 
 
 def _segment_shifts_uncached(ff: FormFactor):

@@ -25,7 +25,10 @@ Each family also owns whatever it knows in closed form — the Lorentzian's
 rational self-energy and two-pole residue sum, the table's segment sums
 and knot sum — through the optional hooks listed on :class:`FormFactor`;
 the numerical layers fall back to their generic routes where a hook is
-absent and never branch on a concrete family.
+absent and never branch on a concrete family.  The generic level shift
+lives here too: a family without ``shift_closed_form`` fits its g² once
+on Legendre panels, and Δ_R is that fit's exact Hilbert transform, its
+panels' nodes summed by the same source tree as a table's knots.
 
 Module-level operations: point queries with validation, the Zeno time
 τ_Z = (∫g²dω)^(−1/2), and the effective bandwidth point ω̄ defined by
@@ -42,8 +45,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._panels import _DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _refine
 from ._roots import bracketed_roots
-from .errors import ContinuationUnsupportedError, DomainError, NoDecayError, OutOfRangeError
+from .errors import (
+    ContinuationUnsupportedError,
+    DomainError,
+    NoDecayError,
+    OutOfRangeError,
+    ToleranceError,
+)
 
 __all__ = [
     "FormFactor",
@@ -97,8 +107,10 @@ class FormFactor:
     quantity exactly defines a method of that name instead:
 
     ``shift_closed_form(x)``
-        Δ_R on a 1-D float array of real ω (else: the double-exponential
-        rule of :func:`~zenodecay.real_shift`).
+        Δ_R on a 1-D float array of real ω (else: the exact principal
+        value of the family's g² fitted on Legendre panels, built on
+        first use and kept as ``_shift_fit``; see
+        :func:`~zenodecay.real_shift`).
     ``sigma_closed_form(E, second)``
         (Σ, Σ′) at complex E on the second sheet if ``second`` (asked
         only of continuable families, the real axis included), else on
@@ -160,6 +172,15 @@ class FormFactor:
         is Z < 1 (see :func:`~zenodecay.existence_criteria`).
         """
         return None
+
+    @functools.cached_property
+    def _shift_fit(self) -> "_ShiftFit":
+        """Legendre panels of g² and their node tree, built on first use.
+
+        Δ_R depends on g² alone, so a family without ``shift_closed_form``
+        fits g² once and takes every Δ_R from the fit (:func:`_fit_shift`).
+        """
+        return _build_shift_fit(self)
 
     # -- analytic continuation ---------------------------------------
 
@@ -224,6 +245,13 @@ class LorentzianCoupling(FormFactor):
     @property
     def continuable(self):
         return True
+
+    def g2_continued(self, z):
+        """The rational continuation λ²Λ/(π(z² + Λ²)) and its derivative."""
+        z = complex(z)
+        den = z * z + self.bandwidth**2
+        c = self.coupling**2 * self.bandwidth / math.pi
+        return c / den, -2.0 * c * z / (den * den)
 
     def shift_closed_form(self, x):
         """Δ_R(ω) = λ²ω/(ω² + Λ²)."""
@@ -492,7 +520,7 @@ class TabulatedCoupling(FormFactor):
         return self.omegas
 
     @functools.cached_property
-    def _knot_tree(self) -> "_KnotTree":
+    def _knot_tree(self) -> "_Tree":
         """The tree of :meth:`shift_closed_form`, built once per table."""
         return _build_knot_tree(self.omegas, self.g2_values)
 
@@ -555,45 +583,80 @@ class TabulatedCoupling(FormFactor):
         for edge, value in ((om[0], fv[0]), (om[-1], -fv[-1])):
             if value != 0.0:
                 edges += value * np.log(np.abs(x - edge))
-        return _knot_sum(self._knot_tree, x) + edges - (fv[-1] - fv[0])
+        return _tree_sum(self._knot_tree, x, _KNOT_KERNEL, _knot_term) + edges - (fv[-1] - fv[0])
 
     def sigma_closed_form(self, E, second):
         """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
         return _tabulated_value(self, E), _tabulated_deriv(self, E)
 
 
-#: Chebyshev nodes per box of a table's knot tree (series degree 23).
+#: Chebyshev nodes per box of a source tree (series degree 23).
 _TREE_ORDER = 24
-#: A box of the knot tree is a leaf once its near zone holds at most this
-#: many knots; they are the exact terms of every point in the leaf.
+#: A box of a source tree is a leaf once its near zone holds at most this
+#: many sources; they are the exact terms of every point in the leaf.
 _TREE_NEAR = 24
-#: Halvings of the knot tree's root after which every box is a leaf: box
-#: indices stay exact in a float, and no table needs boxes that narrow.
-_TREE_LEVELS = 52
+#: Box indices count box widths from zero; a box is halved only while its
+#: index is below this, so that its children and their neighbours have
+#: exact indices in a float.  Boxes narrower than the float spacing of
+#: their position are never needed: distinct sources are that far apart.
+_TREE_INDEX = 2.0**50
+#: Halvings of the root after which every box is a leaf, so that sources
+#: that coincide end the walk; no table or fit needs boxes that narrow.
+_TREE_LEVELS = 256
 #: Terms of the moment series of a table's knot sum past |x − c| > 2R.
 _TREE_MOMENTS = 48
+#: Offsets, in box widths, of the source boxes that join a box's far set.
+_TREE_OFFSETS = np.array([-3.0, -2.0, 2.0, 3.0])
+#: Terms of the moment series of a fit's node sum there: (1/2)^56.
+_CAUCHY_MOMENTS = 56
 #: First-kind Chebyshev nodes on [−1, 1], and node values → coefficients.
 _CHEB_T = np.cos(np.pi * (np.arange(_TREE_ORDER) + 0.5) / _TREE_ORDER)
 _CHEB_FIT = (2.0 / _TREE_ORDER) * np.cos(np.outer(np.arange(_TREE_ORDER), np.arccos(_CHEB_T)))
 _CHEB_FIT[0] *= 0.5
 
 
-#: Node values of a box → values at the nodes of its left and right half.
-_CHEB_HALVES = tuple(
+#: Node values of a box → values at the nodes of its left and right half,
+#: through the Chebyshev coefficients.  A table's knot tree is built with
+#: these, whose entries are off by up to 8e-15.
+_KNOT_HALVES = tuple(
     np.cos(np.outer(np.arccos(0.5 * (_CHEB_T + side)), np.arange(_TREE_ORDER))) @ _CHEB_FIT
     for side in (-1.0, 1.0)
 )
 
 
-class _KnotTree(NamedTuple):
-    """Leaves of a table's knot tree, in order, and its moment series.
+def _lagrange_halves() -> tuple:
+    """The same matrices by the barycentric formula in long double, rounded once.
+
+    Each halving carries a box's far field down with the error of its
+    matrices; a fit's tree, ~100 levels deep at a threshold against ~15
+    for a table, needs them correctly rounded (8e-15 per entry there left
+    Δ_R 1e-13 off next to the threshold).  Where long double is double,
+    the entries are off by ~4e-15.
+    """
+    nodes = _CHEB_T.astype(np.longdouble)
+    gaps = nodes[:, None] - nodes
+    np.fill_diagonal(gaps, 1.0)
+    weights = 1.0 / np.prod(gaps, axis=1)
+    halves = []
+    for side in (-1.0, 1.0):
+        terms = weights / ((0.5 * (nodes + side))[:, None] - nodes)
+        halves.append((terms / terms.sum(axis=1, keepdims=True)).astype(float))
+    return tuple(halves)
+
+
+_CHEB_HALVES = _lagrange_halves()
+
+
+class _Tree(NamedTuple):
+    """Leaves of a source tree, in order, and its moment series.
 
     Leaf i spans [lo[i], lo[i+1]] around ``mid`` with half-width
     ``half``; ``coef`` holds the Chebyshev coefficients of its far field
-    (one row per degree, one column per leaf), and knots ``near_lo[i]``
-    up to ``near_hi[i]`` (exclusive) are its near zone.  ``knots`` are
-    the ω_j, ``kappa`` the slope jumps κ_j, and ``moments`` the
-    Σ_j κ_j ((ω_j − c)/R)^k.
+    (one row per degree, one column per leaf), and sources ``near_lo[i]``
+    up to ``near_hi[i]`` (exclusive) are its near zone.  ``sources`` are
+    the sorted positions ω_j, ``weights`` their weights w_j, and
+    ``moments`` the kernel's moments of the w_j about the centre c in
+    units of the radius R.
     """
 
     lo: np.ndarray
@@ -602,8 +665,8 @@ class _KnotTree(NamedTuple):
     coef: np.ndarray
     near_lo: np.ndarray
     near_hi: np.ndarray
-    knots: np.ndarray
-    kappa: np.ndarray
+    sources: np.ndarray
+    weights: np.ndarray
     centre: float
     radius: float
     moments: np.ndarray
@@ -623,83 +686,221 @@ def _chebyshev(coef, t: np.ndarray) -> np.ndarray:
     return t * b1 - b2 + coef(0)
 
 
-def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _KnotTree:
-    """The knot tree of :meth:`TabulatedCoupling.shift_closed_form`.
+def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") -> _Tree:
+    """The tree of Σ_j w_j K(x − ω_j) over sorted sources ω_j within R of c.
 
-    The root is a power-of-two span on a multiple of it, so every box edge
-    and centre is exact and all boxes of one level are translates: one
-    interpolation matrix per half and one interaction matrix per offset
-    serve the whole level.  The products run in ``einsum``'s own loops:
-    a threaded BLAS call on matrices this small can stall for
+    Two kernels share it: K(d) = d·ln|d| for a table's knots
+    (:meth:`TabulatedCoupling.shift_closed_form`) and K(d) = 1/d for the
+    nodes of a family's g² fit (:func:`_fit_shift`).  Only the action of a
+    source box on a box's Chebyshev nodes, ``field(sums, m1, charges,
+    dist, width)``, and the moment series past |x − c| > 2R (see
+    :func:`_tree_sum`) depend on the kernel.
+
+    Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
+    integer index k and the level's power-of-two width w, so every edge
+    and centre is exact, every source's box is floor(ω/w) exactly, and
+    all boxes of a level are translates: one interpolation matrix per
+    half and one interaction matrix per offset serve the whole level.
+    The walk starts from the two boxes of width 2^⌈log₂ 4R⌉ that cover
+    [c − 2R, c + 2R], and a level takes part only of the sources within
+    three boxes of a live one, so a cluster of sources costs a few boxes
+    per level however deep it goes.  The products run in ``einsum``'s own
+    loops: a threaded BLAS call on matrices this small can stall for
     milliseconds when another process holds the other cores.
 
-    Going down a level, the knots that join a box's far set fill the
+    Going down a level, the sources that join a box's far set fill the
     boxes two and three widths away on its outer side and two on its
-    inner side.  Such a source box S, centre c, acts at distance
-    D = x − c through
-
-        Σ_j κ_j φ(D − δ_j) = M₀φ(D) − M₁φ′(D) + Σ_j κ_j D·h(δ_j/D),
-
-    φ(d) = d·ln|d|, δ_j = ω_j − c, M_k = Σ_j κ_j δ_j^k, and
-    h(u) = (1 − u)·ln(1 − u) + u = O(u²).  M₀ and M₁ are summed from the
-    knots; the last sum, smooth in δ, goes through the Chebyshev proxy
-    charges Σ_j κ_j ℓ_m(2δ_j/w) of the box (w its width, ℓ_m the Lagrange
-    basis of the nodes), whose rounding therefore never meets the large
-    φ(D).
+    inner side.  Such a source box S, centre c_S, reaches the box through
+    ``field`` from its sums Σ_j w_j T_m(2δ_j/w) (δ_j = ω_j − c_S, T_m the
+    Chebyshev polynomials), its first moment M₁ = Σ_j w_j δ_j and its
+    Chebyshev proxy charges Σ_j w_j ℓ_m(2δ_j/w) (ℓ_m the Lagrange basis
+    of the nodes), with ``dist`` the distances of the box's nodes from
+    c_S.
     """
-    slopes = np.diff(values) / np.diff(om)
-    kappa = np.diff(slopes, prepend=0.0, append=0.0)
-    centre = 0.5 * (om[0] + om[-1])
-    radius = 0.5 * (om[-1] - om[0])
     span = 2.0 ** math.ceil(math.log2(4.0 * radius))
-    origin = span * math.floor((centre - 2.0 * radius) / span)
-    box = np.zeros(1, dtype=np.int64)
-    far = np.zeros((1, _TREE_ORDER))
+    root = math.floor((centre - 2.0 * radius) / span)
+    box = np.array([root, root + 1.0])
+    far = np.zeros((2, _TREE_ORDER))
     leaves = []
-    for level in range(_TREE_LEVELS + 1):
-        width = 2.0 * span / 2.0**level
-        held = np.floor((om - origin) / width).astype(np.int64)
-        near_lo = np.searchsorted(held, box - 1, "left")
-        near_hi = np.searchsorted(held, box + 1, "right")
-        if level:
-            delta = om - (origin + (held + 0.5) * width)
+    for level in range(1, _TREE_LEVELS + 1):
+        width = span / 2.0 ** (level - 1)
+        start = np.searchsorted(sources, (box[0] - 3.0) * width)
+        stop = np.searchsorted(sources, (box[-1] + 4.0) * width)
+        held = np.floor(sources[start:stop] / width)
+        near_lo = start + np.searchsorted(held, box - 1.0, "left")
+        near_hi = start + np.searchsorted(held, box + 1.0, "right")
+        runs = np.empty(held.size, dtype=bool)
+        runs[:1] = True
+        np.not_equal(held[1:], held[:-1], out=runs[1:])
+        first = np.flatnonzero(runs)
+        ids = held[first]
+        src = box[:, None] + _TREE_OFFSETS
+        pos = np.minimum(np.searchsorted(ids, src), ids.size - 1)
+        use = ids[pos] == src
+        # Three widths out only on a box's outer side.
+        right = np.mod(box, 2.0) == 1.0
+        use[:, 0] &= right
+        use[:, -1] &= ~right
+        if np.any(use):
+            # The boxes that act at this level, and their sources.
+            acting = np.unique(pos[use])
+            count = np.append(first[1:], held.size)[acting] - first[acting]
+            j = start + np.repeat(first[acting], count) + _ragged_offsets(count)
+            w = weights[j]
+            delta = sources[j] - (np.repeat(ids[acting], count) + 0.5) * width
             t = delta * (2.0 / width)
-            ids, first = np.unique(held, return_index=True)
-            cheb_sums = np.empty((ids.size, _TREE_ORDER))
-            cheb_prev, cheb = np.ones_like(t), t
-            cheb_sums[:, 0] = np.add.reduceat(kappa, first)
-            for k in range(1, _TREE_ORDER):
-                cheb_sums[:, k] = np.add.reduceat(kappa * cheb, first)
-                cheb_prev, cheb = cheb, 2.0 * t * cheb - cheb_prev
+            cheb = np.empty((_TREE_ORDER, t.size))
+            cheb[0], cheb[1] = 1.0, t
+            t2 = 2.0 * t
+            for k in range(1, _TREE_ORDER - 1):
+                np.multiply(t2, cheb[k], out=cheb[k + 1])
+                cheb[k + 1] -= cheb[k - 1]
+            cheb *= w
+            groups = np.cumsum(count) - count
+            cheb_sums = np.ascontiguousarray(np.add.reduceat(cheb, groups, axis=1).T)
             charges = np.einsum("bk,km->bm", cheb_sums, _CHEB_FIT)
-            m1 = np.add.reduceat(kappa * delta, first)
-            right = (box & 1) == 1
-            for offset, use in ((-3, right), (-2, True), (2, True), (3, ~right)):
-                src = box + offset
-                pos = np.minimum(np.searchsorted(ids, src), ids.size - 1)
-                use = use & (ids[pos] == src)
-                pos = pos[use]
-                dist = 0.5 * width * _CHEB_T - offset * width
-                u = (0.5 * width * _CHEB_T) / dist[:, None]
-                smooth = dist[:, None] * ((1.0 - u) * np.log1p(-u) + u)
-                far[use] += (np.outer(cheb_sums[pos, 0], _x_log_x(dist))
-                             - np.outer(m1[pos], np.log(np.abs(dist)) + 1.0)
-                             + np.einsum("bm,nm->bn", charges[pos], smooth))
-        split = (near_hi - near_lo > _TREE_NEAR) & (level < _TREE_LEVELS)
+            m1 = np.add.reduceat(w * delta, groups)
+            slot = np.searchsorted(acting, pos)
+            for i in np.flatnonzero(use.any(axis=0)):
+                p = slot[use[:, i], i]
+                dist = 0.5 * width * _CHEB_T - _TREE_OFFSETS[i] * width
+                far[use[:, i]] += kernel.field(cheb_sums[p], m1[p], charges[p], dist, width)
+        split = ((near_hi - near_lo > _TREE_NEAR) & (level < _TREE_LEVELS)
+                 & (np.abs(box) < _TREE_INDEX))
         leaf = ~split
-        lo = origin + box[leaf] * width
+        lo = box[leaf] * width
         leaves.append((lo, lo + 0.5 * width, np.full(lo.size, 0.5 * width),
                        np.einsum("km,bm->kb", _CHEB_FIT, far[leaf]), near_lo[leaf], near_hi[leaf]))
         if not np.any(split):
             break
-        box = np.column_stack((2 * box[split], 2 * box[split] + 1)).ravel()
-        far = np.stack([np.einsum("bm,nm->bn", far[split], half) for half in _CHEB_HALVES], axis=1)
+        box = np.repeat(2.0 * box[split], 2)
+        box[1::2] += 1.0
+        far = np.stack([np.einsum("bm,nm->bn", far[split], half) for half in kernel.halves], axis=1)
         far = far.reshape(-1, _TREE_ORDER)
 
     parts = [np.concatenate(part, axis=-1) for part in zip(*leaves)]
     order = np.argsort(parts[0], kind="stable")
-    return _KnotTree(*(part[..., order] for part in parts), om, kappa, centre, radius,
-                     _knot_moments(om, values, centre, radius))
+    return _Tree(*(part[..., order] for part in parts), sources, weights, centre, radius, moments)
+
+
+def _log_field(sums, m1, charges, dist, width):
+    """A source box's knots on a box's nodes for K(d) = d·ln|d|.
+
+    At distance D = x − c_S,
+
+        Σ_j κ_j φ(D − δ_j) = M₀φ(D) − M₁φ′(D) + Σ_j κ_j D·h(δ_j/D),
+
+    φ(d) = d·ln|d|, M_k = Σ_j κ_j δ_j^k, and h(u) = (1 − u)·ln(1 − u) + u
+    = O(u²).  The last sum, smooth in δ, goes through the proxy charges,
+    whose rounding therefore never meets the large φ(D).
+    """
+    u = (0.5 * width * _CHEB_T) / dist[:, None]
+    smooth = dist[:, None] * ((1.0 - u) * np.log1p(-u) + u)
+    return (np.outer(sums[:, 0], _x_log_x(dist))
+            - np.outer(m1, np.log(np.abs(dist)) + 1.0)
+            + np.einsum("bm,nm->bn", charges, smooth))
+
+
+def _cauchy_field(sums, m1, charges, dist, width):
+    """A source box's nodes on a box's nodes for K(d) = 1/d, by its proxy charges.
+
+    The weights of a fit's nodes are positive, so nothing cancels.
+    """
+    return np.einsum("bm,nm->bn", charges, 1.0 / (dist[:, None] - 0.5 * width * _CHEB_T))
+
+
+def _log_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
+    """A table's knot sum at x = c + r, |r| > 2R, from its moment series.
+
+    With (1 − u)·ln(1 − u) = −u + Σ_{k≥2} u^k/(k(k − 1)) and M₀ = 0:
+    Σ_j κ_j φ(x − ω_j) = R·[Σ_{k≥2} M_k z^(k−1)/(k(k − 1)) − M₁·(ln|x − c| + 1)],
+    z = R/(x − c).
+    """
+    z = tree.radius / r
+    k = np.arange(2, _TREE_MOMENTS)
+    series = np.zeros_like(z)
+    for c in (tree.moments[2:] / (k * (k - 1.0)))[::-1]:
+        series = series * z + c
+    return tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
+
+
+def _cauchy_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
+    """Σ_j w_j/(x − ω_j) at x = c + r, |r| > 2R: Σ_k M_k z^k / r, z = R/r."""
+    z = tree.radius / r
+    series = np.zeros_like(z)
+    for m in tree.moments[::-1]:
+        series = series * z + m
+    return series / r
+
+
+class _Kernel(NamedTuple):
+    """What a source tree's kernel K decides: how a source box acts on a box's
+    nodes (``field``), the moment series past 2R (``outer``), and the
+    matrices that carry a far field down to the halves of a box."""
+
+    field: object
+    outer: object
+    halves: tuple
+
+
+#: K(d) = d·ln|d| for a table's knots, K(d) = 1/d for a fit's nodes.
+_KNOT_KERNEL = _Kernel(_log_field, _log_outer, _KNOT_HALVES)
+_CAUCHY_KERNEL = _Kernel(_cauchy_field, _cauchy_outer, _CHEB_HALVES)
+
+
+def _knot_term(tree: _Tree, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """κ_j (x − ω_j) ln|x − ω_j|, zero at a knot hit."""
+    d = x - tree.sources[j]
+    ad = np.abs(d)
+    ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
+    return tree.weights[j] * d * np.log(ad)
+
+
+def _tree_leaf(tree: _Tree, x: np.ndarray):
+    """The leaf of each x, and where x lies past 2R from the centre (no leaf)."""
+    outer = np.abs(x - tree.centre) > 2.0 * tree.radius
+    leaf = np.clip(np.searchsorted(tree.lo, x, "right") - 1, 0, tree.lo.size - 1)
+    return leaf, outer
+
+
+def _tree_sum(tree: _Tree, x: np.ndarray, kernel: "_Kernel", term) -> np.ndarray:
+    """Σ_j w_j K(x − ω_j) on a 1-D array by the tree.
+
+    In the leaf of x, its far-field series plus ``term(tree, xs, j)`` of
+    the sources j of its near zone; past |x − c| > 2R, the kernel's
+    moment series ``kernel.outer(tree, x − c)``.
+    """
+    out = np.empty_like(x)
+    leaf, outer = _tree_leaf(tree, x)
+    if np.any(outer):
+        out[outer] = kernel.outer(tree, x[outer] - tree.centre)
+    inner = np.nonzero(~outer)[0]
+    if inner.size:
+        xi = x[inner]
+        leaf = leaf[inner]
+        val = _chebyshev(lambda k: tree.coef[k, leaf], (xi - tree.mid[leaf]) / tree.half[leaf])
+        # Near zones, the longest first, so that the points still taking
+        # their j-th near source are always a leading slice.
+        count = tree.near_hi[leaf] - tree.near_lo[leaf]
+        order = np.argsort(-count, kind="stable")
+        count, xs, start = count[order], xi[order], tree.near_lo[leaf][order]
+        near = np.zeros_like(xs)
+        for j in range(int(count[0])):
+            n = np.searchsorted(-count, -j, "left")
+            near[:n] += term(tree, xs[:n], start[:n] + j)
+        val[order] += near
+        out[inner] = val
+    return out
+
+
+def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _Tree:
+    """The knot tree of :meth:`TabulatedCoupling.shift_closed_form`: weights κ_j, K(d) = d·ln|d|."""
+    slopes = np.diff(values) / np.diff(om)
+    kappa = np.diff(slopes, prepend=0.0, append=0.0)
+    centre = 0.5 * (om[0] + om[-1])
+    radius = 0.5 * (om[-1] - om[0])
+    return _build_tree(om, kappa, centre, radius, _knot_moments(om, values, centre, radius),
+                       _KNOT_KERNEL)
 
 
 def _knot_moments(om, values, centre, radius) -> np.ndarray:
@@ -722,43 +923,283 @@ def _knot_moments(om, values, centre, radius) -> np.ndarray:
     return moments
 
 
-def _knot_sum(tree: _KnotTree, x: np.ndarray) -> np.ndarray:
-    """Σ_j κ_j (x − ω_j) ln|x − ω_j| on a 1-D array by the knot tree."""
-    out = np.empty_like(x)
-    rel = x - tree.centre
-    outer = np.abs(rel) > 2.0 * tree.radius
-    if np.any(outer):
-        # With (1 − u)·ln(1 − u) = −u + Σ_{k≥2} u^k/(k(k − 1)) and M₀ = 0:
-        # Σ_j κ_j φ(x − ω_j) = R·[Σ_{k≥2} M_k z^(k−1)/(k(k − 1))
-        #                         − M₁·(ln|x − c| + 1)],  z = R/(x − c).
-        r = rel[outer]
-        z = tree.radius / r
-        k = np.arange(2, _TREE_MOMENTS)
-        series = np.zeros_like(z)
-        for c in (tree.moments[2:] / (k * (k - 1.0)))[::-1]:
-            series = series * z + c
-        out[outer] = tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
-    inner = np.nonzero(~outer)[0]
-    if inner.size:
-        xi = x[inner]
-        leaf = np.clip(np.searchsorted(tree.lo, xi, "right") - 1, 0, tree.lo.size - 1)
-        val = _chebyshev(lambda k: tree.coef[k, leaf], (xi - tree.mid[leaf]) / tree.half[leaf])
-        # Near zones, the longest first, so that the points still taking
-        # their j-th near knot are always a leading slice.
-        count = tree.near_hi[leaf] - tree.near_lo[leaf]
-        order = np.argsort(-count, kind="stable")
-        count, xs, start = count[order], xi[order], tree.near_lo[leaf][order]
-        near = np.zeros_like(xs)
-        for j in range(int(count[0])):
-            n = np.searchsorted(-count, -j, "left")
-            knot = start[:n] + j
-            d = xs[:n] - tree.knots[knot]
-            ad = np.abs(d)
-            ad[ad == 0.0] = 1.0  # (x − ω_j)·ln|x − ω_j| → 0 at a knot hit
-            near[:n] += tree.kappa[knot] * d * np.log(ad)
-        val[order] += near
-        out[inner] = val
-    return out
+#: A panel of a family's g² fit is bisected until its last two Legendre
+#: coefficients are within this fraction of g² at the peak, or of the
+#: panel's own c₀, pointwise.
+_FIT_ABSOLUTE = 1e-13
+_FIT_RELATIVE = 1e-12
+#: Width ratio of the fit's panels graded toward a finite support edge and
+#: out along an infinite side: a panel [r, 1.5r] (in distance from the
+#: edge or the peak) sits five half-widths from it.
+_FIT_RATIO = 1.5
+#: Graded edges per side at most: down to 1.5^−89 ≈ 2·10⁻¹⁶ bandwidths
+#: from a finite edge, out to 1.5^120 ≈ 1.4·10²¹ bandwidths from the peak.
+_FIT_FINE = 90
+_FIT_COARSE = 120
+#: The graded edges stop short of a finite edge by 2^−50 bandwidths, or by
+#: 64 float spacings of the edge, so that no panel is so narrow that its
+#: nodes round together.
+_FIT_FLOOR = 2.0**-50
+_FIT_ULPS = 64.0
+#: A panel is near x, and its polynomial integrated exactly, while
+#: |x − m| < 4h (m, h its centre and half-width); farther panels act
+#: through their nodes.
+_FIT_NEAR = 4.0
+#: Legendre coefficients → values, and slopes in the panel coordinate, at the nodes.
+_LEG_AT_NODES = np.polynomial.legendre.legvander(_GL_X, _NODES - 1).T
+_LEG_SLOPE = np.array([np.polynomial.legendre.legval(_GL_X, np.polynomial.legendre.legder(unit))
+                       for unit in np.eye(_NODES)])
+
+
+class _ShiftFit(NamedTuple):
+    """Legendre panels of a family's g², and what its Hilbert transform needs.
+
+    Panel p spans [lo[p], hi[p]] and carries the Legendre coefficients
+    ``coef[:, p]`` of g² in its own coordinate.  It is near every x in
+    [near_lo[p], near_hi[p]); the x of cell c, [cells[c], cells[c+1]),
+    have the near panels ``cell_panels[cell_start[c]:cell_start[c+1]]``.
+    ``tree`` sums the panels' Gauss–Legendre nodes as point charges; node
+    j lies ``offsets[j]`` above the lower edge of panel j // 10.
+    ``divergent`` holds the support edges where g² does not vanish, and
+    ``edge_shifts`` the (edge, panel, value) of every other finite edge:
+    that panel's share of Δ_R at the edge itself.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+    near_lo: np.ndarray
+    near_hi: np.ndarray
+    cells: np.ndarray
+    cell_start: np.ndarray
+    cell_panels: np.ndarray
+    offsets: np.ndarray
+    tree: _Tree
+    divergent: np.ndarray
+    edge_shifts: tuple
+
+
+def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
+    """The fit of :func:`_fit_shift`, from g² alone.
+
+    Initial edges: the peak, the kinks, geometric edges graded toward each
+    finite support edge until g² falls below the absolute tolerance (or
+    the edge's float spacing is reached), and geometric edges out along
+    each infinite side until the mass scale g²(ω)·|ω − peak|/Λ is below
+    it, where the fit ends.  :func:`~zenodecay._panels._refine` then
+    bisects, pointwise, to ``_FIT_ABSOLUTE``·g²(peak) or
+    ``_FIT_RELATIVE``·|c₀|.
+
+    A finite edge where the fit is small against its own error (g²
+    vanishes there, as at a threshold or the edge of a semicircle) has
+    the fit's edge value taken out by a linear ramp on the edge panel, so
+    that no logarithm of the edge distance is left; an edge where it is
+    not (g² jumps there) is listed as ``divergent``.
+    """
+    a, b = ff.support()
+    scale = ff.bandwidth
+    peak = min(max(ff.peak_energy(), a), b)
+    tol = _FIT_ABSOLUTE * abs(float(ff.g2(peak)))
+    grades = _FIT_RATIO ** -np.arange(_FIT_FINE)
+    fine = scale * grades
+    coarse = scale * _FIT_RATIO ** np.arange(_FIT_COARSE)
+    parts = [np.array([peak]), np.asarray(ff.kinks(), dtype=float)]
+    ends = []
+    for edge, side in ((a, 1.0), (b, -1.0)):
+        if math.isfinite(edge):
+            floor = max(_FIT_FLOOR * scale, _FIT_ULPS * np.spacing(abs(edge)))
+            pts, weight = edge + side * fine[fine >= floor], 1.0
+        else:
+            pts, weight = peak - side * coarse, coarse / scale
+        inside = (pts > a) & (pts < b)
+        pts = pts[inside]
+        low = np.flatnonzero(~(weight * np.abs(np.asarray(ff.g2(pts), dtype=float)) > tol))
+        parts.append(pts[: low[0] + 1] if low.size else pts)
+        ends.append(parts[-1][-1] if parts[-1].size else edge)
+    edges = np.unique(np.concatenate(parts + [ends]))
+    edges = edges[(edges >= ends[0]) & (edges <= ends[1])]
+
+    def density(lo, h):
+        """g² at the nodes of [lo, lo + h], moved back onto the nominal nodes.
+
+        A node rounds to the float nearest lo + h·x_i, off by ``miss``,
+        exactly (Knuth's TwoSum); next to a steep edge g² changes by
+        g²′·miss there, so each sample takes the fit's own slope times it.
+        """
+        lo = lo[:, None]
+        step = h[:, None] * _GL_FRACTION
+        node = lo + step
+        back = node - lo
+        miss = (lo - (node - back)) + (step - back)
+        g = np.asarray(ff.g2(node), dtype=float)
+        return g + (g @ _FIT.T) @ _LEG_SLOPE * (miss / (0.5 * h[:, None]))
+
+    lo, hi, coef, est = _refine(density, edges, tol, _FIT_RELATIVE, integrated=False)
+    # The panel between a finite edge and the innermost graded edge takes
+    # one fit, unrefined: the edge's singularity would draw bisection on
+    # to the tolerance, ~80 halvings deep at a threshold, for the values
+    # within 2^−50 bandwidths of the edge alone.  Its c₀ is set from the
+    # panel's mass, and its level shift at the edge itself kept, both
+    # summed on sub-panels graded on to the edge, so that the panel acts
+    # on every x outside it as g² does.
+    at_edge = {}
+    for edge, end in zip((a, b), ends):
+        if math.isfinite(edge) and edge != end:
+            e_lo, e_hi = min(edge, end), max(edge, end)
+            e_coef = _FIT @ density(np.array([e_lo]), np.array([e_hi - e_lo]))[0]
+            sub = np.unique(np.append(edge + (end - edge) * grades, edge))
+            width = np.diff(sub)[:, None]
+            charge = 0.5 * width * _GL_W * density(sub[:-1], width[:, 0])
+            distance = np.abs((sub[:-1] - edge)[:, None] + width * _GL_FRACTION)
+            e_coef[0] = np.sum(charge) / (e_hi - e_lo)
+            at_edge[edge] = math.copysign(np.sum(charge / distance), edge - end)
+            lo, hi = np.append(lo, e_lo), np.append(hi, e_hi)
+            coef = np.column_stack((coef, e_coef))
+            est = np.append(est, abs(e_coef[-2]) + abs(e_coef[-1]))
+    order = np.argsort(lo)
+    lo, hi, coef, est = lo[order], hi[order], coef[:, order], est[order]
+    if not np.all(np.isfinite(coef)):
+        bad = int(np.argmax(~np.all(np.isfinite(coef), axis=0)))
+        raise ToleranceError(
+            f"g2 is not finite on [{lo[bad]}, {hi[bad]}]; the level shift is undefined",
+            achieved=math.inf, requested=tol,
+        )
+
+    divergent, edge_shifts = [], []
+    for p, edge, t in ((0, a, -1.0), (lo.size - 1, b, 1.0)):
+        if not math.isfinite(edge):
+            continue
+        if edge in at_edge:
+            # The unrefined panel meets its neighbour's value at its inner
+            # end, so that their logarithms cancel there.
+            inner = p - int(t)
+            _shift_end(coef[:, p], -t, _legendre_at(coef[:, p], -t) - _legendre_at(coef[:, inner], t))
+        value = _legendre_at(coef[:, p], t)
+        if abs(value) > 100.0 * est[p] + 1e-10 * np.max(np.abs(coef[:, p] @ _LEG_AT_NODES)):
+            divergent.append(edge)
+        else:
+            _shift_end(coef[:, p], t, value)
+            if edge in at_edge:
+                edge_shifts.append((edge, p, at_edge[edge]))
+
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    near_lo, near_hi = m - _FIT_NEAR * h, m + _FIT_NEAR * h
+    cells = np.concatenate(([-math.inf], np.unique(np.concatenate((near_lo, near_hi)))))
+    first = np.searchsorted(cells, near_lo)
+    count = np.searchsorted(cells, near_hi) - first
+    panel = np.repeat(np.arange(lo.size), count)
+    cell = np.repeat(first, count) + _ragged_offsets(count)
+    order = np.argsort(cell, kind="stable")
+    cell_start = np.searchsorted(cell[order], np.arange(cells.size + 1))
+
+    offsets = ((hi - lo)[:, None] * _GL_FRACTION).ravel()
+    nodes = np.repeat(lo, _NODES) + offsets
+    charges = (h[:, None] * _GL_W * (coef.T @ _LEG_AT_NODES)).ravel()
+    centre, radius = 0.5 * (lo[0] + hi[-1]), 0.5 * (hi[-1] - lo[0])
+    tree = _build_tree(nodes, charges, centre, radius,
+                       _cauchy_moments(nodes, charges, centre, radius), _CAUCHY_KERNEL)
+    return _ShiftFit(lo, hi, coef, near_lo, near_hi, cells, cell_start, panel[order], offsets,
+                     tree, np.array(divergent), tuple(edge_shifts))
+
+
+def _legendre_at(coef: np.ndarray, t: float) -> float:
+    """A panel's polynomial at its end t = ±1: Σ_k c_k t^k."""
+    return float(coef @ t ** _DEGREES)
+
+
+def _shift_end(coef: np.ndarray, t: float, value: float) -> None:
+    """Lower a panel's polynomial by ``value`` at its end t = ±1, in place.
+
+    By (P₂ + t·P₁)/2, which is 1 at that end, 0 at the other and of zero
+    mass, so neither the other end nor the panel's mass moves.
+    """
+    coef[1] -= 0.5 * t * value
+    coef[2] -= 0.5 * value
+
+
+def _ragged_offsets(count: np.ndarray) -> np.ndarray:
+    """0, 1, …, count[i] − 1 for each i in turn."""
+    return np.arange(np.sum(count)) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _cauchy_moments(sources, weights, centre, radius) -> np.ndarray:
+    """M_k = Σ_j w_j s_j^k, s = (ω − c)/R, for k < ``_CAUCHY_MOMENTS``."""
+    s = (sources - centre) / radius
+    moments = np.empty(_CAUCHY_MOMENTS)
+    power = weights.copy()
+    for k in range(_CAUCHY_MOMENTS):
+        moments[k] = np.sum(power)
+        power *= s
+    return moments
+
+
+def _legendre_q(coef: np.ndarray, s: np.ndarray, log_plus: np.ndarray,
+                log_minus: np.ndarray) -> np.ndarray:
+    """Σ_k c_k·2Q_k(s), Q_k(s) = ½ PV∫₋₁¹ P_k(t)/(s − t) dt, one column of c per s.
+
+    Q₀ = ½(ln|1 + s| − ln|1 − s|), from the logarithms given, and the rest
+    by the forward recurrence (k + 1)Q_{k+1} = (2k + 1)s·Q_k − k·Q_{k−1}.
+    For |s| > 1 the Q_k decay with k and the recurrence loses them, but
+    what it loses grows like P_k(s): an error δ in Q₀ or Q₁ comes out as
+    δ·Σ_k c_k P_k(s) = δ·p(s), the panel's polynomial continued to s,
+    which for |s| < 4 stays of the size of g² on the panels near it.
+    """
+    q = [0.5 * (log_plus - log_minus)]
+    q.append(s * q[0] - 1.0)
+    for k in range(1, _NODES - 1):
+        q.append(((2 * k + 1) * s * q[k] - k * q[k - 1]) / (k + 1))
+    return 2.0 * np.einsum("kp,kp->p", coef, q)
+
+
+def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
+    """Δ_R(x) = PV ∫ g²(ω)/(x − ω) dω of the fitted g², exactly, on a 1-D array.
+
+    A panel [lo, hi] with centre m and half-width h contributes
+    Σ_k c_k·2Q_k(s), s = (x − m)/h, by Neumann's integral for Q_k.
+    Panels near x (|s| < 4) take that form, with 1 ± s formed from the
+    exact edges as (x − lo)/h and (hi − x)/h so that the logarithms of
+    two neighbours cancel at their shared edge; the logarithm of a zero
+    distance is taken as 0, the limit where they do.  Every other panel
+    acts through its ten Gauss–Legendre nodes, charges h·w_i·p(t_i) with
+    the kernel 1/(x − ω_i), which for |s| ≥ 4 misses its exact form by
+    c_k·O(7.9^(k−20)); these are summed by the source tree, whose near
+    zone skips the nodes of near panels.  A near panel's nodes outside
+    that zone are in the tree's far field, and are subtracted, so that
+    no panel counts twice.  Each x takes its terms in its own order, so
+    its value does not depend on the other points.
+    """
+    tree = fit.tree
+
+    def term(tree, xs, j):
+        p = j // _NODES
+        d = (xs - fit.lo[p]) - fit.offsets[j]
+        d[(xs >= fit.near_lo[p]) & (xs < fit.near_hi[p])] = math.inf
+        return tree.weights[j] / d
+
+    out = _tree_sum(tree, x, _CAUCHY_KERNEL, term)
+    cell = np.searchsorted(fit.cells, x, "right") - 1
+    start = fit.cell_start[cell]
+    count = fit.cell_start[cell + 1] - start
+    which = np.repeat(np.arange(x.size), count)
+    p = fit.cell_panels[np.repeat(start, count) + _ragged_offsets(count)]
+    xp = x[which]
+    lo, hi = fit.lo[p], fit.hi[p]
+    plus, minus = xp - lo, hi - xp
+    log_h = np.log(0.5 * (hi - lo))
+    log_plus = np.log(np.where(plus == 0.0, 1.0, np.abs(plus))) - log_h
+    log_minus = np.log(np.where(minus == 0.0, 1.0, np.abs(minus))) - log_h
+    exact = _legendre_q(fit.coef[:, p], (plus - minus) / (hi - lo), log_plus, log_minus)
+    for edge, panel, value in fit.edge_shifts:
+        exact[(p == panel) & (xp == edge)] = value
+    # The near panels' nodes that the tree's far field holds.
+    leaf, outer = _tree_leaf(tree, xp)
+    nodes = p[:, None] * _NODES + np.arange(_NODES)
+    held = ((nodes >= tree.near_lo[leaf][:, None]) & (nodes < tree.near_hi[leaf][:, None])
+            & ~outer[:, None])
+    d = plus[:, None] - fit.offsets[nodes]
+    d[held] = math.inf
+    exact -= np.sum(tree.weights[nodes] / d, axis=1)
+    return out + np.bincount(which, weights=exact, minlength=x.size)
 
 
 def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:

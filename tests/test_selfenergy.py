@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -17,6 +18,7 @@ from zenodecay.formfactor import (
     TabulatedCoupling,
     ThresholdPowerLawCoupling,
 )
+from zenodecay import amplitude, selfenergy
 from zenodecay.selfenergy import Sheet, real_shift, self_energy
 
 
@@ -280,6 +282,87 @@ def test_batched_shift_matches_mpmath_principal_value(case):
     tol = 1e-12 * max(1.0, case[0] ** 2)
     for x, value in zip(xs, got):
         assert value == pytest.approx(_mpmath_shift(mp, case, x), abs=tol)
+
+
+def _mpmath_shift_at_threshold(mp, case):
+    """Δ_R at the threshold itself, −∫ g²(ω)/(ω − ω_g) dω, in 30-digit arithmetic."""
+    lam, bw, thr, p, q = (mp.mpf(v) for v in case)
+    norm = q * mp.sin(mp.pi * (p + 1) / q) / (mp.pi * bw ** (p + 1))
+    return float(-mp.quad(lambda s: lam**2 * norm * s ** (p - 1) / (1 + (s / bw) ** q),
+                          [0, mp.mpf(10) ** -12, mp.mpf(10) ** -6, mp.mpf(10) ** -3, 1, mp.inf]))
+
+
+# Δ_R of the weak power law (0.1, 1, 0, 1/2, 4) at every node where the
+# spectral kernels at omega_a = 0.7, 1.1 and 2.4 asked for it, with the
+# values of the double-exponential rule that served them before the g2 fit.
+SHIFT_NODES = os.path.join(os.path.dirname(__file__), "data", "weak_power_law_shift.npz")
+
+
+@pytest.mark.parametrize("omega_a", ["0_7", "1_1", "2_4"])
+def test_power_law_shift_matches_former_rule_at_kernel_nodes(tpl, omega_a):
+    with np.load(SHIFT_NODES) as data:
+        nodes, former = data["nodes_" + omega_a], data["shifts_" + omega_a]
+    assert np.max(np.abs(real_shift(tpl, nodes) - former)) <= 2e-14 * np.max(np.abs(former))
+
+
+@pytest.mark.parametrize("case", SHIFT_CASES)
+def test_shift_exact_on_panel_edges_and_threshold(case):
+    # On the edge two panels share, each one's logarithm of the edge
+    # distance is taken as zero, the limit in which they cancel; at the
+    # threshold the fit's edge panel is replaced by the panels graded on
+    # to it.  Off zero, nodes near the threshold round to its ulp (5.6e-17
+    # at -0.3), which leaves ~1e-12 of the scale at the threshold and
+    # ~3e-14 at 1e-12 from it (the double-exponential rule read 4.9e-13
+    # and 8.3e-14 there).
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    ff = ThresholdPowerLawCoupling(*case)
+    thr = case[2]
+    lo = ff._shift_fit.lo
+    edges = np.concatenate((lo[(lo > thr + 1e-12) & (lo < thr + 1e-9)][::4],
+                            lo[(lo > thr + 0.1) & (lo < thr + 3.0)][::8]))
+    scale = np.max(np.abs(real_shift(ff, np.linspace(thr, thr + 5.0, 201))))
+    at_zero = thr == 0.0
+    assert abs(real_shift(ff, thr) - _mpmath_shift_at_threshold(mp, case)) <= (
+        2e-14 if at_zero else 1e-11) * scale
+    want = [_mpmath_shift(mp, case, x) for x in edges]
+    assert np.all(np.abs(real_shift(ff, edges) - want) <= (2e-14 if at_zero else 1e-13) * scale)
+    # Across an edge the shift is continuous: the neighbours' logarithms
+    # cancel (near the threshold one ulp of x moves it by more than that).
+    for edge in edges[edges > thr + 0.1]:
+        side = real_shift(ff, np.array([np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]))
+        assert np.all(np.abs(side - real_shift(ff, edge)) <= 1e-13 * scale)
+
+
+def test_power_law_kernel_makes_no_real_axis_rule_evaluations(monkeypatch):
+    # Every level shift of a kernel build comes from the family's g2 fit;
+    # the double-exponential rule is left to Sigma off the real axis.
+    on_axis = []
+    rule = selfenergy._de_rule
+
+    def counted(ff, x, y=None):
+        if y is None or y == 0.0:
+            on_axis.append(np.size(x))
+        return rule(ff, x, y)
+
+    monkeypatch.setattr(selfenergy, "_de_rule", counted)
+    ff = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    kernel = amplitude._kernel_uncached(ff, 2.4)
+    assert kernel.error <= 1e-11
+    assert on_axis == []
+
+
+def test_lorentzian_continuation_is_the_sheet_gap(lor):
+    # Sigma_II - Sigma_I = -2 pi i g2_c(E) below the axis, on the family's
+    # own closed forms; the derivative is that of the rational g2_c.
+    for E in (0.5 - 0.2j, 2.0 - 0.01j, -1.3 - 0.7j):
+        gap = self_energy(lor, E, Sheet.SECOND).value - self_energy(lor, E, Sheet.FIRST).value
+        g2, dg2 = lor.g2_continued(E)
+        assert gap == pytest.approx(-2j * math.pi * g2, rel=1e-14)
+        h = 1e-6
+        slope = (lor.g2_continued(E + h)[0] - lor.g2_continued(E - h)[0]) / (2.0 * h)
+        assert dg2 == pytest.approx(slope, rel=1e-8)
+    assert lor.g2_continued(0.7) == pytest.approx((float(lor.g2(0.7)), -2.0 * 0.7 * 0.01 / math.pi / (0.49 + 1.0) ** 2))
 
 
 def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
