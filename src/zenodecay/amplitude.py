@@ -25,7 +25,9 @@ Three evaluation routes are provided, all returning a
     the same for every family.  ρ is sampled at Gauss–Legendre nodes on
     each panel with the exact level shift Δ_R at every node (a table
     sums its one logarithm per knot by a tree built once per table, and
-    keeps Δ_R at the nodes of its knot segments for every ω_a) and
+    keeps Δ_R at the nodes of its knot segments for every ω_a; any other
+    family without a closed form takes the Hilbert transform of its g²
+    fit, built once per family) and
     stored as Legendre coefficients.  Their Fourier transforms are spherical
     Bessel functions (the Filon–Legendre rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
@@ -618,7 +620,8 @@ def survival_spectral_integral(
     panels.  On each panel ρ is sampled at 10 Gauss–Legendre nodes with
     the exact level shift of :func:`~zenodecay.real_shift` at every node
     (a table's by the tree sum of its knot logarithms, see
-    :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`) and stored
+    :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
+    family's from its g² fit) and stored
     as Legendre coefficients c_k.  Δ_R depends on g² alone, so the
     shifts at the nodes of every segment between consecutive kinks of
     g² are memoized once per family (the last one used) and read by

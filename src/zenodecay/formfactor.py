@@ -550,8 +550,8 @@ class TabulatedCoupling(FormFactor):
         at ``_TREE_ORDER`` Chebyshev nodes: its parent's far field
         interpolated there, plus the knots that join its far set between
         the two levels, box by box, each box acting through its two lowest
-        moments and its Chebyshev proxy charges (see
-        :func:`_build_knot_tree`).  At
+        moments and its Chebyshev proxy charges (see :func:`_build_tree`
+        and :func:`_log_field`).  At
         x the leaf's far-field series is summed and the knots of its near
         zone are added exactly; past |x − c| > 2R, where every knot is far,
         the series of the knot sum in R/(x − c) is summed instead.  There
@@ -628,10 +628,10 @@ def _lagrange_halves() -> tuple:
     """The same matrices by the barycentric formula in long double, rounded once.
 
     Each halving carries a box's far field down with the error of its
-    matrices; a fit's tree, ~100 levels deep at a threshold against ~15
-    for a table, needs them correctly rounded (8e-15 per entry there left
-    Δ_R 1e-13 off next to the threshold).  Where long double is double,
-    the entries are off by ~4e-15.
+    matrices; a fit's tree, ~70 levels deep next to a threshold against
+    ~15 for a table, needs them correctly rounded (the 8e-15 of the
+    above left Δ_R 1e-13 off there).  Where long double is double, the
+    entries keep a few units of rounding.
     """
     nodes = _CHEB_T.astype(np.longdouble)
     gaps = nodes[:, None] - nodes
@@ -693,8 +693,9 @@ def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") ->
     (:meth:`TabulatedCoupling.shift_closed_form`) and K(d) = 1/d for the
     nodes of a family's g² fit (:func:`_fit_shift`).  Only the action of a
     source box on a box's Chebyshev nodes, ``field(sums, m1, charges,
-    dist, width)``, and the moment series past |x − c| > 2R (see
-    :func:`_tree_sum`) depend on the kernel.
+    dist, width)``, the moment series past |x − c| > 2R (see
+    :func:`_tree_sum`) and the halving matrices depend on the kernel (see
+    :class:`_Kernel`).
 
     Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
     integer index k and the level's power-of-two width w, so every edge
@@ -743,7 +744,7 @@ def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") ->
         use[:, -1] &= ~right
         if np.any(use):
             # The boxes that act at this level, and their sources.
-            acting = np.unique(pos[use])
+            acting = np.flatnonzero(np.bincount(pos[use], minlength=ids.size))
             count = np.append(first[1:], held.size)[acting] - first[acting]
             j = start + np.repeat(first[acting], count) + _ragged_offsets(count)
             w = weights[j]
@@ -983,18 +984,18 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
     """The fit of :func:`_fit_shift`, from g² alone.
 
     Initial edges: the peak, the kinks, geometric edges graded toward each
-    finite support edge until g² falls below the absolute tolerance (or
-    the edge's float spacing is reached), and geometric edges out along
-    each infinite side until the mass scale g²(ω)·|ω − peak|/Λ is below
-    it, where the fit ends.  :func:`~zenodecay._panels._refine` then
-    bisects, pointwise, to ``_FIT_ABSOLUTE``·g²(peak) or
+    finite support edge until g² falls below the absolute tolerance or
+    the floor ``_FIT_FLOOR``/``_FIT_ULPS`` is reached, and geometric edges
+    out along each infinite side until the mass scale g²(ω)·|ω − peak|/Λ
+    is below it, where the fit ends.  :func:`~zenodecay._panels._refine`
+    then bisects, pointwise, to ``_FIT_ABSOLUTE``·g²(peak) or
     ``_FIT_RELATIVE``·|c₀|.
 
     A finite edge where the fit is small against its own error (g²
     vanishes there, as at a threshold or the edge of a semicircle) has
-    the fit's edge value taken out by a linear ramp on the edge panel, so
-    that no logarithm of the edge distance is left; an edge where it is
-    not (g² jumps there) is listed as ``divergent``.
+    the fit's edge value taken out (:func:`_shift_end`), so that no
+    logarithm of the edge distance is left; an edge where it is not (g²
+    jumps there) is listed as ``divergent``.
     """
     a, b = ff.support()
     scale = ff.bandwidth
