@@ -895,7 +895,7 @@ def _tree_sum(tree: _Tree, x: np.ndarray, kernel: "_Kernel", term) -> np.ndarray
 
 
 def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _Tree:
-    """The knot tree of :meth:`TabulatedCoupling.shift_closed_form`: weights κ_j, K(d) = d·ln|d|."""
+    """The knot tree of :meth:`TabulatedCoupling.shift_closed_form`: κ_j, K(d) = d·ln|d|."""
     slopes = np.diff(values) / np.diff(om)
     kappa = np.diff(slopes, prepend=0.0, append=0.0)
     centre = 0.5 * (om[0] + om[-1])
@@ -1073,8 +1073,8 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
         if edge in at_edge:
             # The unrefined panel meets its neighbour's value at its inner
             # end, so that their logarithms cancel there.
-            inner = p - int(t)
-            _shift_end(coef[:, p], -t, _legendre_at(coef[:, p], -t) - _legendre_at(coef[:, inner], t))
+            gap = _legendre_at(coef[:, p], -t) - _legendre_at(coef[:, p - int(t)], t)
+            _shift_end(coef[:, p], -t, gap)
         value = _legendre_at(coef[:, p], t)
         if abs(value) > 100.0 * est[p] + 1e-10 * np.max(np.abs(coef[:, p] @ _LEG_AT_NODES)):
             divergent.append(edge)

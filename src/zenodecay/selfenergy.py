@@ -99,8 +99,8 @@ def _cut_distance(ff: FormFactor, E: complex) -> float:
     return math.hypot(gap, y)
 
 
-#: Double-exponential rules of the self-energy and the level shift on the
-#: unit parameter t ∈ [−T, T] at step 2^−_DE_LEVEL.  The sum over every other
+#: Double-exponential rules of the self-energy on the unit parameter
+#: t ∈ [−T, T] at step 2^−_DE_LEVEL.  The sum over every other
 #: node is the same rule at twice the step; the difference of the two is
 #: the error estimate (the finer sum is the more accurate by far, since
 #: the rules converge double-exponentially).
@@ -156,7 +156,7 @@ def _log_nodes(d1: np.ndarray, d2: np.ndarray):
 
 
 def _de_rule(ff: FormFactor, x: np.ndarray, y: float):
-    """∫ g(ω′)/(E − ω′) dω′ at E = x + iy, y ≠ 0, by fixed DE rules, on a 1-D array of x.
+    """∫ g(ω′)/(E − ω′) dω′ at E = x + iy off the cut, by fixed DE rules, for an array of x.
 
     Here g is the density g² of ``ff``.  The result has two complex rows
     taken from the same samples of g: the transform and its derivative

@@ -362,7 +362,9 @@ def test_lorentzian_continuation_is_the_sheet_gap(lor):
         h = 1e-6
         slope = (lor.g2_continued(E + h)[0] - lor.g2_continued(E - h)[0]) / (2.0 * h)
         assert dg2 == pytest.approx(slope, rel=1e-8)
-    assert lor.g2_continued(0.7) == pytest.approx((float(lor.g2(0.7)), -2.0 * 0.7 * 0.01 / math.pi / (0.49 + 1.0) ** 2))
+    # On the axis it is g2 itself, with slope -2 z lam^2 Lam / (pi (z^2 + Lam^2)^2).
+    slope = -2.0 * 0.7 * 0.01 / math.pi / (0.49 + 1.0) ** 2
+    assert lor.g2_continued(0.7) == pytest.approx((float(lor.g2(0.7)), slope))
 
 
 def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
