@@ -41,7 +41,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -839,8 +839,8 @@ class _Kernel(NamedTuple):
     nodes (``field``), the moment series past 2R (``outer``), and the
     matrices that carry a far field down to the halves of a box."""
 
-    field: object
-    outer: object
+    field: Callable
+    outer: Callable
     halves: tuple
 
 
