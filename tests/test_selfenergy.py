@@ -519,6 +519,59 @@ def test_custom_family_shift_matches_semicircle_hilbert_transform():
     assert edges == pytest.approx([-2.0 * lam2, 2.0 * lam2], abs=1e-8)
 
 
+@dataclass(frozen=True)
+class _Gaussian(_Semicircle):
+    """Custom family on the whole line: g2 = (lam^2/sqrt(pi)) exp(-(w - 1/2)^2)."""
+
+    family = "gaussian"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = self.coupling**2 / math.sqrt(math.pi) * np.exp(-((w - 0.5) ** 2))
+        return out if out.ndim else float(out)
+
+    def support(self):
+        return (-math.inf, math.inf)
+
+    def peak_energy(self):
+        return 0.5
+
+
+@dataclass(frozen=True)
+class _Tent(_Semicircle):
+    """Custom family g2 = lam^2 (1 - |w|) on (-1, 1), with its kink at 0."""
+
+    family = "tent"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = self.coupling**2 * np.clip(1.0 - np.abs(w), 0.0, None)
+        return out if out.ndim else float(out)
+
+    def kinks(self):
+        return np.array([0.0])
+
+
+@pytest.mark.parametrize("family", [_Gaussian, _Tent])
+def test_custom_family_shift_matches_cauchy_weight_quadrature(family):
+    # The fit's tails out along both infinite sides (Gaussian), and a kink
+    # and two edges where g2 vanishes linearly (tent), hit exactly too.
+    ff = family()
+    lo, hi = (-60.0, 60.0) if family is _Gaussian else ff.support()
+    xs = np.array([-3.0, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.5])
+    got = real_shift(ff, xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for x, value in zip(xs, got):
+            if lo < x < hi:
+                want = -integrate.quad(lambda w: float(ff.g2(w)), lo, hi, weight="cauchy", wvar=x,
+                                       epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+            else:
+                want = integrate.quad(lambda w: float(ff.g2(w)) / (x - w), lo, hi,
+                                      epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+            assert value == pytest.approx(want, abs=1e-14)
+
+
 @pytest.mark.parametrize("E", [1.0 - 1e-3j, -1.0 + 1e-6j, 0.3 + 1e-8j, 1.5, -3.0, 5.0 + 100.0j])
 def test_custom_family_self_energy_matches_semicircle_closed_form(E):
     # Off the cut Sigma = 2 lam^2 (E - r) and Sigma' = 2 lam^2 (1 - E/r),
