@@ -4,6 +4,7 @@ One panel machinery serves two fits: the spectral kernel of
 :mod:`~zenodecay.amplitude` fits the density ρ of the surviving state,
 and a coupling family without a closed-form level shift fits g² once
 (:mod:`~zenodecay.formfactor`), whose Hilbert transform is then exact.
+Both keep what they build by the family's value, through :func:`_memoized`.
 """
 
 from __future__ import annotations
@@ -76,3 +77,12 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
     return tuple(np.concatenate(part, axis=-1) for part in zip(*kept))
+
+
+def _memoized(cached, ff, *args):
+    """``cached(ff, *args)``, or its uncached builder for an unhashable custom family."""
+    try:
+        hash(ff)
+    except TypeError:
+        return cached.__wrapped__(ff, *args)
+    return cached(ff, *args)

@@ -27,8 +27,8 @@ Three evaluation routes are provided, all returning a
     sums its one logarithm per knot by a tree built once per table, and
     keeps Δ_R at the nodes of its knot segments for every ω_a; any other
     family without a closed form takes the Hilbert transform of its g²
-    fit, built once per family) and
-    stored as Legendre coefficients.  Their Fourier transforms are spherical
+    fit, built once per coupling value and shared by equal instances)
+    and stored as Legendre coefficients.  Their Fourier transforms are spherical
     Bessel functions (the Filon–Legendre rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
     are bisected until the fit is resolved; the summed truncation bound
@@ -55,7 +55,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _refine
+from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _memoized, _refine
 from ._roots import bracketed_roots
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, LorentzianCoupling
@@ -316,15 +316,6 @@ def _segment_shifts_uncached(ff: FormFactor):
 # them panels of every kernel, take their node shifts once per table
 # (1.6 MB for 20001 knots), not once per ω_a.
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
-
-
-def _memoized(cached, ff: FormFactor, *args):
-    """``cached(ff, *args)``, or its uncached builder for an unhashable custom family."""
-    try:
-        hash(ff)
-    except TypeError:
-        return cached.__wrapped__(ff, *args)
-    return cached(ff, *args)
 
 
 def _node_shifts(ff: FormFactor, segments, lo: np.ndarray, h: np.ndarray, w: np.ndarray):

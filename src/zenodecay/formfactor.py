@@ -26,9 +26,10 @@ rational self-energy and two-pole residue sum, the table's segment sums
 and knot sum — through the optional hooks listed on :class:`FormFactor`;
 the numerical layers fall back to their generic routes where a hook is
 absent and never branch on a concrete family.  The generic level shift
-lives here too: a family without ``shift_closed_form`` fits its g² once
-on Legendre panels, and Δ_R is that fit's exact Hilbert transform, its
-panels' nodes summed by the same source tree as a table's knots.
+lives here too: a family without ``shift_closed_form`` fits its g² on
+Legendre panels once per coupling value, a fit that equal instances
+share, and Δ_R is that fit's exact Hilbert transform, its panels' nodes
+summed by the same source tree as a table's knots.
 
 Module-level operations: point queries with validation, the Zeno time
 τ_Z = (∫g²dω)^(−1/2), and the effective bandwidth point ω̄ defined by
@@ -45,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _refine
+from ._panels import _DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _memoized, _refine
 from ._roots import bracketed_roots
 from .errors import (
     ContinuationUnsupportedError,
@@ -109,8 +110,8 @@ class FormFactor:
     ``shift_closed_form(x)``
         Δ_R on a 1-D float array of real ω (else: the exact principal
         value of the family's g² fitted on Legendre panels, built on
-        first use and kept as ``_shift_fit``; see
-        :func:`~zenodecay.real_shift`).
+        first use once per coupling value, shared by equal instances and
+        kept as ``_shift_fit``; see :func:`~zenodecay.real_shift`).
     ``sigma_closed_form(E, second)``
         (Σ, Σ′) at complex E on the second sheet if ``second`` (asked
         only of continuable families, the real axis included), else on
@@ -178,9 +179,11 @@ class FormFactor:
         """Legendre panels of g² and their node tree, built on first use.
 
         Δ_R depends on g² alone, so a family without ``shift_closed_form``
-        fits g² once and takes every Δ_R from the fit (:func:`_fit_shift`).
+        fits g² once per coupling value, a fit that equal instances share
+        (:func:`_shared_shift_fit`; an unhashable family builds its own),
+        and takes every Δ_R from the fit (:func:`_fit_shift`).
         """
-        return _build_shift_fit(self)
+        return _memoized(_shared_shift_fit, self)
 
     # -- analytic continuation ---------------------------------------
 
@@ -511,6 +514,11 @@ class TabulatedCoupling(FormFactor):
         return (float(self.omegas[0]), float(self.omegas[-1]))
 
     def g2_integral(self):
+        return self._g2_total
+
+    @functools.cached_property
+    def _g2_total(self) -> float:
+        """The trapezoid sum of :meth:`g2_integral`, taken once per table."""
         return float(np.trapezoid(self.g2_values, self.omegas))
 
     def peak_energy(self):
@@ -583,7 +591,9 @@ class TabulatedCoupling(FormFactor):
         for edge, value in ((om[0], fv[0]), (om[-1], -fv[-1])):
             if value != 0.0:
                 edges += value * np.log(np.abs(x - edge))
-        return _tree_sum(self._knot_tree, x, _KNOT_KERNEL, _knot_term) + edges - (fv[-1] - fv[0])
+        tree = self._knot_tree
+        return (_tree_sum(tree, x, *_tree_leaf(tree, x), _KNOT_KERNEL, _knot_term)
+                + edges - (fv[-1] - fv[0]))
 
     def sigma_closed_form(self, E, second):
         """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
@@ -605,6 +615,9 @@ _TREE_INDEX = 2.0**50
 _TREE_LEVELS = 256
 #: Terms of the moment series of a table's knot sum past |x − c| > 2R.
 _TREE_MOMENTS = 48
+#: Points of a tree sum taken together: a chunk's near terms, up to
+#: ``_TREE_NEAR`` per point, and its leaves' coefficients stay below 1 MB.
+_TREE_CHUNK = 4096
 #: Offsets, in box widths, of the source boxes that join a box's far set.
 _TREE_OFFSETS = np.array([-3.0, -2.0, 2.0, 3.0])
 #: Terms of the moment series of a fit's node sum there: (1/2)^56.
@@ -677,13 +690,14 @@ def _x_log_x(d):
     return d * np.log(np.abs(d))
 
 
-def _chebyshev(coef, t: np.ndarray) -> np.ndarray:
-    """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef(k)`` broadcast against t."""
+def _chebyshev(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef[k]`` broadcast against t."""
+    t2 = 2.0 * t
     b1 = np.zeros_like(t)
     b2 = np.zeros_like(t)
     for k in range(_TREE_ORDER - 1, 0, -1):
-        b1, b2 = 2.0 * t * b1 - b2 + coef(k), b1
-    return t * b1 - b2 + coef(0)
+        b1, b2 = t2 * b1 - b2 + coef[k], b1
+    return t * b1 - b2 + coef[0]
 
 
 def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") -> _Tree:
@@ -864,33 +878,33 @@ def _tree_leaf(tree: _Tree, x: np.ndarray):
     return leaf, outer
 
 
-def _tree_sum(tree: _Tree, x: np.ndarray, kernel: "_Kernel", term) -> np.ndarray:
-    """Σ_j w_j K(x − ω_j) on a 1-D array by the tree.
+def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
+              kernel: "_Kernel", term) -> np.ndarray:
+    """Σ_j w_j K(x − ω_j) on a 1-D array by the tree, given :func:`_tree_leaf` of x.
 
     In the leaf of x, its far-field series plus ``term(tree, xs, j)`` of
-    the sources j of its near zone; past |x − c| > 2R, the kernel's
-    moment series ``kernel.outer(tree, x − c)``.
+    the sources j of its near zone, added from 0 in the order of j; past
+    |x − c| > 2R, the kernel's moment series ``kernel.outer(tree, x − c)``.
+    Each point takes its terms in its own order, so its value does not
+    depend on the other points.  The points go in chunks of
+    ``_TREE_CHUNK``, each taking one gather of its leaves' coefficients,
+    one ``term`` on its near zones laid end to end and one ``bincount``
+    of them: about a hundred numpy calls per chunk, whatever the tree,
+    so that a call on one point costs ~0.15 ms.
     """
     out = np.empty_like(x)
-    leaf, outer = _tree_leaf(tree, x)
     if np.any(outer):
         out[outer] = kernel.outer(tree, x[outer] - tree.centre)
-    inner = np.nonzero(~outer)[0]
-    if inner.size:
-        xi = x[inner]
-        leaf = leaf[inner]
-        val = _chebyshev(lambda k: tree.coef[k, leaf], (xi - tree.mid[leaf]) / tree.half[leaf])
-        # Near zones, the longest first, so that the points still taking
-        # their j-th near source are always a leading slice.
-        count = tree.near_hi[leaf] - tree.near_lo[leaf]
-        order = np.argsort(-count, kind="stable")
-        count, xs, start = count[order], xi[order], tree.near_lo[leaf][order]
-        near = np.zeros_like(xs)
-        for j in range(int(count[0])):
-            n = np.searchsorted(-count, -j, "left")
-            near[:n] += term(tree, xs[:n], start[:n] + j)
-        val[order] += near
-        out[inner] = val
+    inner = np.flatnonzero(~outer)
+    for i in range(0, inner.size, _TREE_CHUNK):
+        at = inner[i:i + _TREE_CHUNK]
+        xs, box = x[at], leaf[at]
+        val = _chebyshev(tree.coef[:, box], (xs - tree.mid[box]) / tree.half[box])
+        count = tree.near_hi[box] - tree.near_lo[box]
+        which = np.repeat(np.arange(at.size), count)
+        j = np.repeat(tree.near_lo[box], count) + _ragged_offsets(count)
+        near = term(tree, np.repeat(xs, count), j)
+        out[at] = val + np.bincount(which, weights=near, minlength=at.size)
     return out
 
 
@@ -1103,6 +1117,21 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
                      tree, np.array(divergent), tuple(edge_shifts))
 
 
+#: Fits kept by coupling value: a sweep and a benchmark round build their
+#: family anew for every ω_a, and a caller works through a few at a time.
+_SHARED_FITS = 4
+
+
+@functools.lru_cache(maxsize=_SHARED_FITS)
+def _shared_shift_fit(ff: FormFactor) -> _ShiftFit:
+    """:func:`_build_shift_fit`, once per coupling value: equal families share the fit.
+
+    The build is deterministic, so the fit has the same floats whichever
+    of the equal instances asks for it.
+    """
+    return _build_shift_fit(ff)
+
+
 def _legendre_at(coef: np.ndarray, t: float) -> float:
     """A panel's polynomial at its end t = ±1: Σ_k c_k t^k."""
     return float(coef @ t ** _DEGREES)
@@ -1170,6 +1199,7 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
     its value does not depend on the other points.
     """
     tree = fit.tree
+    leaf, outer = _tree_leaf(tree, x)
 
     def term(tree, xs, j):
         p = j // _NODES
@@ -1177,7 +1207,7 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
         d[(xs >= fit.near_lo[p]) & (xs < fit.near_hi[p])] = math.inf
         return tree.weights[j] / d
 
-    out = _tree_sum(tree, x, _CAUCHY_KERNEL, term)
+    out = _tree_sum(tree, x, leaf, outer, _CAUCHY_KERNEL, term)
     cell = np.searchsorted(fit.cells, x, "right") - 1
     start = fit.cell_start[cell]
     count = fit.cell_start[cell + 1] - start
@@ -1193,7 +1223,7 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
     for edge, panel, value in fit.edge_shifts:
         exact[(p == panel) & (xp == edge)] = value
     # The near panels' nodes that the tree's far field holds.
-    leaf, outer = _tree_leaf(tree, xp)
+    leaf, outer = leaf[which], outer[which]
     nodes = p[:, None] * _NODES + np.arange(_NODES)
     held = ((nodes >= tree.near_lo[leaf][:, None]) & (nodes < tree.near_hi[leaf][:, None])
             & ~outer[:, None])

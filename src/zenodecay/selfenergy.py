@@ -416,12 +416,13 @@ def real_shift(ff: FormFactor, omega):
     else:
         fit = ff._shift_fit
         flat = w.ravel()
-        hit = np.isin(flat, fit.divergent)
-        if np.any(hit):
-            raise ToleranceError(
-                f"the level shift diverges at {flat[hit][0]!r}, a support edge where g2 jumps",
-                value=math.inf, achieved=math.inf, requested=0.0,
-            )
+        if fit.divergent.size:
+            hit = np.isin(flat, fit.divergent)
+            if np.any(hit):
+                raise ToleranceError(
+                    f"the level shift diverges at {flat[hit][0]!r}, a support edge where g2 jumps",
+                    value=math.inf, achieved=math.inf, requested=0.0,
+                )
         out = _fit_shift(fit, flat)
         if not np.all(np.isfinite(out)):
             raise ToleranceError(f"the level shift is not finite at {flat[~np.isfinite(out)][0]!r}",

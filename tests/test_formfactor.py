@@ -4,11 +4,13 @@ rule that family knowledge lives in the family classes."""
 import ast
 import math
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import zenodecay
+from zenodecay import formfactor, real_shift
 from zenodecay.errors import DomainError, NoDecayError, OutOfRangeError
 from zenodecay.formfactor import (
     BandwidthPoint,
@@ -170,6 +172,70 @@ def test_invalid_parameters_rejected():
 def test_tabulated_default_bandwidth_is_half_span():
     ff = TabulatedCoupling([-3.0, 0.0, 5.0], [0.0, 1.0, 0.0])
     assert ff.bandwidth == 4.0
+
+
+# -- the g2 fit behind the level shift ----------------------------------
+
+
+def _counted_fit_builds(monkeypatch):
+    """The families whose fit is built from here on, in order."""
+    built = []
+    build = formfactor._build_shift_fit
+
+    def counted(ff):
+        built.append(ff)
+        return build(ff)
+
+    monkeypatch.setattr(formfactor, "_build_shift_fit", counted)
+    return built
+
+
+def test_equal_couplings_share_one_shift_fit(monkeypatch):
+    built = _counted_fit_builds(monkeypatch)
+    formfactor._shared_shift_fit.cache_clear()
+    a = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    b = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    assert a is not b and a == b
+    assert a._shift_fit is b._shift_fit
+    assert len(built) == 1
+    other = ThresholdPowerLawCoupling(0.2, 1.0, 0.0, 0.5, 4.0)
+    assert other._shift_fit is not a._shift_fit
+    assert not np.array_equal(other._shift_fit.coef, a._shift_fit.coef)
+
+
+@dataclass(frozen=True)
+class _ArraySemicircle(FormFactor):
+    """Custom family g2 = (2 lam^2/pi) sqrt(1 - w^2) whose array field makes it unhashable."""
+
+    coupling: np.ndarray
+    bandwidth: float = 1.0
+    family = "array_semicircle"
+
+    def g2(self, omega):
+        w = np.asarray(omega, dtype=float)
+        out = 2.0 * self.coupling[0] ** 2 / math.pi * np.sqrt(np.clip(1.0 - w * w, 0.0, None))
+        return out if out.ndim else float(out)
+
+    def support(self):
+        return (-1.0, 1.0)
+
+    def g2_integral(self):
+        return float(self.coupling[0] ** 2)
+
+    def peak_energy(self):
+        return 0.0
+
+
+def test_unhashable_family_builds_its_shift_fit_once_per_instance(monkeypatch):
+    built = _counted_fit_builds(monkeypatch)
+    a, b = _ArraySemicircle(np.array([0.3])), _ArraySemicircle(np.array([0.3]))
+    with pytest.raises(TypeError):
+        hash(a)
+    fits = [a._shift_fit, a._shift_fit, b._shift_fit, b._shift_fit]
+    assert [id(ff) for ff in built] == [id(a), id(b)]
+    assert fits[0] is fits[1] and fits[2] is fits[3] and fits[0] is not fits[2]
+    x = np.linspace(-1.5, 1.5, 31)
+    assert np.array_equal(real_shift(a, x), real_shift(b, x))
 
 
 # -- family knowledge stays with the families ---------------------------

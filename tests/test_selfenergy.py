@@ -377,6 +377,18 @@ def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
         assert arr.ravel().tolist() == scalars
 
 
+@pytest.mark.parametrize("family", ["tpl", "tab_lorentzian"])
+def test_real_shift_of_a_point_does_not_depend_on_the_others(request, family):
+    # 10^4 points fill more than one chunk of the tree sum; the table's
+    # span reaches past its moment-series radius on both sides.
+    ff = request.getfixturevalue(family)
+    lo, hi = (-2.0, 40.0) if family == "tpl" else (-250.0, 250.0)
+    w = np.random.default_rng(11).uniform(lo, hi, 10_000)
+    arr = real_shift(ff, w)
+    assert np.array_equal(real_shift(ff, w[::-1]), arr[::-1])
+    assert np.array_equal([real_shift(ff, float(x)) for x in w[::50]], arr[::50])
+
+
 def _geometric_table():
     """A threshold table whose knots crowd the edge: 0 and 1e-6 ... 50."""
     om = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 3000)))
