@@ -25,11 +25,13 @@ Each family also owns whatever it knows in closed form — the Lorentzian's
 rational self-energy and two-pole residue sum, the table's segment sums
 and knot sum — through the optional hooks listed on :class:`FormFactor`;
 the numerical layers fall back to their generic routes where a hook is
-absent and never branch on a concrete family.  The generic level shift
-lives here too: a family without ``shift_closed_form`` fits its g² on
-Legendre panels once per coupling value, a fit that equal instances
-share, and Δ_R is that fit's exact Hilbert transform, its panels' nodes
-summed by the same source tree as a table's knots.
+absent and never branch on a concrete family.  The generic self-energy
+lives here too: a family without the hooks fits its g² on Legendre
+panels once per coupling value, a fit that equal instances share, and
+both Δ_R and Σ, Σ′ off the cut are that fit's exact transform (Neumann's
+Q_k on the panels near the point, the panels' nodes as point charges
+elsewhere); on the real axis those nodes are summed by the same source
+tree as a table's knots.
 
 Module-level operations: point queries with validation, the Zeno time
 τ_Z = (∫g²dω)^(−1/2), and the effective bandwidth point ω̄ defined by
@@ -115,8 +117,9 @@ class FormFactor:
     ``sigma_closed_form(E, second)``
         (Σ, Σ′) at complex E on the second sheet if ``second`` (asked
         only of continuable families, the real axis included), else on
-        the first, off the cut (else: the rule, continued by −2πi·g²(E)
-        below the axis; a second-sheet E on the real axis is refused).
+        the first, off the cut (else: the exact transform of the same g²
+        fit as Δ_R, continued by −2πi·g²(E) below the axis; a
+        second-sheet E on the real axis is refused).
     ``pole_closed_form(omega_a)``
         The second-sheet pole E of the level at ``omega_a``, which the
         pole search polishes by Newton (else: Newton starts from the
@@ -178,10 +181,11 @@ class FormFactor:
     def _shift_fit(self) -> "_ShiftFit":
         """Legendre panels of g² and their node tree, built on first use.
 
-        Δ_R depends on g² alone, so a family without ``shift_closed_form``
-        fits g² once per coupling value, a fit that equal instances share
+        Σ depends on g² alone, so a family without closed forms fits g²
+        once per coupling value, a fit that equal instances share
         (:func:`_shared_shift_fit`; an unhashable family builds its own),
-        and takes every Δ_R from the fit (:func:`_fit_shift`).
+        and takes every Δ_R (:func:`_fit_shift`) and every Σ off the cut
+        (:func:`_fit_sigma`) from the fit.
         """
         return _memoized(_shared_shift_fit, self)
 
@@ -1163,22 +1167,24 @@ def _cauchy_moments(sources, weights, centre, radius) -> np.ndarray:
     return moments
 
 
-def _legendre_q(coef: np.ndarray, s: np.ndarray, log_plus: np.ndarray,
-                log_minus: np.ndarray) -> np.ndarray:
-    """Σ_k c_k·2Q_k(s), Q_k(s) = ½ PV∫₋₁¹ P_k(t)/(s − t) dt, one column of c per s.
+def _legendre_q(s: np.ndarray, log_plus: np.ndarray, log_minus: np.ndarray) -> np.ndarray:
+    """Q_k(s) = ½ ∫₋₁¹ P_k(t)/(s − t) dt for k < 10, one row per k, one column per s.
 
-    Q₀ = ½(ln|1 + s| − ln|1 − s|), from the logarithms given, and the rest
-    by the forward recurrence (k + 1)Q_{k+1} = (2k + 1)s·Q_k − k·Q_{k−1}.
-    For |s| > 1 the Q_k decay with k and the recurrence loses them, but
-    what it loses grows like P_k(s): an error δ in Q₀ or Q₁ comes out as
-    δ·Σ_k c_k P_k(s) = δ·p(s), the panel's polynomial continued to s,
-    which for |s| < 4 stays of the size of g² on the panels near it.
+    Q₀ = ½(log(1 + s) − log(s − 1)), from the logarithms given: on the
+    real axis their real parts (the principal value), off it the
+    principal complex logarithms, whose difference has its cut on
+    [−1, 1] alone.  The rest follow by the forward recurrence
+    (k + 1)Q_{k+1} = (2k + 1)s·Q_k − k·Q_{k−1}.  For |s| > 1 the Q_k
+    decay with k and the recurrence loses them, but what it loses grows
+    like P_k(s): an error δ in Q₀ or Q₁ comes out as δ·Σ_k c_k P_k(s) =
+    δ·p(s), the panel's polynomial continued to s, which for |s| < 4
+    stays of the size of g² on the panels near it.
     """
     q = [0.5 * (log_plus - log_minus)]
     q.append(s * q[0] - 1.0)
     for k in range(1, _NODES - 1):
         q.append(((2 * k + 1) * s * q[k] - k * q[k - 1]) / (k + 1))
-    return 2.0 * np.einsum("kp,kp->p", coef, q)
+    return np.array(q)
 
 
 def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
@@ -1196,7 +1202,8 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
     zone skips the nodes of near panels.  A near panel's nodes outside
     that zone are in the tree's far field, and are subtracted, so that
     no panel counts twice.  Each x takes its terms in its own order, so
-    its value does not depend on the other points.
+    its value does not depend on the other points, and the near panels
+    go in chunks of ``_TREE_CHUNK`` points, like the tree sum.
     """
     tree = fit.tree
     leaf, outer = _tree_leaf(tree, x)
@@ -1208,29 +1215,63 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
         return tree.weights[j] / d
 
     out = _tree_sum(tree, x, leaf, outer, _CAUCHY_KERNEL, term)
-    cell = np.searchsorted(fit.cells, x, "right") - 1
-    start = fit.cell_start[cell]
-    count = fit.cell_start[cell + 1] - start
-    which = np.repeat(np.arange(x.size), count)
-    p = fit.cell_panels[np.repeat(start, count) + _ragged_offsets(count)]
-    xp = x[which]
-    lo, hi = fit.lo[p], fit.hi[p]
-    plus, minus = xp - lo, hi - xp
-    log_h = np.log(0.5 * (hi - lo))
-    log_plus = np.log(np.where(plus == 0.0, 1.0, np.abs(plus))) - log_h
-    log_minus = np.log(np.where(minus == 0.0, 1.0, np.abs(minus))) - log_h
-    exact = _legendre_q(fit.coef[:, p], (plus - minus) / (hi - lo), log_plus, log_minus)
-    for edge, panel, value in fit.edge_shifts:
-        exact[(p == panel) & (xp == edge)] = value
-    # The near panels' nodes that the tree's far field holds.
-    leaf, outer = leaf[which], outer[which]
-    nodes = p[:, None] * _NODES + np.arange(_NODES)
-    held = ((nodes >= tree.near_lo[leaf][:, None]) & (nodes < tree.near_hi[leaf][:, None])
-            & ~outer[:, None])
-    d = plus[:, None] - fit.offsets[nodes]
-    d[held] = math.inf
-    exact -= np.sum(tree.weights[nodes] / d, axis=1)
-    return out + np.bincount(which, weights=exact, minlength=x.size)
+    for i in range(0, x.size, _TREE_CHUNK):
+        at = slice(i, i + _TREE_CHUNK)
+        xs = x[at]
+        cell = np.searchsorted(fit.cells, xs, "right") - 1
+        start = fit.cell_start[cell]
+        count = fit.cell_start[cell + 1] - start
+        which = np.repeat(np.arange(cell.size), count)
+        p = fit.cell_panels[np.repeat(start, count) + _ragged_offsets(count)]
+        xp = xs[which]
+        lo, hi = fit.lo[p], fit.hi[p]
+        plus, minus = xp - lo, hi - xp
+        log_h = np.log(0.5 * (hi - lo))
+        log_plus = np.log(np.where(plus == 0.0, 1.0, np.abs(plus))) - log_h
+        log_minus = np.log(np.where(minus == 0.0, 1.0, np.abs(minus))) - log_h
+        q = _legendre_q((plus - minus) / (hi - lo), log_plus, log_minus)
+        exact = 2.0 * np.einsum("kp,kp->p", fit.coef[:, p], q)
+        for edge, panel, value in fit.edge_shifts:
+            exact[(p == panel) & (xp == edge)] = value
+        # The near panels' nodes that the tree's far field holds.
+        near_leaf, near_outer = leaf[at][which], outer[at][which]
+        nodes = p[:, None] * _NODES + np.arange(_NODES)
+        held = ((nodes >= tree.near_lo[near_leaf][:, None])
+                & (nodes < tree.near_hi[near_leaf][:, None]) & ~near_outer[:, None])
+        d = plus[:, None] - fit.offsets[nodes]
+        d[held] = math.inf
+        exact -= np.sum(tree.weights[nodes] / d, axis=1)
+        out[at] += np.bincount(which, weights=exact, minlength=cell.size)
+    return out
+
+
+def _fit_sigma(fit: _ShiftFit, E: complex) -> tuple[complex, complex]:
+    """Σ(E) = ∫ g²(ω)/(E − ω) dω of the fitted g², and Σ′(E), at a complex E off the cut.
+
+    The panels of :func:`_fit_shift` at complex s = (E − m)/h.  Those
+    with |s| < 4 take Neumann's form Σ_k c_k·2Q_k(s), and Σ_k c_k·2Q_k′(s)/h
+    for Σ′ by (s² − 1)Q_k′ = k(sQ_k − Q_{k−1}), Q₀′ = 1/(1 − s²); s ± 1
+    are formed from the exact edges, as (E − lo)/h and (E − hi)/h, for
+    the principal logarithms of Q₀ and for s² − 1, so that near a panel
+    edge the two neighbours' poles cancel to the fit's own jump there.
+    Every other panel acts through its nodes' charges, summed directly.
+    """
+    m, h = 0.5 * (fit.lo + fit.hi), 0.5 * (fit.hi - fit.lo)
+    near = np.abs(E - m) < _FIT_NEAR * h
+    h = h[near]
+    plus, minus = (E - fit.lo[near]) / h, (E - fit.hi[near]) / h
+    s = 0.5 * (plus + minus)
+    q = _legendre_q(s, np.log(plus), np.log(minus))
+    square = plus * minus  # s² − 1
+    dq = np.empty_like(q)
+    dq[0] = -1.0 / square
+    dq[1:] = np.arange(1, _NODES)[:, None] * (s * q[1:] - q[:-1]) / square
+    coef = fit.coef[:, near]
+    charges = fit.tree.weights.reshape(-1, _NODES)[~near]
+    r = 1.0 / (E - fit.tree.sources.reshape(-1, _NODES)[~near])
+    value = 2.0 * np.sum(coef * q) + np.sum(charges * r)
+    derivative = 2.0 * np.sum(coef * dq / h) - np.sum(charges * r * r)
+    return complex(value), complex(derivative)
 
 
 def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:

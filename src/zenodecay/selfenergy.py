@@ -23,17 +23,14 @@ on its class (``sigma_closed_form``, ``shift_closed_form``; see
 Sigma on both sheets, a table's exact segment sums and the knot sum of
 its Δ_R.  This module only asks for the hook.
 
-Every other family takes Δ_R from its g² alone: g² is fitted once per
-family on Legendre panels, and Δ_R at any ω is the exact principal
-value of that fit (see :func:`real_shift`).  Sigma off the cut goes
-through one fixed double-exponential rule, vectorized over Re E = x: a
-symmetric window around x with g²(x) subtracted,
-
-    ∫ (g²(ω) − g²(x)) / (E − ω) dω  −  2i·g²(x)·atan(h/Im E)    (|ω − x| < h),
-
-which is uniformly well-conditioned in the distance to the cut, then
-log-distance pieces and a mapped tail; it gives Sigma and Sigma′ from
-the same samples of g².  On the real axis the second sheet comes from a
+Every other family takes both from its g² alone: g² is fitted once per
+coupling value on Legendre panels, and Sigma is the exact transform of
+that fit.  On the real axis that is the principal value Δ_R (see
+:func:`real_shift`); off it, at complex E, each panel near E takes
+Neumann's form Σ_k c_k·2Q_k(s) at complex s and every other panel acts
+through its nodes, with Sigma′ from the same Q_k (see
+:func:`self_energy`).  The second sheet below the axis adds −2πi times
+the continued density.  On the real axis the second sheet comes from a
 hook or else from :func:`real_shift` with −iπg², the boundary value
 from above.
 """
@@ -43,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,14 +48,9 @@ from .errors import (
     DomainError,
     ToleranceError,
 )
-from .formfactor import FormFactor, _fit_shift
+from .formfactor import FormFactor, _fit_shift, _fit_sigma
 
 __all__ = ["Sheet", "SelfEnergyValue", "self_energy", "real_shift"]
-
-#: Absolute / relative tolerances of Sigma; the rule is accepted while its
-#: error estimate is within 1e3·max(EPSABS, EPSREL·|value|).
-EPSABS = 1e-12
-EPSREL = 1e-10
 
 
 class Sheet(enum.Enum):
@@ -99,192 +90,6 @@ def _cut_distance(ff: FormFactor, E: complex) -> float:
     return math.hypot(gap, y)
 
 
-#: Double-exponential rules of the self-energy on the unit parameter
-#: t ∈ [−T, T] at step 2^−_DE_LEVEL.  The sum over every other
-#: node is the same rule at twice the step; the difference of the two is
-#: the error estimate (the finer sum is the more accurate by far, since
-#: the rules converge double-exponentially).
-_DE_LEVEL = 5
-
-
-def _de_nodes(t_max: float):
-    """Nodes t = j·step for |j| ≤ n, and the slice of those with even j."""
-    step = 2.0**-_DE_LEVEL
-    n = round(t_max / step)
-    return np.arange(-n, n + 1) * step, step, slice(n % 2, None, 2)
-
-
-def _tanh_sinh_rule():
-    """tanh–sinh nodes on [0, 1], which also resolve endpoint singularities.
-
-    ``lo`` and ``hi`` are the distances of each node to the two ends, each
-    exact where it is the smaller; ``upper`` marks the nodes nearer 1.
-    """
-    t, step, coarse = _de_nodes(3.3)
-    y = 0.5 * math.pi * np.sinh(t)
-    lo = 1.0 / (1.0 + np.exp(-2.0 * y))
-    hi = 1.0 / (1.0 + np.exp(2.0 * y))
-    return SimpleNamespace(
-        lo=lo, hi=hi, upper=t > 0.0, w=math.pi * np.cosh(t) * lo * hi * step, coarse=coarse
-    )
-
-
-def _exp_sinh_rule():
-    """exp–sinh nodes v ∈ (0, ∞) with weights dv, for semi-infinite pieces."""
-    t, step, coarse = _de_nodes(4.0)
-    v = np.exp(0.5 * math.pi * np.sinh(t))
-    return SimpleNamespace(v=v, w=v * 0.5 * math.pi * np.cosh(t) * step, coarse=coarse)
-
-
-_TANH_SINH = _tanh_sinh_rule()
-_EXP_SINH = _exp_sinh_rule()
-
-
-def _de_sum(f: np.ndarray, weights: np.ndarray, coarse: slice):
-    """Row sums of the rule and |fine − coarse| as their error estimate."""
-    fw = f * weights
-    fine = fw.sum(axis=-1)
-    return fine, np.abs(fine - 2.0 * fw[..., coarse].sum(axis=-1))
-
-
-def _log_nodes(d1: np.ndarray, d2: np.ndarray):
-    """tanh–sinh nodes on [d1, d2] in ln d, with weights per unit ln d."""
-    ts = _TANH_SINH
-    span = np.log(d2 / d1)
-    near = np.where(ts.upper, d2, d1)
-    return near * np.exp(np.where(ts.upper, -span * ts.hi, span * ts.lo)), span * ts.w
-
-
-def _de_rule(ff: FormFactor, x: np.ndarray, y: float):
-    """∫ g(ω′)/(E − ω′) dω′ at E = x + iy off the cut, by fixed DE rules, for an array of x.
-
-    Here g is the density g² of ``ff``.  The result has two complex rows
-    taken from the same samples of g: the transform and its derivative
-    −∫ g/(E − ω′)² dω′.  Returns (values, error estimates), both of that
-    shape.
-
-    Per x the support splits into
-
-    * the symmetric window [x − h, x + h] (h half a bandwidth or the
-      distance to the nearer support edge), folded onto s ∈ (0, h] with
-      g(x) subtracted, ∫ Σ± (g(x ± s) − g(x))/(iy ∓ s) ds, plus the
-      closed form −2i·g(x)·atan(h/y) of the subtracted part.  A tanh–sinh
-      rule clusters its nodes at a threshold on the window edge.  For
-      |y| < h the window is cut at s = |y| and its outer part taken in
-      ln s;
-    * finite pieces on each side, cut at the structure points around the
-      coupling peak so that the bump near ω ≈ Λ has pieces of its own.
-      They are taken in u = ln d, d = |ω′ − x|, where the kernel
-      d/(E − ω′) = d/(iy ∓ d) varies on the scale of d alone and the
-      scale of the window (down to the distance to a threshold) costs
-      nothing; a piece that starts at x itself (x on a support edge) is
-      cut at d = |y| like the window;
-    * a semi-infinite tail past the last structure point, mapped by an
-      exp–sinh rule.
-    """
-    a, b = ff.support()
-    half = 0.5 * ff.bandwidth
-    peak = ff.peak_energy()
-    cuts = np.array([c for c in (peak - 4.0 * half, peak - half, peak + 4.0 * half) if a < c < b])
-    h = np.where((x > a) & (x < b), np.minimum(half, np.minimum(x - a, b - x)), 0.0)
-    val = np.zeros((2, x.size), dtype=complex)
-    err = np.zeros(val.shape)
-    ts, es = _TANH_SINH, _EXP_SINH
-
-    def terms(mask, side, d, log, sub=None):
-        """g(x + side·d), less ``sub``, times the kernel, on the rows of ``mask``.
-
-        The kernels are 1/(E − ω′) = 1/(iy − side·d) for Sigma and
-        −1/(E − ω′)² for Sigma′, per unit d, or per unit ln d if ``log``.
-        """
-        gs = ff.g2(x[mask, None] + side * d)
-        if sub is not None:
-            gs = gs - sub[mask, None]
-        r = 1.0 / (1j * y - side * d)
-        return np.stack((r, -r * r)) * (gs * d if log else gs)
-
-    def add(mask, f, w, coarse):
-        fine, est = _de_sum(f, w, coarse)
-        val[..., mask] += fine
-        err[..., mask] += est
-
-    def from_x(reach, sides, sub=None):
-        """Pieces over d ∈ (0, reach] on ``sides`` of x (rows with reach > 0).
-
-        They are cut at d = |y|, and the outer part is taken in ln d,
-        where the kernel varies on the scale of d alone.
-        """
-        cut = np.minimum(abs(y), reach)
-        m = cut > 0.0
-        if np.any(m):
-            cm = cut[m, None]
-            s = np.where(ts.upper, cm - cm * ts.hi, cm * ts.lo)
-            add(m, sum(terms(m, side, s, False, sub) for side in sides), cm * ts.w, ts.coarse)
-        m = cut < reach
-        if np.any(m):
-            s, w = _log_nodes(cut[m, None], reach[m, None])
-            add(m, sum(terms(m, side, s, True, sub) for side in sides), w, ts.coarse)
-
-    gx = ff.g2(x)
-    from_x(h, (-1.0, 1.0), gx)
-    m = h > 0.0
-    if np.any(m):
-        hm, gm = h[m], gx[m]
-        val[0, m] -= 2j * gm * np.copysign(np.arctan2(hm, abs(y)), y)
-        val[1, m] += 2.0 * gm * hm / (hm * hm + y * y)
-
-    for side in (-1.0, 1.0):
-        # Distances d = |ω′ − x| covered on this side, outside the window.
-        if side < 0.0:
-            d_lo, d_hi, marks = np.maximum(h, x - b), x - a, x[:, None] - cuts[::-1]
-        else:
-            d_lo, d_hi, marks = np.maximum(h, a - x), b - x, cuts - x[:, None]
-        tail = np.isinf(d_hi)
-        d_end = d_hi.copy()
-        if np.any(tail):
-            reach = marks.max(axis=1) if cuts.size else d_lo
-            d_end[tail] = np.maximum(np.maximum(d_lo, half), reach)[tail]
-        d_end = np.maximum(d_end, d_lo)
-        edges = np.column_stack([d_lo, np.clip(marks, d_lo[:, None], d_end[:, None]), d_end])
-        for d1, d2 in zip(edges.T[:-1], edges.T[1:]):
-            m = (d2 > d1) & (d1 > 0.0)
-            if np.any(m):
-                d, w = _log_nodes(d1[m, None], d2[m, None])
-                add(m, terms(m, side, d, True), w, ts.coarse)
-            m = (d2 > d1) & (d1 == 0.0)
-            if np.any(m):
-                from_x(np.where(m, d2, 0.0), (side,))
-        if np.any(tail):
-            dt = d_end[tail, None]
-            add(tail, terms(tail, side, dt * (1.0 + es.v), False), dt * es.w, es.coarse)
-    return val, err
-
-
-def _accept(what: str, at, val, err, absolute: float, relative: float) -> None:
-    """Raise ToleranceError unless err ≤ max(absolute, relative·|val|).
-
-    Written so that a NaN value or estimate fails the check as well.
-    """
-    at, val, err = np.atleast_1d(at, val, err)
-    bad = ~(err <= np.maximum(absolute, relative * np.abs(val)))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ToleranceError(
-            f"{what} did not converge at {at[k].item()!r}",
-            value=val[k].item(),
-            achieved=float(err[k]),
-            requested=max(absolute, relative * abs(val[k].item())),
-        )
-
-
-def _sigma_first(ff: FormFactor, E: complex) -> tuple[complex, complex]:
-    """Sigma_I(E) and Sigma_I′(E) by the double-exponential rule, E off the cut."""
-    (val, der), (err, der_err) = _de_rule(ff, np.array([E.real]), E.imag)
-    _accept("self-energy rule", E, val, err, 1e3 * EPSABS, 1e3 * EPSREL)
-    _accept("self-energy derivative rule", E, der, der_err, 1e-8, 1e-6)
-    return complex(val[0]), complex(der[0])
-
-
 def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> SelfEnergyValue:
     """Evaluate Sigma(E) and dSigma/dE on the requested sheet.
 
@@ -312,21 +117,26 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     ContinuationUnsupportedError
         Second-sheet request for a family without analytic continuation.
     ToleranceError
-        The rule's error estimate for Sigma exceeds 1e3·max(1e−12,
-        1e−10·|Sigma|), or that for Sigma′ exceeds max(1e−8, 1e−6·|Sigma′|);
-        a value or estimate that is not finite (g² NaN somewhere) fails too.
+        g² not finite somewhere on its support, so that the family's g²
+        fit, and Sigma, are not finite.
 
     Notes
     -----
     A family's ``sigma_closed_form`` hook, where it has one, gives both
     values (the Lorentzian on both sheets, tables by exact segment sums).
-    Every other family takes the double-exponential rule at complex E,
-    with the kernel 1/(E − ω′) and, on the same samples of g²,
-    −1/(E − ω′)² for Sigma′; the second sheet adds −2πi times the
-    continued density and its derivative below the axis.
-    On the real axis the second sheet comes from the hook or else from
-    :func:`real_shift` with −iπg², the boundary value from above; the
-    generic route refuses it there.
+    Every other family takes them from the g² fit that :func:`real_shift`
+    uses: with s = (E − m)/h on a panel of centre m and half-width h,
+    each panel with |s| < 4 contributes Σ_k c_k·2Q_k(s), the principal
+    logarithms of s ± 1 giving Q₀, and Σ_k c_k·2Q_k′(s)/h to Sigma′, from
+    (s² − 1)Q_k′ = k(sQ_k − Q_{k−1}); every other panel acts through its
+    nodes as point charges, w_j/(E − ω_j) and −w_j/(E − ω_j)².  Near the
+    cut Sigma keeps its digits down to |Im E| ~ 1e−14, and so does Sigma′
+    away from the edges the panels share; within |Im E| of one, the two
+    panels' poles there cancel only to the fit's jump.  The second
+    sheet adds −2πi times the continued density and its derivative below
+    the axis.  On the real axis the second sheet comes from the hook or
+    else from :func:`real_shift` with −iπg², the boundary value from
+    above; the generic route refuses it there.
     """
     E = complex(energy)
     if ff.g2_integral() == 0.0:
@@ -348,7 +158,7 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
             "real_shift(E) - i*pi*g2(E)"
         )
 
-    val, der = _sigma_first(ff, E)
+    val, der = _fit_sigma(ff._shift_fit, E)
     if second and E.imag < 0.0:
         g2, dg2 = ff.g2_continued(E)
         val -= 2j * math.pi * g2

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -18,7 +19,8 @@ from zenodecay.formfactor import (
     TabulatedCoupling,
     ThresholdPowerLawCoupling,
 )
-from zenodecay import amplitude, selfenergy
+from zenodecay import amplitude, formfactor
+from zenodecay.resolvent import find_bound_states, find_pole
 from zenodecay.selfenergy import Sheet, real_shift, self_energy
 
 
@@ -64,7 +66,7 @@ def test_lorentzian_matches_direct_quadrature(lor):
         assert self_energy(lor, E).value == pytest.approx(_quad_sigma(lor, E), abs=1e-8)
 
 
-# -- general-family quadrature route ----------------------------------
+# -- general-family route: the g2 fit ----------------------------------
 
 
 def test_tpl_matches_direct_quadrature(tpl):
@@ -334,22 +336,30 @@ def test_shift_exact_on_panel_edges_and_threshold(case):
         assert np.all(np.abs(side - real_shift(ff, edge)) <= 1e-13 * scale)
 
 
-def test_power_law_kernel_makes_no_real_axis_rule_evaluations(monkeypatch):
-    # Every level shift of a kernel build comes from the family's g2 fit;
-    # the double-exponential rule is left to Sigma off the real axis.
-    on_axis = []
-    rule = selfenergy._de_rule
+def test_one_fit_serves_every_route(monkeypatch):
+    # Delta_R, Sigma on both sheets, the pole search, the bound state's
+    # weight and a kernel build all read the one g2 fit of a coupling
+    # value, which equal instances share.  No other test uses this
+    # coupling, so no fit of it is kept from before.
+    builds = []
+    build = formfactor._build_shift_fit
 
-    def counted(ff, x, y=None):
-        if y is None or y == 0.0:
-            on_axis.append(np.size(x))
-        return rule(ff, x, y)
+    def counted(ff):
+        builds.append(ff)
+        return build(ff)
 
-    monkeypatch.setattr(selfenergy, "_de_rule", counted)
-    ff = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
-    kernel = amplitude._kernel_uncached(ff, 2.4)
-    assert kernel.error <= 1e-11
-    assert on_axis == []
+    monkeypatch.setattr(formfactor, "_build_shift_fit", counted)
+    case = (0.137, 1.0, 0.0, 0.5, 4.0)
+    ff = ThresholdPowerLawCoupling(*case)
+    real_shift(ff, np.linspace(-1.0, 5.0, 7))
+    for sheet in Sheet:
+        self_energy(ThresholdPowerLawCoupling(*case), 2.4 - 0.01j, sheet)
+    find_pole(ff, 2.4)
+    # Below the threshold a bound state splits off; its weight takes Sigma'
+    # on the real axis.
+    assert len(find_bound_states(ThresholdPowerLawCoupling(*case), -0.5)) == 1
+    assert amplitude._kernel_uncached(ff, 2.4).error <= 1e-11
+    assert len(builds) == 1
 
 
 def test_lorentzian_continuation_is_the_sheet_gap(lor):
@@ -387,6 +397,20 @@ def test_real_shift_of_a_point_does_not_depend_on_the_others(request, family):
     arr = real_shift(ff, w)
     assert np.array_equal(real_shift(ff, w[::-1]), arr[::-1])
     assert np.array_equal([real_shift(ff, float(x)) for x in w[::50]], arr[::50])
+
+
+def test_real_shift_memory_does_not_grow_with_the_points(tpl):
+    # The fit's near panels go in chunks like the tree sum, so the peak
+    # does not grow with the points: 2e5 points take ~14 MB.
+    real_shift(tpl, 0.5)
+    w = np.linspace(-1.0, 10.0, 200_000)
+    tracemalloc.start()
+    try:
+        real_shift(tpl, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def _geometric_table():
@@ -588,7 +612,7 @@ def test_custom_family_shift_matches_cauchy_weight_quadrature(family):
 def test_custom_family_self_energy_matches_semicircle_closed_form(E):
     # Off the cut Sigma = 2 lam^2 (E - r) and Sigma' = 2 lam^2 (1 - E/r),
     # r = sqrt(E - 1) sqrt(E + 1) (~E at infinity); exactly above an edge
-    # the rule's pieces from x are cut at the scale |Im E|.
+    # the fit's panels graded on to it are the near ones.
     ff = _Semicircle()
     E = complex(E)
     lam2 = ff.coupling**2
@@ -608,7 +632,7 @@ def test_custom_family_shift_divergence_raises_tolerance_error():
         real_shift(ff, 1.0)
 
 
-# -- one rule on and off the cut: mpmath oracles, non-finite samples ----
+# -- one fit on and off the cut: mpmath oracles, non-finite samples -----
 
 
 def _mp_g2(mp, case):
@@ -633,19 +657,29 @@ def _mp_transform(mp, case, E, power):
 
 
 @pytest.mark.parametrize(
-    "case, E",
+    "case, E, sheet",
     [
-        (SHIFT_CASES[0], 0.8 + 1e-6j),
-        (SHIFT_CASES[1], 0.8 + 1e-6j),
-        (SHIFT_CASES[0], 1e-7 - 1e-9j),  # below the cut, just past the threshold
+        (SHIFT_CASES[0], 0.8 + 1e-6j, Sheet.FIRST),
+        (SHIFT_CASES[1], 0.8 + 1e-6j, Sheet.FIRST),
+        (SHIFT_CASES[0], 1e-7 - 1e-9j, Sheet.FIRST),  # below the cut, just past the threshold
+        (SHIFT_CASES[0], 3.0 - 1e-11j, Sheet.SECOND),
+        (SHIFT_CASES[0], 3.0 - 1e-14j, Sheet.SECOND),
     ],
 )
-def test_self_energy_near_cut_matches_mpmath(case, E):
+def test_self_energy_near_cut_matches_mpmath(case, E, sheet):
+    # Sigma' at |Im E| = 1e-14 is O(1) left from pieces of O(1/|Im E|), so
+    # the oracle carries 30 digits.  Below the axis the second sheet adds
+    # -2 pi i times the continued density, here the principal power.
     mp = pytest.importorskip("mpmath")
-    sv = self_energy(ThresholdPowerLawCoupling(*case), E)
-    with mp.workdps(20):
-        sigma = complex(_mp_transform(mp, case, E, 1))
-        dsigma = -complex(_mp_transform(mp, case, E, 2))
+    sv = self_energy(ThresholdPowerLawCoupling(*case), E, sheet)
+    with mp.workdps(30):
+        sigma = _mp_transform(mp, case, E, 1)
+        dsigma = -_mp_transform(mp, case, E, 2)
+        if sheet is Sheet.SECOND:
+            g, z = _mp_g2(mp, case), mp.mpc(E)
+            sigma -= 2j * mp.pi * g(z)
+            dsigma -= 2j * mp.pi * mp.diff(g, z)
+        sigma, dsigma = complex(sigma), complex(dsigma)
     assert sv.value == pytest.approx(sigma, rel=1e-12)
     assert sv.derivative == pytest.approx(dsigma, rel=1e-9)
 
