@@ -120,16 +120,12 @@ class FormFactor:
         the first, off the cut (else: the exact transform of the same g²
         fit as Δ_R, continued by −2πi·g²(E) below the axis; a
         second-sheet E on the real axis is refused).
-    ``pole_closed_form(omega_a)``
-        The second-sheet pole E of the level at ``omega_a``, which the
-        pole search polishes by Newton (else: Newton starts from the
-        golden-rule point).
-    ``pole_pair(e_pole, omega_a)``
-        For a propagator with exactly two second-sheet poles, the partner
-        of ``e_pole`` and both residues, ``(e1, e2, c1, c2)`` with
-        C₁ + C₂ = 1 (else: no closed-form survival; ln P comes from the
-        spectral route).  A family with this hook also has
-        ``pole_closed_form``, whose pole it is given.
+    ``pole_pair(omega_a)``
+        For a propagator with exactly two second-sheet poles, both poles
+        and their residues, ``(e1, e2, c1, c2)`` with C₁ + C₂ = 1 and E₁
+        the pole of the level at ``omega_a``, which the pole search
+        polishes by Newton (else: Newton starts from the golden-rule
+        point, and ln P comes from the spectral route).
 
     Two more members have defaults: :meth:`kinks` (none) and
     :meth:`transition_asymmetry` (None).
@@ -139,7 +135,6 @@ class FormFactor:
 
     shift_closed_form = None
     sigma_closed_form = None
-    pole_closed_form = None
     pole_pair = None
 
     # -- squared coupling density ------------------------------------
@@ -197,10 +192,12 @@ class FormFactor:
         return False
 
     def g2_continued(self, z: complex) -> tuple[complex, complex]:
-        """The continued g² and its derivative d(g²)/dz at complex ``z``."""
-        raise ContinuationUnsupportedError(
-            f"{self.family} family has no analytic continuation"
-        )
+        """The continued g² and its derivative d(g²)/dz at complex ``z``.
+
+        Asked only of a continuable family without a second-sheet
+        ``sigma_closed_form`` (the Lorentzian continues through its hook).
+        """
+        raise ContinuationUnsupportedError(f"{self.family} family defines no continued g2")
 
 
 @dataclass(frozen=True)
@@ -253,13 +250,6 @@ class LorentzianCoupling(FormFactor):
     def continuable(self):
         return True
 
-    def g2_continued(self, z):
-        """The rational continuation λ²Λ/(π(z² + Λ²)) and its derivative."""
-        z = complex(z)
-        den = z * z + self.bandwidth**2
-        c = self.coupling**2 * self.bandwidth / math.pi
-        return c / den, -2.0 * c * z / (den * den)
-
     def shift_closed_form(self, x):
         """Δ_R(ω) = λ²ω/(ω² + Λ²)."""
         return self.coupling**2 * x / (x * x + self.bandwidth**2)
@@ -279,21 +269,17 @@ class LorentzianCoupling(FormFactor):
             )
         return lam2 / den, -lam2 / (den * den)
 
-    def pole_closed_form(self, omega_a):
-        """The second-sheet pole, by radicals (:func:`_lorentzian_pole`)."""
-        if self.coupling == 0.0:
-            raise NoDecayError("zero coupling: the level is stationary, no pole exists")
-        return _lorentzian_pole(self.coupling, self.bandwidth, omega_a)
-
-    def pole_pair(self, e_pole, omega_a):
+    def pole_pair(self, omega_a):
         """Both second-sheet poles and their residues.
 
-        The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic, so the
-        partner of ``e_pole`` is fixed by the root sum ω_a − iΛ; the
-        residues C₁, C₂ of (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1
-        exactly.
+        E₁ is the pole of the level, by radicals (:func:`_lorentzian_pole`).
+        The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic, so its
+        partner is fixed by the root sum ω_a − iΛ; the residues C₁, C₂ of
+        (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1 exactly.
         """
-        e1 = e_pole
+        if self.coupling == 0.0:
+            raise NoDecayError("zero coupling: the level is stationary, no pole exists")
+        e1 = _lorentzian_pole(self.coupling, self.bandwidth, omega_a)
         e2 = omega_a - 1j * self.bandwidth - e1
         c1 = (e1 + 1j * self.bandwidth) / (e1 - e2)
         return e1, e2, c1, 1.0 - c1
@@ -539,9 +525,9 @@ class TabulatedCoupling(FormFactor):
     def shift_closed_form(self, x):
         """Exact Δ_R of the piecewise-linear density on a 1-D array of ω.
 
-        Summing the segment closed forms of :func:`_tabulated_value` on the
-        real axis and collecting the logarithm of each knot leaves one real
-        log per knot:
+        Summing the segment closed forms of :meth:`sigma_closed_form` on
+        the real axis and collecting the logarithm of each knot leaves one
+        real log per knot:
 
             Δ_R(x) = Σ_j κ_j (x − ω_j) ln|x − ω_j|
                      + v_0 ln|x − ω_0| − v_N ln|x − ω_N| − (v_N − v_0),
@@ -600,8 +586,27 @@ class TabulatedCoupling(FormFactor):
                 + edges - (fv[-1] - fv[0]))
 
     def sigma_closed_form(self, E, second):
-        """Exact segment sums of Σ_I and Σ_I′ (the table has no second sheet)."""
-        return _tabulated_value(self, E), _tabulated_deriv(self, E)
+        """Σ_I and Σ_I′ by exact segment sums, in one pass (the table has no second sheet).
+
+        The tabulated density *is* its linear interpolant, so segment
+        [ω_k, ω_{k+1}], with c its left knot value, m its slope and
+        u₀, u₁ = E − ω_k, E − ω_{k+1}, contributes in closed form
+
+            Σ:  (c + m·u₀)·ln(u₀/u₁) − m·Δω,
+            Σ′: −(c + m·u₀)·(1/u₁ − 1/u₀) + m·ln(u₀/u₁),
+
+        with ln(u₀/u₁) taken as ln u₀ − ln u₁.  This is exact and immune
+        to the interpolation kinks that defeat adaptive quadrature; off
+        the support's span on the real axis both logarithms are real.
+        """
+        om, fv = self.omegas, self.g2_values
+        dw = np.diff(om)
+        m = np.diff(fv) / dw
+        u0, u1 = E - om[:-1], E - om[1:]
+        fE = fv[:-1] + m * u0
+        logs = np.log(u0) - np.log(u1)
+        return (complex(np.sum(fE * logs - m * dw)),
+                complex(np.sum(-(fE * (1.0 / u1 - 1.0 / u0)) + m * logs)))
 
 
 #: Chebyshev nodes per box of a source tree (series degree 23).
@@ -632,23 +637,15 @@ _CHEB_FIT = (2.0 / _TREE_ORDER) * np.cos(np.outer(np.arange(_TREE_ORDER), np.arc
 _CHEB_FIT[0] *= 0.5
 
 
-#: Node values of a box → values at the nodes of its left and right half,
-#: through the Chebyshev coefficients.  A table's knot tree is built with
-#: these, whose entries are off by up to 8e-15.
-_KNOT_HALVES = tuple(
-    np.cos(np.outer(np.arccos(0.5 * (_CHEB_T + side)), np.arange(_TREE_ORDER))) @ _CHEB_FIT
-    for side in (-1.0, 1.0)
-)
-
-
 def _lagrange_halves() -> tuple:
-    """The same matrices by the barycentric formula in long double, rounded once.
+    """Node values of a box → values at the nodes of its left and right half.
 
-    Each halving carries a box's far field down with the error of its
-    matrices; a fit's tree, ~70 levels deep next to a threshold against
-    ~15 for a table, needs them correctly rounded (the 8e-15 of the
-    above left Δ_R 1e-13 off there).  Where long double is double, the
-    entries keep a few units of rounding.
+    By the barycentric formula in long double, rounded once.  Each
+    halving carries a box's far field down with the error of its
+    matrices; a fit's tree, ~70 levels deep next to a threshold, needs
+    them correctly rounded (formed through the Chebyshev coefficients in
+    double, entries off by up to 8e-15, they left Δ_R 1e-13 off there).
+    Where long double is double, the entries keep a few units of rounding.
     """
     nodes = _CHEB_T.astype(np.longdouble)
     gaps = nodes[:, None] - nodes
@@ -711,9 +708,8 @@ def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") ->
     (:meth:`TabulatedCoupling.shift_closed_form`) and K(d) = 1/d for the
     nodes of a family's g² fit (:func:`_fit_shift`).  Only the action of a
     source box on a box's Chebyshev nodes, ``field(sums, m1, charges,
-    dist, width)``, the moment series past |x − c| > 2R (see
-    :func:`_tree_sum`) and the halving matrices depend on the kernel (see
-    :class:`_Kernel`).
+    dist, width)``, and the moment series past |x − c| > 2R (see
+    :func:`_tree_sum`) depend on the kernel (see :class:`_Kernel`).
 
     Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
     integer index k and the level's power-of-two width w, so every edge
@@ -794,7 +790,7 @@ def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") ->
             break
         box = np.repeat(2.0 * box[split], 2)
         box[1::2] += 1.0
-        far = np.stack([np.einsum("bm,nm->bn", far[split], half) for half in kernel.halves], axis=1)
+        far = np.stack([np.einsum("bm,nm->bn", far[split], half) for half in _CHEB_HALVES], axis=1)
         far = far.reshape(-1, _TREE_ORDER)
 
     parts = [np.concatenate(part, axis=-1) for part in zip(*leaves)]
@@ -854,17 +850,15 @@ def _cauchy_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
 
 class _Kernel(NamedTuple):
     """What a source tree's kernel K decides: how a source box acts on a box's
-    nodes (``field``), the moment series past 2R (``outer``), and the
-    matrices that carry a far field down to the halves of a box."""
+    nodes (``field``) and the moment series past 2R (``outer``)."""
 
     field: Callable
     outer: Callable
-    halves: tuple
 
 
 #: K(d) = d·ln|d| for a table's knots, K(d) = 1/d for a fit's nodes.
-_KNOT_KERNEL = _Kernel(_log_field, _log_outer, _KNOT_HALVES)
-_CAUCHY_KERNEL = _Kernel(_cauchy_field, _cauchy_outer, _CHEB_HALVES)
+_KNOT_KERNEL = _Kernel(_log_field, _log_outer)
+_CAUCHY_KERNEL = _Kernel(_cauchy_field, _cauchy_outer)
 
 
 def _knot_term(tree: _Tree, x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -1274,69 +1268,6 @@ def _fit_sigma(fit: _ShiftFit, E: complex) -> tuple[complex, complex]:
     return complex(value), complex(derivative)
 
 
-def _tabulated_value(ff: TabulatedCoupling, E: complex) -> complex:
-    """Exact segment-by-segment ∫ g²/(E−ω) dω for a tabulated density.
-
-    The tabulated density *is* its linear interpolant, so each segment
-    [ω_k, ω_{k+1}] contributes in closed form:
-
-        (c + mα)·ln((E−ω_k)/(E−ω_{k+1})) − m·Δω,   α = E−ω_k,
-
-    with c the left knot value and m the segment slope.  This is exact,
-    immune to the interpolation kinks that defeat adaptive quadrature,
-    and valid on the cut (y == +0 gives the limit from above) as long as
-    x does not sit exactly on a knot; an exact hit is handled by merging
-    the two adjacent segments, whose log singularities cancel in pairs.
-    """
-    om = ff.omegas
-    fv = ff.g2_values
-    w0, w1 = om[:-1], om[1:]
-    dw = w1 - w0
-    m = np.diff(fv) / dw
-    u0 = E - w0
-    u1 = E - w1
-    x, y = E.real, E.imag
-
-    if y == 0.0 and om[0] < x < om[-1]:
-        hit = np.nonzero(om == x)[0]
-        if hit.size:
-            k = int(hit[0])
-            keep = np.ones(len(dw), dtype=bool)
-            keep[k - 1] = keep[k] = False
-            fE = fv[:-1] + m * u0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.log(u0) - np.log(u1)
-            val = np.sum(fE[keep] * logs[keep] - m[keep] * dw[keep])
-            fx = fv[k]
-            val += fx * (math.log(x - om[k - 1]) - math.log(om[k + 1] - x))
-            val -= m[k - 1] * dw[k - 1] + m[k] * dw[k]
-            return complex(val - 1j * math.pi * fx)
-
-    fE = fv[:-1] + m * u0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(u0) - np.log(u1)
-    if y == 0.0 and (x == om[0] or x == om[-1]):
-        if (fv[0] if x == om[0] else fv[-1]) != 0.0:
-            raise DomainError(
-                f"on-cut value diverges at the support edge {x} where the table is nonzero"
-            )
-        logs = np.where(np.isfinite(logs), logs, 0.0)  # 0·log(0) limit
-    return complex(np.sum(fE * logs - m * dw))
-
-
-def _tabulated_deriv(ff: TabulatedCoupling, E: complex) -> complex:
-    """Exact −∫ g²/(E−ω)² dω for a tabulated density, off knots and cut."""
-    om = ff.omegas
-    fv = ff.g2_values
-    w0, w1 = om[:-1], om[1:]
-    m = np.diff(fv) / (w1 - w0)
-    u0 = E - w0
-    u1 = E - w1
-    fE = fv[:-1] + m * u0
-    logs = np.log(u0) - np.log(u1)
-    return complex(np.sum(-(fE * (1.0 / u1 - 1.0 / u0)) + m * logs))
-
-
 def coupling_strength_squared(ff: FormFactor, omega: float) -> float:
     """Validated point query of the squared coupling density.
 
@@ -1385,11 +1316,16 @@ def zeno_time(ff: FormFactor) -> float:
 def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
     """Solve g²(ω̄)·Λ = 1/τ_Z² for the effective bandwidth point ω̄.
 
-    Among real solutions in the support, the one nearest the coupling
-    maximum ω_max is returned.  When the relation has no solution (the
-    required level exceeds the maximum of g², as for the Lorentzian,
-    where the mismatch is a factor of π), the maximum itself is returned
-    with ``exact=False``.
+    On each side of the coupling maximum ω_max a march doubles its reach,
+    within the support, until g² falls below the required level, and the
+    crossing in that bracket is refined; of the two sides' crossings the
+    one nearer ω_max is returned.  Where g² falls below the level and
+    rises above it again inside a bracket (two bumps), the crossing
+    refined is one of the bracket's, not necessarily the nearest.  When
+    the relation has no solution (the required level exceeds the maximum
+    of g², as for the Lorentzian, where the mismatch is a factor of π, or
+    g² stays above it out to the support's edges), the maximum itself is
+    returned with ``exact=False``.
 
     Returns
     -------
@@ -1416,27 +1352,17 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
         return np.asarray(ff.g2(w), dtype=float) - target
 
     brackets = []
-    # March outward from the peak on each side until g2 falls below target.
-    span = ff.bandwidth
-    left = omega_max - span
-    while (math.isfinite(lo) and left > lo and shifted(left) > 0) or (
-        not math.isfinite(lo) and shifted(left) > 0
-    ):
-        left = omega_max - (omega_max - left) * 2.0
-        if math.isfinite(lo):
-            left = max(left, lo)
-            if left == lo:
-                break
-    if shifted(left) < 0:
-        brackets.append((left, omega_max))
-    right = omega_max + span
-    while shifted(right) > 0:
-        right = omega_max + (right - omega_max) * 2.0
-        if math.isfinite(hi) and right >= hi:
-            right = hi
-            break
-    if shifted(right) < 0:
-        brackets.append((omega_max, right))
+    # March outward from the peak on each side, doubling the reach and
+    # clamping it into the support (where g² may jump to zero at an edge),
+    # until g2 falls below target or the edge is reached.
+    for side, edge in ((-1.0, lo), (1.0, hi)):
+        reach = ff.bandwidth
+        end = min(max(omega_max + side * reach, lo), hi)
+        while end != edge and shifted(end) > 0:
+            reach *= 2.0
+            end = min(max(omega_max + side * reach, lo), hi)
+        if shifted(end) < 0:
+            brackets.append(tuple(sorted((end, omega_max))))
 
     if not brackets:
         return BandwidthPoint(omega_max, g2_max, exact=False)

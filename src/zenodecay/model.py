@@ -98,7 +98,7 @@ class DecayModel:
         ff = self.form_factor
         if ff.pole_pair is None:
             return None
-        return ff.pole_pair(ff.pole_closed_form(self.omega_a), self.omega_a)
+        return ff.pole_pair(self.omega_a)
 
     # -- survival ----------------------------------------------------
 

@@ -14,9 +14,9 @@ control the exponential era of the decay, P(t) ≈ Z·exp(−gamma0·t).
 
 :func:`find_pole` locates the pole by a damped complex Newton iteration on
 f(E) = E − omega_a − Sigma_II(E), seeded at the family's closed-form pole
-where it has one (``pole_closed_form``) and otherwise at the second-order
-golden-rule point omega_a + Delta_R(omega_a) − iπg²(omega_a).  For the
-Lorentzian family the pole equation is the quadratic
+where it has one (the first pole of ``pole_pair``) and otherwise at the
+second-order golden-rule point omega_a + Delta_R(omega_a) − iπg²(omega_a).
+For the Lorentzian family the pole equation is the quadratic
 (E − omega_a)(E + iΛ) = λ², and :func:`lorentzian_pole_closed_form`
 evaluates the explicit nested-radical solution, falling back to the
 quadratic roots (the ground truth) if the radical branch goes astray at
@@ -179,8 +179,8 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
     def below(E):
         return complex(E.real, -abs(E.imag) or -nudge)
 
-    if ff.pole_closed_form is not None:
-        E = below(ff.pole_closed_form(omega_a))
+    if ff.pole_pair is not None:
+        E = below(ff.pole_pair(omega_a)[0])
     else:
         E = below(complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a))))
 
@@ -225,8 +225,8 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
     """Explicit Lorentzian pole via the nested-radical solution.
 
     The pole comes by radicals, checked against the roots of
-    (E − omega_a)(E + iΛ) = λ² (the family's ``pole_closed_form``), and Z
-    from the closed expression
+    (E − omega_a)(E + iΛ) = λ² (the first pole of the family's
+    ``pole_pair``), and Z from the closed expression
 
         Z = [(omega_a+Δ)² + (Λ−γ₀/2)²] / [(omega_a+2Δ)² + (Λ−γ₀)²].
 

@@ -209,12 +209,12 @@ def real_shift(ff: FormFactor, omega):
     Raises
     ------
     DomainError
-        Non-finite ω, or ω on the edge of a table whose value there is
-        nonzero (the shift diverges logarithmically).
+        Non-finite ω, or ω on a support edge where g² does not vanish, a
+        table's or any other family's (the shift diverges logarithmically
+        there).
     ToleranceError
-        ω on a support edge where g² does not vanish (the shift diverges
-        there), or g² not finite somewhere on its support, so that the
-        fit, and Δ_R, are not finite.
+        g² not finite somewhere on its support, so that the fit, and Δ_R,
+        are not finite.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -229,9 +229,8 @@ def real_shift(ff: FormFactor, omega):
         if fit.divergent.size:
             hit = np.isin(flat, fit.divergent)
             if np.any(hit):
-                raise ToleranceError(
-                    f"the level shift diverges at {flat[hit][0]!r}, a support edge where g2 jumps",
-                    value=math.inf, achieved=math.inf, requested=0.0,
+                raise DomainError(
+                    f"the level shift diverges at {flat[hit][0]!r}, a support edge where g2 jumps"
                 )
         out = _fit_shift(fit, flat)
         if not np.all(np.isfinite(out)):

@@ -10,7 +10,8 @@ Bound states are added with the weights of ``find_bound_states``.
 ``direct_knot_sum`` is the reference of a table's level shift: its knot
 sum taken term by term, which the tree sum of
 ``TabulatedCoupling.shift_closed_form`` replaces; ``exact_knot_sum`` takes
-the same sum in mpmath arithmetic.
+the same sum in mpmath arithmetic, and ``segment_sum`` gives Σ on and off
+the axis from the table's segments, one closed form per segment.
 
 ``kofman_kurizki_rate`` is the weak-coupling limit of the effective rate
 (Kofman and Kurizki, Nature 405, 546 (2000)): the overlap of g² with the
@@ -24,6 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from zenodecay.amplitude import spectral_density
+from zenodecay.errors import DomainError
 from zenodecay.resolvent import find_bound_states
 from zenodecay.selfenergy import real_shift
 
@@ -134,6 +136,56 @@ def exact_knot_sum(mp, ff, x):
     x = mp.mpf(float(x))
     total = mp.fsum(k * (x - w) * mp.log(abs(x - w)) for k, w in zip(kappa, om))
     return total + fv[0] * mp.log(abs(x - om[0])) - fv[-1] * mp.log(abs(x - om[-1])) - (fv[-1] - fv[0])
+
+
+def segment_sum(ff, E):
+    """Exact segment-by-segment ∫ g²/(E−ω) dω for a tabulated density.
+
+    The tabulated density *is* its linear interpolant, so each segment
+    [ω_k, ω_{k+1}] contributes in closed form:
+
+        (c + mα)·ln((E−ω_k)/(E−ω_{k+1})) − m·Δω,   α = E−ω_k,
+
+    with c the left knot value and m the segment slope.  This is exact,
+    immune to the interpolation kinks that defeat adaptive quadrature,
+    and valid on the cut (y == +0 gives the limit from above) as long as
+    x does not sit exactly on a knot; an exact hit is handled by merging
+    the two adjacent segments, whose log singularities cancel in pairs.
+    """
+    om = ff.omegas
+    fv = ff.g2_values
+    w0, w1 = om[:-1], om[1:]
+    dw = w1 - w0
+    m = np.diff(fv) / dw
+    u0 = E - w0
+    u1 = E - w1
+    x, y = E.real, E.imag
+
+    if y == 0.0 and om[0] < x < om[-1]:
+        hit = np.nonzero(om == x)[0]
+        if hit.size:
+            k = int(hit[0])
+            keep = np.ones(len(dw), dtype=bool)
+            keep[k - 1] = keep[k] = False
+            fE = fv[:-1] + m * u0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.log(u0) - np.log(u1)
+            val = np.sum(fE[keep] * logs[keep] - m[keep] * dw[keep])
+            fx = fv[k]
+            val += fx * (math.log(x - om[k - 1]) - math.log(om[k + 1] - x))
+            val -= m[k - 1] * dw[k - 1] + m[k] * dw[k]
+            return complex(val - 1j * math.pi * fx)
+
+    fE = fv[:-1] + m * u0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(u0) - np.log(u1)
+    if y == 0.0 and (x == om[0] or x == om[-1]):
+        if (fv[0] if x == om[0] else fv[-1]) != 0.0:
+            raise DomainError(
+                f"on-cut value diverges at the support edge {x} where the table is nonzero"
+            )
+        logs = np.where(np.isfinite(logs), logs, 0.0)  # 0·log(0) limit
+    return complex(np.sum(fE * logs - m * dw))
 
 
 def reference_rate(ff, omega_a, tau):

@@ -19,7 +19,7 @@ from zenodecay.amplitude import (
     survival_closed_form_lorentzian,
     survival_spectral_integral,
 )
-from zenodecay.errors import DomainError
+from zenodecay.errors import DomainError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
@@ -55,6 +55,23 @@ def test_closed_form_free_evolution_limit():
 def test_closed_form_rejects_negative_times():
     with pytest.raises(DomainError):
         survival_closed_form_lorentzian(0.1, 1.0, 2.0, [-1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_rejected(lor, bad):
+    # Each entry point refuses them, and so does a hand-built series.
+    with pytest.raises(DomainError, match="finite"):
+        survival_closed_form_lorentzian(0.1, 1.0, 2.0, [0.0, bad])
+    with pytest.raises(DomainError, match="finite"):
+        survival_spectral_integral(lor, 2.0, [bad])
+    with pytest.raises(ValueError, match="finite"):
+        SurvivalSeries(np.array([0.0, bad]), np.ones(2, dtype=complex), np.ones(2),
+                       SurvivalMethod.CLOSED_FORM)
+
+
+def test_spectral_integral_at_zero_coupling_raises():
+    with pytest.raises(NoDecayError, match="zero coupling"):
+        survival_spectral_integral(LorentzianCoupling(0.0, 1.0), 2.0, [0.0, 1.0])
 
 
 def test_series_probabilities_are_squared_moduli():

@@ -251,6 +251,21 @@ def test_untenable_transition_window_exits_3(tmp_path, capsys):
     assert m and m.group(1) == "3" and m.group(2) == "GridError"
 
 
+@pytest.mark.parametrize("sub, task, fragment", [
+    ("rate", "tau_min = 2.0\ntau_max = 1.0\n", "tau_min < tau_max"),
+    ("rate", "tau_min = 1.0\ntau_max = 1.0\n", "tau_min < tau_max"),
+    ("sweep", "omega_a_values = 2\ntau_points = 1\n", "tau_points must be at least 2"),
+    ("survival", "t_min = 3.0\nt_max = 3.0\n", "t_min < t_max"),
+    ("survival", "t_points = 1\n", "t_points must be at least 2"),
+])
+def test_degenerate_grids_exit_2(tmp_path, capsys, sub, task, fragment):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[task]\n" + task)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert fragment in m.group(0)
+
+
 def test_out_flag_overrides_output_section(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[output]\nout_dir = sect\n")
     override = tmp_path / "flagged"
@@ -299,3 +314,31 @@ def test_package_runs_without_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
     for name in ("survival.csv", "rate.csv", "transition.json"):
         assert (tmp_path / name).exists()
+
+
+# -- module entry points --------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["zenodecay", "zenodecay.cli"])
+def test_module_entry_point_exits_with_main_code(tmp_path, module):
+    # python -m zenodecay runs __main__.py, python -m zenodecay.cli the
+    # module's own guard; the process exits with main's return code.
+    src = os.path.dirname(os.path.dirname(zenodecay.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(cfg):
+        return subprocess.run([sys.executable, "-m", module, "transition", "--config", cfg,
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run(write_config(tmp_path, BASE.format(omega_a=2.0)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(tmp_path / "transition.json")
+    payload = json.loads((tmp_path / "transition.json").read_text(encoding="utf-8"))
+    assert payload["tau_star"] == pytest.approx(TAU_STAR, rel=1e-9)
+    done = run(write_config(tmp_path, BASE.format(omega_a=2.0) + "[task]\nbogus = 1\n", "bad.ini"))
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    m = re.fullmatch(ERROR_LINE, lines[0])
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"

@@ -195,6 +195,17 @@ def test_validate_mapping_accepts_typed_values():
     assert cfg.task == {"tau_min": 1e-3, "tau_max": 10.0, "tau_points": 41}
 
 
+def test_validate_mapping_rejects_empty_methods():
+    # An INI value always names at least one (possibly blank) entry; a
+    # mapping can hold an empty list.
+    with pytest.raises(ConfigError, match="must not be empty"):
+        validate_mapping({
+            "model": {"family": "lorentzian", "coupling": 0.1, "bandwidth": 1.0,
+                      "omega_a": 10.0},
+            "task": {"methods": []},
+        })
+
+
 def test_validate_mapping_rejects_non_mapping():
     with pytest.raises(ConfigError):
         validate_mapping(["model"])

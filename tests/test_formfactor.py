@@ -147,6 +147,28 @@ def test_bandwidth_point_exact_for_narrow_table():
     assert point.g2_bar * ff.bandwidth == pytest.approx(ff.g2_integral(), rel=1e-10)
 
 
+def test_bandwidth_point_at_a_jump_edge_reports_the_peak():
+    # The required level 0.3 lies below g2 everywhere on [0, 2], whose
+    # edges jump to zero: no solution, so the peak is reported.
+    ff = TabulatedCoupling([0.0, 1.0, 2.0], [1.0, 2.0, 1.0], bandwidth=10.0)
+    assert effective_bandwidth_coupling(ff) == BandwidthPoint(1.0, 2.0, exact=False)
+
+
+def test_bandwidth_point_scans_past_a_second_bump():
+    # Two bumps above the level 8/6, with a gap at zero between them: one
+    # bandwidth right of the peak (at the jump edge 0) lands on the second
+    # bump, so the march doubles its reach to 12, past it.  The bracket
+    # [0, 12] holds three crossings, and the root search returns one.
+    ff = TabulatedCoupling([0.0, 0.1, 0.3, 5.0, 5.1, 8.0, 8.1, 20.0],
+                           [10.0, 10.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0], bandwidth=6.0)
+    point = effective_bandwidth_coupling(ff)
+    assert point.exact
+    crossings = (0.1 + (10.0 - 4.0 / 3.0) / 50.0, 5.0 + (4.0 / 3.0) / 20.0,
+                 8.0 + (2.0 - 4.0 / 3.0) / 20.0)
+    assert min(abs(point.omega_bar - w) for w in crossings) <= 1e-12
+    assert point.g2_bar * ff.bandwidth == pytest.approx(ff.g2_integral(), rel=1e-10)
+
+
 def test_bandwidth_point_zero_coupling_raises():
     with pytest.raises(NoDecayError):
         effective_bandwidth_coupling(LorentzianCoupling(0.0, 1.0))

@@ -164,6 +164,9 @@ def test_find_pole_input_validation(tpl, tab_lorentzian):
         find_pole(tpl, -0.3)  # below the continuum threshold
     with pytest.raises(DomainError):
         find_pole(tpl, 0.0)  # exactly at it
+    for omega_a in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            find_pole(tpl, omega_a)
 
 
 def test_z_dual_formula_consistency():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spectral_reference import direct_knot_sum, exact_knot_sum, knot_sum_scale
+from spectral_reference import direct_knot_sum, exact_knot_sum, knot_sum_scale, segment_sum
 from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
 from zenodecay.formfactor import (
     FormFactor,
@@ -364,17 +364,20 @@ def test_one_fit_serves_every_route(monkeypatch):
 
 def test_lorentzian_continuation_is_the_sheet_gap(lor):
     # Sigma_II - Sigma_I = -2 pi i g2_c(E) below the axis, on the family's
-    # own closed forms; the derivative is that of the rational g2_c.
+    # own closed forms, with g2_c the rational continuation
+    # c/(z^2 + Lam^2), c = lam^2 Lam / pi; the derivatives differ by its slope.
+    c = lor.coupling**2 * lor.bandwidth / math.pi
+
+    def g2_c(z):
+        return c / (z * z + lor.bandwidth**2)
+
+    assert g2_c(0.7) == pytest.approx(float(lor.g2(0.7)), rel=1e-15)
     for E in (0.5 - 0.2j, 2.0 - 0.01j, -1.3 - 0.7j):
-        gap = self_energy(lor, E, Sheet.SECOND).value - self_energy(lor, E, Sheet.FIRST).value
-        g2, dg2 = lor.g2_continued(E)
-        assert gap == pytest.approx(-2j * math.pi * g2, rel=1e-14)
-        h = 1e-6
-        slope = (lor.g2_continued(E + h)[0] - lor.g2_continued(E - h)[0]) / (2.0 * h)
-        assert dg2 == pytest.approx(slope, rel=1e-8)
-    # On the axis it is g2 itself, with slope -2 z lam^2 Lam / (pi (z^2 + Lam^2)^2).
-    slope = -2.0 * 0.7 * 0.01 / math.pi / (0.49 + 1.0) ** 2
-    assert lor.g2_continued(0.7) == pytest.approx((float(lor.g2(0.7)), slope))
+        first, second = (self_energy(lor, E, sheet) for sheet in (Sheet.FIRST, Sheet.SECOND))
+        assert second.value - first.value == pytest.approx(-2j * math.pi * g2_c(E), rel=1e-14)
+        slope = -2.0 * c * E / (E * E + lor.bandwidth**2) ** 2
+        assert second.derivative - first.derivative == pytest.approx(
+            -2j * math.pi * slope, rel=1e-12)
 
 
 def test_real_shift_array_equals_scalar(lor, tpl, tab_lorentzian):
@@ -442,7 +445,7 @@ def test_table_knot_sum_matches_segment_sum(request, table):
     # is no worse than ten times the direct sum's own distance from the
     # segment form; outside, where Δ_R is far below the knot terms, each
     # point is held to the rounding scale ε·Σ|terms| of its own sum.
-    from zenodecay.formfactor import _TREE_NEAR, _tabulated_value
+    from zenodecay.formfactor import _TREE_NEAR
 
     ff = _test_table(request, table)
     om = ff.omegas
@@ -462,7 +465,7 @@ def test_table_knot_sum_matches_segment_sum(request, table):
     for xs in (inside, outside):
         tree = real_shift(ff, xs)
         direct = direct_knot_sum(ff, xs)
-        segment = np.array([_tabulated_value(ff, complex(x, 0.0)).real for x in xs])
+        segment = np.array([segment_sum(ff, complex(x, 0.0)).real for x in xs])
         if xs is inside:
             bound = max(10.0 * np.max(np.abs(direct - segment)),
                         1e-15 * np.max(np.abs(segment)))
@@ -622,13 +625,14 @@ def test_custom_family_self_energy_matches_semicircle_closed_form(E):
     assert sv.derivative == pytest.approx(2.0 * lam2 * (1.0 - E / r), rel=1e-9)
 
 
-def test_custom_family_shift_divergence_raises_tolerance_error():
+def test_custom_family_shift_divergence_raises_domain_error():
     ff = _Box()
     xs = np.array([-2.0, 0.3, 0.5, 1.5])
     expected = ff.coupling**2 * np.log(np.abs(xs / (xs - 1.0)))
     assert real_shift(ff, xs) == pytest.approx(expected, abs=1e-13)
-    # A nonzero density at an edge makes the shift diverge there.
-    with pytest.raises(ToleranceError):
+    # A nonzero density at an edge makes the shift diverge there: undefined
+    # at that point, as for a table.
+    with pytest.raises(DomainError, match="diverges"):
         real_shift(ff, 1.0)
 
 
