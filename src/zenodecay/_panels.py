@@ -40,7 +40,8 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
     spectral kernel); without it the bound is pointwise (a fit whose
     Hilbert transform must hold inside every panel).  Returns lo, hi,
     the coefficients (one row per degree, one column per panel) and the
-    error bounds, with the panels in no particular order.
+    error bounds, with the panels in no particular order, and the number
+    of passes.
     """
     lo, hi = edges[:-1], edges[1:]
     parent_est = None
@@ -76,7 +77,7 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
         parent_est = est[split]
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*kept))
+    return (*(np.concatenate(part, axis=-1) for part in zip(*kept)), len(kept))
 
 
 def _memoized(cached, ff, *args):

@@ -22,14 +22,17 @@ Three evaluation routes are provided, all returning a
     where the sum covers bound states past a finite band edge (weights
     from the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
     The integral runs over one fixed set of panels per (family, ω_a),
-    the same for every family.  ρ is sampled at Gauss–Legendre nodes on
-    each panel with the exact level shift Δ_R at every node (a table
-    sums its one logarithm per knot by a tree built once per table, and
-    keeps Δ_R at the nodes of its knot segments for every ω_a; any other
-    family without a closed form takes the Hilbert transform of its g²
-    fit, built once per coupling value and shared by equal instances)
-    and stored as Legendre coefficients.  Their Fourier transforms are spherical
-    Bessel functions (the Filon–Legendre rule), exact in t for the
+    laid out by one rule for every family: first edges graded in powers
+    of two towards the resonance ω_a + Δ_R(ω_a) and towards a band edge
+    where g² vanishes, plus the coupling peak and the kinks of g².  ρ is
+    sampled at Gauss–Legendre nodes on each panel with the exact level
+    shift Δ_R at every node (a table sums its one logarithm per knot by a
+    tree built once per table, and keeps Δ_R at the nodes of its knot
+    segments for every ω_a; any other family without a closed form takes
+    the Hilbert transform of its g² fit, built once per coupling value and
+    shared by equal instances) and stored as Legendre coefficients.  Their
+    Fourier transforms are spherical Bessel functions (the Filon–Legendre
+    rule), exact in t for the
     fitted polynomials, so every t uses the same coefficients.  Panels
     are bisected until the fit is resolved; the summed truncation bound
     is the achieved error for every t at once, and there is no late-time
@@ -51,12 +54,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _memoized, _refine
-from ._roots import bracketed_roots
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, LorentzianCoupling
 from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
@@ -76,9 +78,12 @@ SPECTRAL_TOL = 1e-8
 
 #: The nonzero real or imaginary part of (−i)^k: even k are real, odd k imaginary.
 _PHASE_SIGN = np.resize([1.0, -1.0, -1.0, 1.0], _NODES)
-#: Width ratio of successive tail panels and their reach in units of max(|A|, |B|, Λ).
-_TAIL_RATIO = 1.5
-_TAIL_REACH = 1e4
+#: Reach of the kernel's panels in units of max(|ω_r|, |peak|, Λ).
+_WINDOW = 1e5
+#: First edges at the coupling peak plus these multiples of Λ.
+_PEAK_OFFSETS = np.array([-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0])
+#: First edges at these multiples of Λ from a support edge where g² vanishes.
+_EDGE_STEPS = 2.0 ** -np.arange(1.0, 31.0)
 
 #: The spherical-Bessel table j_k(x), k < _NODES: where x > k, the upward
 #: recurrence from j₀ = sin x/x and j₁, with the operations in the order
@@ -210,88 +215,31 @@ def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resonance_energy(ff: FormFactor, omega_a: float) -> float:
-    """Root of ω − ω_a − Δ_R(ω) inside the support (peak of ρ)."""
-    a, b = ff.support()
+def _panel_edges(ff: FormFactor, omega_r: float, res: float) -> np.ndarray:
+    """First panel edges of the spectral kernel, graded where ρ has structure.
 
-    def h(w):
-        return w - omega_a - real_shift(ff, w)
-
-    half = 0.25 * ff.bandwidth
-    lo, hi = omega_a - half, omega_a + half
-    for _ in range(40):
-        if math.isfinite(a):
-            lo = max(lo, a + 1e-12 * max(1.0, ff.bandwidth))
-        if math.isfinite(b):
-            hi = min(hi, b - 1e-12 * max(1.0, ff.bandwidth))
-        if lo < hi:
-            h_lo, h_hi = h(np.array([lo, hi]))
-            if h_lo < 0.0 < h_hi:
-                root = bracketed_roots(h, lo, hi, xtol=1e-14, rtol=8.9e-16, f_lo=h_lo, f_hi=h_hi)
-                return float(root[0])
-        lo, hi = omega_a - 2.0 * (omega_a - lo), omega_a + 2.0 * (hi - omega_a)
-        if (math.isfinite(a) and lo <= a) and (math.isfinite(b) and hi >= b):
-            break
-    # Shift-at-level fallback; adequate when the bracket degenerates.
-    return omega_a + real_shift(ff, omega_a)
-
-
-def _breakpoints(ff: FormFactor, omega_r: float, gw: float, res: float):
-    """Integration endpoints and interior breakpoints for the ρ quadrature."""
+    ρ is fine-grained in two places only: the resonance near ω_r, of
+    width ~res, and a finite support edge where g² vanishes (a threshold).
+    Edges go at ω_r ± res·2^k for k ≥ −3 out to the window
+    R = 1e5·max(|ω_r|, |peak|, Λ), clipped to the support; at Λ·2^−k,
+    k = 1 … 30, from each vanishing edge; at the coupling peak and
+    peak ± {1, 3, 10, 30}·Λ; and at the kinks of g².  Where g² jumps at an
+    edge, ρ stays bounded and the edge takes no grading.  Past R a
+    Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out 2λ²Λ/(3πR³) of the norm: 2e-16
+    at λ = Λ = 1 and ω_a = 0, where a window of 1e4·max(…) would take
+    4e-13 off P(0).
+    """
     a, b = ff.support()
     bw = ff.bandwidth
-    center = ff.peak_energy()
-    if gw <= 0.5 * bw:
-        # Narrow resonance: the slowly decaying Lorentzian wings carry
-        # mass out to many widths before the analytic tail takes over.
-        wing = 1500.0 * gw
-    else:
-        # Broad resonance: past a few widths the density already decays
-        # on the coupling's own scale; stretching the span by thousands
-        # of (bandwidth-sized) widths would starve every grid downstream.
-        wing = 30.0 * bw + 20.0 * gw
-    lo_cap = min(omega_r - wing, center - 30.0 * bw)
-    hi_cap = max(omega_r + wing, center + 30.0 * bw)
-    A = a if math.isfinite(a) else lo_cap
-    B = b if math.isfinite(b) else hi_cap
-
-    pts = {A, B}
-    for m in (-1024.0, -256.0, -64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0):
-        pts.add(omega_r + m * res)
-    for k in (-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0):
-        pts.add(center + k * bw)
-    ordered = [A]
-    for p in sorted(pts):
-        if A < p < B and p - ordered[-1] > 1e-9 * bw:
-            ordered.append(p)
-    if B - ordered[-1] > 1e-9 * bw:
-        ordered.append(B)
-    else:
-        ordered[-1] = B
-    return ordered, (not math.isfinite(a)), (not math.isfinite(b))
-
-
-def _panel_edges(ff: FormFactor, omega_r: float, res: float, pts, left_tail, right_tail):
-    """Initial panel edges: breakpoints, graded resonance points, the kinks
-    of g², and tails.
-
-    On an infinite side, panels grow geometrically away from the
-    resonance out to 1e4·max(|A|, |B|, Λ); past that ρ ~ g²/ω² carries no
-    weight at any accuracy asked of the route.
-    """
-    A, B = pts[0], pts[-1]
-    steps = res * 2.0 ** np.arange(-3.0, 7.0)
-    parts = [np.asarray(pts), omega_r - steps, omega_r + steps, ff.kinks()]
-    reach = _TAIL_REACH * max(abs(A), abs(B), ff.bandwidth)
-    growth = _TAIL_RATIO ** np.arange(1.0, 64.0)
-    lo, hi = A, B
-    if left_tail:
-        lo = -reach
-        parts.append(np.maximum(omega_r - (omega_r - A) * growth, lo))
-    if right_tail:
-        hi = reach
-        parts.append(np.minimum(omega_r + (B - omega_r) * growth, hi))
-    edges = np.unique(np.concatenate(parts + [np.array([lo, hi])]))
+    peak = ff.peak_energy()
+    reach = _WINDOW * max(abs(omega_r), abs(peak), bw)
+    lo, hi = max(a, -reach), min(b, reach)
+    steps = res * 2.0 ** np.arange(-3.0, 2.0 + math.log2(reach / res))
+    parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, ff.kinks(), [lo, hi]]
+    for edge, inward in ((a, 1.0), (b, -1.0)):
+        if math.isfinite(edge) and float(ff.g2(edge)) == 0.0:
+            parts.append(edge + inward * bw * _EDGE_STEPS)
+    edges = np.unique(np.concatenate(parts))
     return edges[(edges >= lo) & (edges <= hi)]
 
 
@@ -340,15 +288,34 @@ def _node_shifts(ff: FormFactor, segments, lo: np.ndarray, h: np.ndarray, w: np.
     return out
 
 
-def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
+class _SpectralKernel(NamedTuple):
+    """What x(t) needs at every t, built once per (family, ω_a), and how it was built.
+
+    Per panel: midpoint, detuning of the midpoint from ω_a, index into the
+    distinct ``widths``, and the terms h·c_k·(−i)^k as real numbers, one
+    row per degree k.  ``error`` is the summed panel error bound, and
+    ``passes`` the bisection passes that resolved ρ.
+    """
+
+    bound: tuple
+    mids: np.ndarray
+    detunings: np.ndarray
+    widths: np.ndarray
+    width_index: np.ndarray
+    terms: np.ndarray
+    error: float
+    passes: int
+
+
+def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     bound = find_bound_states(ff, omega_a)
-    omega_r = _resonance_energy(ff, omega_a)
-    gw = max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth)
-    # Resolution unit for the grids below: the resonance width, except
-    # in the broad regime, where the density has no structure narrower
-    # than the coupling scale and the bandwidth takes over.
-    res = min(gw, 0.5 * ff.bandwidth)
-    pts, left_tail, right_tail = _breakpoints(ff, omega_r, gw, res)
+    # The resonance, to first order in g²: the level plus its shift.
+    omega_r = omega_a + float(real_shift(ff, omega_a))
+    # Resolution unit of the resonance grading: the golden-rule width
+    # πg²(ω_r), floored for a level off the support and capped at Λ/2 in
+    # the broad regime, where ρ has no structure narrower than the
+    # coupling scale.
+    res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     segments = _memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1 else None
 
     def density(lo, h):
@@ -366,13 +333,12 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         rho = _rho(detuning, np.asarray(ff.g2(w.ravel()), dtype=float), shift)
         return rho.reshape(offset.shape)
 
-    edges = _panel_edges(ff, omega_r, res, pts, left_tail, right_tail)
-    lo, hi, coef, est = _refine(density, edges)
+    lo, hi, coef, est, passes = _refine(density, _panel_edges(ff, omega_r, res))
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
     # h·c_k times the real or imaginary unit of (−i)^k.
     coef *= h * _PHASE_SIGN[:, None]
-    return SimpleNamespace(
+    return _SpectralKernel(
         bound=bound,
         mids=0.5 * (lo + hi),
         detunings=(lo - omega_a) + 0.5 * h,
@@ -381,6 +347,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
         width_index=width_index.astype(np.int32),
         terms=coef,
         error=float(np.sum(est)),
+        passes=passes,
     )
 
 
@@ -390,7 +357,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> SimpleNamespace:
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
-def _spectral_kernel(ff: FormFactor, omega_a: float) -> SimpleNamespace:
+def _spectral_kernel(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     return _memoized(_kernel_cached, ff, omega_a)
 
 
@@ -476,7 +443,7 @@ def _jn_table(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continuum(k: SimpleNamespace, ts: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _continuum(k: _SpectralKernel, ts: np.ndarray, j: np.ndarray) -> np.ndarray:
     """∫ρ(ω)e^{−iωt}dω over the kernel's panels (Filon–Legendre, exact in t).
 
     ``j`` holds j_k(t·h/2) for each time of ``ts`` (rows) and panel
@@ -489,7 +456,7 @@ def _continuum(k: SimpleNamespace, ts: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sum(np.exp(np.multiply.outer(-1j * ts, k.mids)) * (re + 1j * im), axis=1)
 
 
-def _deficit(k: SimpleNamespace, omega_a: float, ts, j, x, j0) -> np.ndarray:
+def _deficit(k: _SpectralKernel, omega_a: float, ts, j, x, j0) -> np.ndarray:
     """u(t) = 1 − e^{iω_a t}·x(t) over the kernel's panels, free of cancellation as t → 0.
 
     ``j`` holds the j_k of :func:`_continuum`; ``x`` holds their arguments
@@ -603,16 +570,17 @@ def survival_spectral_integral(
     Notes
     -----
     Everything that does not depend on t is built once per
-    (family, omega_a) pair and memoized: resonance location, bound
-    states and a fixed set of panels over the support — the breakpoints
-    around the resonance and the coupling peak, resonance-graded points,
-    a table's knots and, on an infinite side, geometrically growing tail
-    panels.  On each panel ρ is sampled at 10 Gauss–Legendre nodes with
-    the exact level shift of :func:`~zenodecay.real_shift` at every node
-    (a table's by the tree sum of its knot logarithms, see
+    (family, omega_a) pair and memoized: bound states and a fixed set of
+    panels over the support.  Their first edges are graded in powers of
+    two towards the resonance ω_a + Δ_R(ω_a), from an eighth of its
+    width out to 1e5 times the model's energy scale, and towards a band
+    edge where g² vanishes, from Λ/2 down to 2^−30·Λ; the coupling peak
+    and a few bandwidths around it and the kinks of g² (a table's knots)
+    are edges too.  On each panel ρ is sampled at 10 Gauss–Legendre
+    nodes with the exact level shift of :func:`~zenodecay.real_shift` at
+    every node (a table's by the tree sum of its knot logarithms, see
     :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
-    family's from its g² fit) and stored
-    as Legendre coefficients c_k.  Δ_R depends on g² alone, so the
+    family's from its g² fit) and stored as Legendre coefficients c_k.  Δ_R depends on g² alone, so the
     shifts at the nodes of every segment between consecutive kinks of
     g² are memoized once per family (the last one used) and read by
     each panel that is exactly such a segment, most panels of a table

@@ -1047,7 +1047,7 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
         g = np.asarray(ff.g2(node), dtype=float)
         return g + (g @ _FIT.T) @ _LEG_SLOPE * (miss / (0.5 * h[:, None]))
 
-    lo, hi, coef, est = _refine(density, edges, tol, _FIT_RELATIVE, integrated=False)
+    lo, hi, coef, est, _ = _refine(density, edges, tol, _FIT_RELATIVE, integrated=False)
     # The panel between a finite edge and the innermost graded edge takes
     # one fit, unrefined: the edge's singularity would draw bisection on
     # to the tolerance, ~80 halvings deep at a threshold, for the values
@@ -1313,15 +1313,19 @@ def zeno_time(ff: FormFactor) -> float:
     return total**-0.5
 
 
+#: Uniform samples of a bracket of :func:`effective_bandwidth_coupling`, besides its kinks.
+_BANDWIDTH_SAMPLES = 64
+
+
 def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
     """Solve g²(ω̄)·Λ = 1/τ_Z² for the effective bandwidth point ω̄.
 
     On each side of the coupling maximum ω_max a march doubles its reach,
-    within the support, until g² falls below the required level, and the
-    crossing in that bracket is refined; of the two sides' crossings the
-    one nearer ω_max is returned.  Where g² falls below the level and
-    rises above it again inside a bracket (two bumps), the crossing
-    refined is one of the bracket's, not necessarily the nearest.  When
+    within the support, until g² falls below the required level.  That
+    bracket is sampled at the kinks of g² inside it and on a uniform grid,
+    and the first sign change going outward from ω_max is refined, so
+    that a second bump past a dip below the level is not taken; of the
+    two sides' crossings the one nearer ω_max is returned.  When
     the relation has no solution (the required level exceeds the maximum
     of g², as for the Lorentzian, where the mismatch is a factor of π, or
     g² stays above it out to the support's edges), the maximum itself is
@@ -1362,7 +1366,12 @@ def effective_bandwidth_coupling(ff: FormFactor) -> BandwidthPoint:
             reach *= 2.0
             end = min(max(omega_max + side * reach, lo), hi)
         if shifted(end) < 0:
-            brackets.append(tuple(sorted((end, omega_max))))
+            kinks = np.asarray(ff.kinks(), dtype=float)
+            inside = kinks[((kinks - omega_max) * side > 0) & ((end - kinks) * side > 0)]
+            grid = np.linspace(omega_max, end, _BANDWIDTH_SAMPLES)
+            w = np.unique(np.concatenate((grid, inside)))[::int(side)]
+            first = np.flatnonzero(shifted(w) < 0)[0]
+            brackets.append(tuple(sorted((w[first - 1], w[first]))))
 
     if not brackets:
         return BandwidthPoint(omega_max, g2_max, exact=False)

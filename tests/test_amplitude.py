@@ -222,6 +222,33 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
             assert np.array_equal(getattr(built, name), getattr(direct, name)), name
 
 
+# Threshold and Lorentzian kernels from narrow to broad resonances, levels
+# next to the threshold and far above the band: (family args, omega_a values).
+KERNEL_ZOO = [
+    (ThresholdPowerLawCoupling, (0.1, 1.0, 0.0, 0.5, 4.0), (0.001, 0.01, 0.7, 1.1, 2.4, 50.0)),
+    (ThresholdPowerLawCoupling, (1.0, 1.0, 0.0, 0.5, 4.0), (0.3, 0.5, 2.0, 10.0)),
+    (ThresholdPowerLawCoupling, (0.3, 1.0, 0.0, 1.5, 5.0), (0.05, 1.0, 8.0)),
+    (LorentzianCoupling, (0.1, 1.0), (2.0, 5.0)),
+    (LorentzianCoupling, (1.0, 1.0), (0.0, 3.0, 20.0)),
+]
+
+
+@pytest.mark.parametrize("family, args, omega_a", [
+    pytest.param(family, args, omega_a, id=f"{family.family}{args}-{omega_a}")
+    for family, args, levels in KERNEL_ZOO for omega_a in levels
+])
+def test_kernel_panels_start_graded_at_resonance_and_threshold(family, args, omega_a):
+    # The first panels are graded towards the resonance and a vanishing
+    # band edge, so a few bisection passes resolve rho, and the window
+    # holds the norm to rounding.
+    ff = family(*args)
+    kernel = _spectral_kernel(ff, omega_a)
+    assert kernel.passes <= 8
+    assert kernel.error <= 1e-11
+    p0 = survival_spectral_integral(ff, omega_a, [0.0]).probabilities[0]
+    assert abs(p0 - 1.0) <= 1e-13
+
+
 def test_spectral_density_normalization(lor):
     # rho integrates to 1 (no bound states for the Lorentzian family).
     from scipy import integrate

@@ -211,6 +211,28 @@ def test_validate_mapping_rejects_non_mapping():
         validate_mapping(["model"])
 
 
+POWER_LAW_MAPPING = {"family": "threshold_power_law", "coupling": 0.1, "bandwidth": 1.0,
+                     "threshold": 0.0, "omega_a": 2.4}
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_validate_mapping_takes_typed_lists(kind):
+    cfg = validate_mapping({
+        "model": dict(POWER_LAW_MAPPING, shape_params=kind((0.5, 4))),
+        "task": {"omega_a_values": kind((0.7, 2.4))},
+    })
+    assert cfg.model["shape_params"] == [0.5, 4.0]
+    assert cfg.task["omega_a_values"] == [0.7, 2.4]
+
+
+@pytest.mark.parametrize("section, key", [("model", "shape_params"), ("task", "omega_a_values")])
+def test_validate_mapping_rejects_a_scalar_list(section, key):
+    mapping = {"model": dict(POWER_LAW_MAPPING, shape_params=[0.5, 4.0]), "task": {}}
+    mapping[section][key] = 0.5
+    with pytest.raises(ConfigError, match=f"{key} must be a comma-separated list"):
+        validate_mapping(mapping)
+
+
 def test_echo_round_trips_through_the_same_schema(tmp_path):
     cfg = parse_config(write(tmp_path, LORENTZIAN_INI + "[task]\ntau_points = 41\n"))
     again = validate_mapping(cfg.echo(), base_dir=cfg.base_dir)

@@ -158,14 +158,13 @@ def test_bandwidth_point_scans_past_a_second_bump():
     # Two bumps above the level 8/6, with a gap at zero between them: one
     # bandwidth right of the peak (at the jump edge 0) lands on the second
     # bump, so the march doubles its reach to 12, past it.  The bracket
-    # [0, 12] holds three crossings, and the root search returns one.
+    # [0, 12] holds three crossings, and the nearest, on the first bump's
+    # flank, is returned.
     ff = TabulatedCoupling([0.0, 0.1, 0.3, 5.0, 5.1, 8.0, 8.1, 20.0],
                            [10.0, 10.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0], bandwidth=6.0)
     point = effective_bandwidth_coupling(ff)
     assert point.exact
-    crossings = (0.1 + (10.0 - 4.0 / 3.0) / 50.0, 5.0 + (4.0 / 3.0) / 20.0,
-                 8.0 + (2.0 - 4.0 / 3.0) / 20.0)
-    assert min(abs(point.omega_bar - w) for w in crossings) <= 1e-12
+    assert point.omega_bar == pytest.approx(0.1 + (10.0 - 4.0 / 3.0) / 50.0, abs=1e-12)
     assert point.g2_bar * ff.bandwidth == pytest.approx(ff.g2_integral(), rel=1e-10)
 
 
@@ -189,6 +188,26 @@ def test_invalid_parameters_rejected():
         TabulatedCoupling([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         TabulatedCoupling([0.0, 1.0], [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: LorentzianCoupling(math.nan, 1.0), "coupling must be finite"),
+    (lambda: ThresholdPowerLawCoupling(-0.1, 1.0, 0.0, 0.5, 4.0), "coupling must be >= 0"),
+    (lambda: ThresholdPowerLawCoupling(0.1, 0.0, 0.0, 0.5, 4.0), "bandwidth must be > 0"),
+    (lambda: ThresholdPowerLawCoupling(0.1, 1.0, math.inf, 0.5, 4.0), "threshold must be finite"),
+    (lambda: ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.0, 4.0), "rise_exponent must be > 0"),
+    (lambda: TabulatedCoupling([0.0], [1.0]), "at least two samples"),
+    (lambda: TabulatedCoupling([[0.0, 1.0]], [[1.0, 1.0]]), "1-D"),
+    (lambda: TabulatedCoupling([0.0, 1.0], [1.0, 1.0, 1.0]), "match omegas"),
+    (lambda: TabulatedCoupling([0.0, math.nan], [1.0, 1.0]), "finite"),
+    (lambda: TabulatedCoupling([0.0, 1.0], [1.0, math.inf]), "finite"),
+    (lambda: TabulatedCoupling([0.0, 1.0], [1.0, 1.0], bandwidth=-1.0), "bandwidth must be > 0"),
+    (lambda: TabulatedCoupling([0.0, 1.0], [1.0, 1.0], bandwidth=math.nan),
+     "bandwidth must be finite"),
+])
+def test_constructors_name_the_bad_parameter(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_tabulated_default_bandwidth_is_half_span():

@@ -250,6 +250,30 @@ def test_find_pole_reports_bound_states(tpl_strong):
     assert pole.bound_states[0].energy == pytest.approx(STRONG_BOUND_ENERGY, rel=1e-8)
 
 
+def test_bound_state_far_below_the_threshold_doubles_its_bracket():
+    # At lambda = 2 the state lies past the first far point, one bandwidth
+    # below the threshold, so the bracket doubles once.  Oracle: the level
+    # equation E - omega_a - Sigma_I(E) = 0 and the weight 1/(1 - Sigma_I'(E))
+    # with Sigma_I summed by mpmath quadrature.
+    mp = pytest.importorskip("mpmath")
+    case = (2.0, 1.0, 0.0, 0.5, 4.0)
+    ff = ThresholdPowerLawCoupling(*case)
+    (bs,) = find_bound_states(ff, 0.5)
+    with mp.workdps(30):
+        g = _mp_g2(mp, case)
+
+        def transform(E, power):
+            return mp.quad(lambda w: g(w) / (E - w) ** power, [0, 1, mp.inf])
+
+        energy = mp.findroot(lambda E: E - 0.5 - transform(E, 1), mp.mpf(-1.36))
+        weight = 1 / (1 + transform(energy, 2))
+    assert bs.energy < -1.0
+    assert bs.energy == pytest.approx(float(energy), rel=1e-13)
+    assert bs.weight == pytest.approx(float(weight), rel=1e-12)
+    p0 = survival_spectral_integral(ff, 0.5, [0.0]).probabilities[0]
+    assert abs(p0 - 1.0) <= 1e-13
+
+
 # -- PoleData validation ----------------------------------------------
 
 
@@ -272,6 +296,33 @@ def test_pole_data_rejects_inconsistent_fields():
             z_renorm=1.0,
             residual=0.0,
         )
+
+
+@pytest.mark.parametrize("field, value", [("z_renorm", 0.0), ("z_renorm", -0.5),
+                                          ("residual", math.nan)])
+def test_pole_data_rejects_bad_z_and_residual(field, value):
+    fields = dict(e_pole=1.0 - 0.5j, omega_a=1.0, shift_delta=0.0, gamma0=1.0,
+                  z_renorm=1.0, residual=0.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        PoleData(**fields)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0.0, 1.0, 2.0), NoDecayError),
+    ((math.nan, 1.0, 2.0), NoDecayError),
+    ((0.1, 0.0, 2.0), ValueError),
+    ((0.1, math.inf, 2.0), ValueError),
+    ((0.1, 1.0, math.nan), DomainError),
+])
+def test_lorentzian_closed_form_checks_its_inputs(args, error):
+    with pytest.raises(error):
+        lorentzian_pole_closed_form(*args)
+
+
+def test_golden_rule_rejects_a_non_finite_level(lor):
+    with pytest.raises(DomainError, match="finite"):
+        golden_rule_rate(lor, math.nan)
 
 
 # -- pole oracle and bound states past either band edge -----------------

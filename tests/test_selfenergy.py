@@ -707,3 +707,9 @@ def test_non_finite_density_raises_tolerance_error():
     for E in (0.5 + 0.1j, 3.0):
         with pytest.raises(ToleranceError):
             self_energy(ff, E)
+
+
+def test_lorentzian_second_sheet_refuses_its_pole(lor):
+    # Sigma_II = lambda^2/(E + i*Lambda) has its one pole at E = -i*Lambda.
+    with pytest.raises(DomainError, match="pole"):
+        self_energy(lor, -1j * lor.bandwidth, Sheet.SECOND)

@@ -45,41 +45,43 @@ TAU_STAR = 0.5037246419993476
 # Their tau* at 2.4 (P ~ 0.997) comes from ln P of the deficit 1 - x, and
 # the reference rate meets gamma0 there to 3e-14.  The later roots follow
 # the last bits of gamma0 (see the test below); they are pinned for the
-# pole found with Sigma off the cut from the g2 fit.
+# pole found with Sigma off the cut from the g2 fit and for the kernel's
+# panels graded at the resonance and the threshold.  One scalar brentq per
+# bracket on scipy's j_k still gives SCIPY_CROSSINGS to the last bit.
 SCIPY_CROSSINGS = {
-    (2.4, 64): (0.3397756166558397, 10845.201589073631),
+    (2.4, 64): (0.33977561665585804, 8976.210986178823),
     (2.4, 2048): (
-        0.3397756166558398, 8892.712434431494, 8922.122994963169, 9211.086601929856,
-        9373.933081125742, 9472.094811910181, 9655.940817505987, 9740.955164285826,
-        9943.153172041262, 10075.090945962933, 10225.133152335022, 10534.544425079675,
-        11350.417032221427, 11620.523949923809, 11909.174040845764, 12106.036056744802,
+        0.3397756166558581, 8903.149198846653, 8919.510861439112, 9200.646876430159,
+        9379.15570241924, 9474.704996295568, 9645.496493530933, 9748.78624913865,
+        9945.764164522592, 10067.259427753972, 10230.35502097497, 10529.323261288007,
+        11381.748055537864, 11628.355256105124, 11919.618595417447, 12116.476481201635,
     ),
     (0.7, 2048): (
-        374.5129021465393, 376.07926978914617, 400.6736065981901, 403.64917020506016,
-        409.513135075967, 412.7212155706625, 418.38366467934554, 421.76284764263,
-        427.2793275706375, 430.7798315875032, 436.1965332625705, 439.77563143258965,
-        445.1331671384344, 448.75221643850153, 463.061729806803, 466.6500872462602,
-        472.0546560085849, 475.5700384574261, 490.10916991918975, 493.3397743479123,
-        499.1808684128767, 502.17915120852143, 508.29529062209, 510.97494096275204,
-        517.4743737996042, 519.7051187876236,
+        374.5129021485142, 376.07926978822593, 400.67360659852, 403.6491702049833,
+        409.51313507528266, 412.72121557166895, 418.3836646792251, 421.7628476442557,
+        427.2793275704506, 430.77983158832046, 436.19653326224125, 439.77563143281486,
+        445.1331671383136, 448.75221643816866, 463.0617298071592, 466.6500872469767,
+        472.05465600779667, 475.5700384575392, 490.10916992067786, 493.33977434793,
+        499.1808684130276, 502.1791512095242, 508.29529062260696, 510.9749409623611,
+        517.4743737981406, 519.7051187857505,
     ),
 }
 TABLE_CROSSINGS = {
-    (2.4, 64): (0.3397756166558397, 11095.815018876277),
+    (2.4, 64): (0.33977561665585804, 8976.210986732307),
     (2.4, 2048): (
-        0.3397756166558398, 8895.32157998885, 8922.122975766266, 9211.08660441413,
-        9373.933097414068, 9472.0948027204, 9655.940817505987, 9740.955164285826,
-        9943.153172041262, 10075.090956907163, 10225.133164434536, 10534.544425079675,
-        11350.417032221427, 11620.523949923809, 11909.174040845764, 12106.036056686124,
+        0.3397756166558581, 8903.149186435192, 8919.510851146944, 9200.64689036228,
+        9379.15567944069, 9474.705000264534, 9645.496493530933, 9748.78624913865,
+        9945.764164522592, 10067.259427753972, 10230.355018865923, 10529.323261288007,
+        11381.748055537864, 11628.355256105124, 11919.618595417447, 12116.476476651547,
     ),
     (0.7, 2048): (
-        374.5129021471032, 376.0792697891726, 400.6736065993448, 403.6491702049848,
-        409.51313507644556, 412.7212155706151, 418.38366467921963, 421.76284764284964,
-        427.279327572011, 430.7798315870955, 436.1965332620996, 439.7756314332936,
-        445.1331671393203, 448.75221643855275, 463.06172980640844, 466.65008724626057,
-        472.0546560087469, 475.57003845760096, 490.10916991700543, 493.3397743470751,
-        499.18086841394626, 502.17915120846635, 508.2952906228159, 510.9749409640842,
-        517.4743737971677, 519.7051187857094,
+        374.51290214904185, 376.07926978713664, 400.67360659907564, 403.6491702049258,
+        409.513135075236, 412.7212155719159, 418.3836646784633, 421.76284764349816,
+        427.27932757089496, 430.77983158812026, 436.1965332609109, 439.7756314337455,
+        445.13316713807194, 448.7522164387408, 463.06172980819076, 466.65008724669394,
+        472.0546560082286, 475.5700384576768, 490.1091699199304, 493.3397743469682,
+        499.1808684130266, 502.17915120956616, 508.29529062320233, 510.97494096409923,
+        517.4743737976701, 519.705118785636,
     ),
 }
 
@@ -332,6 +334,15 @@ def test_transition_report_bookkeeping(model2):
     assert report.tau_max_searched == pytest.approx(100.0 / model2.gamma0, rel=1e-15)
     assert report.jump_time == model2.gamma0 * model2.zeno_time**2
     assert report.zeno_time == model2.zeno_time
+
+
+def test_transition_window_below_the_grid_floor(lor):
+    # tau_max under 1e-4/Lambda moves the grid's lower end to 1e-8*tau_max;
+    # above the band centre (Z > 1) no crossing is promised, and none is found.
+    report = find_transition_time(DecayModel(lor, 0.5), tau_max=1e-5)
+    assert report.all_roots == ()
+    assert report.tau_star is None
+    assert report.tau_max_searched == 1e-5
 
 
 def test_transition_near_jump_time_for_far_detuned_level(model10):
