@@ -14,17 +14,22 @@
     table_path = coupling.csv      # two columns: omega, g2
 
     [task]
-    # survival:    t_min, t_max, t_points, methods, tolerance
-    # rate/sweep:  tau_min, tau_max, tau_points
-    # transition:  tau_max, grid_points
+    # survival:    t_min, t_max, t_points (>= 2), methods
+    # rate/sweep:  tau_min, tau_max, tau_points (>= 2)
+    # transition:  tau_max, grid_points (>= 64); searches from 1e-4/bandwidth
     # sweep:       omega_a_values (comma list)
 
     [output]
     out_dir = results
 
-Unknown sections or keys are rejected outright — a typo must never turn
-into a silently ignored setting.  All numbers must parse as finite
-decimals.  :func:`validate_mapping` applies the same schema to an
+One schema, ``_SCHEMA``, names every key of every section with the
+reader that checks its value; :func:`validate_mapping` applies it once,
+whichever subcommand then reads the config.  The ``[task]`` keys are
+shared: one file can serve every subcommand, each reading only its own
+keys, and every value present is checked all the same.  Unknown sections
+or keys are rejected outright — a typo must never turn into a silently
+ignored setting.  All numbers must parse as finite decimals, and counts
+must reach their lower bounds.  The same schema applies to an
 already-parsed mapping, which is how emitted JSON summaries are checked
 to round-trip.
 """
@@ -38,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .amplitude import SurvivalMethod
 from .errors import ConfigError
 from .formfactor import (
     FormFactor,
@@ -45,25 +51,9 @@ from .formfactor import (
     TabulatedCoupling,
     ThresholdPowerLawCoupling,
 )
+from .zeno import MIN_GRID_POINTS
 
 __all__ = ["RunConfig", "parse_config", "validate_mapping"]
-
-_FAMILIES = ("lorentzian", "threshold_power_law", "tabulated")
-
-_MODEL_KEYS = {
-    "family", "coupling", "bandwidth", "omega_a", "threshold", "shape_params", "table_path",
-}
-_TASK_KEYS = {
-    "t_min", "t_max", "t_points", "methods",
-    "tau_min", "tau_max", "tau_points",
-    "grid_points", "omega_a_values", "tolerance",
-}
-_OUTPUT_KEYS = {"out_dir"}
-
-_MODEL_FLOAT_KEYS = ("coupling", "bandwidth", "omega_a", "threshold")
-_TASK_FLOAT_KEYS = ("t_min", "t_max", "tau_min", "tau_max", "tolerance")
-_TASK_INT_KEYS = ("t_points", "tau_points", "grid_points")
-_METHOD_NAMES = ("closed_form", "spectral_integral", "pole_approx")
 
 
 def _as_float(section: str, key: str, value) -> float:
@@ -76,13 +66,6 @@ def _as_float(section: str, key: str, value) -> float:
     return out
 
 
-def _as_int(section: str, key: str, value) -> int:
-    f = _as_float(section, key, value)
-    if f != int(f):
-        raise ConfigError(f"[{section}] {key} = {value!r} must be an integer")
-    return int(f)
-
-
 def _as_float_list(section: str, key: str, value) -> list[float]:
     if isinstance(value, str):
         parts = [p.strip() for p in value.split(",") if p.strip()]
@@ -93,6 +76,77 @@ def _as_float_list(section: str, key: str, value) -> list[float]:
     if not parts:
         raise ConfigError(f"[{section}] {key} must not be empty")
     return [_as_float(section, key, p) for p in parts]
+
+
+def _as_text(section: str, key: str, value) -> str:
+    return str(value)
+
+
+def _as_pair(section: str, key: str, value) -> list[float]:
+    params = _as_float_list(section, key, value)
+    if len(params) != 2:
+        raise ConfigError(f"[{section}] {key} must hold exactly two values: p, q")
+    return params
+
+
+_METHODS = tuple(m.value for m in SurvivalMethod)
+
+
+def _as_methods(section: str, key: str, value) -> list[str]:
+    names = [p.strip() for p in value.split(",")] if isinstance(value, str) else list(value)
+    if not names:
+        raise ConfigError(f"[{section}] {key} must not be empty")
+    for name in names:
+        if name not in _METHODS:
+            raise ConfigError(f"[{section}] {key} entry {name!r} not in {', '.join(_METHODS)}")
+    return names
+
+
+def _count(least: int):
+    """Reader of an integer count that must be at least ``least``."""
+    def read(section: str, key: str, value) -> int:
+        f = _as_float(section, key, value)
+        if f != int(f):
+            raise ConfigError(f"[{section}] {key} = {value!r} must be an integer")
+        if f < least:
+            raise ConfigError(f"[{section}] {key} must be at least {least}, got {int(f)}")
+        return int(f)
+    return read
+
+
+#: Every key a run config may hold, with the reader that checks its value.
+#: The ``[task]`` keys are shared by the subcommands; each reads its own.
+_SCHEMA = {
+    "model": {
+        "family": _as_text,
+        "coupling": _as_float,
+        "bandwidth": _as_float,
+        "omega_a": _as_float,
+        "threshold": _as_float,
+        "shape_params": _as_pair,
+        "table_path": _as_text,
+    },
+    "task": {
+        "t_min": _as_float,
+        "t_max": _as_float,
+        "t_points": _count(2),
+        "methods": _as_methods,
+        "tau_min": _as_float,
+        "tau_max": _as_float,
+        "tau_points": _count(2),
+        "grid_points": _count(MIN_GRID_POINTS),
+        "omega_a_values": _as_float_list,
+    },
+    "output": {"out_dir": _as_text},
+}
+
+#: The [model] keys each family needs, by the family's ``family`` name.
+_REQUIRED = {
+    LorentzianCoupling.family: {"omega_a", "coupling", "bandwidth"},
+    ThresholdPowerLawCoupling.family: {"omega_a", "coupling", "bandwidth", "threshold",
+                                       "shape_params"},
+    TabulatedCoupling.family: {"omega_a", "table_path"},
+}
 
 
 @dataclass(frozen=True)
@@ -152,80 +206,33 @@ def validate_mapping(mapping: dict, base_dir: str = ".") -> RunConfig:
     """
     if not isinstance(mapping, dict):
         raise ConfigError("configuration must be a mapping of sections")
-    unknown = set(mapping) - {"model", "task", "output"}
+    unknown = mapping.keys() - _SCHEMA.keys()
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
     if "model" not in mapping:
         raise ConfigError("missing [model] section")
 
-    raw_model = dict(mapping.get("model", {}))
-    raw_task = dict(mapping.get("task", {}))
-    raw_output = dict(mapping.get("output", {}))
-
-    for section, raw, allowed in (
-        ("model", raw_model, _MODEL_KEYS),
-        ("task", raw_task, _TASK_KEYS),
-        ("output", raw_output, _OUTPUT_KEYS),
-    ):
-        bad = set(raw) - allowed
+    sections = {}
+    for section, readers in _SCHEMA.items():
+        raw = mapping.get(section, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"[{section}] must be a mapping of keys, got {raw!r}")
+        bad = raw.keys() - readers.keys()
         if bad:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(bad))}")
+        sections[section] = {key: readers[key](section, key, v) for key, v in raw.items()}
 
-    family = raw_model.get("family")
-    if family not in _FAMILIES:
+    model = sections["model"]
+    family = model.get("family")
+    if family not in _REQUIRED:
         raise ConfigError(
-            f"[model] family must be one of {', '.join(_FAMILIES)}, got {family!r}"
+            f"[model] family must be one of {', '.join(_REQUIRED)}, got {family!r}"
         )
-    model: dict = {"family": family}
-    for key in _MODEL_FLOAT_KEYS:
-        if key in raw_model:
-            model[key] = _as_float("model", key, raw_model[key])
-    if "shape_params" in raw_model:
-        params = _as_float_list("model", "shape_params", raw_model["shape_params"])
-        if len(params) != 2:
-            raise ConfigError("[model] shape_params must hold exactly two values: p, q")
-        model["shape_params"] = params
-    if "table_path" in raw_model:
-        model["table_path"] = str(raw_model["table_path"])
-
-    required = {"omega_a"}
-    if family == "lorentzian":
-        required |= {"coupling", "bandwidth"}
-    elif family == "threshold_power_law":
-        required |= {"coupling", "bandwidth", "threshold", "shape_params"}
-    else:
-        required |= {"table_path"}
-    missing = required - set(model)
+    missing = _REQUIRED[family] - set(model)
     if missing:
         raise ConfigError(f"[model] missing key(s) for family={family}: "
                           f"{', '.join(sorted(missing))}")
-
-    task: dict = {}
-    for key in _TASK_FLOAT_KEYS:
-        if key in raw_task:
-            task[key] = _as_float("task", key, raw_task[key])
-    for key in _TASK_INT_KEYS:
-        if key in raw_task:
-            task[key] = _as_int("task", key, raw_task[key])
-    if "omega_a_values" in raw_task:
-        task["omega_a_values"] = _as_float_list("task", "omega_a_values", raw_task["omega_a_values"])
-    if "methods" in raw_task:
-        value = raw_task["methods"]
-        names = [p.strip() for p in value.split(",")] if isinstance(value, str) else list(value)
-        for name in names:
-            if name not in _METHOD_NAMES:
-                raise ConfigError(
-                    f"[task] methods entry {name!r} not in {', '.join(_METHOD_NAMES)}"
-                )
-        if not names:
-            raise ConfigError("[task] methods must not be empty")
-        task["methods"] = names
-
-    output: dict = {}
-    if "out_dir" in raw_output:
-        output["out_dir"] = str(raw_output["out_dir"])
-
-    return RunConfig(model=model, task=task, output=output, base_dir=base_dir)
+    return RunConfig(base_dir=base_dir, **sections)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -234,8 +241,8 @@ def parse_config(path: str) -> RunConfig:
     Raises
     ------
     ConfigError
-        Missing file, malformed INI, unknown section/key, or a value
-        failing the finite-decimal rule.
+        Missing file, malformed INI, unknown section/key, a value
+        failing the finite-decimal rule, or a count below its bound.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive

@@ -206,10 +206,11 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
         E = below(E - step)
         trajectory.append(E)
 
+    # A converged loop ends on its own evaluation at E; only the best
+    # iterate of a stalled one needs Σ again.
     if not converged:
         E = best[1]
-
-    sv = self_energy(ff, E, Sheet.SECOND)
+        sv = self_energy(ff, E, Sheet.SECOND)
     residual = abs(E - omega_a - sv.value)
     if residual > _RESIDUAL_TOL * max(1.0, abs(E)):
         raise ConvergenceError(

@@ -58,6 +58,9 @@ __all__ = [
 #: Relative dead band around gamma0 inside which a rate counts as Natural.
 CLASSIFY_EPS = 1e-9
 
+#: Fewest samples the transition search's grid may have.
+MIN_GRID_POINTS = 64
+
 
 class Regime(enum.Enum):
     ZENO = "zeno"
@@ -263,7 +266,7 @@ def find_transition_time(
     tau_max : float, optional
         Upper end of the search window; defaults to 100/γ₀.
     grid_points : int
-        Number of grid samples, at least 64.
+        Number of grid samples, at least ``MIN_GRID_POINTS`` (64).
 
     Returns
     -------
@@ -284,9 +287,9 @@ def find_transition_time(
     tau_max = float(tau_max)
     if not (tau_max > 0.0) or not math.isfinite(tau_max):
         raise DomainError(f"tau_max must be positive and finite, got {tau_max}")
-    grid_points = int(grid_points)
-    if grid_points < 64:
-        raise DomainError(f"grid_points must be at least 64, got {grid_points}")
+    points = int(grid_points)
+    if points < MIN_GRID_POINTS:
+        raise DomainError(f"grid_points must be at least {MIN_GRID_POINTS}, got {points}")
 
     scale = model.bandwidth if model.bandwidth is not None else gamma0
     tau_lo = 1e-4 / scale
@@ -303,7 +306,6 @@ def find_transition_time(
         return effective_rate(model, taus) - gamma0
 
     roots: list[float] = []
-    points = grid_points
     for _attempt in range(2):
         taus = np.geomspace(tau_lo, tau_max, points)
         vals = rate_shift(taus)

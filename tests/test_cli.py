@@ -1,5 +1,6 @@
 """Command-line front end: outputs, determinism, caching, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,8 @@ import pytest
 import zenodecay
 from zenodecay.cli import main
 from zenodecay.config import validate_mapping
+from zenodecay.errors import ToleranceError
+from zenodecay.zeno import TransitionReport
 
 TAU_STAR = 0.5037246419993476  # shared anchor with test_zeno
 
@@ -60,7 +63,7 @@ def test_survival_methods_agree_across_columns(tmp_path, capsys):
     _, rows = read_rows(capsys.readouterr().out.strip())
     assert rows.shape == (4, 7)
     # Independent routes to the same survival: exact pole algebra vs
-    # oscillatory quadrature of the spectral density.
+    # the spectral panels' Fourier sum of the spectral density.
     assert np.allclose(rows[:, 3], rows[:, 6], rtol=0.0, atol=1e-7)
 
 
@@ -93,6 +96,13 @@ def test_transition_json_finds_frozen_root(tmp_path, capsys):
     # The config echo must re-validate through the schema unchanged.
     again = validate_mapping(payload["config"])
     assert again.echo() == payload["config"]
+
+
+def test_transition_json_holds_the_report_fields(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0))
+    assert main(["transition", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads(open(capsys.readouterr().out.strip(), encoding="utf-8").read())
+    assert set(payload) - {"config"} == {f.name for f in dataclasses.fields(TransitionReport)}
 
 
 def test_transition_json_null_for_symmetric_level(tmp_path, capsys):
@@ -189,58 +199,36 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
 
 
-def test_bad_tolerance_exits_2(tmp_path, capsys):
+def test_tolerance_key_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[task]\ntolerance = 1e-6\n")
+    assert main(["survival", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert "unknown key(s) in [task]: tolerance" in m.group(0)
+    assert not (tmp_path / "out").exists()
+
+
+def test_tolerance_flag_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0))
-    code = main(["survival", "--config", cfg, "--out", str(tmp_path), "--tolerance", "-1"])
-    assert code == 2
-    assert "tolerance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["survival", "--config", cfg, "--out", str(tmp_path), "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub", ["rate", "transition", "sweep"])
-def test_tolerance_rejected_outside_survival(tmp_path, capsys, sub):
-    # Only the spectral survival route has a tolerance to honour; the
-    # other subcommands must refuse it rather than silently ignore it.
-    task = "[task]\nomega_a_values = 2.0, 5.0\n"
-    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task)
-    code = main([sub, "--config", cfg, "--out", str(tmp_path / "flag"), "--tolerance", "1e-6"])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    m = re.fullmatch(ERROR_LINE, err)
-    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
-    assert f"'{sub}'" in err and "tolerance" in err
+def test_tolerance_error_exits_3(tmp_path, capsys, monkeypatch):
+    import zenodecay.model
 
-    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task + "tolerance = 1e-6\n", "tol.ini")
-    assert main([sub, "--config", cfg, "--out", str(tmp_path / "key")]) == 2
-    assert f"'{sub}'" in capsys.readouterr().err
-    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+    def fail(*args, **kwargs):
+        raise ToleranceError("spectral panels missed their budget")
 
-
-@pytest.mark.parametrize("task", [
-    "",  # the Lorentzian default method is closed_form
-    "[task]\nmethods = closed_form, pole_approx\n",
-])
-def test_tolerance_rejected_without_spectral_method(tmp_path, capsys, task):
-    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + task)
-    code = main(["survival", "--config", cfg, "--out", str(tmp_path / "flag"),
-                 "--tolerance", "1e-30"])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    m = re.fullmatch(ERROR_LINE, err)
-    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
-    assert "tolerance" in err and "closed_form" in err
-
-    key = task or "[task]\n"
-    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + key + "tolerance = 1e-30\n", "tol.ini")
-    assert main(["survival", "--config", cfg, "--out", str(tmp_path / "key")]) == 2
-    assert "closed_form" in capsys.readouterr().err
-    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
-
-
-def test_tolerance_reaches_spectral_method_among_others(tmp_path, capsys):
+    monkeypatch.setattr(zenodecay.model, "survival_spectral_integral", fail)
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
         "[task]\nt_max = 5.0\nt_points = 3\nmethods = closed_form, spectral_integral\n"))
-    assert main(["survival", "--config", cfg, "--out", str(tmp_path), "--tolerance", "1e-30"]) == 3
-    assert "ToleranceError" in capsys.readouterr().err
+    assert main(["survival", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "3" and m.group(2) == "ToleranceError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_untenable_transition_window_exits_3(tmp_path, capsys):
@@ -257,6 +245,10 @@ def test_untenable_transition_window_exits_3(tmp_path, capsys):
     ("sweep", "omega_a_values = 2\ntau_points = 1\n", "tau_points must be at least 2"),
     ("survival", "t_min = 3.0\nt_max = 3.0\n", "t_min < t_max"),
     ("survival", "t_points = 1\n", "t_points must be at least 2"),
+    # Counts are checked when the config is parsed, whichever subcommand
+    # reads them: transition ignores tau_points, rate ignores grid_points.
+    ("transition", "tau_points = 1\n", "tau_points must be at least 2"),
+    ("rate", "grid_points = 8\n", "grid_points must be at least 64"),
 ])
 def test_degenerate_grids_exit_2(tmp_path, capsys, sub, task, fragment):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[task]\n" + task)

@@ -209,6 +209,11 @@ def test_validate_mapping_rejects_empty_methods():
 def test_validate_mapping_rejects_non_mapping():
     with pytest.raises(ConfigError):
         validate_mapping(["model"])
+    with pytest.raises(ConfigError, match=r"\[model\] must be a mapping"):
+        validate_mapping({"model": 5})
+    with pytest.raises(ConfigError, match=r"\[task\] must be a mapping"):
+        validate_mapping({"model": {"family": "lorentzian", "coupling": 0.1, "bandwidth": 1.0,
+                                    "omega_a": 10.0}, "task": None})
 
 
 POWER_LAW_MAPPING = {"family": "threshold_power_law", "coupling": 0.1, "bandwidth": 1.0,

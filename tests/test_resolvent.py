@@ -140,6 +140,23 @@ def test_find_pole_seeds_from_closed_form(lam, bw):
     assert abs(found.e_pole - lorentzian_pole_closed_form(lam, bw, 0.0).e_pole) <= 1e-12
 
 
+def test_converged_pole_evaluates_sigma_once(monkeypatch):
+    # The closed-form seed meets the residual target at once: the loop's
+    # one evaluation of Sigma_II there is also the one Z and the residual use.
+    import zenodecay.resolvent as resolvent
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return self_energy(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "self_energy", counted)
+    pole = find_pole(LorentzianCoupling(0.1, 1.0), 2.0)
+    assert len(calls) == 1
+    assert pole.residual < 1e-10 * max(1.0, abs(pole.e_pole))
+
+
 def test_find_pole_near_zero_coupling_limit():
     pole = find_pole(LorentzianCoupling(1e-10, 1.0), 2.0)
     assert pole.e_pole.real == pytest.approx(2.0, abs=1e-12)
