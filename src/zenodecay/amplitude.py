@@ -60,8 +60,8 @@ import numpy as np
 
 from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _memoized, _refine
 from .errors import DomainError, NoDecayError, ToleranceError
-from .formfactor import FormFactor, LorentzianCoupling
-from .resolvent import PoleData, find_bound_states, lorentzian_pole_closed_form
+from .formfactor import FormFactor, _lorentzian_pair
+from .resolvent import PoleData, _lorentzian_inputs, find_bound_states
 from .selfenergy import real_shift
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
     "spectral_density",
 ]
 
-#: Default overall quadrature tolerance of the spectral route.
+#: Overall absolute accuracy target of the spectral route per time point.
 SPECTRAL_TOL = 1e-8
 
 #: The nonzero real or imaginary part of (−i)^k: even k are real, odd k imaginary.
@@ -170,8 +170,7 @@ def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> Surv
     times : array_like
         Non-negative sample times.
     """
-    pole = lorentzian_pole_closed_form(coupling, bandwidth, omega_a)
-    return _pole_pair_series(LorentzianCoupling(coupling, bandwidth).pole_pair(pole.omega_a), times)
+    return _pole_pair_series(_lorentzian_pair(*_lorentzian_inputs(coupling, bandwidth, omega_a)), times)
 
 
 def _pole_pair_series(pair, times) -> SurvivalSeries:
@@ -493,8 +492,7 @@ def _takes_deficit(log_p: np.ndarray) -> np.ndarray:
     return log_p >= _DEFICIT_FLOOR
 
 
-def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPECTRAL_TOL,
-                         deficit: bool = False):
+def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = False):
     """Times, x(t) and, with ``deficit``, u(t) = 1 − e^{iω_a t}·x(t) on the panels.
 
     The body of :func:`survival_spectral_integral`; u is None without
@@ -537,19 +535,17 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, tol: float = SPE
     if deficit:
         defs = np.where(t_in < 0, np.conj(defs), defs)
 
-    if k.error > tol:
+    if k.error > SPECTRAL_TOL:
         raise ToleranceError(
-            f"spectral panels achieved {k.error:.3e}, above the target {tol:.3e}",
+            f"spectral panels achieved {k.error:.3e}, above the target {SPECTRAL_TOL:.3e}",
             value=amps,
             achieved=k.error,
-            requested=tol,
+            requested=SPECTRAL_TOL,
         )
     return t_in, amps, defs
 
 
-def survival_spectral_integral(
-    ff: FormFactor, omega_a: float, times, tol: float = SPECTRAL_TOL
-) -> SurvivalSeries:
+def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> SurvivalSeries:
     """Survival series from the spectral representation of the propagator.
 
     Works for any family with a finite coupling integral; bound states
@@ -564,8 +560,6 @@ def survival_spectral_integral(
     times : array_like
         Sample times; negative values are accepted and return the
         conjugate amplitude (ρ is real, so x(−t) = conj x(t)).
-    tol : float
-        Overall absolute accuracy target per time point.
 
     Notes
     -----
@@ -610,7 +604,7 @@ def survival_spectral_integral(
     NoDecayError
         Zero coupling (the spectral density is empty).
     ToleranceError
-        Summed panel error bound above ``tol``.
+        Summed panel error bound above ``SPECTRAL_TOL`` (1e−8).
     """
-    t_in, amps, _ = _spectral_amplitudes(ff, omega_a, times, tol)
+    t_in, amps, _ = _spectral_amplitudes(ff, omega_a, times)
     return _series(t_in, amps, SurvivalMethod.SPECTRAL_INTEGRAL)

@@ -96,9 +96,11 @@ def _as_methods(section: str, key: str, value) -> list[str]:
     names = [p.strip() for p in value.split(",")] if isinstance(value, str) else list(value)
     if not names:
         raise ConfigError(f"[{section}] {key} must not be empty")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in _METHODS:
             raise ConfigError(f"[{section}] {key} entry {name!r} not in {', '.join(_METHODS)}")
+        if name in names[:i]:
+            raise ConfigError(f"[{section}] {key} names {name!r} twice")
     return names
 
 

@@ -270,77 +270,54 @@ class LorentzianCoupling(FormFactor):
         return lam2 / den, -lam2 / (den * den)
 
     def pole_pair(self, omega_a):
-        """Both second-sheet poles and their residues.
-
-        E₁ is the pole of the level, by radicals (:func:`_lorentzian_pole`).
-        The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic, so its
-        partner is fixed by the root sum ω_a − iΛ; the residues C₁, C₂ of
-        (E + iΛ)/((E−E₁)(E−E₂)) satisfy C₁ + C₂ = 1 exactly.
-        """
-        if self.coupling == 0.0:
-            raise NoDecayError("zero coupling: the level is stationary, no pole exists")
-        e1 = _lorentzian_pole(self.coupling, self.bandwidth, omega_a)
-        e2 = omega_a - 1j * self.bandwidth - e1
-        c1 = (e1 + 1j * self.bandwidth) / (e1 - e2)
-        return e1, e2, c1, 1.0 - c1
+        """Both second-sheet poles and their residues (:func:`_lorentzian_pair`)."""
+        return _lorentzian_pair(self.coupling, self.bandwidth, omega_a)
 
     def transition_asymmetry(self, omega_a):
         """ω_a² > Λ²: the level sits outside the Lorentzian's half-width."""
         return bool(omega_a**2 > self.bandwidth**2)
 
 
-def _lorentzian_pole(lam: float, bw: float, omega_a: float) -> complex:
-    """The Lorentzian's second-sheet pole E = ω_a + Δ − iγ₀/2 by radicals.
+def _lorentzian_pair(lam: float, bw: float, omega_a: float) -> tuple:
+    """The Lorentzian's two poles and residues ``(e1, e2, c1, c2)``.
 
-    With Ω² = ω_a² + 4λ² − Λ², S = √(Ω⁴ + 4ω_a²Λ²), u = √((S + Ω²)/2)
-    and v = √((S − Ω²)/2),
+    The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic.  E₂ is the
+    partner root from :func:`_lorentzian_roots`; since the roots sum to
+    ω_a − iΛ, E₁ + iΛ = ω_a − E₂ exactly, so the pole of the level is
 
-        Δ  = −ω_a/2 + sign(ω_a)·u/2,
-        γ₀ = Λ − v = 8λ²Λ² / ((ω_a² + Λ² + 4λ² + S)(Λ + v)),
+        E₁ = ω_a + λ²/(ω_a − E₂),
 
-    the last form free of the cancellation that rounds Λ − v to zero at
-    weak coupling.  The radicals presuppose a branch; the roots of the
-    pole equation (E − ω_a)(E + iΛ) = λ² are the ground truth, and unless
-    the radical value solves it to 1e−10 and is the longest-lived root,
-    that root is returned instead.
+    which keeps Im E₁ = −γ₀/2 to full relative accuracy at any ω_a and
+    coupling.  The residues of (E + iΛ)/((E − E₁)(E − E₂)) are
+    C₁ = (E₁ + iΛ)/(E₁ − E₂) and C₂ = 1 − C₁, and Z = |C₁|².
     """
-    omega2 = omega_a**2 + 4.0 * lam**2 - bw**2
-    s = math.sqrt(omega2**2 + 4.0 * omega_a**2 * bw**2)
-    u = math.sqrt(max(s + omega2, 0.0) / 2.0)
-    v = math.sqrt(max(s - omega2, 0.0) / 2.0)
-    delta = -omega_a / 2.0 + float(np.sign(omega_a)) * u / 2.0
-    gamma0 = 8.0 * lam**2 * bw**2 / ((omega_a**2 + bw**2 + 4.0 * lam**2 + s) * (bw + v))
-    candidate = complex(omega_a + delta, -gamma0 / 2.0)
-
-    scale = max(1.0, abs(candidate))
-    best = _lorentzian_roots(lam, bw, omega_a)[0]
-    residual = abs((candidate - omega_a) * (candidate + 1j * bw) - lam**2)
-    if residual > 1e-10 * scale or abs(candidate - best) > 1e-10 * scale:
-        candidate = best
-    if not (candidate.imag < 0.0):
+    if lam == 0.0:
+        raise NoDecayError("zero coupling: the level is stationary, no pole exists")
+    e2 = _lorentzian_roots(lam, bw, omega_a)[1]
+    e1 = omega_a + lam**2 / (omega_a - e2)
+    if not (e1.imag < 0.0):
         raise DomainError(f"no decaying pole for coupling={lam}, bandwidth={bw}, omega_a={omega_a}")
-    return candidate
+    c1 = (e1 + 1j * bw) / (e1 - e2)
+    return e1, e2, c1, 1.0 - c1
 
 
-def _lorentzian_roots(lam: float, bw: float, omega_a: float) -> list:
-    """Both roots of (E − ω_a)(E + iΛ) = λ², best first.
+def _lorentzian_roots(lam: float, bw: float, omega_a: float) -> tuple:
+    """Both roots of (E − ω_a)(E + iΛ) = λ², the pole of the level first.
 
-    Ordering: smaller |Im| first; ties broken by larger residue magnitude,
-    then by Re ≥ 0 for determinism in the symmetric strong-coupling case.
-    The roots of E² + bE + c are q = −(b ± √(b² − 4c))/2, the sign
-    avoiding cancellation, and c/q.
+    That is the root with the smaller |Im E|.  The two |Im E| tie only at
+    ω_a = 0 with 2λ > Λ, where the roots mirror each other about Re E = 0
+    and rounding alone tells their widths apart; within a few ulps the
+    root with Re E ≥ 0 goes first.  The roots of E² + bE + c are
+    q = −(b ± √(b² − 4c))/2, the sign avoiding cancellation, and c/q.
     """
     b = 1j * bw - omega_a
     c = -(1j * bw * omega_a + lam**2)
     root = cmath.sqrt(b * b - 4.0 * c)
     q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
-
-    def sort_key(E):
-        den = E + 1j * bw
-        resid_mag = abs(1.0 / (1.0 + lam**2 / den**2)) if den != 0 else 0.0
-        return (abs(E.imag), -resid_mag, -E.real)
-
-    return sorted((complex(q), complex(c / q)), key=sort_key)
+    near, far = sorted((complex(q), complex(c / q)), key=lambda E: abs(E.imag))
+    if abs(far.imag) - abs(near.imag) <= 8.0 * math.ulp(far.imag) and near.real < 0.0:
+        near, far = far, near
+    return near, far
 
 
 @dataclass(frozen=True)

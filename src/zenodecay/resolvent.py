@@ -18,9 +18,8 @@ where it has one (the first pole of ``pole_pair``) and otherwise at the
 second-order golden-rule point omega_a + Delta_R(omega_a) − iπg²(omega_a).
 For the Lorentzian family the pole equation is the quadratic
 (E − omega_a)(E + iΛ) = λ², and :func:`lorentzian_pole_closed_form`
-evaluates the explicit nested-radical solution, falling back to the
-quadratic roots (the ground truth) if the radical branch goes astray at
-strong coupling.
+takes the pole and Z = |C₁|² from the family's own pair of roots and
+residues, the same pair ``pole_pair`` returns.
 
 Families with a finite band edge can additionally split off a genuine
 bound state below the lower or above the upper edge;
@@ -45,7 +44,7 @@ from .errors import (
     DomainError,
     NoDecayError,
 )
-from .formfactor import FormFactor, _lorentzian_pole
+from .formfactor import FormFactor, _lorentzian_pair
 from .selfenergy import Sheet, real_shift, self_energy
 
 __all__ = [
@@ -223,13 +222,11 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
 
 
 def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: float) -> PoleData:
-    """Explicit Lorentzian pole via the nested-radical solution.
+    """The Lorentzian pole from the roots of (E − omega_a)(E + iΛ) = λ².
 
-    The pole comes by radicals, checked against the roots of
-    (E − omega_a)(E + iΛ) = λ² (the first pole of the family's
-    ``pole_pair``), and Z from the closed expression
-
-        Z = [(omega_a+Δ)² + (Λ−γ₀/2)²] / [(omega_a+2Δ)² + (Λ−γ₀)²].
+    The pole E₁ and its residue C₁ are those of the family's
+    ``pole_pair`` (:func:`~zenodecay.formfactor._lorentzian_pair`), and
+    Z = |C₁|² = |1 − Σ′(E₁)|^(−2).
 
     Parameters
     ----------
@@ -241,7 +238,24 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
     Returns
     -------
     PoleData
+
+    Raises
+    ------
+    NoDecayError
+        λ not positive and finite.
+    ValueError
+        Λ not positive and finite.
+    DomainError
+        omega_a not finite, or λ² underflows so that no pole decays.
     """
+    lam, bw, omega_a = _lorentzian_inputs(coupling, bandwidth, omega_a)
+    e1, _, c1, _ = _lorentzian_pair(lam, bw, omega_a)
+    residual = abs(e1 - omega_a - lam**2 / (e1 + 1j * bw))
+    return _pole_data_from(e1, omega_a, abs(c1) ** 2, residual)
+
+
+def _lorentzian_inputs(coupling, bandwidth, omega_a) -> tuple:
+    """(λ, Λ, omega_a) as floats, refused unless λ, Λ > 0 and all finite."""
     lam = float(coupling)
     bw = float(bandwidth)
     omega_a = float(omega_a)
@@ -251,15 +265,7 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
         raise ValueError(f"bandwidth must be positive, got {bw}")
     if not math.isfinite(omega_a):
         raise DomainError(f"omega_a must be finite, got {omega_a!r}")
-
-    candidate = _lorentzian_pole(lam, bw, omega_a)
-    delta = candidate.real - omega_a
-    gamma0 = -2.0 * candidate.imag
-    z = ((omega_a + delta) ** 2 + (bw - gamma0 / 2.0) ** 2) / (
-        (omega_a + 2.0 * delta) ** 2 + (bw - gamma0) ** 2
-    )
-    residual = abs(candidate - omega_a - lam**2 / (candidate + 1j * bw))
-    return _pole_data_from(candidate, omega_a, z, residual)
+    return lam, bw, omega_a
 
 
 def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:

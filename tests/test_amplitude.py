@@ -19,7 +19,7 @@ from zenodecay.amplitude import (
     survival_closed_form_lorentzian,
     survival_spectral_integral,
 )
-from zenodecay.errors import DomainError, NoDecayError
+from zenodecay.errors import DomainError, NoDecayError, ToleranceError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
@@ -72,6 +72,20 @@ def test_non_finite_times_are_rejected(lor, bad):
 def test_spectral_integral_at_zero_coupling_raises():
     with pytest.raises(NoDecayError, match="zero coupling"):
         survival_spectral_integral(LorentzianCoupling(0.0, 1.0), 2.0, [0.0, 1.0])
+
+
+def test_spectral_integral_above_its_target_raises(lor, monkeypatch):
+    # No kernel reaches a zero target: the error carries the amplitudes,
+    # the kernel's achieved bound and the target.
+    t = [0.0, 1.0]
+    amps = survival_spectral_integral(lor, 2.0, t).amplitudes
+    monkeypatch.setattr(amplitude, "SPECTRAL_TOL", 0.0)
+    with pytest.raises(ToleranceError, match="above the target") as exc:
+        survival_spectral_integral(lor, 2.0, t)
+    err = exc.value
+    assert err.requested == 0.0
+    assert err.achieved == _spectral_kernel(lor, 2.0).error > 0.0
+    assert np.array_equal(err.value, amps)
 
 
 def test_series_probabilities_are_squared_moduli():

@@ -258,6 +258,16 @@ def test_degenerate_grids_exit_2(tmp_path, capsys, sub, task, fragment):
     assert fragment in m.group(0)
 
 
+def test_repeated_survival_method_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
+        "[task]\nmethods = closed_form, closed_form\n"))
+    assert main(["survival", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert "twice" in m.group(0)
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_flag_overrides_output_section(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "[output]\nout_dir = sect\n")
     override = tmp_path / "flagged"

@@ -206,6 +206,15 @@ def test_validate_mapping_rejects_empty_methods():
         })
 
 
+def test_validate_mapping_rejects_a_repeated_method():
+    with pytest.raises(ConfigError, match="names 'closed_form' twice"):
+        validate_mapping({
+            "model": {"family": "lorentzian", "coupling": 0.1, "bandwidth": 1.0,
+                      "omega_a": 10.0},
+            "task": {"methods": ["closed_form", "pole_approx", "closed_form"]},
+        })
+
+
 def test_validate_mapping_rejects_non_mapping():
     with pytest.raises(ConfigError):
         validate_mapping(["model"])

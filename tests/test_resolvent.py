@@ -3,17 +3,21 @@
 import cmath
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zenodecay import resolvent
 from zenodecay.errors import (
     BelowThresholdWarning,
     ContinuationUnsupportedError,
+    ConvergenceError,
     DomainError,
     NoDecayError,
 )
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
+from zenodecay.model import DecayModel
 from zenodecay.resolvent import (
     BoundState,
     PoleData,
@@ -86,9 +90,9 @@ def test_closed_form_decomposition_is_exact():
 
 
 def test_closed_form_continuity_to_zero_coupling():
-    # gamma0 ~ 2*pi*g2(2) ~ 0.4*lam^2 must stay above the double-precision
-    # floor eps*|E| of the quadratic-root arithmetic, so lam = 1e-6 is the
-    # smallest clean probe here (find_pole digs deeper; see below).
+    # As lam -> 0 the pole tends to omega_a with gamma0 ~ 0.4*lam^2 and Z
+    # to 1.  The pair keeps Im E to full relative accuracy, with no
+    # eps*|E| floor (see the mpmath grid below); this checks the limit.
     pole = lorentzian_pole_closed_form(1e-6, 1.0, 2.0)
     assert pole.e_pole.real == pytest.approx(2.0, abs=1e-10)
     assert pole.gamma0 == pytest.approx(0.0, abs=1e-11)
@@ -97,9 +101,9 @@ def test_closed_form_continuity_to_zero_coupling():
 
 @pytest.mark.parametrize("lam", [1e-10, 1e-6, 1e-3])
 def test_closed_form_width_keeps_its_digits_at_weak_coupling(lam):
-    # gamma0 = Lambda - v cancels as lam -> 0; its cancellation-free form
-    # must keep the weak-coupling width 2*lam^2*Lambda/(omega_a^2 + Lambda^2)
-    # (times 1 + O(lam^2)) to the last digits.
+    # gamma0 = -2 Im E1, with E1 = omega_a + lam^2/(omega_a - E2) free of
+    # cancellation, must keep the weak-coupling width
+    # 2*lam^2*Lambda/(omega_a^2 + Lambda^2) (times 1 + O(lam^2)) to the last digits.
     pole = lorentzian_pole_closed_form(lam, 1.0, 2.0)
     leading = 2.0 * lam**2 / 5.0
     assert pole.gamma0 == pytest.approx(leading, rel=1e-14 + 2.0 * lam**2)
@@ -107,12 +111,61 @@ def test_closed_form_width_keeps_its_digits_at_weak_coupling(lam):
 
 def test_closed_form_symmetric_strong_coupling_branch():
     # lambda > Lambda/2 at omega_a = 0: the quadratic roots split
-    # symmetrically about Re E = 0; the closed form must stay on the
-    # quadratic-root ground truth rather than the weak-coupling branch.
+    # symmetrically about Re E = 0; the closed form must be one of them.
     lam, bw = 0.8, 1.0
     pole = lorentzian_pole_closed_form(lam, bw, 0.0)
     roots = np.roots([1.0, 1j * bw, -(lam**2)])
     assert min(abs(pole.e_pole - r) for r in roots) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.8, 1.0, 3.0])
+def test_symmetric_strong_coupling_pole_has_positive_real_part(lam):
+    # At omega_a = 0 with 2*lambda > Lambda the roots mirror each other
+    # about Re E = 0 with equal widths and residues; the pole of the level
+    # is the one with Re E >= 0, whatever the rounding of the two widths.
+    e1, e2, c1, c2 = LorentzianCoupling(lam, 1.0).pole_pair(0.0)
+    assert e1.real > 0.0 > e2.real
+    assert abs(e1.imag) == pytest.approx(abs(e2.imag), rel=1e-15)
+    assert abs(c1) == pytest.approx(abs(c2), rel=1e-15)
+    assert lorentzian_pole_closed_form(lam, 1.0, 0.0).e_pole == e1
+
+
+def test_lorentzian_pair_refuses_a_level_that_does_not_decay():
+    with pytest.raises(NoDecayError, match="zero coupling"):
+        LorentzianCoupling(0.0, 1.0).pole_pair(2.0)
+    # lambda^2 underflows to 0, and no pole leaves the real axis.
+    with pytest.raises(DomainError, match="no decaying pole"):
+        lorentzian_pole_closed_form(1e-200, 1.0, 2.0)
+
+
+def _mp_level_pole(mp, lam, bw, omega_a):
+    """E, gamma0 and Z of the level's pole from 50-digit roots of the quadratic."""
+    with mp.workdps(50):
+        lam, bw, omega_a = mp.mpf(lam), mp.mpf(bw), mp.mpf(omega_a)
+        b = 1j * bw - omega_a
+        root = mp.sqrt(b * b + 4 * (1j * bw * omega_a + lam**2))
+        e1, e2 = sorted(((-b + root) / 2, (-b - root) / 2), key=lambda E: abs(E.imag))
+        z = abs((e1 + 1j * bw) / (e1 - e2)) ** 2
+        return complex(e1), float(-2 * e1.imag), float(z)
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-6, 0.01, 0.1, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("omega_ratio", [-3.0, 0.3, 2.0, 10.0, 1e3, 1e4])
+def test_lorentzian_pole_matches_mpmath_roots(lam, omega_ratio):
+    # The model's pole (Newton from the family's pair) and the closed form
+    # keep every digit of E, gamma0 and Z, from gamma0 ~ 1e-28 at weak
+    # coupling far from resonance to lambda = 3.
+    mp = pytest.importorskip("mpmath")
+    bw = 1.0
+    omega_a = omega_ratio * bw
+    e_want, gamma0_want, z_want = _mp_level_pole(mp, lam, bw, omega_a)
+    model = DecayModel(LorentzianCoupling(lam, bw), omega_a)
+    closed = lorentzian_pole_closed_form(lam, bw, omega_a)
+    for e, gamma0, z in ((model.pole.e_pole, model.gamma0, model.z_renorm),
+                         (closed.e_pole, closed.gamma0, closed.z_renorm)):
+        assert abs(e - e_want) <= 1e-14 * abs(e_want)
+        assert abs(gamma0 - gamma0_want) <= 1e-14 * gamma0_want
+        assert abs(z - z_want) <= 1e-14 * z_want
 
 
 # -- Newton search -----------------------------------------------------
@@ -162,6 +215,40 @@ def test_find_pole_near_zero_coupling_limit():
     assert pole.e_pole.real == pytest.approx(2.0, abs=1e-12)
     assert pole.gamma0 == pytest.approx(0.0, abs=1e-12)
     assert pole.z_renorm == pytest.approx(1.0, abs=1e-10)
+
+
+def _fake_sigma(monkeypatch, value, derivative):
+    """Make every Sigma_II the pole search asks for value(E), derivative."""
+    monkeypatch.setattr(resolvent, "self_energy",
+                        lambda ff, E, sheet: SimpleNamespace(value=value(E), derivative=derivative))
+
+
+def test_newton_refuses_a_vanishing_derivative(monkeypatch):
+    # Sigma' = 1 makes f'(E) = 1 - Sigma'(E) vanish at the seed.
+    _fake_sigma(monkeypatch, lambda E: 0j, 1.0)
+    ff = LorentzianCoupling(0.1, 1.0)
+    with pytest.raises(ConvergenceError, match="derivative vanished") as exc:
+        find_pole(ff, 2.0)
+    assert exc.value.trajectory == (ff.pole_pair(2.0)[0],)
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-6])
+def test_stalled_newton_keeps_its_best_iterate_within_the_residual_bound(monkeypatch, offset):
+    # f(E) = offset at every E: Newton never meets its 1e-13 target, and
+    # after 200 steps the best iterate stands only if its residual is
+    # within 1e-10*max(1, |E|).
+    omega_a = 2.0
+    _fake_sigma(monkeypatch, lambda E: E - omega_a - offset, 0.0)
+    ff = LorentzianCoupling(0.1, 1.0)
+    if offset < 1e-10:
+        pole = find_pole(ff, omega_a)
+        assert abs(pole.e_pole - ff.pole_pair(omega_a)[0]) <= 201 * offset
+        assert pole.residual == pytest.approx(offset, rel=1e-3)
+        assert pole.z_renorm == 1.0
+    else:
+        with pytest.raises(ConvergenceError, match="stalled") as exc:
+            find_pole(ff, omega_a)
+        assert len(exc.value.trajectory) == 201
 
 
 def test_find_pole_threshold_family(tpl):
@@ -289,6 +376,26 @@ def test_bound_state_far_below_the_threshold_doubles_its_bracket():
     assert bs.weight == pytest.approx(float(weight), rel=1e-12)
     p0 = survival_spectral_integral(ff, 0.5, [0.0]).probabilities[0]
     assert abs(p0 - 1.0) <= 1e-13
+
+
+def test_no_bound_states_at_zero_coupling():
+    assert find_bound_states(_Semicircle(coupling=0.0), 0.9) == ()
+
+
+def test_bound_state_scan_gives_up_after_60_doublings(monkeypatch):
+    # Delta_R(E) = 2E gives the level function F(E) = -E - omega_a, which
+    # starts like a bound state past each edge (F > 0 below -1, F < 0
+    # above 1) but never changes sign: each side doubles 60 times and
+    # reports nothing.
+    calls = []
+
+    def shift(ff, E):
+        calls.append(E)
+        return 2.0 * E
+
+    monkeypatch.setattr(resolvent, "real_shift", shift)
+    assert find_bound_states(_Semicircle(), 0.5) == ()
+    assert len(calls) == 2 * (1 + 60)
 
 
 # -- PoleData validation ----------------------------------------------

@@ -709,6 +709,16 @@ def test_non_finite_density_raises_tolerance_error():
             self_energy(ff, E)
 
 
+def test_non_finite_fit_shift_raises_tolerance_error(monkeypatch):
+    # A fit whose transform is not finite is refused, not returned.
+    from zenodecay import selfenergy
+
+    monkeypatch.setattr(selfenergy, "_fit_shift", lambda fit, x: np.full(x.shape, math.nan))
+    with pytest.raises(ToleranceError, match="not finite at") as exc:
+        real_shift(_Semicircle(), np.array([0.5, 2.0]))
+    assert exc.value.achieved == math.inf and exc.value.requested == 0.0
+
+
 def test_lorentzian_second_sheet_refuses_its_pole(lor):
     # Sigma_II = lambda^2/(E + i*Lambda) has its one pole at E = -i*Lambda.
     with pytest.raises(DomainError, match="pole"):

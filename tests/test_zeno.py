@@ -8,6 +8,7 @@ mpmath finds at 50 digits from the exact two-pole amplitude; the
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,3 +428,8 @@ def test_characteristic_scales_refuse_degenerate_models():
         characteristic_scales(ExponentialDecayModel(0.25))
     with pytest.raises(NoDecayError):
         characteristic_scales(DecayModel(LorentzianCoupling(0.0, 1.0), 2.0))
+    # Duck-typed models: no decay rate, and a Zeno time without a bandwidth.
+    with pytest.raises(NoDecayError, match="no decay rate"):
+        characteristic_scales(SimpleNamespace(gamma0=0.0))
+    with pytest.raises(DomainError, match="no bandwidth"):
+        characteristic_scales(SimpleNamespace(gamma0=0.1, zeno_time=2.0, bandwidth=None))
