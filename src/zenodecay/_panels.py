@@ -30,15 +30,15 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
     """Panels over ``edges`` with the Legendre coefficients of a function on each.
 
     ``density(lo, h)`` gives the function at the nodes of the panels
-    [lo, lo + h].  Every pass fits all open panels from one batched
-    evaluation (in chunks of panels, to bound the memory of the node
-    arrays) and bisects those whose bound on the fit's error, the last
-    two coefficients |c_{N−2}| + |c_{N−1}|, is not negligible against
-    ``absolute`` or ``relative`` times |c₀|, as long as bisection still
-    shrinks them.  With ``integrated`` both the bound and |c₀| are taken
-    times the panel width, so that the bound is on the integral (the
-    spectral kernel); without it the bound is pointwise (a fit whose
-    Hilbert transform must hold inside every panel).  Returns lo, hi,
+    [lo, lo + h] of one pass, one (panels, nodes) block per slice of
+    :func:`_chunks` in turn, which bounds the memory of the node arrays.
+    Every pass fits all open panels and bisects those whose bound on the
+    fit's error, the last two coefficients |c_{N−2}| + |c_{N−1}|, is not
+    negligible against ``absolute`` or ``relative`` times |c₀|, as long as
+    bisection still shrinks them.  With ``integrated`` both the bound and
+    |c₀| are taken times the panel width, so that the bound is on the
+    integral (the spectral kernel); without it the bound is pointwise (a
+    fit whose Hilbert transform must hold inside every panel).  Returns lo, hi,
     the coefficients (one row per degree, one column per panel) and the
     error bounds, with the panels in no particular order, and the number
     of passes.
@@ -49,9 +49,8 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
     for n in range(_MAX_PASSES):
         h = hi - lo
         coef = np.empty((_NODES, lo.size))
-        for i in range(0, lo.size, _PANEL_CHUNK):
-            cols = slice(i, i + _PANEL_CHUNK)
-            coef[:, cols] = _FIT @ density(lo[cols], h[cols]).T
+        for cols, values in zip(_chunks(lo.size), density(lo, h)):
+            coef[:, cols] = _FIT @ values.T
         est = np.abs(coef[-2]) + np.abs(coef[-1])
         mass = np.abs(coef[0])
         if integrated:
@@ -78,6 +77,11 @@ def _refine(density, edges: np.ndarray, absolute: float = 1e-14, relative: float
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
     return (*(np.concatenate(part, axis=-1) for part in zip(*kept)), len(kept))
+
+
+def _chunks(panels: int):
+    """Slices of up to _PANEL_CHUNK consecutive panels out of ``panels``."""
+    return (slice(i, i + _PANEL_CHUNK) for i in range(0, panels, _PANEL_CHUNK))
 
 
 def _memoized(cached, ff, *args):

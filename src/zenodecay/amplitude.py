@@ -28,13 +28,13 @@ Three evaluation routes are provided, all returning a
     sampled at Gauss–Legendre nodes on each panel with the exact level
     shift Δ_R at every node (a table sums its one logarithm per knot by a
     tree built once per table, and keeps Δ_R at the nodes of its knot
-    segments for every ω_a; any other family without a closed form takes
-    the Hilbert transform of its g² fit, built once per coupling value and
-    shared by equal instances) and stored as Legendre coefficients.  Their
-    Fourier transforms are spherical Bessel functions (the Filon–Legendre
-    rule), exact in t for the
-    fitted polynomials, so every t uses the same coefficients.  Panels
-    are bisected until the fit is resolved; the summed truncation bound
+    segments for every ω_a; any other family without a closed form
+    takes the Hilbert transform of its g² fit, built once per coupling
+    value and shared by equal instances) and stored as Legendre
+    coefficients.  Their Fourier transforms are spherical Bessel functions
+    (the Filon–Legendre rule), exact in t for the fitted polynomials, so
+    every t uses the same coefficients.  Panels are bisected until the
+    fit is resolved, with one Δ_R call per pass; the summed truncation bound
     is the achieved error for every t at once, and there is no late-time
     fallback to the pole term.  The same panels and j_k give the deficit
     u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _GL_FRACTION, _NODES, _PANEL_CHUNK, _memoized, _refine
+from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _memoized, _refine
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, _lorentzian_pair
 from .resolvent import PoleData, _lorentzian_inputs, find_bound_states
@@ -78,6 +78,10 @@ SPECTRAL_TOL = 1e-8
 
 #: The nonzero real or imaginary part of (−i)^k: even k are real, odd k imaginary.
 _PHASE_SIGN = np.resize([1.0, -1.0, -1.0, 1.0], _NODES)
+#: The degrees k in the row order of a kernel's terms and its j_k: the _HALF
+#: even k, then the odd k.
+_EVEN_ODD = np.concatenate((_DEGREES[0::2], _DEGREES[1::2]))
+_HALF = _NODES // 2
 #: Reach of the kernel's panels in units of max(|ω_r|, |peak|, Λ).
 _WINDOW = 1e5
 #: First edges at the coupling peak plus these multiples of Λ.
@@ -208,10 +212,8 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
 
 def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """ρ from ω − ω_a, g² and Δ_R at the same energies; zero where g² vanishes."""
-    out = np.zeros_like(g2)
-    mask = g2 > 0.0
-    out[mask] = g2[mask] / ((detuning[mask] - shift[mask]) ** 2 + (math.pi * g2[mask]) ** 2)
-    return out
+    return np.divide(g2, (detuning - shift) ** 2 + (math.pi * g2) ** 2,
+                     out=np.zeros_like(g2), where=g2 > 0.0)
 
 
 def _panel_edges(ff: FormFactor, omega_r: float, res: float) -> np.ndarray:
@@ -247,13 +249,12 @@ def _segment_shifts_uncached(ff: FormFactor):
 
     Row j holds Δ_R at kinks[j] + (kinks[j+1] − kinks[j])·_GL_FRACTION, the
     nodes a panel spanning exactly that segment samples, filled in chunks
-    of _PANEL_CHUNK segments to bound the memory of the node arrays.
+    of segments to bound the memory of the node arrays.
     """
     kinks = np.unique(ff.kinks())
     lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
     shifts = np.empty((lo.size, _NODES))
-    for i in range(0, lo.size, _PANEL_CHUNK):
-        rows = slice(i, i + _PANEL_CHUNK)
+    for rows in _chunks(lo.size):
         shifts[rows] = real_shift(ff, lo[rows] + h[rows] * _GL_FRACTION)
     return kinks, shifts
 
@@ -264,26 +265,25 @@ def _segment_shifts_uncached(ff: FormFactor):
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
 
 
-def _node_shifts(ff: FormFactor, segments, lo: np.ndarray, h: np.ndarray, w: np.ndarray):
-    """Δ_R at the nodes w of the panels [lo, lo + h], as a (panels, nodes) array.
+def _segment_rows(segments, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The row of ``segments`` for each panel [lo, lo + h] that is one kink segment, else −1.
 
-    A panel that is exactly one kink segment of ``segments`` (see
-    :func:`_segment_shifts_uncached`) has the same node floats as that
-    segment's row and reads it; every other panel calls
-    :func:`~zenodecay.real_shift`, which is elementwise, so the values
-    are those of a call on every node.
+    Such a panel has the same node floats as that segment's row of
+    :func:`_segment_shifts_uncached`.
     """
-    if segments is None or segments[0].size < 2:
-        return real_shift(ff, w)
-    kinks, shifts = segments
+    if segments is None:
+        return np.full(lo.size, -1)
+    kinks = segments[0]
     j = np.minimum(np.searchsorted(kinks, lo), kinks.size - 2)
-    whole = (kinks[j] == lo) & (kinks[j + 1] - kinks[j] == h)
-    if not np.any(whole):
-        return real_shift(ff, w)
-    out = shifts[j]
-    rest = ~whole
-    if np.any(rest):
-        out[rest] = real_shift(ff, w[rest])
+    return np.where((kinks[j] == lo) & (kinks[j + 1] - kinks[j] == h), j, -1)
+
+
+def _pick(memo, rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """memo[rows] where a row is given (≥ 0), and the rows of ``fresh`` in order elsewhere."""
+    if not np.any(rows >= 0):
+        return fresh
+    out = memo[rows]
+    out[rows < 0] = fresh
     return out
 
 
@@ -292,8 +292,13 @@ class _SpectralKernel(NamedTuple):
 
     Per panel: midpoint, detuning of the midpoint from ω_a, index into the
     distinct ``widths``, and the terms h·c_k·(−i)^k as real numbers, one
-    row per degree k.  ``error`` is the summed panel error bound, and
-    ``passes`` the bisection passes that resolved ρ.
+    row per degree k: the even k (real) in a block, then the odd k
+    (imaginary).  ``error`` is the summed panel error bound, and
+    ``passes`` the bisection passes that resolved ρ.  ``shift_calls``
+    counts the :func:`~zenodecay.real_shift` calls of the build itself (for
+    ω_r and one per pass with panels that are not whole kink segments),
+    ``shift_points`` the energies they cover, and ``memo_rows`` the rows
+    of the segment memo read.
     """
 
     bound: tuple
@@ -304,6 +309,9 @@ class _SpectralKernel(NamedTuple):
     terms: np.ndarray
     error: float
     passes: int
+    shift_calls: int
+    shift_points: int
+    memo_rows: int
 
 
 def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
@@ -316,27 +324,42 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     # coupling scale.
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     segments = _memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1 else None
+    memo = segments[1] if segments else None
+    counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": 0}
 
     def density(lo, h):
-        """ρ at the nodes of the panels [lo, lo + h], as a (panels, nodes) array.
+        """ρ at the nodes of the panels [lo, lo + h], one (panels, nodes) block per chunk.
 
+        A panel that is exactly one kink segment reads Δ_R from the
+        segment memo; the others take theirs from one
+        :func:`~zenodecay.real_shift` call for the whole pass, which is
+        elementwise, so every value is that of a call on every node.
         Nodes are placed from the exact panel edge, and the detuning from
         ω_a is formed before the node is rounded: near a narrow resonance
         an edge or node off by one rounding, though far below the panel
         width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        offset = h[:, None] * _GL_FRACTION
-        w = lo[:, None] + offset
-        detuning = ((lo - omega_a)[:, None] + offset).ravel()
-        shift = _node_shifts(ff, segments, lo, h, w).ravel()
-        rho = _rho(detuning, np.asarray(ff.g2(w.ravel()), dtype=float), shift)
-        return rho.reshape(offset.shape)
+        rows = _segment_rows(segments, lo, h)
+        fresh = np.flatnonzero(rows < 0)
+        counts["memo_rows"] += lo.size - fresh.size
+        shift = np.empty((0, _NODES))
+        if fresh.size:
+            shift = real_shift(ff, lo[fresh, None] + h[fresh, None] * _GL_FRACTION)
+            counts["shift_calls"] += 1
+            counts["shift_points"] += shift.size
+        for cols in _chunks(lo.size):
+            own = slice(*np.searchsorted(fresh, (cols.start, cols.stop)))
+            offset = h[cols, None] * _GL_FRACTION
+            g2 = np.asarray(ff.g2((lo[cols, None] + offset).ravel()), dtype=float)
+            yield _rho((lo[cols] - omega_a)[:, None] + offset, g2.reshape(offset.shape),
+                       _pick(memo, rows[cols], shift[own]))
 
     lo, hi, coef, est, passes = _refine(density, _panel_edges(ff, omega_r, res))
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
-    # h·c_k times the real or imaginary unit of (−i)^k.
-    coef *= h * _PHASE_SIGN[:, None]
+    # h·c_k times the real or imaginary unit of (−i)^k, in the rows of _EVEN_ODD.
+    coef *= h
+    coef *= _PHASE_SIGN[:, None]
     return _SpectralKernel(
         bound=bound,
         mids=0.5 * (lo + hi),
@@ -344,15 +367,17 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
         widths=widths,
         # int32 keeps the index of a table kernel (~2·10⁴ panels) small.
         width_index=width_index.astype(np.int32),
-        terms=coef,
+        terms=coef[_EVEN_ODD],
         error=float(np.sum(est)),
         passes=passes,
+        **counts,
     )
 
 
-# A table kernel holds ~2 MB and, with its segment shifts memoized,
-# rebuilds in 30–45 ms, so the cache keeps only the two models a caller
-# works through at once, which leaves room for the 1.6 MB memo.
+# A table kernel holds ~2 MB and, with its segment memo, rebuilds in
+# 9–20 ms (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon),
+# so the cache keeps only the two models a caller works through at
+# once, which leaves room for the 1.6 MB memo.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -445,14 +470,15 @@ def _jn_table(x: np.ndarray) -> np.ndarray:
 def _continuum(k: _SpectralKernel, ts: np.ndarray, j: np.ndarray) -> np.ndarray:
     """∫ρ(ω)e^{−iωt}dω over the kernel's panels (Filon–Legendre, exact in t).
 
-    ``j`` holds j_k(t·h/2) for each time of ``ts`` (rows) and panel
-    (columns).  Every step is elementwise until one fixed-order sum over
-    the panels per time, so a value does not depend on which other times
-    share the call.
+    ``j`` holds j_k(t·h/2) for each k in the order of _EVEN_ODD (blocks),
+    time of ``ts`` (rows) and panel (columns).  Every step is elementwise
+    until one fixed-order sum over the panels per time, so a value does
+    not depend on which other times share the call.
     """
-    re = np.einsum("kp,ktp->tp", k.terms[0::2], j[0::2])
-    im = np.einsum("kp,ktp->tp", k.terms[1::2], j[1::2])
-    return np.sum(np.exp(np.multiply.outer(-1j * ts, k.mids)) * (re + 1j * im), axis=1)
+    series = np.empty(j.shape[1:], dtype=complex)
+    np.einsum("kp,ktp->tp", k.terms[:_HALF], j[:_HALF], out=series.real)
+    np.einsum("kp,ktp->tp", k.terms[_HALF:], j[_HALF:], out=series.imag)
+    return np.sum(np.exp(np.multiply.outer(-1j * ts, k.mids)) * series, axis=1)
 
 
 def _deficit(k: _SpectralKernel, omega_a: float, ts, j, x, j0) -> np.ndarray:
@@ -469,8 +495,8 @@ def _deficit(k: _SpectralKernel, omega_a: float, ts, j, x, j0) -> np.ndarray:
     """
     y = np.minimum(x, 1.0) ** 2
     one_minus_j0 = np.where(x < 1.0, y * _J0_DEFICIT(-y), 1.0 - j0)[:, k.width_index]
-    even = sum(k.terms[n] * j[n] for n in range(2, _NODES, 2))
-    odd = sum(k.terms[n] * j[n] for n in range(1, _NODES, 2))
+    even = sum(k.terms[n] * j[n] for n in range(1, _HALF))
+    odd = sum(k.terms[n] * j[n] for n in range(_HALF, _NODES))
     # expm1(−iδt) = c − i·s with c = −2 sin²(δt/2), s = sin δt.
     phase = np.multiply.outer(ts, k.detunings)
     c = -2.0 * np.sin(0.5 * phase) ** 2
@@ -513,10 +539,10 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = 
     step = rows * max(1, _JN_CHUNK // (k.widths.size * rows))
     for start in range(0, t_abs.size, step):
         args = (0.5 * t_abs[start:start + step])[:, None] * k.widths
-        jn = _jn_table(args.ravel()).reshape(_NODES, args.shape[0], -1)
+        jn = _jn_table(args.ravel())[_EVEN_ODD].reshape(_NODES, args.shape[0], -1)
         for i in range(0, args.shape[0], rows):
             out, part = slice(start + i, start + i + rows), slice(i, i + rows)
-            j = jn[:, part, k.width_index]
+            j = jn[:, part].take(k.width_index, axis=2)
             x = _continuum(k, t_abs[out], j)
             for bs in k.bound:
                 x += bs.weight * np.exp(-1j * bs.energy * t_abs[out])
@@ -574,14 +600,15 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     nodes with the exact level shift of :func:`~zenodecay.real_shift` at
     every node (a table's by the tree sum of its knot logarithms, see
     :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
-    family's from its g² fit) and stored as Legendre coefficients c_k.  Δ_R depends on g² alone, so the
-    shifts at the nodes of every segment between consecutive kinks of
-    g² are memoized once per family (the last one used) and read by
-    each panel that is exactly such a segment, most panels of a table
-    at any ω_a; the other panels call :func:`~zenodecay.real_shift`.
-    The values are the same floats either way.  A
-    panel of width h around ω_c then contributes, exactly for the
-    fitted polynomial,
+    family's from its g² fit) and stored as Legendre coefficients c_k.
+    Δ_R depends on g² alone, so the shifts at the nodes of every segment
+    between consecutive kinks of g² are memoized once per family (the
+    last one used) and read by each panel that is exactly such a
+    segment, most panels of a table at any ω_a; the other panels of each
+    bisection pass take theirs from one :func:`~zenodecay.real_shift`
+    call.  The values are the same floats either way, and the panels'
+    node arrays are filled in chunks of 2048 panels.  A panel of width h
+    around ω_c then contributes, exactly for the fitted polynomial,
 
         ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
 
@@ -589,7 +616,10 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     each with one table of the j_k, one column per time and distinct
     panel width (``_jn_table``: the upward recurrence where the argument
     exceeds the order, the series or Miller's backward recurrence
-    elsewhere), and with panel arrays of one row per time; every step is
+    elsewhere), and with panel arrays of one row per time: the j_k of
+    each panel, read from the table by one ``take`` with the even k in
+    one contiguous block and the odd k in another, meet the even-k
+    (real) and odd-k (imaginary) blocks of h·c_k(−i)^k.  Every step is
     elementwise until the sum over panels, so a time's value does not
     depend on the others in the call.  Panels are bisected until
     h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);

@@ -9,8 +9,8 @@ Subcommands (all take ``--config PATH`` and ``--out DIR``):
     Effective-rate curve gamma(tau) on a log grid -> ``rate.csv`` with
     columns tau, gamma, gamma0.
 ``transition``
-    Transition-time search from 1e-4/bandwidth up to ``tau_max`` ->
-    ``transition.json`` (the report's fields + config echo).
+    Transition-time search from min(1e-4/bandwidth, jump time/100) up to
+    ``tau_max`` -> ``transition.json`` (the report's fields + config echo).
 ``sweep``
     Rate curve + transition report per omega_a value; one CSV per entry
     under a content-addressed name, plus ``sweep_summary.json``.  Every
@@ -122,7 +122,7 @@ def _write_rate(cfg: RunConfig, model: DecayModel, path: str) -> str:
 
 
 def _transition_payload(cfg: RunConfig, model: DecayModel) -> dict:
-    """The transition report's own fields; the search window starts at 1e-4/bandwidth."""
+    """The transition report's own fields; the window starts at min(1e-4/Λ, jump time/100)."""
     return dataclasses.asdict(find_transition_time(
         model, tau_max=cfg.task.get("tau_max"), grid_points=cfg.task.get("grid_points", 2048)))
 

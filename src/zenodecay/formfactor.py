@@ -48,7 +48,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _memoized, _refine
+from ._panels import (_DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _chunks, _memoized,
+                      _refine)
 from ._roots import bracketed_roots
 from .errors import (
     ContinuationUnsupportedError,
@@ -1024,7 +1025,11 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
         g = np.asarray(ff.g2(node), dtype=float)
         return g + (g @ _FIT.T) @ _LEG_SLOPE * (miss / (0.5 * h[:, None]))
 
-    lo, hi, coef, est, _ = _refine(density, edges, tol, _FIT_RELATIVE, integrated=False)
+    def chunked(lo, h):
+        """``density`` on each chunk of the panels of a pass, in turn."""
+        return (density(lo[cols], h[cols]) for cols in _chunks(lo.size))
+
+    lo, hi, coef, est, _ = _refine(chunked, edges, tol, _FIT_RELATIVE, integrated=False)
     # The panel between a finite edge and the innermost graded edge takes
     # one fit, unrefined: the edge's singularity would draw bisection on
     # to the tolerance, ~80 halvings deep at a threshold, for the values

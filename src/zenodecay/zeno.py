@@ -252,8 +252,10 @@ def find_transition_time(
 ) -> TransitionReport:
     """Find all crossings of γ(τ) = γ₀ and designate τ* = smallest.
 
-    Scans a log-spaced grid on [1e−4/Λ, tau_max] (default tau_max =
-    100/γ₀), brackets every sign change of γ(τ) − γ₀ and refines all
+    Scans a log-spaced grid on [τ_lo, tau_max] (default tau_max =
+    100/γ₀), where τ_lo = min(1e−4/Λ, γ₀τ_Z²/100) starts the window before
+    the jump time γ₀τ_Z² of a level far above the band (1e−4/Λ where τ_Z
+    is not finite), brackets every sign change of γ(τ) − γ₀ and refines all
     brackets together to relative 1e−12 (Brent's method, one γ(τ) array
     per iteration for every bracket still open).  For a threshold family
     the window can reach past the exponential era, where the power-law
@@ -292,12 +294,13 @@ def find_transition_time(
         raise DomainError(f"grid_points must be at least {MIN_GRID_POINTS}, got {points}")
 
     scale = model.bandwidth if model.bandwidth is not None else gamma0
-    tau_lo = 1e-4 / scale
+    tz = model.zeno_time
+    # A level far above the band jumps within γ₀τ_Z² ≪ 1/Λ, and γ(τ) crosses γ₀ there.
+    tau_lo = min(1e-4 / scale, gamma0 * tz**2 / 100.0 if math.isfinite(tz) else math.inf)
     if tau_lo >= tau_max:
         tau_lo = tau_max * 1e-8
 
     criteria = existence_criteria(model)
-    tz = model.zeno_time
     # Z < 1 promises a crossing only when γ(τ) starts below γ₀, i.e. when
     # the short-time decay is quadratic on a finite Zeno time.
     guaranteed = criteria.z_less_1 and math.isfinite(tz)

@@ -1,6 +1,7 @@
 """Survival amplitude: closed form, spectral route, pole approximation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,11 +227,15 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     warm = amplitude._kernel_uncached(tab_lorentzian, omega_a)
     assert amplitude._segment_shifts.cache_info().hits == 1
     memo_nodes = sum(nodes)
+    # The build counts its own calls: one for the resonance, one per pass.
+    assert (warm.shift_calls, warm.shift_points) == (len(nodes), memo_nodes)
+    assert warm.shift_calls <= warm.passes + 1
     nodes.clear()
-    monkeypatch.setattr(amplitude, "_node_shifts", lambda ff, segments, lo, h, w: counted(ff, w))
+    monkeypatch.setattr(amplitude, "_segment_rows", lambda segments, lo, h: np.full(lo.size, -1))
     direct = amplitude._kernel_uncached(tab_lorentzian, omega_a)
     # The memo serves the knot segments, most of the table's panels.
     assert memo_nodes < 0.2 * sum(nodes)
+    assert direct.memo_rows == 0 and warm.memo_rows == cold.memo_rows > 0.9 * warm.mids.size
     for built in (cold, warm):
         for name in ("terms", "mids", "detunings", "widths", "width_index", "error"):
             assert np.array_equal(getattr(built, name), getattr(direct, name)), name
@@ -261,6 +266,16 @@ def test_kernel_panels_start_graded_at_resonance_and_threshold(family, args, ome
     assert kernel.error <= 1e-11
     p0 = survival_spectral_integral(ff, omega_a, [0.0]).probabilities[0]
     assert abs(p0 - 1.0) <= 1e-13
+
+
+def test_rho_is_zero_where_g2_vanishes():
+    # Even where the detuning equals the shift, so that the denominator is 0.
+    detuning, shift = np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.3, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = amplitude._rho(detuning, np.array([0.0, 0.1, 0.0]), shift)
+    assert rho[0] == rho[2] == 0.0 and not np.any(np.signbit(rho))
+    assert rho[1] == 0.1 / ((1.0 - 0.3) ** 2 + (math.pi * 0.1) ** 2)
 
 
 def test_spectral_density_normalization(lor):
@@ -363,6 +378,29 @@ def test_bessel_table_columns_do_not_depend_on_the_batch():
     batch = _jn_table(x)
     for i in range(x.size):
         assert np.array_equal(_jn_table(x[i:i + 1])[:, 0], batch[:, i])
+
+
+@pytest.mark.parametrize("family, omega_a", [("lor", 2.0), ("tpl", 0.7), ("tpl", 2.4),
+                                              ("tab_lorentzian", 2.0)])
+def test_panel_sum_is_its_reference_formula(request, family, omega_a):
+    # x(t) = Σ_panels e^{−it·mid}·Σ_k h·c_k(−i)^k j_k(|t|h/2) + Σ_b w_b e^{−iE_b t},
+    # with j_k gathered per panel, Σ_k by einsum and one sum over the panels
+    # in kernel order, conjugated for t < 0: the same floats.
+    ff = request.getfixturevalue(family)
+    k = _spectral_kernel(ff, omega_a)
+    terms = np.empty_like(k.terms)
+    terms[amplitude._EVEN_ODD] = k.terms
+    t = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40)])
+    ts = np.abs(t)
+    j = _jn_table(np.outer(0.5 * ts, k.widths).ravel()).reshape(10, ts.size, -1)
+    j = j[:, :, k.width_index]
+    re = np.einsum("kp,ktp->tp", terms[0::2], j[0::2])
+    im = np.einsum("kp,ktp->tp", terms[1::2], j[1::2])
+    x = np.sum(np.exp(np.multiply.outer(-1j * ts, k.mids)) * (re + 1j * im), axis=1)
+    for bs in k.bound:
+        x += bs.weight * np.exp(-1j * bs.energy * ts)
+    x = np.where(t < 0, np.conj(x), x)
+    assert np.array_equal(survival_spectral_integral(ff, omega_a, t).amplitudes, x)
 
 
 def test_spectral_time_points_do_not_depend_on_the_batch(tpl, tab_lorentzian):

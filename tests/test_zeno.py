@@ -354,6 +354,31 @@ def test_transition_near_jump_time_for_far_detuned_level(model10):
     assert report.tau_star == pytest.approx(report.jump_time, rel=0.25)
 
 
+@pytest.mark.parametrize("omega_a, rel", [(1e3, 1e-8), (1e4, 1e-6)])
+def test_transition_window_starts_before_an_early_jump(omega_a, rel):
+    # Far above the band gamma(tau) crosses gamma0 at the jump time
+    # gamma0*tz^2, 2e-6 and 2e-8 here, below 1e-4/Lambda: the window starts
+    # at a hundredth of it.  The root is that of the exact two-pole
+    # amplitude at 50 digits; at 1e4 the small-tau ln P loses digits.
+    mp = pytest.importorskip("mpmath")
+    lam, bw = 0.3, 1.0
+    report = find_transition_time(DecayModel(LorentzianCoupling(lam, bw), omega_a))
+    assert report.all_roots == (report.tau_star,)
+    assert report.tau_star < 1e-4 / bw
+    with mp.workdps(50):
+        b = 1j * bw - mp.mpf(omega_a)
+        root = mp.sqrt(b * b + 4 * (1j * bw * omega_a + mp.mpf(lam) ** 2))
+        e1, e2 = sorted(((-b + root) / 2, (-b - root) / 2), key=lambda E: abs(E.imag))
+        c1 = (e1 + 1j * bw) / (e1 - e2)
+
+        def shift(tau):
+            x = c1 * mp.exp(-1j * e1 * tau) + (1 - c1) * mp.exp(-1j * e2 * tau)
+            return -mp.log(abs(x) ** 2) + 2 * e1.imag * tau
+
+        exact = mp.findroot(shift, mp.mpf(report.tau_star))
+        assert abs(report.tau_star - exact) <= rel * exact
+
+
 def test_symmetric_level_has_no_transition(lor):
     report = find_transition_time(DecayModel(lor, 0.0))
     assert report.tau_star is None
