@@ -44,7 +44,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -560,7 +560,7 @@ class TabulatedCoupling(FormFactor):
             if value != 0.0:
                 edges += value * np.log(np.abs(x - edge))
         tree = self._knot_tree
-        return (_tree_sum(tree, x, *_tree_leaf(tree, x), _KNOT_KERNEL, _knot_term)
+        return (_tree_sum(tree, x, *_tree_leaf(tree, x), _log_outer, _knot_term)
                 + edges - (fv[-1] - fv[0]))
 
     def sigma_closed_form(self, E, second):
@@ -607,8 +607,8 @@ _TREE_MOMENTS = 48
 _TREE_CHUNK = 4096
 #: Offsets, in box widths, of the source boxes that join a box's far set.
 _TREE_OFFSETS = np.array([-3.0, -2.0, 2.0, 3.0])
-#: Terms of the moment series of a fit's node sum there: (1/2)^56.
-_CAUCHY_MOMENTS = 56
+#: Terms of a fit's direct node sum past 2R formed at once, at most (2 MB).
+_DIRECT_BLOCK = 2**18
 #: First-kind Chebyshev nodes on [−1, 1], and node values → coefficients.
 _CHEB_T = np.cos(np.pi * (np.arange(_TREE_ORDER) + 0.5) / _TREE_ORDER)
 _CHEB_FIT = (2.0 / _TREE_ORDER) * np.cos(np.outer(np.arange(_TREE_ORDER), np.arccos(_CHEB_T)))
@@ -640,15 +640,15 @@ _CHEB_HALVES = _lagrange_halves()
 
 
 class _Tree(NamedTuple):
-    """Leaves of a source tree, in order, and its moment series.
+    """Leaves of a source tree, in order, and a table's moment series.
 
     Leaf i spans [lo[i], lo[i+1]] around ``mid`` with half-width
     ``half``; ``coef`` holds the Chebyshev coefficients of its far field
     (one row per degree, one column per leaf), and sources ``near_lo[i]``
     up to ``near_hi[i]`` (exclusive) are its near zone.  ``sources`` are
-    the sorted positions ω_j, ``weights`` their weights w_j, and
-    ``moments`` the kernel's moments of the w_j about the centre c in
-    units of the radius R.
+    the sorted positions ω_j, ``weights`` their weights w_j, and for a
+    table's knots ``moments`` the moments of the w_j about the centre c in
+    units of the radius R (``None`` for a fit's nodes).
     """
 
     lo: np.ndarray
@@ -661,7 +661,7 @@ class _Tree(NamedTuple):
     weights: np.ndarray
     centre: float
     radius: float
-    moments: np.ndarray
+    moments: Optional[np.ndarray] = None
 
 
 def _x_log_x(d):
@@ -679,15 +679,16 @@ def _chebyshev(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t * b1 - b2 + coef[0]
 
 
-def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") -> _Tree:
+def _build_tree(sources, weights, centre, radius, field, moments=None) -> _Tree:
     """The tree of Σ_j w_j K(x − ω_j) over sorted sources ω_j within R of c.
 
     Two kernels share it: K(d) = d·ln|d| for a table's knots
-    (:meth:`TabulatedCoupling.shift_closed_form`) and K(d) = 1/d for the
-    nodes of a family's g² fit (:func:`_fit_shift`).  Only the action of a
-    source box on a box's Chebyshev nodes, ``field(sums, m1, charges,
-    dist, width)``, and the moment series past |x − c| > 2R (see
-    :func:`_tree_sum`) depend on the kernel (see :class:`_Kernel`).
+    (:meth:`TabulatedCoupling.shift_closed_form`, ``field`` =
+    :func:`_log_field`) and K(d) = 1/d for the nodes of a family's g² fit
+    (:func:`_fit_shift`, ``field`` = :func:`_cauchy_field`).  Only the
+    action of a source box on a box's Chebyshev nodes, ``field(sums, m1,
+    charges, dist, width)``, depends on the kernel; ``moments`` is kept
+    with the tree for the sum past |x − c| > 2R (see :func:`_tree_sum`).
 
     Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
     integer index k and the level's power-of-two width w, so every edge
@@ -757,7 +758,7 @@ def _build_tree(sources, weights, centre, radius, moments, kernel: "_Kernel") ->
             for i in np.flatnonzero(use.any(axis=0)):
                 p = slot[use[:, i], i]
                 dist = 0.5 * width * _CHEB_T - _TREE_OFFSETS[i] * width
-                far[use[:, i]] += kernel.field(cheb_sums[p], m1[p], charges[p], dist, width)
+                far[use[:, i]] += field(cheb_sums[p], m1[p], charges[p], dist, width)
         split = ((near_hi - near_lo > _TREE_NEAR) & (level < _TREE_LEVELS)
                  & (np.abs(box) < _TREE_INDEX))
         leaf = ~split
@@ -797,18 +798,21 @@ def _log_field(sums, m1, charges, dist, width):
 def _cauchy_field(sums, m1, charges, dist, width):
     """A source box's nodes on a box's nodes for K(d) = 1/d, by its proxy charges.
 
-    The weights of a fit's nodes are positive, so nothing cancels.
+    The weights of a fit's nodes are positive, so nothing cancels, and
+    the charges alone serve: ``sums`` and ``m1`` go unused.
     """
     return np.einsum("bm,nm->bn", charges, 1.0 / (dist[:, None] - 0.5 * width * _CHEB_T))
 
 
-def _log_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
-    """A table's knot sum at x = c + r, |r| > 2R, from its moment series.
+def _log_outer(tree: _Tree, x: np.ndarray) -> np.ndarray:
+    """A table's knot sum at x, |x − c| > 2R, from its moment series.
 
     With (1 − u)·ln(1 − u) = −u + Σ_{k≥2} u^k/(k(k − 1)) and M₀ = 0:
     Σ_j κ_j φ(x − ω_j) = R·[Σ_{k≥2} M_k z^(k−1)/(k(k − 1)) − M₁·(ln|x − c| + 1)],
-    z = R/(x − c).
+    z = R/(x − c).  The knot terms cancel to a sum of order 1/x there,
+    which the series, from moments summed without that cancellation, keeps.
     """
+    r = x - tree.centre
     z = tree.radius / r
     k = np.arange(2, _TREE_MOMENTS)
     series = np.zeros_like(z)
@@ -817,26 +821,18 @@ def _log_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
     return tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
 
 
-def _cauchy_outer(tree: _Tree, r: np.ndarray) -> np.ndarray:
-    """Σ_j w_j/(x − ω_j) at x = c + r, |r| > 2R: Σ_k M_k z^k / r, z = R/r."""
-    z = tree.radius / r
-    series = np.zeros_like(z)
-    for m in tree.moments[::-1]:
-        series = series * z + m
-    return series / r
+def _cauchy_direct(tree: _Tree, x: np.ndarray) -> np.ndarray:
+    """A fit's node sum Σ_j w_j/(x − ω_j) at x, |x − c| > 2R, summed directly.
 
-
-class _Kernel(NamedTuple):
-    """What a source tree's kernel K decides: how a source box acts on a box's
-    nodes (``field``) and the moment series past 2R (``outer``)."""
-
-    field: Callable
-    outer: Callable
-
-
-#: K(d) = d·ln|d| for a table's knots, K(d) = 1/d for a fit's nodes.
-_KNOT_KERNEL = _Kernel(_log_field, _log_outer)
-_CAUCHY_KERNEL = _Kernel(_cauchy_field, _cauchy_outer)
+    Every x − ω_j there has the sign of x − c and every w_j is positive,
+    so nothing cancels and the plain sum keeps its digits.  Each x sums
+    its own row, in blocks of at most ``_DIRECT_BLOCK`` terms.
+    """
+    out = np.empty_like(x)
+    step = max(1, _DIRECT_BLOCK // tree.sources.size)
+    for i in range(0, x.size, step):
+        out[i:i + step] = np.sum(tree.weights / (x[i:i + step, None] - tree.sources), axis=1)
+    return out
 
 
 def _knot_term(tree: _Tree, x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -855,12 +851,13 @@ def _tree_leaf(tree: _Tree, x: np.ndarray):
 
 
 def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
-              kernel: "_Kernel", term) -> np.ndarray:
+              far, term) -> np.ndarray:
     """Σ_j w_j K(x − ω_j) on a 1-D array by the tree, given :func:`_tree_leaf` of x.
 
     In the leaf of x, its far-field series plus ``term(tree, xs, j)`` of
     the sources j of its near zone, added from 0 in the order of j; past
-    |x − c| > 2R, the kernel's moment series ``kernel.outer(tree, x − c)``.
+    |x − c| > 2R, ``far(tree, xs)``: :func:`_log_outer` for a table's
+    knots, :func:`_cauchy_direct` for a fit's nodes.
     Each point takes its terms in its own order, so its value does not
     depend on the other points.  The points go in chunks of
     ``_TREE_CHUNK``, each taking one gather of its leaves' coefficients,
@@ -870,7 +867,7 @@ def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
     """
     out = np.empty_like(x)
     if np.any(outer):
-        out[outer] = kernel.outer(tree, x[outer] - tree.centre)
+        out[outer] = far(tree, x[outer])
     inner = np.flatnonzero(~outer)
     for i in range(0, inner.size, _TREE_CHUNK):
         at = inner[i:i + _TREE_CHUNK]
@@ -890,8 +887,8 @@ def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _Tree:
     kappa = np.diff(slopes, prepend=0.0, append=0.0)
     centre = 0.5 * (om[0] + om[-1])
     radius = 0.5 * (om[-1] - om[0])
-    return _build_tree(om, kappa, centre, radius, _knot_moments(om, values, centre, radius),
-                       _KNOT_KERNEL)
+    return _build_tree(om, kappa, centre, radius, _log_field,
+                       _knot_moments(om, values, centre, radius))
 
 
 def _knot_moments(om, values, centre, radius) -> np.ndarray:
@@ -1091,8 +1088,7 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
     nodes = np.repeat(lo, _NODES) + offsets
     charges = (h[:, None] * _GL_W * (coef.T @ _LEG_AT_NODES)).ravel()
     centre, radius = 0.5 * (lo[0] + hi[-1]), 0.5 * (hi[-1] - lo[0])
-    tree = _build_tree(nodes, charges, centre, radius,
-                       _cauchy_moments(nodes, charges, centre, radius), _CAUCHY_KERNEL)
+    tree = _build_tree(nodes, charges, centre, radius, _cauchy_field)
     return _ShiftFit(lo, hi, coef, near_lo, near_hi, cells, cell_start, panel[order], offsets,
                      tree, np.array(divergent), tuple(edge_shifts))
 
@@ -1132,17 +1128,6 @@ def _ragged_offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(np.sum(count)) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _cauchy_moments(sources, weights, centre, radius) -> np.ndarray:
-    """M_k = Σ_j w_j s_j^k, s = (ω − c)/R, for k < ``_CAUCHY_MOMENTS``."""
-    s = (sources - centre) / radius
-    moments = np.empty(_CAUCHY_MOMENTS)
-    power = weights.copy()
-    for k in range(_CAUCHY_MOMENTS):
-        moments[k] = np.sum(power)
-        power *= s
-    return moments
-
-
 def _legendre_q(s: np.ndarray, log_plus: np.ndarray, log_minus: np.ndarray) -> np.ndarray:
     """Q_k(s) = ½ ∫₋₁¹ P_k(t)/(s − t) dt for k < 10, one row per k, one column per s.
 
@@ -1175,11 +1160,13 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
     acts through its ten Gauss–Legendre nodes, charges h·w_i·p(t_i) with
     the kernel 1/(x − ω_i), which for |s| ≥ 4 misses its exact form by
     c_k·O(7.9^(k−20)); these are summed by the source tree, whose near
-    zone skips the nodes of near panels.  A near panel's nodes outside
-    that zone are in the tree's far field, and are subtracted, so that
-    no panel counts twice.  Each x takes its terms in its own order, so
-    its value does not depend on the other points, and the near panels
-    go in chunks of ``_TREE_CHUNK`` points, like the tree sum.
+    zone skips the nodes of near panels, and past |x − c| > 2R, where
+    the tree has no leaf, directly over all nodes.  A near panel's nodes
+    outside that zone are in the tree's far field or the direct sum, and
+    are subtracted, so that no panel counts twice.  Each x takes its
+    terms in its own order, so its value does not depend on the other
+    points, and the near panels go in chunks of ``_TREE_CHUNK`` points,
+    like the tree sum.
     """
     tree = fit.tree
     leaf, outer = _tree_leaf(tree, x)
@@ -1190,7 +1177,7 @@ def _fit_shift(fit: _ShiftFit, x: np.ndarray) -> np.ndarray:
         d[(xs >= fit.near_lo[p]) & (xs < fit.near_hi[p])] = math.inf
         return tree.weights[j] / d
 
-    out = _tree_sum(tree, x, leaf, outer, _CAUCHY_KERNEL, term)
+    out = _tree_sum(tree, x, leaf, outer, _cauchy_direct, term)
     for i in range(0, x.size, _TREE_CHUNK):
         at = slice(i, i + _TREE_CHUNK)
         xs = x[at]

@@ -252,15 +252,16 @@ def find_transition_time(
 ) -> TransitionReport:
     """Find all crossings of γ(τ) = γ₀ and designate τ* = smallest.
 
-    Scans a log-spaced grid on [τ_lo, tau_max] (default tau_max =
+    Scans one log-spaced grid on [τ_lo, tau_max] (default tau_max =
     100/γ₀), where τ_lo = min(1e−4/Λ, γ₀τ_Z²/100) starts the window before
     the jump time γ₀τ_Z² of a level far above the band (1e−4/Λ where τ_Z
-    is not finite), brackets every sign change of γ(τ) − γ₀ and refines all
-    brackets together to relative 1e−12 (Brent's method, one γ(τ) array
-    per iteration for every bracket still open).  For a threshold family
-    the window can reach past the exponential era, where the power-law
-    tail of P(τ) overtakes the pole term and γ(τ) crosses γ₀ again; those
-    late crossings are reported in ``all_roots`` like any other.
+    is not finite), keeps its exact zeros of γ(τ) − γ₀, brackets every
+    sign change and refines all brackets together to relative 1e−12
+    (Brent's method, one γ(τ) array per iteration for every bracket still
+    open).  For a threshold family the window can reach past the
+    exponential era, where the power-law tail of P(τ) overtakes the pole
+    term and γ(τ) crosses γ₀ again; those late crossings are reported in
+    ``all_roots`` like any other.
 
     Parameters
     ----------
@@ -279,9 +280,8 @@ def find_transition_time(
     NoDecayError
         Zero coupling / γ₀ ≤ 0.
     GridError
-        Z < 1 with a finite Zeno time guarantees a crossing, but none was
-        found even after one automatic grid refinement — the search window
-        or grid must grow.
+        Z < 1 with a finite Zeno time guarantees a crossing, but the grid
+        shows none — the search window or grid must grow.
     """
     gamma0 = _require_decaying(model)
     if tau_max is None:
@@ -308,25 +308,13 @@ def find_transition_time(
     def rate_shift(taus):
         return effective_rate(model, taus) - gamma0
 
-    roots: list[float] = []
-    for _attempt in range(2):
-        taus = np.geomspace(tau_lo, tau_max, points)
-        vals = rate_shift(taus)
-        roots = [float(x) for x in taus[vals == 0.0]]
-        i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        if i.size:
-            refined = bracketed_roots(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12,
-                                      f_lo=vals[i], f_hi=vals[i + 1])
-            roots += refined.tolist()
-        # Deduplicate refinements that landed on the same crossing.
-        dedup: list[float] = []
-        for r in sorted(roots):
-            if not dedup or r - dedup[-1] > 1e-9 * max(r, dedup[-1]):
-                dedup.append(r)
-        roots = dedup
-        if roots or not guaranteed:
-            break
-        points *= 4  # the theorem promises a root; look harder once
+    taus = np.geomspace(tau_lo, tau_max, points)
+    vals = rate_shift(taus)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    refined = bracketed_roots(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12,
+                              f_lo=vals[i], f_hi=vals[i + 1])
+    # Brackets are disjoint grid cells, and a grid zero opens none of them.
+    roots = sorted(taus[vals == 0.0].tolist() + refined.tolist())
 
     if guaranteed and not roots:
         raise GridError(

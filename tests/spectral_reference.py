@@ -13,16 +13,21 @@ sum taken term by term, which the tree sum of
 the same sum in mpmath arithmetic, and ``segment_sum`` gives Σ on and off
 the axis from the table's segments, one closed form per segment.
 
+``power_law_sigma`` is Σ of the threshold power law with an integer
+cut-off exponent in closed form, by the residues of a keyhole contour.
+
 ``kofman_kurizki_rate`` is the weak-coupling limit of the effective rate
 (Kofman and Kurizki, Nature 405, 546 (2000)): the overlap of g² with the
-measurement-broadened line, which needs no pole and no level shift.
+measurement-broadened line, which needs no pole and no level shift;
+``kofman_kurizki_transition`` is where it meets the golden-rule rate.
 """
 
+import cmath
 import math
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from zenodecay.amplitude import spectral_density
 from zenodecay.errors import DomainError
@@ -188,6 +193,33 @@ def segment_sum(ff, E):
     return complex(np.sum(fE * logs - m * dw))
 
 
+def _power(z, p):
+    """z^p with arg z taken in (0, 2π]."""
+    arg = cmath.phase(z)
+    return abs(z) ** p * cmath.exp(1j * p * (arg if arg > 0.0 else arg + 2.0 * math.pi))
+
+
+def power_law_sigma(ff, E):
+    """Σ_I(E) of ``ThresholdPowerLawCoupling`` at E off the cut, q an integer.
+
+    With s = E − threshold, c = λ²N and the q roots z_k = Λe^{iπ(2k+1)/q}
+    of 1 + (z/Λ)^q, the keyhole contour around the cut gives
+
+        Σ_I(E) = 2πi/(1 − e^{2πip})·[−c·s^p/(1 + (s/Λ)^q)
+                                     − Σ_k c·z_k^{p+1}/(q(s − z_k))],
+
+    every power taken with its argument in (0, 2π).
+    """
+    p, q, lam = ff.rise_exponent, int(ff.cutoff_exponent), ff.bandwidth
+    c = ff.coupling**2 * ff._norm
+    s = complex(E) - ff.threshold
+    total = -c * _power(s, p) / (1.0 + (s / lam) ** q)
+    for k in range(q):
+        z = lam * cmath.exp(1j * math.pi * (2 * k + 1) / q)
+        total -= c * _power(z, p + 1.0) / (q * (s - z))
+    return 2j * math.pi / (1.0 - cmath.exp(2j * math.pi * p)) * total
+
+
 def reference_rate(ff, omega_a, tau):
     """γ(τ) = −ln|1 − d|²/τ with d the cancellation-free deficit."""
     d = reference_deficit(ff, omega_a, tau)
@@ -225,3 +257,14 @@ def kofman_kurizki_rate(ff, omega_a, tau):
             total -= integrate.quad(envelope, reach, math.inf, weight="cos", wvar=tau,
                                     epsabs=1e-16)[0]
     return total
+
+
+def kofman_kurizki_transition(ff, omega_a, lo, hi):
+    """τ*_KK: the root of γ_KK(τ) = 2πg²(ω_a) in [lo, hi], by brentq.
+
+    γ_KK and the golden-rule rate both scale as λ², so τ*_KK does not
+    depend on the coupling; τ*/τ*_KK − 1 = O(λ²).
+    """
+    golden = 2.0 * math.pi * float(ff.g2(omega_a))
+    return optimize.brentq(lambda tau: kofman_kurizki_rate(ff, omega_a, tau) - golden, lo, hi,
+                           xtol=1e-14, rtol=1e-13)

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spectral_reference import direct_knot_sum, exact_knot_sum, knot_sum_scale, segment_sum
+from spectral_reference import (
+    direct_knot_sum,
+    exact_knot_sum,
+    knot_sum_scale,
+    power_law_sigma,
+    segment_sum,
+)
 from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
 from zenodecay.formfactor import (
     FormFactor,
@@ -136,6 +142,36 @@ def test_two_sheet_gap_is_continued_density(tpl):
     first = self_energy(tpl, complex(w, -eps), Sheet.FIRST).value
     second = self_energy(tpl, complex(w, -eps), Sheet.SECOND).value
     assert first - second == pytest.approx(2j * math.pi * float(tpl.g2(w)), abs=1e-5)
+
+
+@pytest.mark.parametrize("E", [0.3 + 1e-3j, 50.0 + 5.0j, 0.7 - 1e-9j, 2.4 + 0.3j, -1.0 + 0.1j,
+                               3.0 - 2.0j])
+def test_power_law_self_energy_matches_residue_closed_form(tpl, E):
+    # The keyhole-contour residues give Sigma in closed form for q = 4,
+    # with no quadrature: above, below and left of the cut, near and far.
+    assert self_energy(tpl, E).value == pytest.approx(power_law_sigma(tpl, E), rel=1e-14, abs=0.0)
+
+
+def test_power_law_shift_matches_residue_closed_form(tpl):
+    # Just above the axis the closed form's real part is the principal value.
+    ws = np.array([0.05, 0.7, 2.4, 10.0])
+    shift = real_shift(tpl, ws)
+    expected = np.array([power_law_sigma(tpl, w + 1e-14j).real for w in ws])
+    assert np.max(np.abs(shift - expected)) <= 1e-13 * np.max(np.abs(shift))
+
+
+def test_power_law_second_sheet_matches_residue_closed_form(tpl):
+    # The second sheet subtracts the continued density from the first
+    # sheet's closed form; the pole of omega_a = 2.4 solves the pole
+    # equation on the closed form too.
+    def second(E):
+        return power_law_sigma(tpl, E) - 2j * math.pi * tpl.g2_continued(E)[0]
+
+    pole = find_pole(tpl, 2.4).e_pole
+    for E in (pole, 1.5 - 0.4j):
+        value = self_energy(tpl, E, Sheet.SECOND).value
+        assert value == pytest.approx(second(E), rel=1e-14, abs=0.0)
+    assert abs(pole - 2.4 - second(pole)) <= 1e-15
 
 
 def test_second_sheet_on_real_axis_needs_a_hook(lor, tpl):
@@ -556,6 +592,17 @@ def test_custom_family_shift_matches_semicircle_hilbert_transform():
     # lost there is ~ sqrt(1e-16) relative.
     edges = real_shift(ff, np.array([-1.0, 1.0]))
     assert edges == pytest.approx([-2.0 * lam2, 2.0 * lam2], abs=1e-8)
+    # Past twice the fit's half-span from its centre the nodes are summed
+    # directly; the closed form, written without cancellation, holds there
+    # to rounding at every scale, down to a shift of ~1e-7.
+    far = np.array([-2.5, 2.5, -10.0, 10.0, 1e3, -1e6])
+    expected = 2.0 * lam2 * np.sign(far) / (np.abs(far) + np.sqrt(far * far - 1.0))
+    assert real_shift(ff, far) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # The direct sum goes in blocks; a point's value does not depend on them.
+    w = np.random.default_rng(5).uniform(-1e3, 1e3, 2000)
+    arr = real_shift(ff, w)
+    assert np.array_equal(real_shift(ff, w[::-1]), arr[::-1])
+    assert np.array_equal([real_shift(ff, float(x)) for x in w[::100]], arr[::100])
 
 
 @dataclass(frozen=True)

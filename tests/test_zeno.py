@@ -13,8 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spectral_reference import kofman_kurizki_rate, reference_amplitude, reference_rate
-from zenodecay import amplitude
+from spectral_reference import (
+    kofman_kurizki_rate,
+    kofman_kurizki_transition,
+    reference_amplitude,
+    reference_rate,
+)
+from zenodecay import amplitude, zeno
 from zenodecay.errors import DomainError, GridError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.model import DecayModel, ExponentialDecayModel
@@ -392,6 +397,40 @@ def test_transition_search_flags_untenable_window(model10):
     # fail loudly rather than report "no transition".
     with pytest.raises(GridError):
         find_transition_time(model10, tau_max=1e-3)
+
+
+def test_transition_search_scans_its_grid_once(model10, monkeypatch):
+    # A window with no crossing costs one grid of rates, then GridError:
+    # no finer second scan.
+    sizes = []
+    rate = zeno.effective_rate
+
+    def counted(model, taus):
+        sizes.append(np.size(taus))
+        return rate(model, taus)
+
+    monkeypatch.setattr(zeno, "effective_rate", counted)
+    with pytest.raises(GridError):
+        find_transition_time(model10, tau_max=1e-3)
+    assert sizes == [2048]
+
+
+@pytest.mark.parametrize("family, omega_a", [("lorentzian", 2.0), ("threshold_power_law", 2.4)])
+def test_transition_time_approaches_kofman_kurizki_crossing(family, omega_a):
+    # tau*_KK, where the weak-coupling rate meets the golden rule, does not
+    # depend on lambda; tau* lies below it by O(lambda^2), so the gap falls
+    # fourfold with every halving (3.96-3.995 here, from -6.6e-3 on the
+    # Lorentzian and -1.4e-2 on the power law at lambda = 0.1).
+    def coupling(lam):
+        return (LorentzianCoupling(lam, 1.0) if family == "lorentzian"
+                else ThresholdPowerLawCoupling(lam, 1.0, 0.0, 0.5, 4.0))
+
+    tau_kk = kofman_kurizki_transition(coupling(0.1), omega_a, 0.1, 2.0)
+    gaps = [find_transition_time(DecayModel(coupling(lam), omega_a), tau_max=2.0).tau_star / tau_kk
+            - 1.0 for lam in (0.1, 0.05, 0.025)]
+    assert all(gap < 0.0 for gap in gaps)
+    for wide, narrow in zip(gaps[:-1], gaps[1:]):
+        assert 3.5 <= wide / narrow <= 4.5
 
 
 def test_pure_exponential_with_z_below_one_has_no_transition():

@@ -7,15 +7,20 @@ string that is not a docstring, say) counts on every line it spans.
 
 Run from anywhere:
 
-    python3 tools/code_lines.py [package directory]
+    python3 tools/code_lines.py [package directory] [--against REF]
 
-The directory defaults to ``src/zenodecay`` next to this script.
+The directory defaults to ``src/zenodecay`` next to this script.  With
+``--against REF`` each module's count at the git ref REF (read with
+``git show``) stands next to its count in the working tree, with the
+difference; a module present on one side only counts 0 on the other.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -49,15 +54,38 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _counts_at(ref: str, package: Path) -> dict[str, int]:
+    """Code lines per module of ``package`` at the git ref ``ref``."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(package), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    names = [n for n in git("ls-tree", "--name-only", ref, "--", ".").split() if n.endswith(".py")]
+    return {n[:-3]: code_lines(git("show", f"{ref}:./{n}")) for n in names}
+
+
 def main(argv: list[str]) -> int:
     default = Path(__file__).resolve().parent.parent / "src" / "zenodecay"
-    package = Path(argv[1]) if len(argv) > 1 else default
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.stem:12s} {n:5d}")
-    print(f"{'total':12s} {total:5d}")
+    parser = argparse.ArgumentParser(description="Count the code lines of a package.")
+    parser.add_argument("package", nargs="?", type=Path, default=default)
+    parser.add_argument("--against", metavar="REF", help="also count at this git ref")
+    args = parser.parse_args(argv[1:])
+    here = {path.stem: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(args.package.glob("*.py"))}
+    if args.against is None:
+        for name, n in here.items():
+            print(f"{name:12s} {n:5d}")
+        print(f"{'total':12s} {sum(here.values()):5d}")
+        return 0
+    try:
+        there = _counts_at(args.against, args.package)
+    except subprocess.CalledProcessError as exc:
+        print(exc.stderr.strip(), file=sys.stderr)
+        return 2
+    print(f"{'module':12s} {'ref':>5s} {'tree':>5s} {'diff':>5s}    (ref = {args.against})")
+    for name in sorted(here.keys() | there.keys()) + ["total"]:
+        old, new = (sum(c.values()) if name == "total" else c.get(name, 0) for c in (there, here))
+        print(f"{name:12s} {old:5d} {new:5d} {new - old:+5d}")
     return 0
 
 
