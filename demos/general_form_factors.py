@@ -11,8 +11,7 @@ The demo also feeds a numerically sampled (tabulated) density through
 the same machinery and checks it against the analytic family it was
 sampled from.
 
-Run:  python3 demos/general_form_factors.py   (about half a minute: the
-bound-state case rebuilds its quadrature kernel at strong coupling)
+Run:  python3 demos/general_form_factors.py
 """
 
 

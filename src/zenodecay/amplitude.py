@@ -60,8 +60,8 @@ import numpy as np
 
 from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _memoized, _refine
 from .errors import DomainError, NoDecayError, ToleranceError
-from .formfactor import FormFactor, _lorentzian_pair
-from .resolvent import PoleData, _lorentzian_inputs, find_bound_states
+from .formfactor import FormFactor, _lorentzian
+from .resolvent import PoleData, _level, find_bound_states
 from .selfenergy import real_shift
 
 __all__ = [
@@ -174,7 +174,7 @@ def survival_closed_form_lorentzian(coupling, bandwidth, omega_a, times) -> Surv
     times : array_like
         Non-negative sample times.
     """
-    return _pole_pair_series(_lorentzian_pair(*_lorentzian_inputs(coupling, bandwidth, omega_a)), times)
+    return _pole_pair_series(_lorentzian(coupling, bandwidth).pole_pair(_level(omega_a)), times)
 
 
 def _pole_pair_series(pair, times) -> SurvivalSeries:
@@ -204,6 +204,7 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     ρ(ω) = g²(ω) / [(ω − ω_a − Δ_R(ω))² + π²g⁴(ω)]; its integral is one
     minus the total bound-state weight.
     """
+    omega_a = _level(omega_a)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     g2 = np.atleast_1d(np.asarray(ff.g2(w), dtype=float))
     out = _rho(w - omega_a, g2, real_shift(ff, w))
@@ -526,9 +527,10 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = 
     is false, since ln P takes x there.  Raises as that function does.
     """
     t_in = _check_times(times, allow_negative=True)
+    omega_a = _level(omega_a)
     if ff.g2_integral() == 0.0:
         raise NoDecayError("zero coupling: the spectral density is empty")
-    k = _spectral_kernel(ff, float(omega_a))
+    k = _spectral_kernel(ff, omega_a)
 
     amps = np.empty(t_in.shape, dtype=complex)
     defs = np.full(t_in.shape, np.nan, dtype=complex) if deficit else None
@@ -631,6 +633,8 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
 
     Raises
     ------
+    DomainError
+        omega_a or a time not finite.
     NoDecayError
         Zero coupling (the spectral density is empty).
     ToleranceError

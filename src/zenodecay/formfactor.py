@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval as _polyval
 
 from ._panels import (_DEGREES, _FIT, _GL_FRACTION, _GL_W, _GL_X, _NODES, _chunks, _memoized,
                       _refine)
@@ -271,35 +272,42 @@ class LorentzianCoupling(FormFactor):
         return lam2 / den, -lam2 / (den * den)
 
     def pole_pair(self, omega_a):
-        """Both second-sheet poles and their residues (:func:`_lorentzian_pair`)."""
-        return _lorentzian_pair(self.coupling, self.bandwidth, omega_a)
+        """Both second-sheet poles and their residues ``(e1, e2, c1, c2)``.
+
+        The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic.  E₂ is the
+        partner root from :func:`_lorentzian_roots`; since the roots sum to
+        ω_a − iΛ, E₁ + iΛ = ω_a − E₂ exactly, so the pole of the level is
+
+            E₁ = ω_a + λ²/(ω_a − E₂),
+
+        which keeps Im E₁ = −γ₀/2 to full relative accuracy at any ω_a and
+        coupling.  The residues of (E + iΛ)/((E − E₁)(E − E₂)) are
+        C₁ = (E₁ + iΛ)/(E₁ − E₂) and C₂ = 1 − C₁, and Z = |C₁|².
+        """
+        lam, bw = self.coupling, self.bandwidth
+        if lam == 0.0:
+            raise NoDecayError("zero coupling: the level is stationary, no pole exists")
+        e2 = _lorentzian_roots(lam, bw, omega_a)[1]
+        e1 = omega_a + lam**2 / (omega_a - e2)
+        if not (e1.imag < 0.0):
+            raise DomainError(
+                f"no decaying pole for coupling={lam}, bandwidth={bw}, omega_a={omega_a}")
+        c1 = (e1 + 1j * bw) / (e1 - e2)
+        return e1, e2, c1, 1.0 - c1
 
     def transition_asymmetry(self, omega_a):
         """ω_a² > Λ²: the level sits outside the Lorentzian's half-width."""
         return bool(omega_a**2 > self.bandwidth**2)
 
 
-def _lorentzian_pair(lam: float, bw: float, omega_a: float) -> tuple:
-    """The Lorentzian's two poles and residues ``(e1, e2, c1, c2)``.
+def _lorentzian(coupling, bandwidth) -> LorentzianCoupling:
+    """The family of the Lorentzian closed forms, refused unless λ is positive and finite.
 
-    The pole equation (E − ω_a)(E + iΛ) = λ² is quadratic.  E₂ is the
-    partner root from :func:`_lorentzian_roots`; since the roots sum to
-    ω_a − iΛ, E₁ + iΛ = ω_a − E₂ exactly, so the pole of the level is
-
-        E₁ = ω_a + λ²/(ω_a − E₂),
-
-    which keeps Im E₁ = −γ₀/2 to full relative accuracy at any ω_a and
-    coupling.  The residues of (E + iΛ)/((E − E₁)(E − E₂)) are
-    C₁ = (E₁ + iΛ)/(E₁ − E₂) and C₂ = 1 − C₁, and Z = |C₁|².
+    Λ is checked by the family itself.
     """
-    if lam == 0.0:
-        raise NoDecayError("zero coupling: the level is stationary, no pole exists")
-    e2 = _lorentzian_roots(lam, bw, omega_a)[1]
-    e1 = omega_a + lam**2 / (omega_a - e2)
-    if not (e1.imag < 0.0):
-        raise DomainError(f"no decaying pole for coupling={lam}, bandwidth={bw}, omega_a={omega_a}")
-    c1 = (e1 + 1j * bw) / (e1 - e2)
-    return e1, e2, c1, 1.0 - c1
+    if not 0.0 < float(coupling) < math.inf:
+        raise NoDecayError(f"coupling must be positive and finite, got {coupling!r}")
+    return LorentzianCoupling(coupling, bandwidth)
 
 
 def _lorentzian_roots(lam: float, bw: float, omega_a: float) -> tuple:
@@ -576,8 +584,29 @@ class TabulatedCoupling(FormFactor):
         with ln(u₀/u₁) taken as ln u₀ − ln u₁.  This is exact and immune
         to the interpolation kinks that defeat adaptive quadrature; off
         the support's span on the real axis both logarithms are real.
+
+        Past |E − c| > 2R (c, R the table's centre and half-span) the
+        segment terms cancel as the knot terms of :meth:`shift_closed_form`
+        do, and both come from the moments M_k of the knot tree instead:
+        with r = E − c and z = R/r,
+
+            Σ = R·z·Σ_{k≥2} M_k z^(k−2)/(k(k − 1)) + v_0·ln(1 + z) − v_N·ln(1 − z),
+            Σ′ = −z²·Σ_{k≥2} M_k z^(k−2)/k − (v_0·z/(1 + z) + v_N·z/(1 − z))/r,
+
+        the term of M₁ = −(v_N − v_0)/R folded into the edge logarithms,
+        so that no ln r cancels.
         """
         om, fv = self.omegas, self.g2_values
+        radius = 0.5 * (om[-1] - om[0])
+        r = E - 0.5 * (om[0] + om[-1])
+        if abs(r) > 2.0 * radius:
+            z = radius / r
+            moments, k = self._knot_tree.moments[2:], np.arange(2, _TREE_MOMENTS)
+            sigma = (radius * z * _polyval(z, moments / (k * (k - 1.0)))
+                     + fv[0] * np.log1p(z) - fv[-1] * np.log1p(-z))
+            slope = (-z * z * _polyval(z, moments / k)
+                     - (fv[0] * z / (1.0 + z) + fv[-1] * z / (1.0 - z)) / r)
+            return complex(sigma), complex(slope)
         dw = np.diff(om)
         m = np.diff(fv) / dw
         u0, u1 = E - om[:-1], E - om[1:]
@@ -600,7 +629,8 @@ _TREE_INDEX = 2.0**50
 #: Halvings of the root after which every box is a leaf, so that sources
 #: that coincide end the walk; no table or fit needs boxes that narrow.
 _TREE_LEVELS = 256
-#: Terms of the moment series of a table's knot sum past |x − c| > 2R.
+#: Terms of the moment series of a table's knot sum, and of its Σ and Σ′,
+#: past |x − c| > 2R.
 _TREE_MOMENTS = 48
 #: Points of a tree sum taken together: a chunk's near terms, up to
 #: ``_TREE_NEAR`` per point, and its leaves' coefficients stay below 1 MB.
@@ -815,9 +845,7 @@ def _log_outer(tree: _Tree, x: np.ndarray) -> np.ndarray:
     r = x - tree.centre
     z = tree.radius / r
     k = np.arange(2, _TREE_MOMENTS)
-    series = np.zeros_like(z)
-    for c in (tree.moments[2:] / (k * (k - 1.0)))[::-1]:
-        series = series * z + c
+    series = _polyval(z, tree.moments[2:] / (k * (k - 1.0)))
     return tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
+    _check_times,
     _log_abs2,
     _pole_pair_series,
     _spectral_amplitudes,
@@ -35,7 +36,7 @@ from .amplitude import (
 )
 from .errors import DomainError, NoDecayError
 from .formfactor import FormFactor, zeno_time as _ff_zeno_time
-from .resolvent import PoleData, find_pole
+from .resolvent import PoleData, _level, find_pole
 
 __all__ = ["DecayModel", "ExponentialDecayModel"]
 
@@ -49,17 +50,17 @@ class DecayModel:
         The coupling family (must have nonzero coupling for any of the
         decay quantities to exist).
     omega_a : float
-        Energy of the discrete level.
+        Energy of the discrete level; must be finite.
+
+    Every ln P takes an interval τ that is finite and non-negative, and
+    refuses any other with :class:`~zenodecay.DomainError`; ln P(0) = 0.
     """
 
     def __init__(self, form_factor: FormFactor, omega_a: float):
         if not isinstance(form_factor, FormFactor):
             raise TypeError(f"form_factor must be a FormFactor, got {type(form_factor)!r}")
-        omega_a = float(omega_a)
-        if not math.isfinite(omega_a):
-            raise DomainError(f"omega_a must be finite, got {omega_a!r}")
         self.form_factor = form_factor
-        self.omega_a = omega_a
+        self.omega_a = _level(omega_a)
 
     def __repr__(self):
         return f"DecayModel({self.form_factor!r}, omega_a={self.omega_a!r})"
@@ -138,8 +139,9 @@ class DecayModel:
         τ → 0: from the pole pair rotated by θ = Re E₁ (C₁ + C₂ = 1), or
         from the panels rotated by θ = ω_a.  Below ½ it is the pole pair's
         factored form, which never underflows, or ln|x|² of the panels.
+        A τ that is negative or not finite raises :class:`~zenodecay.DomainError`.
         """
-        taus = np.ravel(np.asarray(tau, dtype=float))
+        taus = np.ravel(_check_times(tau))
         pair = self._closed_form_pair
         if pair is not None:
             # With r the (decaying) partner ratio, ln P = ln|c1|² + 2·Im(e1)·t + ln|1+r|².
@@ -187,7 +189,8 @@ class ExponentialDecayModel:
         return f"ExponentialDecayModel(gamma0={self.gamma0!r}, z_renorm={self.z_renorm!r})"
 
     def log_survival_probability(self, tau):
-        """ln Z − γ₀τ at a float or an array of τ (a float in gives a float out)."""
+        """ln Z − γ₀τ at a float or an array of τ ≥ 0 (a float in gives a float out)."""
+        _check_times(tau)
         out = math.log(self.z_renorm) - self.gamma0 * np.asarray(tau, dtype=float)
         return float(out) if out.ndim == 0 else out
 

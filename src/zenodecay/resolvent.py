@@ -44,7 +44,7 @@ from .errors import (
     DomainError,
     NoDecayError,
 )
-from .formfactor import FormFactor, _lorentzian_pair
+from .formfactor import FormFactor, _lorentzian
 from .selfenergy import Sheet, real_shift, self_energy
 
 __all__ = [
@@ -113,6 +113,14 @@ class PoleData:
             raise ValueError(f"residual must be finite and non-negative, got {self.residual}")
 
 
+def _level(omega_a) -> float:
+    """The discrete-level energy as a float, refused unless finite."""
+    omega_a = float(omega_a)
+    if not math.isfinite(omega_a):
+        raise DomainError(f"omega_a must be finite, got {omega_a!r}")
+    return omega_a
+
+
 def _pole_data_from(E: complex, omega_a: float, z: float, residual: float,
                     bound_states=()) -> PoleData:
     return PoleData(
@@ -151,14 +159,12 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
     ContinuationUnsupportedError
         The family has no second sheet to search.
     DomainError
-        omega_a at or below the continuum threshold.
+        omega_a not finite, or at or below the continuum threshold.
     ConvergenceError
         Newton failed to meet the residual target within 200 steps; the
         exception carries the iterate trajectory.
     """
-    omega_a = float(omega_a)
-    if not math.isfinite(omega_a):
-        raise DomainError(f"omega_a must be finite, got {omega_a!r}")
+    omega_a = _level(omega_a)
     if ff.g2_integral() == 0.0:
         raise NoDecayError("zero coupling: the level is stationary, no pole exists")
     if not ff.continuable:
@@ -224,9 +230,10 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
 def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: float) -> PoleData:
     """The Lorentzian pole from the roots of (E − omega_a)(E + iΛ) = λ².
 
-    The pole E₁ and its residue C₁ are those of the family's
-    ``pole_pair`` (:func:`~zenodecay.formfactor._lorentzian_pair`), and
-    Z = |C₁|² = |1 − Σ′(E₁)|^(−2).
+    The pole E₁ and its residue C₁ are those of
+    :meth:`LorentzianCoupling.pole_pair <zenodecay.LorentzianCoupling.pole_pair>`,
+    Z = |C₁|² = |1 − Σ′(E₁)|^(−2), and the residual takes Σ_II(E₁) from
+    the family's ``sigma_closed_form``.
 
     Parameters
     ----------
@@ -248,24 +255,11 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
     DomainError
         omega_a not finite, or λ² underflows so that no pole decays.
     """
-    lam, bw, omega_a = _lorentzian_inputs(coupling, bandwidth, omega_a)
-    e1, _, c1, _ = _lorentzian_pair(lam, bw, omega_a)
-    residual = abs(e1 - omega_a - lam**2 / (e1 + 1j * bw))
+    ff = _lorentzian(coupling, bandwidth)
+    omega_a = _level(omega_a)
+    e1, _, c1, _ = ff.pole_pair(omega_a)
+    residual = abs(e1 - omega_a - ff.sigma_closed_form(e1, True)[0])
     return _pole_data_from(e1, omega_a, abs(c1) ** 2, residual)
-
-
-def _lorentzian_inputs(coupling, bandwidth, omega_a) -> tuple:
-    """(λ, Λ, omega_a) as floats, refused unless λ, Λ > 0 and all finite."""
-    lam = float(coupling)
-    bw = float(bandwidth)
-    omega_a = float(omega_a)
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise NoDecayError(f"coupling must be positive, got {lam}")
-    if not (bw > 0.0) or not math.isfinite(bw):
-        raise ValueError(f"bandwidth must be positive, got {bw}")
-    if not math.isfinite(omega_a):
-        raise DomainError(f"omega_a must be finite, got {omega_a!r}")
-    return lam, bw, omega_a
 
 
 def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:
@@ -274,9 +268,7 @@ def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:
     Below the continuum threshold the density vanishes and the rate is
     zero; a :class:`BelowThresholdWarning` flags that case.
     """
-    omega_a = float(omega_a)
-    if not math.isfinite(omega_a):
-        raise DomainError(f"omega_a must be finite, got {omega_a!r}")
+    omega_a = _level(omega_a)
     lo = ff.support()[0]
     if math.isfinite(lo) and omega_a < lo:
         warnings.warn(
@@ -303,8 +295,13 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
     tuple of BoundState
         Lower state first.  Empty for families without a finite edge (no
         real axis outside the continuum) and at weak coupling.
+
+    Raises
+    ------
+    DomainError
+        omega_a not finite.
     """
-    omega_a = float(omega_a)
+    omega_a = _level(omega_a)
     if ff.g2_integral() == 0.0:
         return ()
 

@@ -37,6 +37,7 @@ from above.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     Raises
     ------
     DomainError
-        First-sheet request on (or within 1e−12 of) the cut; second-sheet
+        E not finite; first-sheet request on (or within 1e−12 of) the cut; second-sheet
         request on the real axis where no ``sigma_closed_form`` hook
         answers (take :func:`real_shift` and −iπg² there).
     ContinuationUnsupportedError
@@ -139,6 +140,8 @@ def self_energy(ff: FormFactor, energy: complex, sheet: Sheet = Sheet.FIRST) -> 
     above; the generic route refuses it there.
     """
     E = complex(energy)
+    if not cmath.isfinite(E):
+        raise DomainError(f"energy must be finite, got {energy!r}")
     if ff.g2_integral() == 0.0:
         return SelfEnergyValue(0j, 0j, sheet)
     second = sheet is Sheet.SECOND

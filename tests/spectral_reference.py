@@ -11,7 +11,8 @@ Bound states are added with the weights of ``find_bound_states``.
 sum taken term by term, which the tree sum of
 ``TabulatedCoupling.shift_closed_form`` replaces; ``exact_knot_sum`` takes
 the same sum in mpmath arithmetic, and ``segment_sum`` gives Σ on and off
-the axis from the table's segments, one closed form per segment.
+the axis from the table's segments, one closed form per segment;
+``exact_segment_sum`` takes those segment forms, of Σ and Σ′, in mpmath.
 
 ``power_law_sigma`` is Σ of the threshold power law with an integer
 cut-off exponent in closed form, by the residues of a keyhole contour.
@@ -141,6 +142,24 @@ def exact_knot_sum(mp, ff, x):
     x = mp.mpf(float(x))
     total = mp.fsum(k * (x - w) * mp.log(abs(x - w)) for k, w in zip(kappa, om))
     return total + fv[0] * mp.log(abs(x - om[0])) - fv[-1] * mp.log(abs(x - om[-1])) - (fv[-1] - fv[0])
+
+
+def exact_segment_sum(mp, ff, E):
+    """Σ and Σ′ of ``segment_sum``'s segment forms at one complex E off the
+    support, in the working precision of the mpmath module ``mp``, from
+    the table's knots and values taken as exact."""
+    om = [mp.mpf(float(w)) for w in ff.omegas]
+    fv = [mp.mpf(float(v)) for v in ff.g2_values]
+    E = mp.mpc(E.real, E.imag)
+    sigma, slope = [], []
+    for w0, w1, v0, v1 in zip(om, om[1:], fv, fv[1:]):
+        m = (v1 - v0) / (w1 - w0)
+        u0, u1 = E - w0, E - w1
+        f = v0 + m * u0
+        logs = mp.log(u0) - mp.log(u1)
+        sigma.append(f * logs - m * (w1 - w0))
+        slope.append(-f * (1 / u1 - 1 / u0) + m * logs)
+    return complex(mp.fsum(sigma)), complex(mp.fsum(slope))
 
 
 def segment_sum(ff, E):

@@ -24,6 +24,7 @@ from zenodecay.errors import DomainError, NoDecayError, ToleranceError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
+from zenodecay.model import DecayModel
 from zenodecay.selfenergy import real_shift
 
 # Spectral-route survival probabilities for the threshold power law
@@ -68,6 +69,31 @@ def test_non_finite_times_are_rejected(lor, bad):
     with pytest.raises(ValueError, match="finite"):
         SurvivalSeries(np.array([0.0, bad]), np.ones(2, dtype=complex), np.ones(2),
                        SurvivalMethod.CLOSED_FORM)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("omega_a", [-3.0, 0.0, 2.0, 1e3])
+def test_closed_form_entries_equal_the_lorentzian_model(lam, omega_a):
+    # Both roads take the family's one pole pair: the same floats, the
+    # root tie of lambda = 1 at omega_a = 0 included.
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 25)))
+    ff = LorentzianCoupling(lam, 1.0)
+    model = DecayModel(ff, omega_a)
+    assert np.array_equal(survival_closed_form_lorentzian(lam, 1.0, omega_a, t).amplitudes,
+                          model.survival_series(t).amplitudes)
+    assert lorentzian_pole_closed_form(lam, 1.0, omega_a).e_pole == find_pole(ff, omega_a).e_pole
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ff: spectral_density(ff, math.nan, 1.0),
+    lambda ff: survival_spectral_integral(ff, math.nan, [0.0, 1.0]),
+    lambda ff: survival_spectral_integral(ff, math.inf, [0.0, 1.0]),
+], ids=["density_nan", "integral_nan", "integral_inf"])
+def test_spectral_entries_reject_a_non_finite_level(tpl, entry):
+    # Unchecked, spectral_density gives nan, and the spectral integral's
+    # error names real_shift's argument rather than omega_a.
+    with pytest.raises(DomainError, match="omega_a must be finite"):
+        entry(tpl)
 
 
 def test_spectral_integral_at_zero_coupling_raises():

@@ -197,6 +197,32 @@ def test_exponential_model_validation():
         ExponentialDecayModel(0.25, z_renorm=0.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -100.0, math.nan, math.inf, np.array([0.5, -0.5])])
+def test_log_survival_refuses_a_negative_or_non_finite_interval(lor, bad):
+    # Unchecked, the pair route gives ln P(-100) = +187 (P > 1) and NaN at NaN.
+    model = DecayModel(lor, 2.0)
+    with pytest.raises(DomainError, match="times must be"):
+        model.log_survival_probability(bad)
+    assert model.log_survival_probability(0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, -math.inf, np.array([0.5, -0.5])])
+def test_spectral_log_survival_refuses_a_negative_or_non_finite_interval(tpl, bad):
+    # Unchecked, the spectral route gives ln P(|tau|) at a negative tau.
+    model = DecayModel(tpl, 2.4)
+    with pytest.raises(DomainError, match="times must be"):
+        model.log_survival_probability(bad)
+    assert model.log_survival_probability(0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_exponential_log_survival_refuses_a_negative_or_non_finite_interval(bad):
+    model = ExponentialDecayModel(0.25, z_renorm=1.1)
+    with pytest.raises(DomainError, match="times must be"):
+        model.log_survival_probability(bad)
+    assert model.log_survival_probability(0.0) == math.log(1.1)
+
+
 def test_exponential_model_is_exact():
     plain = ExponentialDecayModel(0.25)
     assert plain.log_survival_probability(3.0) == -0.75

@@ -449,6 +449,13 @@ def test_golden_rule_rejects_a_non_finite_level(lor):
         golden_rule_rate(lor, math.nan)
 
 
+@pytest.mark.parametrize("omega_a", [math.nan, math.inf])
+def test_bound_state_scan_rejects_a_non_finite_level(tpl_strong, omega_a):
+    # Unchecked, a NaN level finds no bound state and returns ().
+    with pytest.raises(DomainError, match="omega_a must be finite"):
+        find_bound_states(tpl_strong, omega_a)
+
+
 # -- pole oracle and bound states past either band edge -----------------
 
 

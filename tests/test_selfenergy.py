@@ -14,6 +14,7 @@ from scipy import integrate
 from spectral_reference import (
     direct_knot_sum,
     exact_knot_sum,
+    exact_segment_sum,
     knot_sum_scale,
     power_law_sigma,
     segment_sum,
@@ -529,6 +530,35 @@ def test_table_shift_far_outside_matches_exact_knot_sum(request, table):
     got = real_shift(ff, xs)
     for x, value in zip(xs, got):
         assert abs(value - float(exact_knot_sum(mp, ff, x))) <= 1e-13 * scale
+
+
+def test_table_sigma_far_outside_matches_exact_segment_sum():
+    # Past twice its half-span from the centre a table's segment terms
+    # cancel as its knot terms do: summed one by one they leave Sigma 8e-5
+    # and Sigma' 6e-5 off on the rough table at hi + 40 spans.  The knot
+    # tree's moments keep every digit, on the axis and off it.
+    mp = pytest.importorskip("mpmath")
+    ff = _rough_table()
+    lo, hi = ff.support()
+    span, centre = hi - lo, 0.5 * (lo + hi)
+    for E in (complex(hi + 40.0 * span, 0.0), complex(centre, 30.0 * span),
+              complex(lo - 2.5 * span, -0.3 * span)):
+        sv = self_energy(ff, E)
+        with mp.workdps(30):
+            sigma, slope = exact_segment_sum(mp, ff, E)
+        assert abs(sv.value - sigma) <= 1e-13 * abs(sigma)
+        assert abs(sv.derivative - slope) <= 1e-13 * abs(slope)
+
+
+@pytest.mark.parametrize("family, energy", [("lor", complex(math.nan, 1.0)),
+                                            ("tpl", complex(math.nan, 1.0)),
+                                            ("tpl", complex(math.inf, 1.0)),
+                                            ("tpl", complex(0.5, -math.inf))])
+def test_self_energy_rejects_a_non_finite_energy(request, family, energy):
+    # Unchecked, NaN gives nan+nanj (with a RuntimeWarning on the fit
+    # route), and inf+1j gives 0j.
+    with pytest.raises(DomainError, match="energy must be finite"):
+        self_energy(request.getfixturevalue(family), energy)
 
 
 def test_real_shift_rejects_non_finite(tpl):

@@ -20,32 +20,31 @@ Compare the digests of two checkouts on one machine; libm differs across
 platforms, so digests of different machines need not agree.  Run from
 anywhere:
 
-    python3 tools/fingerprint.py
+    python3 tools/fingerprint.py [--against REF] [--src DIR]
+
+With ``--against REF`` the ``src/`` tree of the git ref REF is extracted
+with ``git archive`` into a temporary directory, the same digests are
+computed from it in a subprocess, and each family prints both digests
+with ``same`` or ``DIFFERS``; the exit status is 1 if any differs.
+``--src`` takes the package from another source directory than the
+``src/`` next to this script.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from zenodecay import (  # noqa: E402
-    DecayModel,
-    LorentzianCoupling,
-    TabulatedCoupling,
-    ThresholdPowerLawCoupling,
-    find_transition_time,
-    survival_spectral_integral,
-)
-from zenodecay.cli import main as cli_main  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 LEVELS = (-0.5, 0.7, 2.0, 2.4, 5.3)
 TIMES = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40)])
@@ -62,7 +61,7 @@ def _digest(chunks) -> str:
     return h.hexdigest()
 
 
-def _sweep_artifacts():
+def _sweep_artifacts(cli_main):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "sweep.ini", Path(tmp) / "out"
         cfg.write_text(SWEEP_INI, encoding="utf-8")
@@ -75,7 +74,17 @@ def _sweep_artifacts():
         return [name.encode() + (out / name).read_bytes() for name in names]
 
 
-def main() -> int:
+def digests(src: Path) -> dict[str, str]:
+    """The digest of each output family of the ``zenodecay`` package under ``src``."""
+    sys.path.insert(0, str(src))
+    import zenodecay
+    from zenodecay import (DecayModel, LorentzianCoupling, TabulatedCoupling,
+                           ThresholdPowerLawCoupling, find_transition_time,
+                           survival_spectral_integral)
+    from zenodecay.cli import main as cli_main
+
+    if not Path(zenodecay.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"zenodecay was imported from {zenodecay.__file__}, not from {src}")
     lor = LorentzianCoupling(0.1, 1.0)
     tpl = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
     om = np.linspace(-100.0, 100.0, 20001)
@@ -88,12 +97,47 @@ def main() -> int:
                           for w in (0.7, 2.4)),
         "all_roots": lambda: (np.array(find_transition_time(DecayModel(tpl, w)).all_roots).tobytes()
                               for w in (0.7, 2.4)),
-        "sweep": _sweep_artifacts,
+        "sweep": lambda: _sweep_artifacts(cli_main),
     }
-    for name, chunks in families.items():
-        print(f"{name:10s} {_digest(chunks())}")
-    return 0
+    return {name: _digest(chunks()) for name, chunks in families.items()}
+
+
+def digests_at(ref: str) -> dict[str, str]:
+    """The digests of the ``src/`` tree at the git ref ``ref``, computed in a subprocess."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True, capture_output=True)
+        out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                              "--src", str(Path(tmp) / "src")],
+                             check=True, capture_output=True, cwd=tmp).stdout
+    return dict(line.split() for line in out.decode().splitlines())
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Print one sha256 per output family.")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source directory that holds the package")
+    parser.add_argument("--against", metavar="REF", help="also compute the digests at this git ref")
+    args = parser.parse_args(argv[1:])
+    here = digests(args.src)
+    if args.against is None:
+        for name, digest in here.items():
+            print(f"{name:10s} {digest}")
+        return 0
+    try:
+        there = digests_at(args.against)
+    except subprocess.CalledProcessError as exc:
+        print(exc.stderr.decode().strip(), file=sys.stderr)
+        return 2
+    print(f"{'family':10s} {'ref ' + args.against:64s} tree")
+    differs = False
+    for name, digest in here.items():
+        old = there.get(name, "-")
+        differs |= old != digest
+        print(f"{name:10s} {old:64s} {digest:64s} {'same' if old == digest else 'DIFFERS'}")
+    return int(differs)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
