@@ -38,14 +38,19 @@ Three evaluation routes are provided, all returning a
     is the achieved error for every t at once, and there is no late-time
     fallback to the pole term.  The same panels and j_k give the deficit
     u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
-    each panel's detuning from ω_a, a series for 1 − j₀), from which
-    :class:`~zenodecay.model.DecayModel` takes ln P where P ≥ ½; u is
-    summed only at those times.
+    each panel's detuning from ω_a, a series for 1 − j₀), from which ln P
+    is formed where P ≥ ½; u is summed only at those times.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
     asymptote.  Note P(0) = Z ≠ 1 — the discarded background is what
     restores unit norm at t = 0.
+
+This module forms every ln P of :class:`~zenodecay.model.DecayModel`:
+ln|x|² of the panels or the factored form of a pole pair where P < ½,
+ln|1 − u|² = log1p(−2 Re u + |u|²) of either route's deficit where
+P ≥ ½, so that effective rates −ln P/τ keep their relative accuracy
+where 1 − P is far below rounding of 1.
 """
 
 from __future__ import annotations
@@ -183,6 +188,27 @@ def _pole_pair_series(pair, times) -> SurvivalSeries:
     e1, e2, c1, c2 = pair
     amps = c1 * np.exp(-1j * e1 * t) + c2 * np.exp(-1j * e2 * t)
     return _series(t, amps, SurvivalMethod.CLOSED_FORM)
+
+
+def _pole_pair_log_p(pair, taus: np.ndarray) -> np.ndarray:
+    """ln P of a family's ``pole_pair`` on a 1-D array of τ ≥ 0.
+
+    Below ½ the factored form ln|C₁|² + 2·Im E₁·τ + ln|1 + r|², with r
+    the decaying partner ratio, which never underflows; where P ≥ ½,
+    ln|1 − u|² of the deficit u = 1 − x·e^{i·Re E₁·τ}, formed at those
+    τ alone from expm1 terms (C₁ + C₂ = 1), so ln P keeps its relative
+    accuracy as τ → 0.
+    """
+    e1, e2, c1, c2 = pair
+    r = (c2 / c1) * np.exp(-1j * (e2 - e1) * taus)
+    with np.errstate(divide="ignore"):  # exact amplitude zeros
+        correction = np.log1p(2.0 * np.real(r) + np.abs(r) ** 2)
+    out = 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
+    near = out >= _DEFICIT_FLOOR
+    t = taus[near]
+    out[near] = _log_abs2_one_minus(-c1 * np.expm1(e1.imag * t)
+                                    - c2 * np.expm1(-1j * (e2 - e1.real) * t))
+    return out
 
 
 def pole_approximation(pole: PoleData, times) -> SurvivalSeries:
@@ -514,17 +540,19 @@ def _log_abs2(x: np.ndarray) -> np.ndarray:
         return np.log(x.real * x.real + x.imag * x.imag)
 
 
-def _takes_deficit(log_p: np.ndarray) -> np.ndarray:
-    """Where ln P is taken from the deficit u rather than from x: P ≥ ½."""
-    return log_p >= _DEFICIT_FLOOR
+def _log_abs2_one_minus(u: np.ndarray) -> np.ndarray:
+    """ln|1 − u|² = log1p(−2 Re u + |u|²), free of cancellation as u → 0."""
+    return np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
 
 
-def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = False):
-    """Times, x(t) and, with ``deficit``, u(t) = 1 − e^{iω_a t}·x(t) on the panels.
+def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, log_p: bool = False):
+    """Times and x(t) on the panels, or with ``log_p`` ln P(|t|) in place of x.
 
-    The body of :func:`survival_spectral_integral`; u is None without
-    ``deficit``, and NaN at the times where ``_takes_deficit(_log_abs2(x))``
-    is false, since ln P takes x there.  Raises as that function does.
+    The body of :func:`survival_spectral_integral`.  ln P is ln|x|², or
+    where that is at least ln ½, ln|1 − u|² of the deficit
+    u = 1 − e^{iω_a t}·x(t), summed at those times alone.  Raises as that
+    function does, a :class:`~zenodecay.errors.ToleranceError` with what
+    this would return as its ``value``.
     """
     t_in = _check_times(times, allow_negative=True)
     omega_a = _level(omega_a)
@@ -532,8 +560,7 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = 
         raise NoDecayError("zero coupling: the spectral density is empty")
     k = _spectral_kernel(ff, omega_a)
 
-    amps = np.empty(t_in.shape, dtype=complex)
-    defs = np.full(t_in.shape, np.nan, dtype=complex) if deficit else None
+    vals = np.empty(t_in.shape, dtype=float if log_p else complex)
     t_abs = np.abs(t_in)
     # Chunks of times whose table holds up to _JN_CHUNK arguments, in runs
     # of times whose panel arrays hold up to _JN_CHUNK values.
@@ -548,29 +575,31 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, deficit: bool = 
             x = _continuum(k, t_abs[out], j)
             for bs in k.bound:
                 x += bs.weight * np.exp(-1j * bs.energy * t_abs[out])
-            amps[out] = x
-            if deficit:
-                # Rows are independent, so u of the rows that use it is
-                # the u of a call at every time.
-                near = np.flatnonzero(_takes_deficit(_log_abs2(x)))
-                if near.size:
-                    if near[-1] - near[0] + 1 == near.size:  # one run: views, not copies
-                        near = slice(near[0], near[-1] + 1)
-                    defs[out][near] = _deficit(k, omega_a, t_abs[out][near], j[:, near],
-                                               args[part][near], jn[0, part][near])
-    # ρ is real, so x(−t) = conj x(t), and u(−t) = conj u(t) with it.
-    amps = np.where(t_in < 0, np.conj(amps), amps)
-    if deficit:
-        defs = np.where(t_in < 0, np.conj(defs), defs)
+            if not log_p:
+                vals[out] = x
+                continue
+            # Rows are independent, so u of the rows that use it is the u
+            # of a call at every time.
+            logs = _log_abs2(x)
+            near = np.flatnonzero(logs >= _DEFICIT_FLOOR)
+            if near.size:
+                if near[-1] - near[0] + 1 == near.size:  # one run: views, not copies
+                    near = slice(near[0], near[-1] + 1)
+                logs[near] = _log_abs2_one_minus(_deficit(
+                    k, omega_a, t_abs[out][near], j[:, near], args[part][near], jn[0, part][near]))
+            vals[out] = logs
+    if not log_p:
+        # ρ is real, so x(−t) = conj x(t).
+        vals = np.where(t_in < 0, np.conj(vals), vals)
 
     if k.error > SPECTRAL_TOL:
         raise ToleranceError(
             f"spectral panels achieved {k.error:.3e}, above the target {SPECTRAL_TOL:.3e}",
-            value=amps,
+            value=vals,
             achieved=k.error,
             requested=SPECTRAL_TOL,
         )
-    return t_in, amps, defs
+    return t_in, vals
 
 
 def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> SurvivalSeries:
@@ -640,5 +669,4 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     ToleranceError
         Summed panel error bound above ``SPECTRAL_TOL`` (1e−8).
     """
-    t_in, amps, _ = _spectral_amplitudes(ff, omega_a, times)
-    return _series(t_in, amps, SurvivalMethod.SPECTRAL_INTEGRAL)
+    return _series(*_spectral_amplitudes(ff, omega_a, times), SurvivalMethod.SPECTRAL_INTEGRAL)

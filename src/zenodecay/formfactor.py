@@ -44,7 +44,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval as _polyval
@@ -508,6 +508,11 @@ class TabulatedCoupling(FormFactor):
         """The tree of :meth:`shift_closed_form`, built once per table."""
         return _build_knot_tree(self.omegas, self.g2_values)
 
+    @functools.cached_property
+    def _far_series(self) -> np.ndarray:
+        """The a_n of the far field of :meth:`sigma_closed_form`, taken once per table."""
+        return _far_coefficients(self.omegas, self.g2_values)
+
     def shift_closed_form(self, x):
         """Exact Δ_R of the piecewise-linear density on a 1-D array of ω.
 
@@ -537,12 +542,12 @@ class TabulatedCoupling(FormFactor):
         moments and its Chebyshev proxy charges (see :func:`_build_tree`
         and :func:`_log_field`).  At
         x the leaf's far-field series is summed and the knots of its near
-        zone are added exactly; past |x − c| > 2R, where every knot is far,
-        the series of the knot sum in R/(x − c) is summed instead.  There
-        the knot terms, of size |κ_j·x·ln|x||, cancel to a Δ_R of order
-        1/x, and a term-by-term sum keeps none of its digits on a rough
-        table; the series, from moments summed without that cancellation,
-        does.
+        zone are added exactly, then the edge terms.  Past |x − c| > 2R,
+        where every knot is far, Δ_R is the table's far-field series in
+        R/(x − c) instead, the one of :meth:`sigma_closed_form` taken on
+        the axis.  There the knot terms, of size |κ_j·x·ln|x||, cancel to
+        a Δ_R of order 1/x, and a term-by-term sum keeps none of its digits
+        on a rough table; the series forms no logarithm and cancels nothing.
 
         Error bound: a far knot sits at least one box width outside the
         box, so its term is analytic inside the Bernstein ellipse of
@@ -551,9 +556,9 @@ class TabulatedCoupling(FormFactor):
         n = ``_TREE_ORDER`` = 24 nodes misses it by at most
         4ρ^(−n)/(ρ − 1) ≈ 3.5·10^(−19) of its largest modulus on that
         ellipse; each interpolation between levels adds the same factor on
-        the parent's far field, and the moment series is cut at
-        2^(−48)/48².  What remains is rounding, the size of the direct
-        knot sum's: ε·Σ_j |κ_j (x − ω_j) ln|x − ω_j||.  The tree costs
+        the parent's far field, and the far-field series is cut below
+        2^(−46) of its first term.  What remains is rounding, the size of
+        the direct knot sum's: ε·Σ_j |κ_j (x − ω_j) ln|x − ω_j||.  The tree costs
         O(n) per knot and level once, and O(``_TREE_NEAR`` + n) per x.
         """
         om = self.omegas
@@ -567,9 +572,11 @@ class TabulatedCoupling(FormFactor):
         for edge, value in ((om[0], fv[0]), (om[-1], -fv[-1])):
             if value != 0.0:
                 edges += value * np.log(np.abs(x - edge))
-        tree = self._knot_tree
-        return (_tree_sum(tree, x, *_tree_leaf(tree, x), _log_outer, _knot_term)
-                + edges - (fv[-1] - fv[0]))
+        tree, a = self._knot_tree, self._far_series
+        leaf, outer = _tree_leaf(tree, x)
+        out = _tree_sum(tree, x, leaf, outer,
+                        lambda tree, xs: _polyval(tree.radius / (xs - tree.centre), a), _knot_term)
+        return np.where(outer, out, out + edges - (fv[-1] - fv[0]))
 
     def sigma_closed_form(self, E, second):
         """Σ_I and Σ_I′ by exact segment sums, in one pass (the table has no second sheet).
@@ -587,26 +594,22 @@ class TabulatedCoupling(FormFactor):
 
         Past |E − c| > 2R (c, R the table's centre and half-span) the
         segment terms cancel as the knot terms of :meth:`shift_closed_form`
-        do, and both come from the moments M_k of the knot tree instead:
-        with r = E − c and z = R/r,
+        do, and both come from the table's far-field series instead, in
+        z = R/(E − c) with |z| < ½:
 
-            Σ = R·z·Σ_{k≥2} M_k z^(k−2)/(k(k − 1)) + v_0·ln(1 + z) − v_N·ln(1 − z),
-            Σ′ = −z²·Σ_{k≥2} M_k z^(k−2)/k − (v_0·z/(1 + z) + v_N·z/(1 − z))/r,
+            Σ = Σ_{n≥1} a_n zⁿ,   Σ′ = −(z/R)·Σ_{n≥1} n·a_n zⁿ,
 
-        the term of M₁ = −(v_N − v_0)/R folded into the edge logarithms,
-        so that no ln r cancels.
+        a_n = ∫ g² sⁿ⁻¹ ds (s = (ω − c)/R) the moments of g² itself, built
+        once per table by :func:`_far_coefficients`.  Its terms are real
+        multiples of zⁿ, so no logarithm is formed and nothing cancels, on
+        the axis (Δ_R there) and off it alike.
         """
         om, fv = self.omegas, self.g2_values
         radius = 0.5 * (om[-1] - om[0])
         r = E - 0.5 * (om[0] + om[-1])
         if abs(r) > 2.0 * radius:
-            z = radius / r
-            moments, k = self._knot_tree.moments[2:], np.arange(2, _TREE_MOMENTS)
-            sigma = (radius * z * _polyval(z, moments / (k * (k - 1.0)))
-                     + fv[0] * np.log1p(z) - fv[-1] * np.log1p(-z))
-            slope = (-z * z * _polyval(z, moments / k)
-                     - (fv[0] * z / (1.0 + z) + fv[-1] * z / (1.0 - z)) / r)
-            return complex(sigma), complex(slope)
+            z, a = radius / r, self._far_series
+            return complex(_polyval(z, a)), complex(-z / radius * _polyval(z, np.arange(a.size) * a))
         dw = np.diff(om)
         m = np.diff(fv) / dw
         u0, u1 = E - om[:-1], E - om[1:]
@@ -629,9 +632,9 @@ _TREE_INDEX = 2.0**50
 #: Halvings of the root after which every box is a leaf, so that sources
 #: that coincide end the walk; no table or fit needs boxes that narrow.
 _TREE_LEVELS = 256
-#: Terms of the moment series of a table's knot sum, and of its Σ and Σ′,
-#: past |x − c| > 2R.
-_TREE_MOMENTS = 48
+#: Terms of a table's far-field series of Σ, Σ′ and Δ_R past |E − c| > 2R
+#: (a₀ = 0 included).
+_FAR_TERMS = 48
 #: Points of a tree sum taken together: a chunk's near terms, up to
 #: ``_TREE_NEAR`` per point, and its leaves' coefficients stay below 1 MB.
 _TREE_CHUNK = 4096
@@ -670,15 +673,14 @@ _CHEB_HALVES = _lagrange_halves()
 
 
 class _Tree(NamedTuple):
-    """Leaves of a source tree, in order, and a table's moment series.
+    """Leaves of a source tree, in order.
 
     Leaf i spans [lo[i], lo[i+1]] around ``mid`` with half-width
     ``half``; ``coef`` holds the Chebyshev coefficients of its far field
     (one row per degree, one column per leaf), and sources ``near_lo[i]``
     up to ``near_hi[i]`` (exclusive) are its near zone.  ``sources`` are
-    the sorted positions ω_j, ``weights`` their weights w_j, and for a
-    table's knots ``moments`` the moments of the w_j about the centre c in
-    units of the radius R (``None`` for a fit's nodes).
+    the sorted positions ω_j, ``weights`` their weights w_j, all within
+    ``radius`` R of ``centre`` c.
     """
 
     lo: np.ndarray
@@ -691,7 +693,6 @@ class _Tree(NamedTuple):
     weights: np.ndarray
     centre: float
     radius: float
-    moments: Optional[np.ndarray] = None
 
 
 def _x_log_x(d):
@@ -709,7 +710,7 @@ def _chebyshev(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t * b1 - b2 + coef[0]
 
 
-def _build_tree(sources, weights, centre, radius, field, moments=None) -> _Tree:
+def _build_tree(sources, weights, centre, radius, field) -> _Tree:
     """The tree of Σ_j w_j K(x − ω_j) over sorted sources ω_j within R of c.
 
     Two kernels share it: K(d) = d·ln|d| for a table's knots
@@ -717,8 +718,8 @@ def _build_tree(sources, weights, centre, radius, field, moments=None) -> _Tree:
     :func:`_log_field`) and K(d) = 1/d for the nodes of a family's g² fit
     (:func:`_fit_shift`, ``field`` = :func:`_cauchy_field`).  Only the
     action of a source box on a box's Chebyshev nodes, ``field(sums, m1,
-    charges, dist, width)``, depends on the kernel; ``moments`` is kept
-    with the tree for the sum past |x − c| > 2R (see :func:`_tree_sum`).
+    charges, dist, width)``, depends on the kernel; the sum past
+    |x − c| > 2R is the caller's (see :func:`_tree_sum`).
 
     Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
     integer index k and the level's power-of-two width w, so every edge
@@ -804,7 +805,7 @@ def _build_tree(sources, weights, centre, radius, field, moments=None) -> _Tree:
 
     parts = [np.concatenate(part, axis=-1) for part in zip(*leaves)]
     order = np.argsort(parts[0], kind="stable")
-    return _Tree(*(part[..., order] for part in parts), sources, weights, centre, radius, moments)
+    return _Tree(*(part[..., order] for part in parts), sources, weights, centre, radius)
 
 
 def _log_field(sums, m1, charges, dist, width):
@@ -832,21 +833,6 @@ def _cauchy_field(sums, m1, charges, dist, width):
     the charges alone serve: ``sums`` and ``m1`` go unused.
     """
     return np.einsum("bm,nm->bn", charges, 1.0 / (dist[:, None] - 0.5 * width * _CHEB_T))
-
-
-def _log_outer(tree: _Tree, x: np.ndarray) -> np.ndarray:
-    """A table's knot sum at x, |x − c| > 2R, from its moment series.
-
-    With (1 − u)·ln(1 − u) = −u + Σ_{k≥2} u^k/(k(k − 1)) and M₀ = 0:
-    Σ_j κ_j φ(x − ω_j) = R·[Σ_{k≥2} M_k z^(k−1)/(k(k − 1)) − M₁·(ln|x − c| + 1)],
-    z = R/(x − c).  The knot terms cancel to a sum of order 1/x there,
-    which the series, from moments summed without that cancellation, keeps.
-    """
-    r = x - tree.centre
-    z = tree.radius / r
-    k = np.arange(2, _TREE_MOMENTS)
-    series = _polyval(z, tree.moments[2:] / (k * (k - 1.0)))
-    return tree.radius * (z * series - tree.moments[1] * (np.log(np.abs(r)) + 1.0))
 
 
 def _cauchy_direct(tree: _Tree, x: np.ndarray) -> np.ndarray:
@@ -884,8 +870,9 @@ def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
 
     In the leaf of x, its far-field series plus ``term(tree, xs, j)`` of
     the sources j of its near zone, added from 0 in the order of j; past
-    |x − c| > 2R, ``far(tree, xs)``: :func:`_log_outer` for a table's
-    knots, :func:`_cauchy_direct` for a fit's nodes.
+    |x − c| > 2R, ``far(tree, xs)``: a table's far-field series (see
+    :meth:`TabulatedCoupling.sigma_closed_form`), :func:`_cauchy_direct`
+    for a fit's nodes.
     Each point takes its terms in its own order, so its value does not
     depend on the other points.  The points go in chunks of
     ``_TREE_CHUNK``, each taking one gather of its leaves' coefficients,
@@ -915,28 +902,31 @@ def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _Tree:
     kappa = np.diff(slopes, prepend=0.0, append=0.0)
     centre = 0.5 * (om[0] + om[-1])
     radius = 0.5 * (om[-1] - om[0])
-    return _build_tree(om, kappa, centre, radius, _log_field,
-                       _knot_moments(om, values, centre, radius))
+    return _build_tree(om, kappa, centre, radius, _log_field)
 
 
-def _knot_moments(om, values, centre, radius) -> np.ndarray:
-    """M_k = Σ_j κ_j s_j^k, s = (ω − c)/R, for k < ``_TREE_MOMENTS``.
+def _far_coefficients(om: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """a_n of a table's Σ = Σ_{n≥1} a_n zⁿ, z = R/(E − c), for n < ``_FAR_TERMS``.
 
-    Summed by parts over the segments, −Σ Δv·(s₁^k − s₀^k)/(s₁ − s₀)/R,
-    so that no cancellation between slope jumps enters: M₀ = 0 and
-    M₁ = −(v_N − v_0)/R exactly.  The divided difference obeys
-    d_k = s₁·d_{k−1} + s₀^(k−1).
+    a_n = ∫ g² sⁿ⁻¹ ds over s = (ω − c)/R, which integration by parts
+    twice turns into (R·M_{n+1}/(n+1) + (−1)^{n+1}·v_0 + v_N)/n, with
+    v_0, v_N the edge values and M_k = Σ_j κ_j s_j^k the knot moments.
+    Those are summed by parts over the segments, R·M_k = −Σ Δv·(s₁^k −
+    s₀^k)/(s₁ − s₀), so that no cancellation between slope jumps enters;
+    the divided difference obeys d_k = s₁·d_{k−1} + s₀^(k−1).
     """
+    centre = 0.5 * (om[0] + om[-1])
+    radius = 0.5 * (om[-1] - om[0])
     s = (om - centre) / radius
     s0, s1 = s[:-1], s[1:]
-    dv = np.diff(values) / radius
-    moments = np.zeros(_TREE_MOMENTS)
-    diff, power = np.zeros_like(s0), np.ones_like(s0)
-    for k in range(1, _TREE_MOMENTS):
-        diff = s1 * diff + power
+    dv = np.diff(values)
+    coef = np.zeros(_FAR_TERMS)
+    diff, power = np.ones_like(s0), s0
+    for n in range(1, _FAR_TERMS):
+        diff = s1 * diff + power  # d_{n+1}
         power = power * s0
-        moments[k] = -np.sum(dv * diff)
-    return moments
+        coef[n] = (-np.sum(dv * diff) / (n + 1) + (-1.0) ** (n + 1) * values[0] + values[-1]) / n
+    return coef
 
 
 #: A panel of a family's g² fit is bisected until its last two Legendre

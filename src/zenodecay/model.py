@@ -2,14 +2,12 @@
 
 :class:`DecayModel` is the object the measurement machinery operates on.
 It caches the resonance pole and gives ln P(τ) of a float or an array
-of τ by one route at every τ: where P ≥ ½ from the deficit
-u = 1 − x·e^{iθτ}, formed without cancellation, as log1p(−2 Re u + |u|²),
-so effective rates −ln P/τ keep their relative accuracy where 1 − P is
-far below rounding of 1; below ½ from x itself.  A family with a
-closed-form pole pair (the Lorentzian) takes u and x from its two-pole
-residue sum; every other family takes them from the spectral panels at
-every τ, so late intervals see the true non-exponential tail rather
-than the pole term ln Z − γ₀τ.
+of τ by one route at every τ, formed in :mod:`zenodecay.amplitude`
+(from the deficit 1 − P without cancellation where P ≥ ½): a family
+with a closed-form pole pair (the Lorentzian) takes its two-pole
+residue sum; every other family takes the spectral panels at every τ,
+so late intervals see the true non-exponential tail rather than the
+pole term ln Z − γ₀τ.  The model checks τ and picks the route.
 
 :class:`ExponentialDecayModel` is the idealized pure-exponential decay
 P(τ) = Z·e^{−γ₀τ}; with Z = 1 its effective rate is γ₀ at every τ,
@@ -27,10 +25,9 @@ from .amplitude import (
     SurvivalMethod,
     SurvivalSeries,
     _check_times,
-    _log_abs2,
+    _pole_pair_log_p,
     _pole_pair_series,
     _spectral_amplitudes,
-    _takes_deficit,
     pole_approximation,
     survival_spectral_integral,
 )
@@ -140,23 +137,15 @@ class DecayModel:
         from the panels rotated by θ = ω_a.  Below ½ it is the pole pair's
         factored form, which never underflows, or ln|x|² of the panels.
         A τ that is negative or not finite raises :class:`~zenodecay.DomainError`.
+        A :class:`~zenodecay.ToleranceError` of the panels carries ln P
+        at every τ, flattened, as its ``value``.
         """
         taus = np.ravel(_check_times(tau))
         pair = self._closed_form_pair
         if pair is not None:
-            # With r the (decaying) partner ratio, ln P = ln|c1|² + 2·Im(e1)·t + ln|1+r|².
-            e1, e2, c1, c2 = pair
-            r = (c2 / c1) * np.exp(-1j * (e2 - e1) * taus)
-            with np.errstate(divide="ignore"):  # exact amplitude zeros
-                correction = np.log1p(2.0 * np.real(r) + np.abs(r) ** 2)
-            out = 2.0 * math.log(abs(c1)) + 2.0 * e1.imag * taus + correction
-            u = -c1 * np.expm1(e1.imag * taus) - c2 * np.expm1(-1j * (e2 - e1.real) * taus)
+            out = _pole_pair_log_p(pair, taus)
         else:
-            _, x, u = _spectral_amplitudes(self.form_factor, self.omega_a, taus, deficit=True)
-            out = _log_abs2(x)
-        near = _takes_deficit(out)
-        u = u[near]
-        out[near] = np.log1p(-2.0 * u.real + (u.real * u.real + u.imag * u.imag))
+            out = _spectral_amplitudes(self.form_factor, self.omega_a, taus, log_p=True)[1]
         out = out.reshape(np.shape(tau))
         return float(out) if out.ndim == 0 else out
 

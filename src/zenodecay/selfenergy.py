@@ -204,10 +204,16 @@ def real_shift(ff: FormFactor, omega):
       against Neumann's Q_k, every other panel through its nodes as
       point charges, summed by the same tree as a table's knots.  The fit
       is pointwise to 1e−13 of g² at its peak or 1e−12 of the panel's own
-      size; against 30-digit quadrature Δ_R is within ~1e−14 of its
-      largest value, at a threshold itself too.  Within 2^−50 bandwidths
-      (or 64 float spacings) of a finite edge where g² vanishes, the
-      unrefined panel there leaves up to ~1e−9 of the largest value.
+      size; against 30-digit quadrature and closed forms Δ_R is within
+      ~1e−14 of its largest value away from a finite edge where g²
+      vanishes.  Nearer such an edge it keeps less, as measured on
+      square-root thresholds: at a threshold at 0, 1.1e−12 off at 1e−14
+      bandwidths and 7.6e−15 at 1e−13; at one at −0.3, 5.3e−12 off at
+      1e−12 bandwidths and 4.1e−14 at 1e−10, the worst of each decade
+      falling from 4e−10 at 1e−14 to 3e−13 at 1e−9 and 1e−14 at 1e−5
+      bandwidths.  Within 2^−50 bandwidths (or 64 float spacings) of the
+      edge, where the unrefined panel there serves, it is up to ~4e−9
+      off (3.8e−10 at 2^−50 from the threshold at 0).
 
     Raises
     ------

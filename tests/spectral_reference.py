@@ -15,7 +15,8 @@ the axis from the table's segments, one closed form per segment;
 ``exact_segment_sum`` takes those segment forms, of Σ and Σ′, in mpmath.
 
 ``power_law_sigma`` is Σ of the threshold power law with an integer
-cut-off exponent in closed form, by the residues of a keyhole contour.
+cut-off exponent in closed form, by the residues of a keyhole contour,
+and ``power_law_sigma_slope`` its derivative Σ′.
 
 ``kofman_kurizki_rate`` is the weak-coupling limit of the effective rate
 (Kofman and Kurizki, Nature 405, 546 (2000)): the overlap of g² with the
@@ -236,6 +237,25 @@ def power_law_sigma(ff, E):
     for k in range(q):
         z = lam * cmath.exp(1j * math.pi * (2 * k + 1) / q)
         total -= c * _power(z, p + 1.0) / (q * (s - z))
+    return 2j * math.pi / (1.0 - cmath.exp(2j * math.pi * p)) * total
+
+
+def power_law_sigma_slope(ff, E):
+    """Σ_I′(E) of ``power_law_sigma``, the derivative of its residue form:
+
+        Σ_I′(E) = 2πi/(1 − e^{2πip})·[−c·s^(p−1)·(p(1 + u) − q·u)/(1 + u)²
+                                      + Σ_k c·z_k^{p+1}/(q(s − z_k)²)],
+
+    u = (s/Λ)^q, every power taken with its argument in (0, 2π).
+    """
+    p, q, lam = ff.rise_exponent, int(ff.cutoff_exponent), ff.bandwidth
+    c = ff.coupling**2 * ff._norm
+    s = complex(E) - ff.threshold
+    u = (s / lam) ** q
+    total = -c * _power(s, p - 1.0) * (p * (1.0 + u) - q * u) / (1.0 + u) ** 2
+    for k in range(q):
+        z = lam * cmath.exp(1j * math.pi * (2 * k + 1) / q)
+        total += c * _power(z, p + 1.0) / (q * (s - z) ** 2)
     return 2j * math.pi / (1.0 - cmath.exp(2j * math.pi * p)) * total
 
 

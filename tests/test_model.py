@@ -12,8 +12,8 @@ import pytest
 
 from spectral_reference import reference_amplitude
 from zenodecay import amplitude
-from zenodecay.amplitude import SurvivalMethod, _spectral_amplitudes
-from zenodecay.errors import DomainError, NoDecayError
+from zenodecay.amplitude import SurvivalMethod
+from zenodecay.errors import DomainError, NoDecayError, ToleranceError
 from zenodecay.formfactor import LorentzianCoupling, zeno_time
 from zenodecay.model import DecayModel, ExponentialDecayModel
 from zenodecay.resolvent import find_pole
@@ -110,15 +110,33 @@ def test_spectral_deficit_only_where_log_survival_uses_it(tpl, omega_a, monkeypa
     # where ln P takes x and the deficit u is not summed.
     model = DecayModel(tpl, omega_a)
     taus = np.geomspace(1e-4 / model.bandwidth, 100.0 / model.gamma0, 2048)
+    deficit, summed = amplitude._deficit, []
+
+    def counted(k, omega_a, ts, *rest):
+        summed.append(ts.copy())
+        return deficit(k, omega_a, ts, *rest)
+
+    monkeypatch.setattr(amplitude, "_deficit", counted)
     log_p = model.log_survival_probability(taus)
-    _, _, u = _spectral_amplitudes(tpl, omega_a, taus, deficit=True)
-    below = log_p < -math.log(2.0)
-    assert np.mean(below) > 0.25
-    assert np.array_equal(np.isnan(u), below)
-    # Rows are independent: u summed at every tau gives the same ln P.
-    monkeypatch.setattr(amplitude, "_takes_deficit", lambda log_p: np.ones(log_p.shape, bool))
-    assert np.all(np.isfinite(_spectral_amplitudes(tpl, omega_a, taus, deficit=True)[2]))
-    assert np.array_equal(model.log_survival_probability(taus), log_p)
+    above = log_p >= -math.log(2.0)
+    assert np.mean(~above) > 0.25
+    assert np.array_equal(np.concatenate(summed), taus[above])
+    # Rows are independent: each tau alone gives the grid's ln P.
+    picks = np.arange(0, taus.size, taus.size // 64)
+    alone = [model.log_survival_probability(taus[i]) for i in picks]
+    assert np.array_equal(alone, log_p[picks])
+
+
+def test_spectral_log_survival_error_carries_log_p(tpl, monkeypatch):
+    # Above its target the panel route raises with the ln P it would
+    # return as the error's value, not the amplitudes.
+    model = DecayModel(tpl, 2.4)
+    taus = np.array([1e-3, 1.0, 100.0])
+    log_p = model.log_survival_probability(taus)
+    monkeypatch.setattr(amplitude, "SPECTRAL_TOL", 0.0)
+    with pytest.raises(ToleranceError, match="above the target") as exc:
+        model.log_survival_probability(taus)
+    assert np.array_equal(exc.value.value, log_p)
 
 
 def test_log_survival_small_interval_quadratic_law(lor):

@@ -17,6 +17,7 @@ from spectral_reference import (
     exact_segment_sum,
     knot_sum_scale,
     power_law_sigma,
+    power_law_sigma_slope,
     segment_sum,
 )
 from zenodecay.errors import ContinuationUnsupportedError, DomainError, ToleranceError
@@ -550,6 +551,32 @@ def test_table_sigma_far_outside_matches_exact_segment_sum():
         assert abs(sv.derivative - slope) <= 1e-13 * abs(slope)
 
 
+@pytest.mark.parametrize("table", [
+    TabulatedCoupling([0.0, 1.0, 2.0], [0.5, 1.0, 0.5]),
+    TabulatedCoupling(np.linspace(-5.0, 5.0, 41), np.random.default_rng(1).uniform(0.1, 1.0, 41)),
+], ids=["three", "forty-one"])
+def test_table_far_field_matches_mpmath(table):
+    # Past twice its half-span a table's Sigma, Sigma' and Delta_R are one
+    # series in R/(E - c), held to the exact value itself out to 1e8 spans:
+    # edge logarithms taken by complex log1p left Sigma 6e-9 and Delta_R
+    # 2.7e-7 relative off on the forty-one-knot table.
+    mp = pytest.importorskip("mpmath")
+    lo, hi = table.support()
+    centre, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    points = [centre + rho * radius * cmath.exp(1j * arg)
+              for rho in (2.5, 1e2, 1e4, 1e6, 1e8) for arg in (0.0, math.pi / 4, math.pi / 2)]
+    points.append(complex(centre - 3.0 * radius, -1e-9 * radius))
+    for E in points:
+        sv = self_energy(table, E)
+        with mp.workdps(40):
+            sigma, slope = exact_segment_sum(mp, table, E)
+            shift = float(exact_knot_sum(mp, table, E.real)) if E.imag == 0.0 else None
+        assert abs(sv.value - sigma) <= 1e-14 * abs(sigma)
+        assert abs(sv.derivative - slope) <= 1e-14 * abs(slope)
+        if shift is not None:
+            assert abs(real_shift(table, E.real) - shift) <= 1e-14 * abs(shift)
+
+
 @pytest.mark.parametrize("family, energy", [("lor", complex(math.nan, 1.0)),
                                             ("tpl", complex(math.nan, 1.0)),
                                             ("tpl", complex(math.inf, 1.0)),
@@ -737,6 +764,15 @@ def _mp_transform(mp, case, E, power):
     return mp.quad(lambda w: g(w) / (E - w) ** power, sorted(pts) + [mp.inf])
 
 
+def _principal_g2(case, E):
+    """The power-law density of ``case`` and its slope at complex E, by principal powers."""
+    lam, bw, thr, p, q = case
+    c = lam**2 * q * math.sin(math.pi * (p + 1.0) / q) / (math.pi * bw ** (p + 1.0))
+    s = complex(E) - thr
+    u = (s / bw) ** q
+    return c * s**p / (1.0 + u), c * s ** (p - 1.0) * (p * (1.0 + u) - q * u) / (1.0 + u) ** 2
+
+
 @pytest.mark.parametrize(
     "case, E, sheet",
     [
@@ -747,20 +783,18 @@ def _mp_transform(mp, case, E, power):
         (SHIFT_CASES[0], 3.0 - 1e-14j, Sheet.SECOND),
     ],
 )
-def test_self_energy_near_cut_matches_mpmath(case, E, sheet):
-    # Sigma' at |Im E| = 1e-14 is O(1) left from pieces of O(1/|Im E|), so
-    # the oracle carries 30 digits.  Below the axis the second sheet adds
-    # -2 pi i times the continued density, here the principal power.
-    mp = pytest.importorskip("mpmath")
-    sv = self_energy(ThresholdPowerLawCoupling(*case), E, sheet)
-    with mp.workdps(30):
-        sigma = _mp_transform(mp, case, E, 1)
-        dsigma = -_mp_transform(mp, case, E, 2)
-        if sheet is Sheet.SECOND:
-            g, z = _mp_g2(mp, case), mp.mpc(E)
-            sigma -= 2j * mp.pi * g(z)
-            dsigma -= 2j * mp.pi * mp.diff(g, z)
-        sigma, dsigma = complex(sigma), complex(dsigma)
+def test_self_energy_near_cut_matches_residue_closed_form(case, E, sheet):
+    # Sigma' at |Im E| = 1e-14 is O(1) left from pieces of O(1/|Im E|) in
+    # any quadrature; the residue forms of the q = 4 power law take no
+    # integral.  Below the axis the second sheet adds -2 pi i times the
+    # continued density, here the principal power.
+    ff = ThresholdPowerLawCoupling(*case)
+    sv = self_energy(ff, E, sheet)
+    sigma, dsigma = power_law_sigma(ff, E), power_law_sigma_slope(ff, E)
+    if sheet is Sheet.SECOND:
+        g2, dg2 = _principal_g2(case, E)
+        sigma -= 2j * math.pi * g2
+        dsigma -= 2j * math.pi * dg2
     assert sv.value == pytest.approx(sigma, rel=1e-12)
     assert sv.derivative == pytest.approx(dsigma, rel=1e-9)
 
