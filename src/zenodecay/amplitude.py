@@ -159,11 +159,15 @@ def _series(times, amps, method: SurvivalMethod) -> SurvivalSeries:
 
 
 def _check_times(times, allow_negative=False) -> np.ndarray:
+    """``times`` as a 1-D float array, each finite and, unless ``allow_negative``, ≥ 0.
+
+    A refusal names the first time that breaks the rule.
+    """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(t)):
-        raise DomainError("times must be finite")
-    if not allow_negative and np.any(t < 0):
-        raise DomainError("times must be non-negative")
+    bad = ~(np.isfinite(t) & (allow_negative | (t >= 0.0)))
+    if np.any(bad):
+        rule = "finite" if allow_negative else "finite and non-negative"
+        raise DomainError(f"times must be {rule}, got {t[bad][0]}")
     return t
 
 
@@ -361,12 +365,15 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
         segment memo; the others take theirs from one
         :func:`~zenodecay.real_shift` call for the whole pass, which is
         elementwise, so every value is that of a call on every node.
+        Only the first pass is searched for such panels: every kink is a
+        first edge, so a bisected panel is at most half of a segment.
         Nodes are placed from the exact panel edge, and the detuning from
         ω_a is formed before the node is rounded: near a narrow resonance
         an edge or node off by one rounding, though far below the panel
         width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        rows = _segment_rows(segments, lo, h)
+        nonlocal segments
+        rows, segments = _segment_rows(segments, lo, h), None
         fresh = np.flatnonzero(rows < 0)
         counts["memo_rows"] += lo.size - fresh.size
         shift = np.empty((0, _NODES))
@@ -546,22 +553,22 @@ def _log_abs2_one_minus(u: np.ndarray) -> np.ndarray:
 
 
 def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, log_p: bool = False):
-    """Times and x(t) on the panels, or with ``log_p`` ln P(|t|) in place of x.
+    """x(t) on the panels at a 1-D array of finite t, or with ``log_p`` ln P(|t|) in place of x.
 
-    The body of :func:`survival_spectral_integral`.  ln P is ln|x|², or
+    The body of :func:`survival_spectral_integral`, which checks t and a
+    finite float ω_a, as :class:`~zenodecay.model.DecayModel` does for
+    its ln P; this layer takes both as checked.  ln P is ln|x|², or
     where that is at least ln ½, ln|1 − u|² of the deficit
     u = 1 − e^{iω_a t}·x(t), summed at those times alone.  Raises as that
     function does, a :class:`~zenodecay.errors.ToleranceError` with what
     this would return as its ``value``.
     """
-    t_in = _check_times(times, allow_negative=True)
-    omega_a = _level(omega_a)
     if ff.g2_integral() == 0.0:
         raise NoDecayError("zero coupling: the spectral density is empty")
     k = _spectral_kernel(ff, omega_a)
 
-    vals = np.empty(t_in.shape, dtype=float if log_p else complex)
-    t_abs = np.abs(t_in)
+    vals = np.empty(times.shape, dtype=float if log_p else complex)
+    t_abs = np.abs(times)
     # Chunks of times whose table holds up to _JN_CHUNK arguments, in runs
     # of times whose panel arrays hold up to _JN_CHUNK values.
     rows = max(1, _JN_CHUNK // k.mids.size)
@@ -590,7 +597,7 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, log_p: bool = Fa
             vals[out] = logs
     if not log_p:
         # ρ is real, so x(−t) = conj x(t).
-        vals = np.where(t_in < 0, np.conj(vals), vals)
+        vals = np.where(times < 0, np.conj(vals), vals)
 
     if k.error > SPECTRAL_TOL:
         raise ToleranceError(
@@ -599,7 +606,7 @@ def _spectral_amplitudes(ff: FormFactor, omega_a: float, times, log_p: bool = Fa
             achieved=k.error,
             requested=SPECTRAL_TOL,
         )
-    return t_in, vals
+    return vals
 
 
 def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> SurvivalSeries:
@@ -663,10 +670,13 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     Raises
     ------
     DomainError
-        omega_a or a time not finite.
+        omega_a or a time not finite; both are checked here, once, before
+        the panels are built or summed.
     NoDecayError
         Zero coupling (the spectral density is empty).
     ToleranceError
         Summed panel error bound above ``SPECTRAL_TOL`` (1e−8).
     """
-    return _series(*_spectral_amplitudes(ff, omega_a, times), SurvivalMethod.SPECTRAL_INTEGRAL)
+    times = _check_times(times, allow_negative=True)
+    amps = _spectral_amplitudes(ff, _level(omega_a), times)
+    return _series(times, amps, SurvivalMethod.SPECTRAL_INTEGRAL)

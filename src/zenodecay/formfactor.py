@@ -563,14 +563,12 @@ class TabulatedCoupling(FormFactor):
         """
         om = self.omegas
         fv = self.g2_values
-        for edge, value in ((om[0], fv[0]), (om[-1], fv[-1])):
-            if value != 0.0 and np.any(x == edge):
-                raise DomainError(
-                    f"on-cut value diverges at the support edge {edge} where the table is nonzero"
-                )
         edges = np.zeros_like(x)
         for edge, value in ((om[0], fv[0]), (om[-1], -fv[-1])):
             if value != 0.0:
+                if np.any(x == edge):
+                    raise DomainError(f"on-cut value diverges at the support edge {edge} "
+                                      "where the table is nonzero")
                 edges += value * np.log(np.abs(x - edge))
         tree, a = self._knot_tree, self._far_series
         leaf, outer = _tree_leaf(tree, x)
@@ -695,11 +693,6 @@ class _Tree(NamedTuple):
     radius: float
 
 
-def _x_log_x(d):
-    """d·ln|d|, for d ≠ 0."""
-    return d * np.log(np.abs(d))
-
-
 def _chebyshev(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef[k]`` broadcast against t."""
     t2 = 2.0 * t
@@ -821,8 +814,9 @@ def _log_field(sums, m1, charges, dist, width):
     """
     u = (0.5 * width * _CHEB_T) / dist[:, None]
     smooth = dist[:, None] * ((1.0 - u) * np.log1p(-u) + u)
-    return (np.outer(sums[:, 0], _x_log_x(dist))
-            - np.outer(m1, np.log(np.abs(dist)) + 1.0)
+    log_dist = np.log(np.abs(dist))
+    return (np.outer(sums[:, 0], dist * log_dist)
+            - np.outer(m1, log_dist + 1.0)
             + np.einsum("bm,nm->bn", charges, smooth))
 
 

@@ -145,7 +145,7 @@ class DecayModel:
         if pair is not None:
             out = _pole_pair_log_p(pair, taus)
         else:
-            out = _spectral_amplitudes(self.form_factor, self.omega_a, taus, log_p=True)[1]
+            out = _spectral_amplitudes(self.form_factor, self.omega_a, taus, log_p=True)
         out = out.reshape(np.shape(tau))
         return float(out) if out.ndim == 0 else out
 

@@ -190,18 +190,19 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
         E = below(complex(omega_a + real_shift(ff, omega_a), -math.pi * float(ff.g2(omega_a))))
 
     trajectory = [E]
-    best = (math.inf, E)
+    # (|f|, E, Σ) of the iterate the search returns: the converged one,
+    # else the one of least |f|.  A NaN |f| never becomes the best.
+    best = (math.inf, E, None)
     step_cap = 2.0 * ff.bandwidth
-    converged = False
     for _ in range(_MAX_NEWTON_STEPS):
         sv = self_energy(ff, E, Sheet.SECOND)
         f = E - omega_a - sv.value
         fabs = abs(f)
-        if fabs < best[0]:
-            best = (fabs, E)
         if fabs < _NEWTON_TARGET * max(1.0, abs(E)):
-            converged = True
+            best = (fabs, E, sv)
             break
+        if fabs < best[0]:
+            best = (fabs, E, sv)
         fprime = 1.0 - sv.derivative
         if fprime == 0:
             raise ConvergenceError("Newton derivative vanished", trajectory=trajectory)
@@ -211,12 +212,7 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
         E = below(E - step)
         trajectory.append(E)
 
-    # A converged loop ends on its own evaluation at E; only the best
-    # iterate of a stalled one needs Σ again.
-    if not converged:
-        E = best[1]
-        sv = self_energy(ff, E, Sheet.SECOND)
-    residual = abs(E - omega_a - sv.value)
+    residual, E, sv = best
     if residual > _RESIDUAL_TOL * max(1.0, abs(E)):
         raise ConvergenceError(
             f"pole search stalled: residual {residual:.3e} after {_MAX_NEWTON_STEPS} steps",

@@ -7,7 +7,10 @@ them the survival is P(τ)^N = e^{−γ(τ)·Nτ} with the effective rate
 
 The model's ``log_survival_probability`` gives ln P for a whole array
 of τ by one route at every τ, accurate in relative terms down to the
-smallest τ, so γ(τ) needs no small-interval law of its own.
+smallest τ, so γ(τ) needs no small-interval law of its own, and reads
+ln P alone: no pole search, so a table or a level below a threshold
+has a rate too.  The pole rate γ₀ is asked for once per call only where
+γ(τ) is compared with it (rate curves, regimes, the transition search).
 
 Comparing γ(τ) with the undisturbed rate γ₀ splits the τ axis into a
 Zeno region (γ < γ₀, measurement slows decay) and an inverse-Zeno region
@@ -170,11 +173,15 @@ def _require_decaying(model) -> float:
 def effective_rate(model, tau):
     """Effective decay rate γ(τ) = −ln P(τ)/τ under measurements at τ.
 
+    Reads ln P alone, not the pole: γ₀ is not asked for, so a model
+    without one (a table, a level below a threshold) has a rate too.
+
     Parameters
     ----------
     model : DecayModel or compatible
-        Needs ``gamma0`` and a ``log_survival_probability`` that takes an
-        array of τ.
+        Needs a ``log_survival_probability`` that takes an array of τ
+        and refuses a τ that is negative or not finite with
+        :class:`~zenodecay.DomainError`, as both package models do.
     tau : float or array_like
         Measurement interval, τ > 0, or an array of them.
 
@@ -188,21 +195,18 @@ def effective_rate(model, tau):
     Raises
     ------
     DomainError
-        Some τ ≤ 0 or not finite.
+        Some τ = 0 (refused here, where ln P(0) = 0 has no rate), or
+        negative or not finite (refused by the model's ln P).
     NoDecayError
-        The model does not decay (zero coupling).
+        The model does not decay (zero coupling), from its ln P.
     """
     t = np.asarray(tau, dtype=float)
-    bad = ~(np.isfinite(t) & (t > 0.0))
-    if np.any(bad):
-        raise DomainError(
-            f"measurement interval must be positive and finite, got {t[bad].flat[0]}"
-        )
-    _require_decaying(model)
+    zero = t == 0.0
+    if np.any(zero):
+        raise DomainError(f"measurement interval must be positive, got {t[zero].flat[0]}")
     lp = model.log_survival_probability(t)
-    with np.errstate(invalid="ignore"):
-        # fmax(0, ·) answers like max(0.0, ·) for NaN and −0.0 too.
-        rates = np.where(lp == -math.inf, math.inf, np.fmax(0.0, -lp / t))
+    # fmax(0, ·) answers like max(0.0, ·) for NaN and −0.0 too, and −(−∞)/τ is +∞.
+    rates = np.fmax(0.0, -lp / t)
     return float(rates) if rates.ndim == 0 else rates
 
 
@@ -242,7 +246,12 @@ def classify_regime(model, tau: float) -> Regime:
 
     The comparison uses a relative dead band of 1e−9 around γ₀: rates
     within it count as Natural rather than leaning on rounding noise.
+    ``tau`` is one interval; a grid takes :func:`effective_rate_curve`
+    and its ``regimes``.
     """
+    if np.ndim(tau) != 0:
+        raise DomainError(f"classify_regime takes one interval, got shape {np.shape(tau)}; "
+                          "classify a grid by effective_rate_curve(model, taus).regimes")
     gamma0 = _require_decaying(model)
     return _regime(effective_rate(model, tau), gamma0)
 
@@ -269,7 +278,7 @@ def find_transition_time(
     tau_max : float, optional
         Upper end of the search window; defaults to 100/γ₀.
     grid_points : int
-        Number of grid samples, at least ``MIN_GRID_POINTS`` (64).
+        Number of grid samples, an integer of at least ``MIN_GRID_POINTS`` (64).
 
     Returns
     -------
@@ -279,6 +288,9 @@ def find_transition_time(
     ------
     NoDecayError
         Zero coupling / γ₀ ≤ 0.
+    DomainError
+        ``tau_max`` not positive and finite, or ``grid_points`` not an
+        integer of at least 64.
     GridError
         Z < 1 with a finite Zeno time guarantees a crossing, but the grid
         shows none — the search window or grid must grow.
@@ -289,6 +301,8 @@ def find_transition_time(
     tau_max = float(tau_max)
     if not (tau_max > 0.0) or not math.isfinite(tau_max):
         raise DomainError(f"tau_max must be positive and finite, got {tau_max}")
+    if not float(grid_points).is_integer():
+        raise DomainError(f"grid_points must be an integer, got {grid_points!r}")
     points = int(grid_points)
     if points < MIN_GRID_POINTS:
         raise DomainError(f"grid_points must be at least {MIN_GRID_POINTS}, got {points}")

@@ -218,9 +218,15 @@ def test_find_pole_near_zero_coupling_limit():
 
 
 def _fake_sigma(monkeypatch, value, derivative):
-    """Make every Sigma_II the pole search asks for value(E), derivative."""
-    monkeypatch.setattr(resolvent, "self_energy",
-                        lambda ff, E, sheet: SimpleNamespace(value=value(E), derivative=derivative))
+    """Make every Sigma_II the pole search asks for value(E), derivative; return the E asked at."""
+    asked = []
+
+    def sigma(ff, E, sheet):
+        asked.append(E)
+        return SimpleNamespace(value=value(E), derivative=derivative)
+
+    monkeypatch.setattr(resolvent, "self_energy", sigma)
+    return asked
 
 
 def test_newton_refuses_a_vanishing_derivative(monkeypatch):
@@ -236,9 +242,10 @@ def test_newton_refuses_a_vanishing_derivative(monkeypatch):
 def test_stalled_newton_keeps_its_best_iterate_within_the_residual_bound(monkeypatch, offset):
     # f(E) = offset at every E: Newton never meets its 1e-13 target, and
     # after 200 steps the best iterate stands only if its residual is
-    # within 1e-10*max(1, |E|).
+    # within 1e-10*max(1, |E|).  The best iterate keeps its own Sigma: one
+    # evaluation per step, none after the loop.
     omega_a = 2.0
-    _fake_sigma(monkeypatch, lambda E: E - omega_a - offset, 0.0)
+    asked = _fake_sigma(monkeypatch, lambda E: E - omega_a - offset, 0.0)
     ff = LorentzianCoupling(0.1, 1.0)
     if offset < 1e-10:
         pole = find_pole(ff, omega_a)
@@ -249,6 +256,14 @@ def test_stalled_newton_keeps_its_best_iterate_within_the_residual_bound(monkeyp
         with pytest.raises(ConvergenceError, match="stalled") as exc:
             find_pole(ff, omega_a)
         assert len(exc.value.trajectory) == 201
+    assert len(asked) == 200
+
+
+def test_newton_without_a_finite_residual_stalls(monkeypatch):
+    # A NaN residual never becomes the best iterate, so none stands.
+    _fake_sigma(monkeypatch, lambda E: complex(math.nan, 0.0), 0.0)
+    with pytest.raises(ConvergenceError, match="stalled: residual inf"):
+        find_pole(LorentzianCoupling(0.1, 1.0), 2.0)
 
 
 def test_find_pole_threshold_family(tpl):

@@ -8,6 +8,7 @@ mpmath finds at 50 digits from the exact two-pole amplitude; the
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from spectral_reference import (
     reference_rate,
 )
 from zenodecay import amplitude, zeno
-from zenodecay.errors import DomainError, GridError, NoDecayError
+from zenodecay.errors import ContinuationUnsupportedError, DomainError, GridError, NoDecayError
 from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
 from zenodecay.model import DecayModel, ExponentialDecayModel
 from zenodecay.zeno import (
@@ -140,10 +141,34 @@ def test_rate_approaches_natural_rate_from_asymptote(model2):
     assert effective_rate(model2, 50.0) == pytest.approx(expected, rel=1e-12)
 
 
-def test_rate_rejects_bad_intervals(model2):
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            effective_rate(model2, bad)
+def test_rate_rejects_bad_intervals(model2, tpl):
+    # The rate refuses tau = 0 itself (ln P(0) = 0 is valid); ln P refuses
+    # the rest, on the pair route and on the panels alike.
+    for model in (model2, DecayModel(tpl, 2.4)):
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"got {re.escape(str(bad))}$"):
+                effective_rate(model, bad)
+
+
+def test_rate_of_a_model_without_a_pole(lor, tab_lorentzian, tpl_strong):
+    # gamma(tau) reads ln P alone, which a table (no second sheet), a power
+    # law with a non-continuable exponent and a level below the threshold
+    # all have, though none has a pole to search for.
+    taus = np.geomspace(0.5, 50.0, 7)
+    table = DecayModel(tab_lorentzian, 2.0)
+    for model in (table, DecayModel(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.3, 4.0), 0.7),
+                  DecayModel(tpl_strong, -0.5)):
+        rates = effective_rate(model, taus)
+        assert np.array_equal(rates, np.fmax(0.0, -model.log_survival_probability(taus) / taus))
+        assert np.all(np.isfinite(rates) & (rates >= 0.0))
+    # The table samples the Lorentzian on [-100, 100].
+    assert effective_rate(table, taus) == pytest.approx(
+        effective_rate(DecayModel(lor, 2.0), taus), rel=1e-4)
+    # Comparing with gamma0 still needs the pole.
+    with pytest.raises(ContinuationUnsupportedError):
+        effective_rate_curve(table, taus)
+    with pytest.raises(ContinuationUnsupportedError):
+        find_transition_time(table)
 
 
 def test_rate_of_an_array_is_the_rate_of_each_interval(model2):
@@ -316,6 +341,10 @@ def test_interpolating_exponential_passes_through_stroboscopic_points(model2):
 def test_classify_before_and_after_transition(model2):
     assert classify_regime(model2, 0.1) is Regime.ZENO
     assert classify_regime(model2, 2.0) is Regime.INVERSE_ZENO
+    # One interval only: a grid is classified by its rate curve.
+    for taus in ([0.1, 2.0], [0.1], np.array([[2.0]])):
+        with pytest.raises(DomainError, match="regimes"):
+            classify_regime(model2, taus)
 
 
 def test_classify_natural_inside_dead_band():
@@ -448,6 +477,9 @@ def test_transition_search_validation(model2):
         find_transition_time(model2, tau_max=-1.0)
     with pytest.raises(DomainError):
         find_transition_time(model2, grid_points=32)
+    for bad in (64.9, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"integer, got {bad}"):
+            find_transition_time(model2, grid_points=bad)
 
 
 def test_transition_report_validation():

@@ -9,6 +9,9 @@ The families:
     ω_a ∈ {−0.5, 0.7, 2, 2.4, 5.3} and t ∈ {0, −3} ∪ geomspace(1e-4, 1e5, 40).
 ``log_p``
     ln P of the power law at ω_a = 0.7 and 2.4 on 300 log-spaced τ.
+``tab_log_p``
+    ln P of the 20001-knot table at ω_a = 2 and 5.3 on the τ of ``log_p``:
+    the panels' deficit on a table kernel.
 ``all_roots``
     Every crossing of γ(τ) = γ₀ that ``find_transition_time`` reports for
     the power law at ω_a = 0.7 and 2.4.
@@ -95,6 +98,8 @@ def digests(src: Path) -> dict[str, str]:
                              for ff in (lor, tpl, table) for w in LEVELS),
         "log_p": lambda: (np.asarray(DecayModel(tpl, w).log_survival_probability(taus)).tobytes()
                           for w in (0.7, 2.4)),
+        "tab_log_p": lambda: (np.asarray(DecayModel(table, w).log_survival_probability(taus))
+                              .tobytes() for w in (2.0, 5.3)),
         "all_roots": lambda: (np.array(find_transition_time(DecayModel(tpl, w)).all_roots).tobytes()
                               for w in (0.7, 2.4)),
         "sweep": lambda: _sweep_artifacts(cli_main),
