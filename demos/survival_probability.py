@@ -38,9 +38,9 @@ def main():
     pole = model.survival_series(times, SurvivalMethod.POLE_APPROX)
 
     print(f"{'t':>8} {'P closed form':>16} {'P spectral':>16} {'P pole approx':>16}")
-    for i, t in enumerate(times):
-        print(f"{t:8.2f} {closed.probabilities[i]:16.12f} "
-              f"{spectral.probabilities[i]:16.12f} {pole.probabilities[i]:16.12f}")
+    for t, p_closed, p_spectral, p_pole in zip(times, closed.probabilities,
+                                               spectral.probabilities, pole.probabilities):
+        print(f"{t:8.2f} {p_closed:16.12f} {p_spectral:16.12f} {p_pole:16.12f}")
     print()
 
     dev = np.max(np.abs(closed.amplitudes - spectral.amplitudes))

@@ -124,38 +124,30 @@ class SurvivalMethod(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SurvivalSeries:
-    """Amplitude and probability sampled on a time grid.
+    """Amplitude sampled on a time grid, with its survival probability.
 
-    ``probabilities`` is always |amplitudes|²; for the exact methods
-    P(0) = 1 and P ≤ 1, while the pole approximation starts at Z.
+    ``probabilities`` is derived, |amplitudes|², so it always follows the
+    amplitudes; for the exact methods P(0) = 1 and P ≤ 1, while the pole
+    approximation starts at Z.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
-    probabilities: np.ndarray
     method: SurvivalMethod
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         a = np.asarray(self.amplitudes, dtype=complex)
-        p = np.asarray(self.probabilities, dtype=float)
-        if t.ndim != 1 or a.shape != t.shape or p.shape != t.shape:
-            raise ValueError("times, amplitudes, probabilities must be 1-D and congruent")
+        if t.ndim != 1 or a.shape != t.shape:
+            raise ValueError("times and amplitudes must be 1-D and congruent")
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "probabilities", p)
 
-
-def _series(times, amps, method: SurvivalMethod) -> SurvivalSeries:
-    amps = np.asarray(amps, dtype=complex)
-    return SurvivalSeries(
-        times=np.asarray(times, dtype=float),
-        amplitudes=amps,
-        probabilities=np.abs(amps) ** 2,
-        method=method,
-    )
+    @property
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
 
 
 def _check_times(times, allow_negative=False) -> np.ndarray:
@@ -191,7 +183,7 @@ def _pole_pair_series(pair, times) -> SurvivalSeries:
     t = _check_times(times)
     e1, e2, c1, c2 = pair
     amps = c1 * np.exp(-1j * e1 * t) + c2 * np.exp(-1j * e2 * t)
-    return _series(t, amps, SurvivalMethod.CLOSED_FORM)
+    return SurvivalSeries(t, amps, SurvivalMethod.CLOSED_FORM)
 
 
 def _pole_pair_log_p(pair, taus: np.ndarray) -> np.ndarray:
@@ -225,7 +217,7 @@ def pole_approximation(pole: PoleData, times) -> SurvivalSeries:
     amps = math.sqrt(pole.z_renorm) * np.exp(
         (-1j * pole.e_pole.real - 0.5 * pole.gamma0) * t
     )
-    return _series(t, amps, SurvivalMethod.POLE_APPROX)
+    return SurvivalSeries(t, amps, SurvivalMethod.POLE_APPROX)
 
 
 def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
@@ -679,4 +671,4 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     """
     times = _check_times(times, allow_negative=True)
     amps = _spectral_amplitudes(ff, _level(omega_a), times)
-    return _series(times, amps, SurvivalMethod.SPECTRAL_INTEGRAL)
+    return SurvivalSeries(times, amps, SurvivalMethod.SPECTRAL_INTEGRAL)

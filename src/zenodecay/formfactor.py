@@ -673,16 +673,15 @@ _CHEB_HALVES = _lagrange_halves()
 class _Tree(NamedTuple):
     """Leaves of a source tree, in order.
 
-    Leaf i spans [lo[i], lo[i+1]] around ``mid`` with half-width
-    ``half``; ``coef`` holds the Chebyshev coefficients of its far field
-    (one row per degree, one column per leaf), and sources ``near_lo[i]``
-    up to ``near_hi[i]`` (exclusive) are its near zone.  ``sources`` are
-    the sorted positions ω_j, ``weights`` their weights w_j, all within
-    ``radius`` R of ``centre`` c.
+    Leaf i spans [lo[i], lo[i+1]] with half-width ``half[i]``, so its
+    centre is lo[i] + half[i]; ``coef`` holds the Chebyshev coefficients
+    of its far field (one row per degree, one column per leaf), and
+    sources ``near_lo[i]`` up to ``near_hi[i]`` (exclusive) are its near
+    zone.  ``sources`` are the sorted positions ω_j, ``weights`` their
+    weights w_j, all within ``radius`` R of ``centre`` c.
     """
 
     lo: np.ndarray
-    mid: np.ndarray
     half: np.ndarray
     coef: np.ndarray
     near_lo: np.ndarray
@@ -787,7 +786,7 @@ def _build_tree(sources, weights, centre, radius, field) -> _Tree:
                  & (np.abs(box) < _TREE_INDEX))
         leaf = ~split
         lo = box[leaf] * width
-        leaves.append((lo, lo + 0.5 * width, np.full(lo.size, 0.5 * width),
+        leaves.append((lo, np.full(lo.size, 0.5 * width),
                        np.einsum("km,bm->kb", _CHEB_FIT, far[leaf]), near_lo[leaf], near_hi[leaf]))
         if not np.any(split):
             break
@@ -881,7 +880,8 @@ def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
     for i in range(0, inner.size, _TREE_CHUNK):
         at = inner[i:i + _TREE_CHUNK]
         xs, box = x[at], leaf[at]
-        val = _chebyshev(tree.coef[:, box], (xs - tree.mid[box]) / tree.half[box])
+        half = tree.half[box]
+        val = _chebyshev(tree.coef[:, box], (xs - (tree.lo[box] + half)) / half)
         count = tree.near_hi[box] - tree.near_lo[box]
         which = np.repeat(np.arange(at.size), count)
         j = np.repeat(tree.near_lo[box], count) + _ragged_offsets(count)

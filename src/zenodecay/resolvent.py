@@ -76,28 +76,29 @@ class BoundState(NamedTuple):
 class PoleData:
     """Second-sheet resonance pole and its derived decay parameters.
 
+    The record holds only independent values; the level shift and the
+    decay rate are read off the pole, so they cannot disagree with it.
+
     Attributes
     ----------
     e_pole : complex
         Pole position, Im e_pole < 0.
     omega_a : float
         Discrete-level energy the pole belongs to.
-    shift_delta : float
-        Level shift Delta = Re e_pole − omega_a.
-    gamma0 : float
-        Decay rate, gamma0 = −2 Im e_pole > 0.
     z_renorm : float
         Wave-function renormalization |1 − Sigma'(e_pole)|^(−2).
     residual : float
         |e_pole − omega_a − Sigma_II(e_pole)|, the convergence witness.
     bound_states : tuple of BoundState
         Real poles outside the continuum, if any were detected.
+    shift_delta : float
+        Derived: level shift Delta = Re e_pole − omega_a.
+    gamma0 : float
+        Derived: decay rate gamma0 = −2 Im e_pole > 0.
     """
 
     e_pole: complex
     omega_a: float
-    shift_delta: float
-    gamma0: float
     z_renorm: float
     residual: float
     bound_states: tuple = field(default=())
@@ -105,12 +106,18 @@ class PoleData:
     def __post_init__(self):
         if not (self.e_pole.imag < 0.0):
             raise ValueError(f"pole must lie in the lower half plane, got {self.e_pole!r}")
-        if not (self.gamma0 > 0.0):
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if not (self.z_renorm > 0.0):
             raise ValueError(f"z_renorm must be positive, got {self.z_renorm}")
         if not (self.residual >= 0.0 and math.isfinite(self.residual)):
             raise ValueError(f"residual must be finite and non-negative, got {self.residual}")
+
+    @property
+    def shift_delta(self) -> float:
+        return self.e_pole.real - self.omega_a
+
+    @property
+    def gamma0(self) -> float:
+        return -2.0 * self.e_pole.imag
 
 
 def _level(omega_a) -> float:
@@ -119,19 +126,6 @@ def _level(omega_a) -> float:
     if not math.isfinite(omega_a):
         raise DomainError(f"omega_a must be finite, got {omega_a!r}")
     return omega_a
-
-
-def _pole_data_from(E: complex, omega_a: float, z: float, residual: float,
-                    bound_states=()) -> PoleData:
-    return PoleData(
-        e_pole=E,
-        omega_a=omega_a,
-        shift_delta=E.real - omega_a,
-        gamma0=-2.0 * E.imag,
-        z_renorm=z,
-        residual=residual,
-        bound_states=tuple(bound_states),
-    )
 
 
 def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
@@ -220,7 +214,7 @@ def find_pole(ff: FormFactor, omega_a: float) -> PoleData:
         )
     z = abs(1.0 - sv.derivative) ** -2.0
 
-    return _pole_data_from(E, omega_a, z, residual, find_bound_states(ff, omega_a))
+    return PoleData(E, omega_a, z, residual, find_bound_states(ff, omega_a))
 
 
 def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: float) -> PoleData:
@@ -255,7 +249,7 @@ def lorentzian_pole_closed_form(coupling: float, bandwidth: float, omega_a: floa
     omega_a = _level(omega_a)
     e1, _, c1, _ = ff.pole_pair(omega_a)
     residual = abs(e1 - omega_a - ff.sigma_closed_form(e1, True)[0])
-    return _pole_data_from(e1, omega_a, abs(c1) ** 2, residual)
+    return PoleData(e1, omega_a, abs(c1) ** 2, residual)
 
 
 def golden_rule_rate(ff: FormFactor, omega_a: float) -> float:

@@ -101,20 +101,23 @@ class CharacteristicScales(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class EffectiveRateCurve:
-    """γ(τ) sampled on a grid, with the natural rate for reference."""
+    """γ(τ) sampled on a grid, with the natural rate for reference.
+
+    ``taus`` must be finite and positive; ``regimes`` is derived from
+    ``gammas`` and ``gamma0``.
+    """
 
     taus: np.ndarray
     gammas: np.ndarray
     gamma0: float
-    model: object
 
     def __post_init__(self):
         t = np.asarray(self.taus, dtype=float)
         g = np.asarray(self.gammas, dtype=float)
         if t.ndim != 1 or g.shape != t.shape:
             raise ValueError("taus and gammas must be congruent 1-D arrays")
-        if np.any(t <= 0):
-            raise ValueError("taus must be positive")
+        if not np.all((t > 0) & np.isfinite(t)):
+            raise ValueError("taus must be positive and finite")
         object.__setattr__(self, "taus", t)
         object.__setattr__(self, "gammas", g)
 
@@ -219,7 +222,7 @@ def effective_rate_curve(model, taus) -> EffectiveRateCurve:
     """
     gamma0 = _require_decaying(model)
     t = np.atleast_1d(np.asarray(taus, dtype=float))
-    return EffectiveRateCurve(taus=t, gammas=effective_rate(model, t), gamma0=gamma0, model=model)
+    return EffectiveRateCurve(taus=t, gammas=effective_rate(model, t), gamma0=gamma0)
 
 
 def repeated_survival(p_tau: float, n: int) -> float:
@@ -231,7 +234,7 @@ def repeated_survival(p_tau: float, n: int) -> float:
     p_tau = float(p_tau)
     if not (0.0 <= p_tau <= 1.0):
         raise DomainError(f"survival probability must lie in [0, 1], got {p_tau}")
-    if n != int(n) or n < 0:
+    if not math.isfinite(n) or n != int(n) or n < 0:
         raise DomainError(f"measurement count must be a non-negative integer, got {n}")
     return float(p_tau ** int(n))
 

@@ -67,7 +67,7 @@ def test_non_finite_times_are_rejected(lor, bad):
     with pytest.raises(DomainError, match="finite"):
         survival_spectral_integral(lor, 2.0, [bad])
     with pytest.raises(ValueError, match="finite"):
-        SurvivalSeries(np.array([0.0, bad]), np.ones(2, dtype=complex), np.ones(2),
+        SurvivalSeries(np.array([0.0, bad]), np.ones(2, dtype=complex),
                        SurvivalMethod.CLOSED_FORM)
 
 
@@ -362,9 +362,15 @@ def test_series_shape_validation():
         SurvivalSeries(
             times=np.array([0.0, 1.0]),
             amplitudes=np.array([1.0 + 0j]),
-            probabilities=np.array([1.0, 0.5]),
             method=SurvivalMethod.CLOSED_FORM,
         )
+
+
+def test_hand_built_series_probabilities_follow_amplitudes():
+    s = SurvivalSeries(np.array([0.0, 1.0]), np.array([1.0, 0.5j]), SurvivalMethod.CLOSED_FORM)
+    assert np.array_equal(s.probabilities, np.abs(s.amplitudes) ** 2)
+    s.amplitudes[1] = 0.3 + 0.4j
+    assert np.array_equal(s.probabilities, np.abs(np.array([1.0, 0.3 + 0.4j])) ** 2)
 
 
 # -- spherical-Bessel table ----------------------------------------------

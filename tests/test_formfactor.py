@@ -154,6 +154,38 @@ def test_bandwidth_point_at_a_jump_edge_reports_the_peak():
     assert effective_bandwidth_coupling(ff) == BandwidthPoint(1.0, 2.0, exact=False)
 
 
+@dataclass(frozen=True)
+class _Step(FormFactor):
+    """Custom family g2 = 1 on |w| < 1 and 0.05 on 1 <= |w| < 3."""
+
+    bandwidth: float = 4.0
+    family = "step"
+
+    def g2(self, omega):
+        w = np.abs(np.asarray(omega, dtype=float))
+        out = np.where(w < 1.0, 1.0, np.where(w < 3.0, 0.05, 0.0))
+        return out if out.ndim else float(out)
+
+    def support(self):
+        return (-3.0, 3.0)
+
+    def g2_integral(self):
+        return 2.2
+
+    def peak_energy(self):
+        return 0.0
+
+    def kinks(self):
+        return np.array([-3.0, -1.0, 1.0, 3.0])
+
+
+def test_bandwidth_point_refuses_a_jump_across_the_level():
+    # The level 2.2/4 = 0.55 lies between the two steps, so the refined
+    # crossing is the jump at |w| = 1, where g2 misses the level by 0.45.
+    with pytest.raises(DomainError, match="effective bandwidth residual 4.500e-01"):
+        effective_bandwidth_coupling(_Step())
+
+
 def test_bandwidth_point_scans_past_a_second_bump():
     # Two bumps above the level 8/6, with a gap at zero between them: one
     # bandwidth right of the peak (at the jump edge 0) lands on the second

@@ -26,7 +26,7 @@ from zenodecay.resolvent import (
     golden_rule_rate,
     lorentzian_pole_closed_form,
 )
-from zenodecay.amplitude import survival_spectral_integral
+from zenodecay.amplitude import pole_approximation, survival_spectral_integral
 from zenodecay.selfenergy import Sheet, self_energy
 
 from test_selfenergy import SHIFT_CASES, _mp_g2, _mp_transform, _Semicircle
@@ -421,27 +421,25 @@ def test_pole_data_rejects_inconsistent_fields():
         PoleData(
             e_pole=1.0 + 0.5j,  # upper half plane
             omega_a=1.0,
-            shift_delta=0.0,
-            gamma0=1.0,
             z_renorm=1.0,
             residual=0.0,
         )
-    with pytest.raises(ValueError):
-        PoleData(
-            e_pole=1.0 - 0.5j,
-            omega_a=1.0,
-            shift_delta=0.0,
-            gamma0=-1.0,
-            z_renorm=1.0,
-            residual=0.0,
-        )
+
+
+def test_pole_data_derives_gamma0_and_shift_from_the_pole():
+    pole = PoleData(e_pole=2.004 - 0.002j, omega_a=2.0, z_renorm=1.0, residual=0.0)
+    assert pole.gamma0 == 0.004
+    assert pole.shift_delta == 2.004 - 2.0
+    p1 = pole_approximation(pole, [1.0]).probabilities[0]
+    assert p1 == pytest.approx(math.exp(-0.004), rel=1e-15)
+    with pytest.raises(AttributeError):
+        pole.gamma0 = 1.0
 
 
 @pytest.mark.parametrize("field, value", [("z_renorm", 0.0), ("z_renorm", -0.5),
                                           ("residual", math.nan)])
 def test_pole_data_rejects_bad_z_and_residual(field, value):
-    fields = dict(e_pole=1.0 - 0.5j, omega_a=1.0, shift_delta=0.0, gamma0=1.0,
-                  z_renorm=1.0, residual=0.0)
+    fields = dict(e_pole=1.0 - 0.5j, omega_a=1.0, z_renorm=1.0, residual=0.0)
     fields[field] = value
     with pytest.raises(ValueError, match=field):
         PoleData(**fields)

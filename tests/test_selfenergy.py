@@ -202,6 +202,10 @@ def test_continuation_capability_errors(tab_lorentzian):
     assert not odd_exponent.continuable
     with pytest.raises(ContinuationUnsupportedError):
         self_energy(odd_exponent, 1.0 - 0.1j, Sheet.SECOND)
+    with pytest.raises(ContinuationUnsupportedError):
+        odd_exponent.g2_continued(1.0 - 0.1j)
+    with pytest.raises(ContinuationUnsupportedError, match="defines no continued g2"):
+        self_energy(_ClaimsContinuation(), 1.0 - 0.1j, Sheet.SECOND)
 
 
 # -- tabulated family --------------------------------------------------
@@ -614,6 +618,14 @@ class _Semicircle(FormFactor):
 
     def peak_energy(self):
         return 0.0
+
+
+@dataclass(frozen=True)
+class _ClaimsContinuation(_Semicircle):
+    """Custom family that says it continues but defines no continued g2."""
+
+    family = "claims_continuation"
+    continuable = True
 
 
 @dataclass(frozen=True)

@@ -301,11 +301,13 @@ def test_curve_regimes_bracket_the_transition(model2):
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        EffectiveRateCurve(taus=np.array([1.0, -1.0]), gammas=np.array([0.1, 0.1]),
-                           gamma0=0.1, model=None)
+        EffectiveRateCurve(taus=np.array([1.0, -1.0]), gammas=np.array([0.1, 0.1]), gamma0=0.1)
     with pytest.raises(ValueError):
-        EffectiveRateCurve(taus=np.array([1.0, 2.0]), gammas=np.array([0.1]),
-                           gamma0=0.1, model=None)
+        EffectiveRateCurve(taus=np.array([1.0, 2.0]), gammas=np.array([0.1]), gamma0=0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="taus must be positive and finite"):
+            EffectiveRateCurve(taus=np.array([1.0, bad]), gammas=np.array([0.1, 0.2]),
+                               gamma0=0.1)
 
 
 # -- stroboscopic survival ------------------------------------------------
@@ -320,7 +322,7 @@ def test_repeated_survival_domain():
     for bad_p in (-0.1, 1.5):
         with pytest.raises(DomainError):
             repeated_survival(bad_p, 2)
-    for bad_n in (-1, 2.5):
+    for bad_n in (-1, 2.5, math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             repeated_survival(0.9, bad_n)
 

@@ -18,6 +18,15 @@ The families:
 ``sweep``
     The artifacts of ``zenodecay sweep`` on the config of acceptance
     criterion 11 (Lorentzian, ω_a = 2 and 10).
+``records``
+    The public fields and properties of result records: each pole's
+    e_pole, gamma0, shift_delta, z_renorm, residual and bound states for
+    the Lorentzian (``DecayModel.pole`` and
+    ``lorentzian_pole_closed_form``) at ω_a = 2 and 10, the power law at
+    ω_a = 0.7 and 2.4, and the strong power law (1, 1, 0, ½, 4) at
+    ω_a = 0.7, which has a bound state; and the survival probabilities of
+    the Lorentzian and the power law at ω_a = 2 on the t ≥ 0 of
+    ``spectral``.
 
 Compare the digests of two checkouts on one machine; libm differs across
 platforms, so digests of different machines need not agree.  Run from
@@ -77,6 +86,25 @@ def _sweep_artifacts(cli_main):
         return [name.encode() + (out / name).read_bytes() for name in names]
 
 
+def _pole_bytes(pole) -> bytes:
+    values = [pole.e_pole.real, pole.e_pole.imag, pole.gamma0, pole.shift_delta,
+              pole.z_renorm, pole.residual]
+    return np.array(values + [v for state in pole.bound_states for v in state]).tobytes()
+
+
+def _records(lor, tpl):
+    from zenodecay import (DecayModel, ThresholdPowerLawCoupling, find_pole,
+                           lorentzian_pole_closed_form)
+
+    poles = [DecayModel(lor, w).pole for w in (2.0, 10.0)]
+    poles += [lorentzian_pole_closed_form(0.1, 1.0, w) for w in (2.0, 10.0)]
+    poles += [DecayModel(tpl, w).pole for w in (0.7, 2.4)]
+    poles.append(find_pole(ThresholdPowerLawCoupling(1.0, 1.0, 0.0, 0.5, 4.0), 0.7))
+    times = TIMES[TIMES >= 0.0]
+    series = [DecayModel(ff, 2.0).survival_series(times) for ff in (lor, tpl)]
+    return [_pole_bytes(pole) for pole in poles] + [s.probabilities.tobytes() for s in series]
+
+
 def digests(src: Path) -> dict[str, str]:
     """The digest of each output family of the ``zenodecay`` package under ``src``."""
     sys.path.insert(0, str(src))
@@ -103,6 +131,7 @@ def digests(src: Path) -> dict[str, str]:
         "all_roots": lambda: (np.array(find_transition_time(DecayModel(tpl, w)).all_roots).tobytes()
                               for w in (0.7, 2.4)),
         "sweep": lambda: _sweep_artifacts(cli_main),
+        "records": lambda: _records(lor, tpl),
     }
     return {name: _digest(chunks()) for name, chunks in families.items()}
 
