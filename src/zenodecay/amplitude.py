@@ -34,7 +34,13 @@ Three evaluation routes are provided, all returning a
     coefficients.  Their Fourier transforms are spherical Bessel functions
     (the Filon–Legendre rule), exact in t for the fitted polynomials, so
     every t uses the same coefficients.  Panels are bisected until the
-    fit is resolved, with one Δ_R call per pass; the summed truncation bound
+    fit is resolved, with one Δ_R call per pass.  Then the panels that
+    span exactly one segment between consecutive kinks of g² (a table's
+    knot segments, most of its panels, though ρ needs about a tenth of
+    them) are merged bottom-up: contiguous pairs, level by level, each
+    replaced by the L2 projection of their two fits onto one panel where
+    that panel passes the bisection's own rule.  A kernel without kink
+    segments is left as built.  The summed truncation bound
     is the achieved error for every t at once, and there is no late-time
     fallback to the pole term.  The same panels and j_k give the deficit
     u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
@@ -63,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _memoized, _refine
+from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _memoized, _merge, _refine
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, _lorentzian
 from .resolvent import PoleData, _level, find_bound_states
@@ -239,7 +245,7 @@ def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray) -> np.ndarray:
                      out=np.zeros_like(g2), where=g2 > 0.0)
 
 
-def _panel_edges(ff: FormFactor, omega_r: float, res: float) -> np.ndarray:
+def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     """First panel edges of the spectral kernel, graded where ρ has structure.
 
     ρ is fine-grained in two places only: the resonance near ω_r, of
@@ -247,11 +253,14 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float) -> np.ndarray:
     Edges go at ω_r ± res·2^k for k ≥ −3 out to the window
     R = 1e5·max(|ω_r|, |peak|, Λ), clipped to the support; at Λ·2^−k,
     k = 1 … 30, from each vanishing edge; at the coupling peak and
-    peak ± {1, 3, 10, 30}·Λ; and at the kinks of g².  Where g² jumps at an
-    edge, ρ stays bounded and the edge takes no grading.  Past R a
-    Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out 2λ²Λ/(3πR³) of the norm: 2e-16
-    at λ = Λ = 1 and ω_a = 0, where a window of 1e4·max(…) would take
-    4e-13 off P(0).
+    peak ± {1, 3, 10, 30}·Λ; and at ``kinks``, the sorted distinct kinks
+    of g².  Where g² jumps at an edge, ρ stays bounded and the edge takes
+    no grading.  Past R a Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out
+    2λ²Λ/(3πR³) of the norm: 2e-16 at λ = Λ = 1 and ω_a = 0, where a
+    window of 1e4·max(…) would take 4e-13 off P(0).  Every kink in the
+    window is an edge, so the few other edges are merged into the sorted
+    kinks, which also tells which first panels span exactly one segment
+    between consecutive kinks.  Returns the edges and that mask.
     """
     a, b = ff.support()
     bw = ff.bandwidth
@@ -259,12 +268,19 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float) -> np.ndarray:
     reach = _WINDOW * max(abs(omega_r), abs(peak), bw)
     lo, hi = max(a, -reach), min(b, reach)
     steps = res * 2.0 ** np.arange(-3.0, 2.0 + math.log2(reach / res))
-    parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, ff.kinks(), [lo, hi]]
+    parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, [lo, hi]]
     for edge, inward in ((a, 1.0), (b, -1.0)):
         if math.isfinite(edge) and float(ff.g2(edge)) == 0.0:
             parts.append(edge + inward * bw * _EDGE_STEPS)
-    edges = np.unique(np.concatenate(parts))
-    return edges[(edges >= lo) & (edges <= hi)]
+    others = np.unique(np.concatenate(parts))
+    others = others[(others >= lo) & (others <= hi)]
+    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
+    at = np.searchsorted(kinks, others)
+    known = at < kinks.size
+    known[known] = kinks[at[known]] == others[known]
+    at = at[~known]
+    kinked = np.insert(np.ones(kinks.size, dtype=bool), at, False)
+    return np.insert(kinks, at, others[~known]), kinked[:-1] & kinked[1:]
 
 
 def _segment_shifts_uncached(ff: FormFactor):
@@ -283,7 +299,7 @@ def _segment_shifts_uncached(ff: FormFactor):
 
 
 # Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
-# them panels of every kernel, take their node shifts once per table
+# them panels of every kernel as built, take their node shifts once per table
 # (1.6 MB for 20001 knots), not once per ω_a.
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
 
@@ -317,7 +333,9 @@ class _SpectralKernel(NamedTuple):
     distinct ``widths``, and the terms h·c_k·(−i)^k as real numbers, one
     row per degree k: the even k (real) in a block, then the odd k
     (imaginary).  ``error`` is the summed panel error bound, and
-    ``passes`` the bisection passes that resolved ρ.  ``shift_calls``
+    ``passes`` the bisection passes that resolved ρ.  ``merged`` counts
+    the panels that merging the built kink-segment panels removed, so
+    ``merged`` + ``mids.size`` panels were built.  ``shift_calls``
     counts the :func:`~zenodecay.real_shift` calls of the build itself (for
     ω_r and one per pass with panels that are not whole kink segments),
     ``shift_points`` the energies they cover, and ``memo_rows`` the rows
@@ -332,6 +350,7 @@ class _SpectralKernel(NamedTuple):
     terms: np.ndarray
     error: float
     passes: int
+    merged: int
     shift_calls: int
     shift_points: int
     memo_rows: int
@@ -347,7 +366,8 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     # coupling scale.
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     segments = _memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1 else None
-    memo = segments[1] if segments else None
+    kinks, memo = segments if segments else (np.unique(ff.kinks()), None)
+    edges, spans = _panel_edges(ff, omega_r, res, kinks)
     counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": 0}
 
     def density(lo, h):
@@ -380,7 +400,11 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
             yield _rho((lo[cols] - omega_a)[:, None] + offset, g2.reshape(offset.shape),
                        _pick(memo, rows[cols], shift[own]))
 
-    lo, hi, coef, est, passes = _refine(density, _panel_edges(ff, omega_r, res))
+    lo, hi, coef, est, first, passes = _refine(density, edges)
+    # Where g² has a kink at every knot, as a table's has, ρ needs far
+    # fewer panels than the knot segments the memo serves, and the sum
+    # over panels pays for each at every t.
+    lo, hi, coef, est, merged = _merge(lo, hi, coef, est, np.flatnonzero(spans[first]))
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
     # h·c_k times the real or imaginary unit of (−i)^k, in the rows of _EVEN_ODD.
@@ -391,19 +415,22 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
         mids=0.5 * (lo + hi),
         detunings=(lo - omega_a) + 0.5 * h,
         widths=widths,
-        # int32 keeps the index of a table kernel (~2·10⁴ panels) small.
+        # int32 keeps the index of a table kernel (~2·10³ panels after the
+        # merge, of ~2·10⁴ built) small.
         width_index=width_index.astype(np.int32),
         terms=coef[_EVEN_ODD],
         error=float(np.sum(est)),
         passes=passes,
+        merged=merged,
         **counts,
     )
 
 
-# A table kernel holds ~2 MB and, with its segment memo, rebuilds in
-# 9–20 ms (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon),
+# A table kernel holds ~0.2 MB once merged (1870–2390 panels; ~2 MB
+# unmerged) and, with its segment memo, rebuilds in 15–22 ms, the merge
+# included (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon),
 # so the cache keeps only the two models a caller works through at
-# once, which leaves room for the 1.6 MB memo.
+# once, which leaves room for the 1.8 MB memo.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -637,7 +664,17 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     segment, most panels of a table at any ω_a; the other panels of each
     bisection pass take theirs from one :func:`~zenodecay.real_shift`
     call.  The values are the same floats either way, and the panels'
-    node arrays are filled in chunks of 2048 panels.  A panel of width h
+    node arrays are filled in chunks of 2048 panels.  Panels are bisected
+    until h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass).
+    The kink-segment panels that bisection left whole are then merged
+    bottom-up: level by level, neighbours that share an edge are paired,
+    and a pair gives way to one panel whose coefficients are the exact L2
+    projection of the two fitted polynomials, wherever that panel's own
+    bound passes the same rule; its bound replaces theirs.  The
+    projection keeps every moment of ρ below degree 10, so the panel
+    mass, P(0) and the short-time deficit.  A table's ~2·10⁴ knot
+    segments merge into ~2·10³ panels; a kernel without kink segments
+    (Lorentzian, power laws) is left as built.  A panel of width h
     around ω_c then contributes, exactly for the fitted polynomial,
 
         ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
@@ -651,9 +688,8 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     one contiguous block and the odd k in another, meet the even-k
     (real) and odd-k (imaginary) blocks of h·c_k(−i)^k.  Every step is
     elementwise until the sum over panels, so a time's value does not
-    depend on the others in the call.  Panels are bisected until
-    h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
-    the sum of these bounds is the achieved error, the same for every t.
+    depend on the others in the call.  The sum of the panels' bounds is
+    the achieved error, the same for every t.
     The panel sum is the only route at every t: late times keep the
     non-exponential tail that departs from the pole term Z·e^{−γ₀t},
     and a table, which has no pole, is evaluated like any other family.

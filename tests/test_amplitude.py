@@ -8,7 +8,7 @@ import pytest
 
 from spectral_reference import reference_amplitude
 from test_selfenergy import _Semicircle
-from zenodecay import amplitude
+from zenodecay import _panels, amplitude
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
     SurvivalMethod,
@@ -267,6 +267,47 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
             assert np.array_equal(getattr(built, name), getattr(direct, name)), name
 
 
+@pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
+def test_table_panel_merge_keeps_the_numbers(tab_lorentzian, omega_a, monkeypatch):
+    # The knot segments merge into far fewer panels, while x(t), ln P, the
+    # norm and the error bound stay those of the unmerged kernel.
+    times = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40), [1e4, 1.7e4, 2.5e4]])
+    taus = np.geomspace(1e-3, 200.0, 300)
+
+    def outputs():
+        amplitude._kernel_cached.cache_clear()
+        return (amplitude._spectral_kernel(tab_lorentzian, omega_a),
+                survival_spectral_integral(tab_lorentzian, omega_a, times).amplitudes,
+                DecayModel(tab_lorentzian, omega_a).log_survival_probability(taus))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(amplitude, "_merge", lambda lo, hi, coef, est, take: (lo, hi, coef, est, 0))
+        _, x_ref, log_p_ref = outputs()
+    kernel, x, log_p = outputs()
+    assert np.max(np.abs(x - x_ref)) <= 1e-13
+    assert np.max(np.abs(log_p / log_p_ref - 1.0)) <= 1e-12
+    assert abs(abs(x[0]) ** 2 - 1.0) <= 1e-13
+    assert kernel.error <= 1e-11
+    assert kernel.mids.size <= 0.2 * (kernel.mids.size + kernel.merged)
+
+
+@pytest.mark.parametrize("share", [0.5, 0.5 + 1e-13, 0.5 - 2e-10, 1.0 / 3.0, 0.95])
+def test_merged_panel_is_the_projection_of_its_two_panels(share):
+    # Against the Legendre coefficients of the two fitted polynomials on
+    # [-1, 2r - 1] and [2r - 1, 1], integrated by 40 Gauss-Legendre nodes
+    # per side: the fixed map near r = 1/2 and a pair's own map elsewhere.
+    rng = np.random.default_rng(5)
+    lower, upper = rng.normal(size=(2, 10))
+    x, w = np.polynomial.legendre.leggauss(40)
+    legendre = np.polynomial.legendre.legval
+    pieces = ((share, share * (x + 1.0) - 1.0, lower),
+              (1.0 - share, share + (1.0 - share) * x, upper))
+    expected = [(m + 0.5) * sum(r * np.sum(w * legendre(x, c) * legendre(X, np.eye(10)[m]))
+                                for r, X, c in pieces) for m in range(10)]
+    got = _panels._merged_coefficients(np.array([share]), lower[:, None], upper[:, None])
+    assert np.max(np.abs(got[:, 0] - expected)) <= 1e-13
+
+
 # Threshold and Lorentzian kernels from narrow to broad resonances, levels
 # next to the threshold and far above the band: (family args, omega_a values).
 KERNEL_ZOO = [
@@ -290,6 +331,7 @@ def test_kernel_panels_start_graded_at_resonance_and_threshold(family, args, ome
     kernel = _spectral_kernel(ff, omega_a)
     assert kernel.passes <= 8
     assert kernel.error <= 1e-11
+    assert kernel.merged == 0
     p0 = survival_spectral_integral(ff, omega_a, [0.0]).probabilities[0]
     assert abs(p0 - 1.0) <= 1e-13
 
