@@ -38,39 +38,47 @@ _RELATIVE = 1e-11
 _NEAR_HALF = 1e-10
 
 
-def _refine(density, edges: np.ndarray, absolute: float = _ABSOLUTE, relative: float = _RELATIVE,
-            integrated: bool = True):
-    """Panels over ``edges`` with the Legendre coefficients of a function on each.
+def _fit(density, lo: np.ndarray, hi: np.ndarray, absolute: float = _ABSOLUTE,
+         relative: float = _RELATIVE, integrated: bool = True):
+    """The Legendre coefficients of a function on the panels [lo, hi], with their bounds.
 
     ``density(lo, h)`` gives the function at the nodes of the panels
-    [lo, lo + h] of one pass, one (panels, nodes) block per slice of
-    :func:`_chunks` in turn, which bounds the memory of the node arrays.
-    Every pass fits all open panels and bisects those whose bound on the
-    fit's error, the last two coefficients |c_{N−2}| + |c_{N−1}|, is not
-    negligible against ``absolute`` or ``relative`` times |c₀|, as long as
-    bisection still shrinks them.  With ``integrated`` both the bound and
-    |c₀| are taken times the panel width, so that the bound is on the
-    integral (the spectral kernel); without it the bound is pointwise (a
-    fit whose Hilbert transform must hold inside every panel).  Returns lo, hi,
-    the coefficients (one row per degree, one column per panel) and the
-    error bounds; the mask of the panels of ``edges`` that the first pass
-    kept, which lead the returned panels in the order of ``edges``, the
-    others following pass by pass; and the number of passes.
+    [lo, lo + h], one (panels, nodes) block per slice of :func:`_chunks`
+    in turn, which bounds the memory of the node arrays.  The bound on a
+    fit's error is the last two coefficients |c_{N−2}| + |c_{N−1}|, and
+    the fit is open where that is not negligible against ``absolute`` or
+    ``relative`` times |c₀|.  With ``integrated`` both the bound and |c₀|
+    are taken times the panel width, so that the bound is on the integral
+    (the spectral kernel); without it the bound is pointwise (a fit whose
+    Hilbert transform must hold inside every panel).  Returns the
+    coefficients (one row per degree, one column per panel), the bounds,
+    the masses |c₀| they are weighed against, and the mask of open fits.
     """
-    lo, hi = edges[:-1], edges[1:]
+    h = hi - lo
+    coef = np.empty((_NODES, lo.size))
+    for cols, values in zip(_chunks(lo.size), density(lo, h)):
+        coef[:, cols] = _FIT @ values.T
+    est = np.abs(coef[-2]) + np.abs(coef[-1])
+    mass = np.abs(coef[0])
+    if integrated:
+        est = h * est
+        mass = h * mass
+    return coef, est, mass, est > np.maximum(absolute, relative * mass)
+
+
+def _refine(density, lo: np.ndarray, hi: np.ndarray, absolute: float = _ABSOLUTE,
+            relative: float = _RELATIVE, integrated: bool = True):
+    """The panels [lo, hi], bisected until :func:`_fit` resolves the function on each.
+
+    Every pass fits all open panels and bisects those whose fit is open
+    (the arguments are those of :func:`_fit`), as long as bisection still
+    shrinks them.  Returns lo, hi, the coefficients and the error bounds
+    of the panels each pass kept, pass by pass, and the number of passes.
+    """
     parent_est = None
     kept = []
     for n in range(_MAX_PASSES):
-        h = hi - lo
-        coef = np.empty((_NODES, lo.size))
-        for cols, values in zip(_chunks(lo.size), density(lo, h)):
-            coef[:, cols] = _FIT @ values.T
-        est = np.abs(coef[-2]) + np.abs(coef[-1])
-        mass = np.abs(coef[0])
-        if integrated:
-            est = h * est
-            mass = h * mass
-        split = est > np.maximum(absolute, relative * mass)
+        coef, est, mass, split = _fit(density, lo, hi, absolute, relative, integrated)
         if parent_est is not None:
             # Halves whose bounds add up to their parent's see rounding
             # noise (e.g. a table's knot sum near a narrow resonance, or
@@ -85,39 +93,31 @@ def _refine(density, edges: np.ndarray, absolute: float = _ABSOLUTE, relative: f
         mid = 0.5 * (lo + hi)
         split &= (lo < mid) & (mid < hi) & (n + 1 < _MAX_PASSES)
         kept.append((lo[~split], hi[~split], coef[:, ~split], est[~split]))
-        if n == 0:
-            first = ~split
         if not np.any(split):
             break
         parent_est = est[split]
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
-    return (*(np.concatenate(part, axis=-1) for part in zip(*kept)), first, len(kept))
+    return (*(np.concatenate(part, axis=-1) for part in zip(*kept)), len(kept))
 
 
-def _merge(lo, hi, coef, est, take: np.ndarray):
-    """The panels of :func:`_refine` (integrated) with the panels ``take`` merged bottom-up.
+def _merge(lo, hi, coef, est):
+    """Resolved integrated fits (:func:`_fit`) on panels in ascending order, merged bottom-up.
 
-    ``take`` indexes panels in ascending order of lo.  Level by level, the
-    panels 2j and 2j + 1 of those left that share an edge form a pair,
-    and the pair's parent takes the exact L2 projection of the two fitted
-    polynomials onto the degrees of one panel (:func:`_merged_coefficients`).
-    Where the parent's bound h·(|c_{N−2}| + |c_{N−1}|) meets the rule of
-    :func:`_refine` it replaces the pair, its bound replacing theirs;
-    otherwise the pair's panels stay as they are.  Accepted parents and
-    unpaired panels go on to the next level, until no pair is left.  The
-    projection keeps h·c₀, so the mass of the panels, and every moment of
-    degree below N.  Returns lo, hi, the coefficients and the bounds, the
-    panels outside ``take`` first in their order, and the number of
-    panels the merge removed.
+    Level by level, the panels 2j and 2j + 1 of those left that share an
+    edge form a pair, and the pair's parent takes the exact L2 projection
+    of the two fitted polynomials onto the degrees of one panel
+    (:func:`_merged_coefficients`).  Where the parent's bound
+    h·(|c_{N−2}| + |c_{N−1}|) meets the rule of :func:`_fit` it replaces
+    the pair, its bound replacing theirs; otherwise the pair's panels stay
+    as they are.  Accepted parents and unpaired panels go on to the next
+    level, until no pair is left.  The projection keeps h·c₀, so the mass
+    of the panels, and every moment of degree below N.  Returns lo, hi,
+    the coefficients and the bounds, the pairs each level kept in turn and
+    then the panels left, and the number of panels the merge removed.
     """
-    if take.size < 2:
-        return lo, hi, coef, est, 0
     panels = lo.size
-    rest = np.ones(panels, dtype=bool)
-    rest[take] = False
-    kept = [(lo[rest], hi[rest], coef[:, rest], est[rest])]
-    lo, hi, coef, est = lo[take], hi[take], coef[:, take], est[take]
+    kept = []
     while True:
         head = 2 * np.flatnonzero(hi[:-1:2] == lo[1::2])
         if not head.size:

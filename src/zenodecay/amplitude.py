@@ -33,19 +33,21 @@ Three evaluation routes are provided, all returning a
     value and shared by equal instances) and stored as Legendre
     coefficients.  Their Fourier transforms are spherical Bessel functions
     (the Filon–Legendre rule), exact in t for the fitted polynomials, so
-    every t uses the same coefficients.  Panels are bisected until the
-    fit is resolved, with one Δ_R call per pass.  Then the panels that
-    span exactly one segment between consecutive kinks of g² (a table's
-    knot segments, most of its panels, though ρ needs about a tenth of
-    them) are merged bottom-up: contiguous pairs, level by level, each
-    replaced by the L2 projection of their two fits onto one panel where
-    that panel passes the bisection's own rule.  A kernel without kink
-    segments is left as built.  The summed truncation bound
-    is the achieved error for every t at once, and there is no late-time
-    fallback to the pole term.  The same panels and j_k give the deficit
-    u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as t → 0 (expm1 of
-    each panel's detuning from ω_a, a series for 1 − j₀), from which ln P
-    is formed where P ≥ ½; u is summed only at those times.
+    every t uses the same coefficients.  First the whole segments, first
+    panels that span exactly one segment between consecutive kinks of g²
+    (a table's knot segments, most of its panels, though ρ needs about a
+    tenth of them), are fitted in one pass from the memo, and those whose
+    fit is resolved are merged bottom-up: contiguous pairs, level by
+    level, each replaced by the L2 projection of their two fits onto one
+    panel where that panel passes the bisection's own rule.  Every other
+    first panel is bisected until the fit is resolved, with one Δ_R call
+    per pass.  A kernel without kinks takes only that route.  The summed
+    truncation bound is the achieved error for every t at once, and there
+    is no late-time fallback to the pole term.  The same panels and j_k
+    give the deficit u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as
+    t → 0 (expm1 of each panel's detuning from ω_a, a series for 1 − j₀),
+    from which ln P is formed where P ≥ ½; u is summed only at those
+    times.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -69,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _memoized, _merge, _refine
+from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _fit, _memoized, _merge, _refine
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, _lorentzian
 from .resolvent import PoleData, _level, find_bound_states
@@ -250,23 +252,26 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
 
     ρ is fine-grained in two places only: the resonance near ω_r, of
     width ~res, and a finite support edge where g² vanishes (a threshold).
-    Edges go at ω_r ± res·2^k for k ≥ −3 out to the window
-    R = 1e5·max(|ω_r|, |peak|, Λ), clipped to the support; at Λ·2^−k,
-    k = 1 … 30, from each vanishing edge; at the coupling peak and
-    peak ± {1, 3, 10, 30}·Λ; and at ``kinks``, the sorted distinct kinks
-    of g².  Where g² jumps at an edge, ρ stays bounded and the edge takes
-    no grading.  Past R a Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out
+    Edges go at ω_r ± res·2^k for k ≥ −3 out to the window, which ends
+    at a finite support edge and otherwise at ±R, R = 1e5·max(|ω_r|,
+    |peak|, Λ); at Λ·2^−k, k = 1 … 30, from each vanishing edge; at the
+    coupling peak and peak ± {1, 3, 10, 30}·Λ; and at ``kinks``, the
+    sorted distinct kinks of g².  Where g² jumps at an edge, ρ stays
+    bounded and the edge takes no grading.  Past R a Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out
     2λ²Λ/(3πR³) of the norm: 2e-16 at λ = Λ = 1 and ω_a = 0, where a
     window of 1e4·max(…) would take 4e-13 off P(0).  Every kink in the
     window is an edge, so the few other edges are merged into the sorted
     kinks, which also tells which first panels span exactly one segment
-    between consecutive kinks.  Returns the edges and that mask.
+    between consecutive kinks.  Returns the edges and, per first panel,
+    the index j into ``kinks`` of the segment [kinks[j], kinks[j+1]] it
+    spans, its row in the segment memo, or −1 if it spans none.
     """
     a, b = ff.support()
     bw = ff.bandwidth
     peak = ff.peak_energy()
     reach = _WINDOW * max(abs(omega_r), abs(peak), bw)
-    lo, hi = max(a, -reach), min(b, reach)
+    lo = a if math.isfinite(a) else -reach
+    hi = b if math.isfinite(b) else reach
     steps = res * 2.0 ** np.arange(-3.0, 2.0 + math.log2(reach / res))
     parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, [lo, hi]]
     for edge, inward in ((a, 1.0), (b, -1.0)):
@@ -274,13 +279,15 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
             parts.append(edge + inward * bw * _EDGE_STEPS)
     others = np.unique(np.concatenate(parts))
     others = others[(others >= lo) & (others <= hi)]
-    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
+    start = np.searchsorted(kinks, lo)
+    kinks = kinks[start:np.searchsorted(kinks, hi, side="right")]
     at = np.searchsorted(kinks, others)
     known = at < kinks.size
     known[known] = kinks[at[known]] == others[known]
     at = at[~known]
-    kinked = np.insert(np.ones(kinks.size, dtype=bool), at, False)
-    return np.insert(kinks, at, others[~known]), kinked[:-1] & kinked[1:]
+    row = np.insert(np.arange(start, start + kinks.size), at, -1)
+    whole = (row[:-1] >= 0) & (row[1:] >= 0)
+    return np.insert(kinks, at, others[~known]), np.where(whole, row[:-1], -1)
 
 
 def _segment_shifts_uncached(ff: FormFactor):
@@ -299,31 +306,9 @@ def _segment_shifts_uncached(ff: FormFactor):
 
 
 # Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
-# them panels of every kernel as built, take their node shifts once per table
-# (1.6 MB for 20001 knots), not once per ω_a.
+# them whole first panels of every kernel, take their node shifts once per
+# table (1.6 MB for 20001 knots), not once per ω_a.
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
-
-
-def _segment_rows(segments, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The row of ``segments`` for each panel [lo, lo + h] that is one kink segment, else −1.
-
-    Such a panel has the same node floats as that segment's row of
-    :func:`_segment_shifts_uncached`.
-    """
-    if segments is None:
-        return np.full(lo.size, -1)
-    kinks = segments[0]
-    j = np.minimum(np.searchsorted(kinks, lo), kinks.size - 2)
-    return np.where((kinks[j] == lo) & (kinks[j + 1] - kinks[j] == h), j, -1)
-
-
-def _pick(memo, rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """memo[rows] where a row is given (≥ 0), and the rows of ``fresh`` in order elsewhere."""
-    if not np.any(rows >= 0):
-        return fresh
-    out = memo[rows]
-    out[rows < 0] = fresh
-    return out
 
 
 class _SpectralKernel(NamedTuple):
@@ -334,12 +319,12 @@ class _SpectralKernel(NamedTuple):
     row per degree k: the even k (real) in a block, then the odd k
     (imaginary).  ``error`` is the summed panel error bound, and
     ``passes`` the bisection passes that resolved ρ.  ``merged`` counts
-    the panels that merging the built kink-segment panels removed, so
+    the panels that merging the whole segments removed, so
     ``merged`` + ``mids.size`` panels were built.  ``shift_calls``
-    counts the :func:`~zenodecay.real_shift` calls of the build itself (for
-    ω_r and one per pass with panels that are not whole kink segments),
-    ``shift_points`` the energies they cover, and ``memo_rows`` the rows
-    of the segment memo read.
+    counts the :func:`~zenodecay.real_shift` calls of the build itself,
+    one for ω_r and one per bisection pass, ``shift_points`` the energies
+    they cover, and ``memo_rows`` the whole segments fitted from the
+    segment memo.
     """
 
     bound: tuple
@@ -365,46 +350,47 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     # the broad regime, where ρ has no structure narrower than the
     # coupling scale.
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
-    segments = _memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1 else None
-    kinks, memo = segments if segments else (np.unique(ff.kinks()), None)
-    edges, spans = _panel_edges(ff, omega_r, res, kinks)
-    counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": 0}
+    # A family with fewer than two kinks has no segments, and its empty
+    # memo leaves a table's memo in the cache.
+    kinks, memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
+                   else _segment_shifts_uncached(ff))
+    edges, rows = _panel_edges(ff, omega_r, res, kinks)
+    whole = rows >= 0
+    counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": int(np.count_nonzero(whole))}
 
-    def density(lo, h):
+    def density(lo, h, shift=None):
         """ρ at the nodes of the panels [lo, lo + h], one (panels, nodes) block per chunk.
 
-        A panel that is exactly one kink segment reads Δ_R from the
-        segment memo; the others take theirs from one
-        :func:`~zenodecay.real_shift` call for the whole pass, which is
-        elementwise, so every value is that of a call on every node.
-        Only the first pass is searched for such panels: every kink is a
-        first edge, so a bisected panel is at most half of a segment.
-        Nodes are placed from the exact panel edge, and the detuning from
-        ω_a is formed before the node is rounded: near a narrow resonance
-        an edge or node off by one rounding, though far below the panel
+        Δ_R at the nodes is ``shift`` where given, else one
+        :func:`~zenodecay.real_shift` call for the whole pass.  Nodes are
+        placed from the exact panel edge, and the detuning from ω_a is
+        formed before the node is rounded: near a narrow resonance an
+        edge or node off by one rounding, though far below the panel
         width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        nonlocal segments
-        rows, segments = _segment_rows(segments, lo, h), None
-        fresh = np.flatnonzero(rows < 0)
-        counts["memo_rows"] += lo.size - fresh.size
-        shift = np.empty((0, _NODES))
-        if fresh.size:
-            shift = real_shift(ff, lo[fresh, None] + h[fresh, None] * _GL_FRACTION)
+        if shift is None:
+            shift = real_shift(ff, lo[:, None] + h[:, None] * _GL_FRACTION)
             counts["shift_calls"] += 1
             counts["shift_points"] += shift.size
         for cols in _chunks(lo.size):
-            own = slice(*np.searchsorted(fresh, (cols.start, cols.stop)))
             offset = h[cols, None] * _GL_FRACTION
             g2 = np.asarray(ff.g2((lo[cols, None] + offset).ravel()), dtype=float)
             yield _rho((lo[cols] - omega_a)[:, None] + offset, g2.reshape(offset.shape),
-                       _pick(memo, rows[cols], shift[own]))
+                       shift[cols])
 
-    lo, hi, coef, est, first, passes = _refine(density, edges)
+    # A whole segment samples the nodes of its memo row, so its fit takes
+    # Δ_R from the memo, which is elementwise the same floats as a call.
+    lo, hi = edges[:-1], edges[1:]
+    coef, est, _, split = _fit(lambda lo, h: density(lo, h, memo[rows[whole]]),
+                               lo[whole], hi[whole])
+    fitted = whole.copy()
+    fitted[whole] = ~split
+    *refined, passes = _refine(density, lo[~fitted], hi[~fitted])
     # Where g² has a kink at every knot, as a table's has, ρ needs far
     # fewer panels than the knot segments the memo serves, and the sum
     # over panels pays for each at every t.
-    lo, hi, coef, est, merged = _merge(lo, hi, coef, est, np.flatnonzero(spans[first]))
+    *whole_panels, merged = _merge(lo[fitted], hi[fitted], coef[:, ~split], est[~split])
+    lo, hi, coef, est = (np.concatenate(part, axis=-1) for part in zip(refined, whole_panels))
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
     # h·c_k times the real or imaginary unit of (−i)^k, in the rows of _EVEN_ODD.
@@ -427,10 +413,11 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
 
 
 # A table kernel holds ~0.2 MB once merged (1870–2390 panels; ~2 MB
-# unmerged) and, with its segment memo, rebuilds in 15–22 ms, the merge
-# included (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon),
-# so the cache keeps only the two models a caller works through at
-# once, which leaves room for the 1.8 MB memo.
+# unmerged) and, with its segment memo, rebuilds in 13–17 ms: the memo
+# fit of its whole segments, their merge and the bisection of the rest
+# (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon), so the
+# cache keeps only the two models a caller works through at once, which
+# leaves room for the 1.6 MB memo.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -658,24 +645,27 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     every node (a table's by the tree sum of its knot logarithms, see
     :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
     family's from its g² fit) and stored as Legendre coefficients c_k.
-    Δ_R depends on g² alone, so the shifts at the nodes of every segment
-    between consecutive kinks of g² are memoized once per family (the
-    last one used) and read by each panel that is exactly such a
-    segment, most panels of a table at any ω_a; the other panels of each
-    bisection pass take theirs from one :func:`~zenodecay.real_shift`
-    call.  The values are the same floats either way, and the panels'
-    node arrays are filled in chunks of 2048 panels.  Panels are bisected
-    until h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass).
-    The kink-segment panels that bisection left whole are then merged
+    A fit is resolved where h·(|c_{N−2}| + |c_{N−1}|) is below
+    max(1e−14, 1e−11·panel mass).  Δ_R depends on g² alone, so the
+    shifts at the nodes of every segment between consecutive kinks of g²
+    are memoized once per family (the last one used).  The whole
+    segments, first panels that are exactly such a segment (most panels
+    of a table at any ω_a), are fitted first, in one pass, from the memo.
+    Every other first panel, and each whole segment whose fit is not
+    resolved, is bisected until its fit is, each pass taking Δ_R from
+    one :func:`~zenodecay.real_shift` call.  The values are the same
+    floats either way, and the panels' node arrays are filled in chunks
+    of 2048 panels.  The resolved whole segments are then merged
     bottom-up: level by level, neighbours that share an edge are paired,
     and a pair gives way to one panel whose coefficients are the exact L2
     projection of the two fitted polynomials, wherever that panel's own
     bound passes the same rule; its bound replaces theirs.  The
     projection keeps every moment of ρ below degree 10, so the panel
     mass, P(0) and the short-time deficit.  A table's ~2·10⁴ knot
-    segments merge into ~2·10³ panels; a kernel without kink segments
-    (Lorentzian, power laws) is left as built.  A panel of width h
-    around ω_c then contributes, exactly for the fitted polynomial,
+    segments merge into ~2·10³ panels; a kernel without kinks
+    (Lorentzian, power laws) has no whole segments and is only bisected.
+    A panel of width h around ω_c then contributes, exactly for the
+    fitted polynomial,
 
         ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
 

@@ -1038,7 +1038,8 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
         """``density`` on each chunk of the panels of a pass, in turn."""
         return (density(lo[cols], h[cols]) for cols in _chunks(lo.size))
 
-    lo, hi, coef, est, _, _ = _refine(chunked, edges, tol, _FIT_RELATIVE, integrated=False)
+    lo, hi, coef, est, _ = _refine(chunked, edges[:-1], edges[1:], tol, _FIT_RELATIVE,
+                                   integrated=False)
     # The panel between a finite edge and the innermost graded edge takes
     # one fit, unrefined: the edge's singularity would draw bisection on
     # to the tolerance, ~80 halvings deep at a threshold, for the values

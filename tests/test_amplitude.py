@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spectral_reference import reference_amplitude
-from test_selfenergy import _Semicircle
+from test_selfenergy import _geometric_table, _Semicircle
 from zenodecay import _panels, amplitude
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
@@ -21,7 +21,7 @@ from zenodecay.amplitude import (
     survival_spectral_integral,
 )
 from zenodecay.errors import DomainError, NoDecayError, ToleranceError
-from zenodecay.formfactor import LorentzianCoupling, ThresholdPowerLawCoupling
+from zenodecay.formfactor import LorentzianCoupling, TabulatedCoupling, ThresholdPowerLawCoupling
 from zenodecay.resolvent import find_pole, lorentzian_pole_closed_form
 from zenodecay.formfactor import zeno_time
 from zenodecay.model import DecayModel
@@ -236,6 +236,43 @@ def test_spectral_unhashable_custom_family_with_kinks():
     assert np.array_equal(s.amplitudes, hashable.amplitudes)
 
 
+class _KinkedLorentzian(LorentzianCoupling):
+    """The Lorentzian with kinks on [-0.5, 0.5] and two far outside the kernel's window."""
+
+    def kinks(self):
+        return np.concatenate(([-1e9], np.linspace(-0.5, 0.5, 11), [1e9]))
+
+
+def test_panel_edges_give_each_whole_segment_its_memo_row(tab_lorentzian):
+    # A first panel gets row j where it spans exactly the segment between
+    # kinks j and j + 1, counted among all kinks, those past the window
+    # (the Lorentzian's ±1e9) too; a table's window is its support.
+    for ff, omega_r, res in ((_KinkedLorentzian(0.1, 1.0), 5.0, 0.01), (tab_lorentzian, 0.0, 0.03)):
+        kinks = np.unique(ff.kinks())
+        edges, rows = amplitude._panel_edges(ff, omega_r, res, kinks)
+        index = {kink: j for j, kink in enumerate(kinks)}
+        expected = [index[lo] if index.get(lo, -10) + 1 == index.get(hi, -1) else -1
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+        assert rows.tolist() == expected
+        assert 0 < np.count_nonzero(rows >= 0) < rows.size
+        assert (edges[0] > kinks[0]) == (edges[-1] < kinks[-1]) == (ff is not tab_lorentzian)
+
+
+@pytest.mark.parametrize("omega_a", [0.0, 4e-4])
+def test_kernel_window_keeps_a_finite_support_whole(omega_a):
+    # A user bandwidth far below the table's span makes the window
+    # 1e5·max(|ω_r|, |peak|, Λ) narrower than the support: the support's
+    # edges bound the window, so no mass is cut off (1.3e-5 of P(0) was).
+    om = np.linspace(-100.0, 100.0, 2001)
+    ff = TabulatedCoupling(om, 0.01 / (1.0 + om * om), bandwidth=1e-4)
+    p0 = survival_spectral_integral(ff, omega_a, [0.0]).probabilities[0]
+    assert abs(p0 - 1.0) <= 1e-13
+
+
+def _identity_merge(lo, hi, coef, est):
+    return lo, hi, coef, est, 0
+
+
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
 def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a, monkeypatch):
     # At omega_a = 0 the resonance sits on the coupling peak, where
@@ -255,40 +292,77 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     memo_nodes = sum(nodes)
     # The build counts its own calls: one for the resonance, one per pass.
     assert (warm.shift_calls, warm.shift_points) == (len(nodes), memo_nodes)
-    assert warm.shift_calls <= warm.passes + 1
+    assert warm.shift_calls == warm.passes + 1
+    for name in cold._fields:
+        assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
+    # The memo holds a fresh call's shifts at the nodes of every segment.
+    kinks, memo = amplitude._segment_shifts(tab_lorentzian)
+    assert np.array_equal(memo, real_shift(
+        tab_lorentzian, kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION))
+    # Against a build with no whole segments, which takes every shift
+    # fresh and merges nothing: the same panels, in another order.
+    monkeypatch.setattr(amplitude, "_merge", _identity_merge)
+    unmerged = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    edges_of = amplitude._panel_edges
+
+    def no_rows(*args):
+        edges, rows = edges_of(*args)
+        return edges, np.full_like(rows, -1)
+
+    monkeypatch.setattr(amplitude, "_panel_edges", no_rows)
     nodes.clear()
-    monkeypatch.setattr(amplitude, "_segment_rows", lambda segments, lo, h: np.full(lo.size, -1))
     direct = amplitude._kernel_uncached(tab_lorentzian, omega_a)
     # The memo serves the knot segments, most of the table's panels.
     assert memo_nodes < 0.2 * sum(nodes)
-    assert direct.memo_rows == 0 and warm.memo_rows == cold.memo_rows > 0.9 * warm.mids.size
-    for built in (cold, warm):
-        for name in ("terms", "mids", "detunings", "widths", "width_index", "error"):
-            assert np.array_equal(getattr(built, name), getattr(direct, name)), name
+    assert direct.memo_rows == 0 and warm.memo_rows > 0.9 * (warm.mids.size + warm.merged)
+    order, direct_order = np.argsort(unmerged.mids), np.argsort(direct.mids)
+    for name in ("mids", "detunings"):
+        assert np.array_equal(getattr(unmerged, name)[order], getattr(direct, name)[direct_order])
+    assert np.array_equal(unmerged.terms[:, order], direct.terms[:, direct_order])
+    assert np.array_equal(unmerged.widths[unmerged.width_index[order]],
+                          direct.widths[direct.width_index[direct_order]])
+    # The same bounds, summed in another order.
+    assert unmerged.error == pytest.approx(direct.error, rel=1e-13)
 
 
-@pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
-def test_table_panel_merge_keeps_the_numbers(tab_lorentzian, omega_a, monkeypatch):
-    # The knot segments merge into far fewer panels, while x(t), ln P, the
-    # norm and the error bound stay those of the unmerged kernel.
+@pytest.mark.parametrize("table, omega_a", [("tab_lorentzian", w) for w in (0.0, 2.0, 5.5, 8.0)]
+                         + [("geometric", w) for w in (0.01, 2.0)])
+def test_table_panel_merge_keeps_the_numbers(request, table, omega_a, monkeypatch):
+    # The knot segments merge into fewer panels, while x(t), ln P, the
+    # norm and the error bound stay those of the unmerged kernel.  The
+    # geometric table's knots crowd its threshold, so hundreds of its pairs
+    # have unequal widths and take the projection's far path.
+    ff = request.getfixturevalue(table) if table == "tab_lorentzian" else _geometric_table()
     times = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40), [1e4, 1.7e4, 2.5e4]])
     taus = np.geomspace(1e-3, 200.0, 300)
 
     def outputs():
         amplitude._kernel_cached.cache_clear()
-        return (amplitude._spectral_kernel(tab_lorentzian, omega_a),
-                survival_spectral_integral(tab_lorentzian, omega_a, times).amplitudes,
-                DecayModel(tab_lorentzian, omega_a).log_survival_probability(taus))
+        return (amplitude._spectral_kernel(ff, omega_a),
+                survival_spectral_integral(ff, omega_a, times).amplitudes,
+                DecayModel(ff, omega_a).log_survival_probability(taus))
 
     with monkeypatch.context() as patch:
-        patch.setattr(amplitude, "_merge", lambda lo, hi, coef, est, take: (lo, hi, coef, est, 0))
-        _, x_ref, log_p_ref = outputs()
+        patch.setattr(amplitude, "_merge", _identity_merge)
+        reference, x_ref, log_p_ref = outputs()
+    _panels._half_maps()
+    far, projection = [], _panels._projection
+    monkeypatch.setattr(_panels, "_projection", lambda share: far.append(share.size) or
+                        projection(share))
     kernel, x, log_p = outputs()
+    assert sum(far) > 0
     assert np.max(np.abs(x - x_ref)) <= 1e-13
     assert np.max(np.abs(log_p / log_p_ref - 1.0)) <= 1e-12
-    assert abs(abs(x[0]) ** 2 - 1.0) <= 1e-13
-    assert kernel.error <= 1e-11
-    assert kernel.mids.size <= 0.2 * (kernel.mids.size + kernel.merged)
+    if table == "tab_lorentzian":
+        assert abs(abs(x[0]) ** 2 - 1.0) <= 1e-13
+        assert kernel.error <= 1e-11
+        assert kernel.mids.size <= 0.2 * (kernel.mids.size + kernel.merged)
+    else:
+        # The geometric table's kernel achieves ~3e-10 near its threshold,
+        # so its norm is held to the unmerged kernel's.
+        assert abs(abs(x[0]) ** 2 - abs(x_ref[0]) ** 2) <= 1e-15
+        assert kernel.error <= 1.01 * reference.error
+        assert kernel.merged > 500
 
 
 @pytest.mark.parametrize("share", [0.5, 0.5 + 1e-13, 0.5 - 2e-10, 1.0 / 3.0, 0.95])
@@ -331,7 +405,9 @@ def test_kernel_panels_start_graded_at_resonance_and_threshold(family, args, ome
     kernel = _spectral_kernel(ff, omega_a)
     assert kernel.passes <= 8
     assert kernel.error <= 1e-11
-    assert kernel.merged == 0
+    # No whole segments: nothing is read from a memo, fitted from it or merged.
+    assert kernel.merged == kernel.memo_rows == 0
+    assert kernel.shift_calls == kernel.passes + 1
     p0 = survival_spectral_integral(ff, omega_a, [0.0]).probabilities[0]
     assert abs(p0 - 1.0) <= 1e-13
 

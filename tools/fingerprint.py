@@ -8,8 +8,15 @@ The families:
     ω_a ∈ {−0.5, 0.7, 2, 2.4, 5.3} and t ∈ {0, −3} ∪ geomspace(1e-4, 1e5, 40).
 ``tab_spectral``
     The same x(t) for a 20001-knot table of that Lorentzian on
-    [−100, 100]: its kernel alone merges panels (a kink at every knot), so
-    a change to the merge moves this digest and leaves ``spectral`` as is.
+    [−100, 100]: a table's kernel fits its knot segments from the segment
+    memo and merges them (a kink at every knot), so a change to either
+    moves this digest and leaves ``spectral`` as is.
+``geo_spectral``
+    The same x(t) for a 3001-knot table of √ω/(1 + ω²)² whose knots crowd
+    its threshold (0 and geomspace(1e-6, 50)), with a bound state below
+    it at the lower levels: hundreds of its merged pairs have unequal
+    widths, so this digest shows a change to the merge's projection
+    off equal halves.
 ``log_p``
     ln P of the power law at ω_a = 0.7 and 2.4 on 300 log-spaced τ.
 ``tab_log_p``
@@ -123,12 +130,16 @@ def digests(src: Path) -> dict[str, str]:
     tpl = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
     om = np.linspace(-100.0, 100.0, 20001)
     table = TabulatedCoupling(om, lor.g2(om))
+    om = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 3000)))
+    geometric = TabulatedCoupling(om, np.sqrt(om) / (1.0 + om * om) ** 2)
     taus = np.geomspace(1e-3, 200.0, 300)
     families = {
         "spectral": lambda: (survival_spectral_integral(ff, w, TIMES).amplitudes.tobytes()
                              for ff in (lor, tpl) for w in LEVELS),
         "tab_spectral": lambda: (survival_spectral_integral(table, w, TIMES).amplitudes.tobytes()
                                  for w in LEVELS),
+        "geo_spectral": lambda: (survival_spectral_integral(geometric, w, TIMES).amplitudes
+                                 .tobytes() for w in LEVELS),
         "log_p": lambda: (np.asarray(DecayModel(tpl, w).log_survival_probability(taus)).tobytes()
                           for w in (0.7, 2.4)),
         "tab_log_p": lambda: (np.asarray(DecayModel(table, w).log_survival_probability(taus))
