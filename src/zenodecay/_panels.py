@@ -1,10 +1,12 @@
-"""Gauss–Legendre panels: nodes, the Legendre fit, adaptive bisection, merging.
+"""Gauss–Legendre panels: nodes, the Legendre fit, adaptive bisection, the segment tree.
 
 One panel machinery serves two fits: the spectral kernel of
 :mod:`~zenodecay.amplitude` fits the density ρ of the surviving state,
 and a coupling family without a closed-form level shift fits g² once
 (:mod:`~zenodecay.formfactor`), whose Hilbert transform is then exact.
 Both keep what they build by the family's value, through :func:`_memoized`.
+The kernel also merges the fits of its knot segments over a binary tree
+of the segments, by exact projection (:func:`_merge`).
 """
 
 from __future__ import annotations
@@ -67,77 +69,82 @@ def _fit(density, lo: np.ndarray, hi: np.ndarray, absolute: float = _ABSOLUTE,
 
 
 def _refine(density, lo: np.ndarray, hi: np.ndarray, absolute: float = _ABSOLUTE,
-            relative: float = _RELATIVE, integrated: bool = True):
+            relative: float = _RELATIVE, integrated: bool = True, parents=np.empty(0)):
     """The panels [lo, hi], bisected until :func:`_fit` resolves the function on each.
 
     Every pass fits all open panels and bisects those whose fit is open
     (the arguments are those of :func:`_fit`), as long as bisection still
-    shrinks them.  Returns lo, hi, the coefficients and the error bounds
-    of the panels each pass kept, pass by pass, and the number of passes.
+    shrinks them.  The first 2·``parents.size`` panels may be the lower,
+    then the upper halves of panels already fitted and found open, whose
+    bounds ``parents`` holds: the first pass weighs them against those
+    bounds as every later pass weighs the halves it made.  Returns lo, hi,
+    the coefficients and the error bounds of the panels each pass kept,
+    pass by pass, and the number of passes.
     """
-    parent_est = None
     kept = []
     for n in range(_MAX_PASSES):
         coef, est, mass, split = _fit(density, lo, hi, absolute, relative, integrated)
-        if parent_est is not None:
-            # Halves whose bounds add up to their parent's see rounding
-            # noise (e.g. a table's knot sum near a narrow resonance, or
-            # g² computed as √(1 − ω²) next to ω = 1), not structure:
-            # halving again cannot help.  Integrated, only resolved halves
-            # stop; pointwise, where the bounds of smooth halves fall by
-            # ~2^−10 and those at an edge singularity like √ by 2^−½,
-            # every such pair stops.
-            pairs = parent_est.size
-            stalled = np.tile(est[:pairs] + est[pairs:] >= 0.75 * parent_est, 2)
-            split &= ~(stalled & (est <= 1e-8 * mass)) if integrated else ~stalled
+        # Halves whose bounds add up to their parent's see rounding noise
+        # (e.g. a table's knot sum near a narrow resonance, or g² computed
+        # as √(1 − ω²) next to ω = 1), not structure: halving again cannot
+        # help.  Integrated, only resolved halves stop; pointwise, where
+        # the bounds of smooth halves fall by ~2^−10 and those at an edge
+        # singularity like √ by 2^−½, every such pair stops.
+        pairs = parents.size
+        stalled = np.tile(est[:pairs] + est[pairs:2 * pairs] >= 0.75 * parents, 2)
+        noise = stalled & (est[:2 * pairs] <= 1e-8 * mass[:2 * pairs]) if integrated else stalled
+        split[:2 * pairs] &= ~noise
         mid = 0.5 * (lo + hi)
         split &= (lo < mid) & (mid < hi) & (n + 1 < _MAX_PASSES)
         kept.append((lo[~split], hi[~split], coef[:, ~split], est[~split]))
         if not np.any(split):
             break
-        parent_est = est[split]
+        parents = est[split]
         lo = np.concatenate((lo[split], mid[split]))
         hi = np.concatenate((mid[split], hi[split]))
     return (*(np.concatenate(part, axis=-1) for part in zip(*kept)), len(kept))
 
 
-def _merge(lo, hi, coef, est):
-    """Resolved integrated fits (:func:`_fit`) on panels in ascending order, merged bottom-up.
+def _merge(kinks: np.ndarray, rows: np.ndarray, coef: np.ndarray, est: np.ndarray):
+    """Resolved integrated fits (:func:`_fit`) on knot segments, merged over the segment tree.
 
-    Level by level, the panels 2j and 2j + 1 of those left that share an
-    edge form a pair, and the pair's parent takes the exact L2 projection
-    of the two fitted polynomials onto the degrees of one panel
-    (:func:`_merged_coefficients`).  Where the parent's bound
-    h·(|c_{N−2}| + |c_{N−1}|) meets the rule of :func:`_fit` it replaces
-    the pair, its bound replacing theirs; otherwise the pair's panels stay
-    as they are.  Accepted parents and unpaired panels go on to the next
-    level, until no pair is left.  The projection keeps h·c₀, so the mass
-    of the panels, and every moment of degree below N.  Returns lo, hi,
-    the coefficients and the bounds, the pairs each level kept in turn and
-    then the panels left, and the number of panels the merge removed.
+    Row j of the tree is the segment [kinks[j], kinks[j+1]]: ``coef`` and
+    ``est`` hold a fit of every segment, column j for row j, and ``rows``
+    lists in ascending order the segments whose fits are kept.  Node j of
+    level L spans the rows [j·2^L, (j+1)·2^L), so its children are the
+    nodes 2j and 2j + 1 of level L − 1, and its coefficients are the exact
+    L2 projection of their two fitted polynomials onto the degrees of one
+    panel (:func:`_merged_coefficients`), formed for a whole level at once.
+    A node is kept where both children are and its own bound
+    h·(|c_{N−2}| + |c_{N−1}|) meets the rule of :func:`_fit`; the panels
+    are the kept nodes with no kept parent.  The projection keeps h·c₀,
+    so the mass of the panels, and every moment of degree below N.
+    Returns lo, hi, the coefficients and the bounds of the panels, level
+    by level, and the number of panels the merge removed.
     """
-    panels = lo.size
-    kept = []
+    keep = np.zeros(est.size, dtype=bool)
+    keep[rows] = True
+    panels, span = [], 1
     while True:
-        head = 2 * np.flatnonzero(hi[:-1:2] == lo[1::2])
-        if not head.size:
-            break
-        tail = head + 1
-        h = hi[tail] - lo[head]
-        parent = _merged_coefficients((hi[head] - lo[head]) / h, coef[:, head], coef[:, tail])
+        pairs = keep.size // 2
+        lo, mid, hi = (kinks[start::2 * span][:pairs] for start in (0, span, 2 * span))
+        h = hi - lo
+        ok = keep[0:2 * pairs:2] & keep[1:2 * pairs:2]
+        # A node with a child not kept is never used: at r = ½ it takes the
+        # fixed map, not a map of its own.
+        parent = _merged_coefficients(np.where(ok, (mid - lo) / h, 0.5), coef[:, 0:2 * pairs:2],
+                                      coef[:, 1:2 * pairs:2])
         bound = h * (np.abs(parent[-2]) + np.abs(parent[-1]))
-        ok = bound <= np.maximum(_ABSOLUTE, _RELATIVE * h * np.abs(parent[0]))
-        failed = np.concatenate((head[~ok], tail[~ok]))
-        kept.append((lo[failed], hi[failed], coef[:, failed], est[failed]))
-        head, tail = head[ok], tail[ok]
-        hi[head], coef[:, head], est[head] = hi[tail], parent[:, ok], bound[ok]
-        going = np.ones(lo.size, dtype=bool)
-        going[failed] = False
-        going[tail] = False
-        lo, hi, coef, est = lo[going], hi[going], coef[:, going], est[going]
-    kept.append((lo, hi, coef, est))
-    merged = [np.concatenate(part, axis=-1) for part in zip(*kept)]
-    return (*merged, panels - merged[0].size)
+        ok &= bound <= np.maximum(_ABSOLUTE, _RELATIVE * h * np.abs(parent[0]))
+        top = keep.copy()
+        top[:2 * pairs] &= ~np.repeat(ok, 2)
+        j = np.flatnonzero(top)
+        panels.append((kinks[j * span], kinks[(j + 1) * span], coef[:, j], est[j]))
+        if not np.any(ok):
+            break
+        keep, coef, est, span = ok, parent, bound, 2 * span
+    merged = [np.concatenate(part, axis=-1) for part in zip(*panels)]
+    return (*merged, rows.size - merged[0].size)
 
 
 def _merged_coefficients(share: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -27,21 +27,24 @@ Three evaluation routes are provided, all returning a
     where g² vanishes, plus the coupling peak and the kinks of g².  ρ is
     sampled at Gauss–Legendre nodes on each panel with the exact level
     shift Δ_R at every node (a table sums its one logarithm per knot by a
-    tree built once per table, and keeps Δ_R at the nodes of its knot
-    segments for every ω_a; any other family without a closed form
+    tree built once per table, and keeps Δ_R and g² at the nodes of its
+    knot segments for every ω_a; any other family without a closed form
     takes the Hilbert transform of its g² fit, built once per coupling
     value and shared by equal instances) and stored as Legendre
     coefficients.  Their Fourier transforms are spherical Bessel functions
     (the Filon–Legendre rule), exact in t for the fitted polynomials, so
-    every t uses the same coefficients.  First the whole segments, first
-    panels that span exactly one segment between consecutive kinks of g²
-    (a table's knot segments, most of its panels, though ρ needs about a
-    tenth of them), are fitted in one pass from the memo, and those whose
-    fit is resolved are merged bottom-up: contiguous pairs, level by
-    level, each replaced by the L2 projection of their two fits onto one
-    panel where that panel passes the bisection's own rule.  Every other
-    first panel is bisected until the fit is resolved, with one Δ_R call
-    per pass.  A kernel without kinks takes only that route.  The summed
+    every t uses the same coefficients.  First every segment between
+    consecutive kinks of g² is fitted in one pass from the memo, which
+    holds g² there too.  The whole segments, first panels that span
+    exactly one segment (a table's knot segments, most of its panels,
+    though ρ needs about a tenth of them), are merged where their fit is
+    resolved, over a segment tree of the table: node j of level L spans
+    the segments [j·2^L, (j+1)·2^L) and takes the L2 projection of its two
+    children's fits onto one panel, and it is kept where both children are
+    and that panel passes the bisection's own rule.  Every other first
+    panel, and the halves of each whole segment whose fit is open, is
+    bisected until the fit is resolved, with one Δ_R call per pass.  A
+    kernel without kinks takes only that route.  The summed
     truncation bound is the achieved error for every t at once, and there
     is no late-time fallback to the pole term.  The same panels and j_k
     give the deficit u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as
@@ -291,23 +294,25 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
 
 
 def _segment_shifts_uncached(ff: FormFactor):
-    """The sorted kinks of g² and Δ_R at the nodes of every segment between them.
+    """The sorted kinks of g², and Δ_R and g² at the nodes of every segment between them.
 
-    Row j holds Δ_R at kinks[j] + (kinks[j+1] − kinks[j])·_GL_FRACTION, the
-    nodes a panel spanning exactly that segment samples, filled in chunks
-    of segments to bound the memory of the node arrays.
+    Row j holds Δ_R, and g², at kinks[j] + (kinks[j+1] − kinks[j])·_GL_FRACTION,
+    the nodes a panel spanning exactly that segment samples, filled in
+    chunks of segments to bound the memory of the node arrays.
     """
     kinks = np.unique(ff.kinks())
     lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
-    shifts = np.empty((lo.size, _NODES))
+    shifts, g2 = np.empty((2, lo.size, _NODES))
     for rows in _chunks(lo.size):
-        shifts[rows] = real_shift(ff, lo[rows] + h[rows] * _GL_FRACTION)
-    return kinks, shifts
+        nodes = lo[rows] + h[rows] * _GL_FRACTION
+        shifts[rows] = real_shift(ff, nodes)
+        g2[rows] = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return kinks, shifts, g2
 
 
 # Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
-# them whole first panels of every kernel, take their node shifts once per
-# table (1.6 MB for 20001 knots), not once per ω_a.
+# them whole first panels of every kernel, take their node shifts and g²
+# once per table (3.2 MB for 20001 knots), not once per ω_a.
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
 
 
@@ -318,13 +323,13 @@ class _SpectralKernel(NamedTuple):
     distinct ``widths``, and the terms h·c_k·(−i)^k as real numbers, one
     row per degree k: the even k (real) in a block, then the odd k
     (imaginary).  ``error`` is the summed panel error bound, and
-    ``passes`` the bisection passes that resolved ρ.  ``merged`` counts
-    the panels that merging the whole segments removed, so
-    ``merged`` + ``mids.size`` panels were built.  ``shift_calls``
-    counts the :func:`~zenodecay.real_shift` calls of the build itself,
-    one for ω_r and one per bisection pass, ``shift_points`` the energies
-    they cover, and ``memo_rows`` the whole segments fitted from the
-    segment memo.
+    ``passes`` the bisection passes that resolved ρ after the memo fit.
+    ``merged`` counts the panels that merging the whole segments
+    removed, so ``merged`` + ``mids.size`` panels were built.
+    ``shift_calls`` counts the :func:`~zenodecay.real_shift` calls of
+    the build itself, one for ω_r and one per bisection pass,
+    ``shift_points`` the energies they cover, and ``memo_rows`` the
+    whole segments served from the segment memo.
     """
 
     bound: tuple
@@ -352,21 +357,22 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     # A family with fewer than two kinks has no segments, and its empty
     # memo leaves a table's memo in the cache.
-    kinks, memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
-                   else _segment_shifts_uncached(ff))
+    kinks, *memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
+                    else _segment_shifts_uncached(ff))
     edges, rows = _panel_edges(ff, omega_r, res, kinks)
     whole = rows >= 0
-    counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": int(np.count_nonzero(whole))}
+    rows = rows[whole]
+    counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": rows.size}
 
-    def density(lo, h, shift=None):
+    def density(lo, h, shift=None, g2=None):
         """ρ at the nodes of the panels [lo, lo + h], one (panels, nodes) block per chunk.
 
-        Δ_R at the nodes is ``shift`` where given, else one
-        :func:`~zenodecay.real_shift` call for the whole pass.  Nodes are
-        placed from the exact panel edge, and the detuning from ω_a is
-        formed before the node is rounded: near a narrow resonance an
-        edge or node off by one rounding, though far below the panel
-        width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
+        Δ_R and g² at the nodes are ``shift`` and ``g2`` where given,
+        else one :func:`~zenodecay.real_shift` call for the whole pass and
+        one g² call per chunk.  Nodes are placed from the exact panel edge,
+        and the detuning from ω_a is formed before the node is rounded:
+        near a narrow resonance an edge or node off by one rounding,
+        though far below the panel width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
         if shift is None:
             shift = real_shift(ff, lo[:, None] + h[:, None] * _GL_FRACTION)
@@ -374,22 +380,26 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
             counts["shift_points"] += shift.size
         for cols in _chunks(lo.size):
             offset = h[cols, None] * _GL_FRACTION
-            g2 = np.asarray(ff.g2((lo[cols, None] + offset).ravel()), dtype=float)
-            yield _rho((lo[cols] - omega_a)[:, None] + offset, g2.reshape(offset.shape),
-                       shift[cols])
+            at = (g2[cols] if g2 is not None else np.asarray(
+                ff.g2((lo[cols, None] + offset).ravel()), dtype=float).reshape(offset.shape))
+            yield _rho((lo[cols] - omega_a)[:, None] + offset, at, shift[cols])
 
-    # A whole segment samples the nodes of its memo row, so its fit takes
-    # Δ_R from the memo, which is elementwise the same floats as a call.
-    lo, hi = edges[:-1], edges[1:]
-    coef, est, _, split = _fit(lambda lo, h: density(lo, h, memo[rows[whole]]),
-                               lo[whole], hi[whole])
-    fitted = whole.copy()
-    fitted[whole] = ~split
-    *refined, passes = _refine(density, lo[~fitted], hi[~fitted])
+    # Each knot segment samples the nodes of its memo row, so its fit takes
+    # Δ_R and g² from the memo, elementwise the same floats as calls.
+    # Bisection takes the halves of the whole segments whose fit is open,
+    # weighed against their bounds, with every other first panel.
+    lo, hi = kinks[:-1], kinks[1:]
+    coef, est, _, split = _fit(lambda lo, h: density(lo, h, *memo), lo, hi)
+    mid = 0.5 * (lo + hi)
+    split &= (lo < mid) & (mid < hi)
+    halved, kept = rows[split[rows]], rows[~split[rows]]
+    *refined, passes = _refine(
+        density, np.concatenate((lo[halved], mid[halved], edges[:-1][~whole])),
+        np.concatenate((mid[halved], hi[halved], edges[1:][~whole])), parents=est[halved])
     # Where g² has a kink at every knot, as a table's has, ρ needs far
     # fewer panels than the knot segments the memo serves, and the sum
     # over panels pays for each at every t.
-    *whole_panels, merged = _merge(lo[fitted], hi[fitted], coef[:, ~split], est[~split])
+    *whole_panels, merged = _merge(kinks, kept, coef, est)
     lo, hi, coef, est = (np.concatenate(part, axis=-1) for part in zip(refined, whole_panels))
     h = hi - lo
     widths, width_index = np.unique(h, return_inverse=True)
@@ -412,12 +422,12 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     )
 
 
-# A table kernel holds ~0.2 MB once merged (1870–2390 panels; ~2 MB
-# unmerged) and, with its segment memo, rebuilds in 13–17 ms: the memo
-# fit of its whole segments, their merge and the bisection of the rest
-# (20001 knots, ω_a ∈ [1.7, 7.3], one core of a 2-core Xeon), so the
-# cache keeps only the two models a caller works through at once, which
-# leaves room for the 1.6 MB memo.
+# A table kernel holds ~0.2 MB once merged (1910–2450 panels; ~2 MB
+# unmerged) and, with its segment memo, rebuilds in 8–11 ms: the memo
+# fit of its knot segments, their merge over the segment tree and the
+# bisection of the rest (20001 knots, ω_a ∈ [1.7, 7.3], one core of a
+# 2-core Xeon), so the cache keeps only the two models a caller works
+# through at once, which leaves room for the 3.2 MB memo.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -647,23 +657,26 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     family's from its g² fit) and stored as Legendre coefficients c_k.
     A fit is resolved where h·(|c_{N−2}| + |c_{N−1}|) is below
     max(1e−14, 1e−11·panel mass).  Δ_R depends on g² alone, so the
-    shifts at the nodes of every segment between consecutive kinks of g²
-    are memoized once per family (the last one used).  The whole
-    segments, first panels that are exactly such a segment (most panels
-    of a table at any ω_a), are fitted first, in one pass, from the memo.
-    Every other first panel, and each whole segment whose fit is not
-    resolved, is bisected until its fit is, each pass taking Δ_R from
-    one :func:`~zenodecay.real_shift` call.  The values are the same
-    floats either way, and the panels' node arrays are filled in chunks
-    of 2048 panels.  The resolved whole segments are then merged
-    bottom-up: level by level, neighbours that share an edge are paired,
-    and a pair gives way to one panel whose coefficients are the exact L2
-    projection of the two fitted polynomials, wherever that panel's own
-    bound passes the same rule; its bound replaces theirs.  The
-    projection keeps every moment of ρ below degree 10, so the panel
-    mass, P(0) and the short-time deficit.  A table's ~2·10⁴ knot
-    segments merge into ~2·10³ panels; a kernel without kinks
-    (Lorentzian, power laws) has no whole segments and is only bisected.
+    shifts, and g², at the nodes of every segment between consecutive
+    kinks of g² are memoized once per family (the last one used), and
+    every segment is fitted first, in one pass, from the memo.  The
+    whole segments are the first panels that are exactly such a segment
+    (most panels of a table at any ω_a).  Every other first panel, and
+    the two halves of each whole segment whose fit is not resolved, is
+    bisected until its fit is, each pass taking Δ_R from one
+    :func:`~zenodecay.real_shift` call.  The values are the same floats
+    either way, and the panels' node arrays are filled in chunks of 2048
+    panels.  The resolved whole segments are then merged over a segment
+    tree of the family's kinks: node j of level L spans the segments
+    [j·2^L, (j+1)·2^L), its coefficients are the exact L2 projection of
+    its two children's fitted polynomials, formed a level at a time, and
+    it is kept where both children are kept and its own bound passes the
+    same rule.  The panels are the kept nodes with no kept parent, each
+    with its own bound.  The projection keeps every moment of ρ below
+    degree 10, so the panel mass, P(0) and the short-time deficit.  A
+    table's ~2·10⁴ knot segments merge into ~2·10³ panels; a kernel
+    without kinks (Lorentzian, power laws) has no whole segments and is
+    only bisected.
     A panel of width h around ω_c then contributes, exactly for the
     fitted polynomial,
 

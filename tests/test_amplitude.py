@@ -269,36 +269,43 @@ def test_kernel_window_keeps_a_finite_support_whole(omega_a):
     assert abs(p0 - 1.0) <= 1e-13
 
 
-def _identity_merge(lo, hi, coef, est):
-    return lo, hi, coef, est, 0
+def _identity_merge(kinks, rows, coef, est):
+    return kinks[rows], kinks[rows + 1], coef[:, rows], est[rows], 0
+
+
+def _counted_shifts(monkeypatch):
+    """The energies of every real_shift call amplitude makes from here on, call by call."""
+    calls = []
+
+    def counted(ff, w):
+        calls.append(np.asarray(w))
+        return real_shift(ff, w)
+
+    monkeypatch.setattr(amplitude, "real_shift", counted)
+    return calls
 
 
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
 def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a, monkeypatch):
     # At omega_a = 0 the resonance sits on the coupling peak, where
     # resonance points split knot segments and bisection runs.
-    nodes = []
-
-    def counted(ff, w):
-        nodes.append(np.size(w))
-        return real_shift(ff, w)
-
-    monkeypatch.setattr(amplitude, "real_shift", counted)
+    calls = _counted_shifts(monkeypatch)
     amplitude._segment_shifts.cache_clear()
     cold = amplitude._kernel_uncached(tab_lorentzian, omega_a)
-    nodes.clear()
+    calls.clear()
     warm = amplitude._kernel_uncached(tab_lorentzian, omega_a)
     assert amplitude._segment_shifts.cache_info().hits == 1
-    memo_nodes = sum(nodes)
+    memo_nodes = sum(w.size for w in calls)
     # The build counts its own calls: one for the resonance, one per pass.
-    assert (warm.shift_calls, warm.shift_points) == (len(nodes), memo_nodes)
+    assert (warm.shift_calls, warm.shift_points) == (len(calls), memo_nodes)
     assert warm.shift_calls == warm.passes + 1
     for name in cold._fields:
         assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
-    # The memo holds a fresh call's shifts at the nodes of every segment.
-    kinks, memo = amplitude._segment_shifts(tab_lorentzian)
-    assert np.array_equal(memo, real_shift(
-        tab_lorentzian, kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION))
+    # The memo holds a fresh call's shifts, and g², at the nodes of every segment.
+    kinks, memo, g2 = amplitude._segment_shifts(tab_lorentzian)
+    nodes = kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION
+    assert np.array_equal(memo, real_shift(tab_lorentzian, nodes))
+    assert np.array_equal(g2, tab_lorentzian.g2(nodes))
     # Against a build with no whole segments, which takes every shift
     # fresh and merges nothing: the same panels, in another order.
     monkeypatch.setattr(amplitude, "_merge", _identity_merge)
@@ -310,10 +317,10 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
         return edges, np.full_like(rows, -1)
 
     monkeypatch.setattr(amplitude, "_panel_edges", no_rows)
-    nodes.clear()
+    calls.clear()
     direct = amplitude._kernel_uncached(tab_lorentzian, omega_a)
     # The memo serves the knot segments, most of the table's panels.
-    assert memo_nodes < 0.2 * sum(nodes)
+    assert memo_nodes < 0.2 * sum(w.size for w in calls)
     assert direct.memo_rows == 0 and warm.memo_rows > 0.9 * (warm.mids.size + warm.merged)
     order, direct_order = np.argsort(unmerged.mids), np.argsort(direct.mids)
     for name in ("mids", "detunings"):
@@ -325,13 +332,32 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     assert unmerged.error == pytest.approx(direct.error, rel=1e-13)
 
 
+@pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
+def test_warm_table_build_fits_no_knot_segment_twice(tab_lorentzian, omega_a, monkeypatch):
+    # A whole segment whose memo fit is open goes to bisection as its two
+    # halves, so the nodes of no knot segment reach real_shift in a warm
+    # build: bisection fits only first panels that are not whole, each
+    # inside one segment, and halves.
+    amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    calls = _counted_shifts(monkeypatch)
+    kernel = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    kinks = np.unique(tab_lorentzian.kinks())
+    segments = kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION
+    fresh = [row.tobytes() for w in calls if w.ndim == 2 for row in w]
+    assert len(fresh) * _panels._NODES + 1 == kernel.shift_points
+    memo = {row.tobytes() for row in segments}
+    assert len(fresh) > 0
+    assert sum(row in memo for row in fresh) == 0
+
+
 @pytest.mark.parametrize("table, omega_a", [("tab_lorentzian", w) for w in (0.0, 2.0, 5.5, 8.0)]
                          + [("geometric", w) for w in (0.01, 2.0)])
 def test_table_panel_merge_keeps_the_numbers(request, table, omega_a, monkeypatch):
     # The knot segments merge into fewer panels, while x(t), ln P, the
     # norm and the error bound stay those of the unmerged kernel.  The
-    # geometric table's knots crowd its threshold, so hundreds of its pairs
-    # have unequal widths and take the projection's far path.
+    # geometric table's knots crowd its threshold, so hundreds of its tree
+    # nodes have children of unequal widths and take the projection's far
+    # path; the uniform table's take none.
     ff = request.getfixturevalue(table) if table == "tab_lorentzian" else _geometric_table()
     times = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40), [1e4, 1.7e4, 2.5e4]])
     taus = np.geomspace(1e-3, 200.0, 300)
@@ -349,10 +375,27 @@ def test_table_panel_merge_keeps_the_numbers(request, table, omega_a, monkeypatc
     far, projection = [], _panels._projection
     monkeypatch.setattr(_panels, "_projection", lambda share: far.append(share.size) or
                         projection(share))
+    trees, merge = [], _panels._merge
+
+    def recorded(kinks, rows, coef, est):
+        out = merge(kinks, rows, coef, est)
+        trees.append((kinks, rows, *out[:2]))
+        return out
+
+    monkeypatch.setattr(amplitude, "_merge", recorded)
     kernel, x, log_p = outputs()
-    assert sum(far) > 0
+    assert (sum(far) > 0) == (table == "geometric")
     assert np.max(np.abs(x - x_ref)) <= 1e-13
     assert np.max(np.abs(log_p / log_p_ref - 1.0)) <= 1e-12
+    (kinks, rows, lo, hi), = trees
+    start, stop = np.searchsorted(kinks, lo), np.searchsorted(kinks, hi)
+    assert np.array_equal(kinks[start], lo) and np.array_equal(kinks[stop], hi)
+    # Every merged panel is a tree node [kinks[j·2^L], kinks[(j+1)·2^L]] ...
+    span = stop - start
+    assert np.all(span > 0) and np.all(span & (span - 1) == 0) and np.all(start % span == 0)
+    # ... and the panels tile the resolved whole segments, with no gap or overlap.
+    covered = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])
+    assert np.array_equal(np.sort(covered), rows)
     if table == "tab_lorentzian":
         assert abs(abs(x[0]) ** 2 - 1.0) <= 1e-13
         assert kernel.error <= 1e-11

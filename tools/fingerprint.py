@@ -14,9 +14,9 @@ The families:
 ``geo_spectral``
     The same x(t) for a 3001-knot table of √ω/(1 + ω²)² whose knots crowd
     its threshold (0 and geomspace(1e-6, 50)), with a bound state below
-    it at the lower levels: hundreds of its merged pairs have unequal
-    widths, so this digest shows a change to the merge's projection
-    off equal halves.
+    it at the lower levels: hundreds of the nodes of its segment tree
+    have children of unequal widths, so this digest shows a change to
+    the merge's projection off equal halves.
 ``log_p``
     ln P of the power law at ω_a = 0.7 and 2.4 on 300 log-spaced τ.
 ``tab_log_p``
