@@ -9,116 +9,18 @@ time τ* separating the Zeno (slowed) from the inverse-Zeno (accelerated)
 regime, including the Z < 1 existence criterion.
 """
 
-from .amplitude import (
-    SurvivalMethod,
-    SurvivalSeries,
-    pole_approximation,
-    spectral_density,
-    survival_closed_form_lorentzian,
-    survival_spectral_integral,
-)
-from .config import RunConfig, parse_config, validate_mapping
-from .errors import (
-    BelowThresholdWarning,
-    ConfigError,
-    ContinuationUnsupportedError,
-    ConvergenceError,
-    DomainError,
-    GridError,
-    NoDecayError,
-    OutOfRangeError,
-    ToleranceError,
-    ZenoDecayError,
-)
-from .formfactor import (
-    BandwidthPoint,
-    FormFactor,
-    LorentzianCoupling,
-    TabulatedCoupling,
-    ThresholdPowerLawCoupling,
-    coupling_strength_squared,
-    effective_bandwidth_coupling,
-    zeno_time,
-)
-from .model import DecayModel, ExponentialDecayModel
-from .resolvent import (
-    BoundState,
-    PoleData,
-    find_bound_states,
-    find_pole,
-    golden_rule_rate,
-    lorentzian_pole_closed_form,
-)
-from .selfenergy import SelfEnergyValue, Sheet, real_shift, self_energy
-from .zeno import (
-    CharacteristicScales,
-    EffectiveRateCurve,
-    ExistenceCriteria,
-    Regime,
-    TransitionReport,
-    characteristic_scales,
-    classify_regime,
-    effective_rate,
-    effective_rate_curve,
-    existence_criteria,
-    find_transition_time,
-    interpolated_survival,
-    repeated_survival,
-)
+# Each module's __all__ is the one list of its public names; the package
+# re-exports them all.  Importing a submodule binds its name here too.
+from .amplitude import *
+from .config import *
+from .errors import *
+from .formfactor import *
+from .model import *
+from .resolvent import *
+from .selfenergy import *
+from .zeno import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthPoint",
-    "BelowThresholdWarning",
-    "BoundState",
-    "CharacteristicScales",
-    "ConfigError",
-    "ContinuationUnsupportedError",
-    "ConvergenceError",
-    "DecayModel",
-    "DomainError",
-    "EffectiveRateCurve",
-    "ExistenceCriteria",
-    "ExponentialDecayModel",
-    "FormFactor",
-    "GridError",
-    "LorentzianCoupling",
-    "NoDecayError",
-    "OutOfRangeError",
-    "PoleData",
-    "Regime",
-    "RunConfig",
-    "SelfEnergyValue",
-    "Sheet",
-    "SurvivalMethod",
-    "SurvivalSeries",
-    "TabulatedCoupling",
-    "ThresholdPowerLawCoupling",
-    "ToleranceError",
-    "TransitionReport",
-    "ZenoDecayError",
-    "characteristic_scales",
-    "classify_regime",
-    "coupling_strength_squared",
-    "effective_bandwidth_coupling",
-    "effective_rate",
-    "effective_rate_curve",
-    "existence_criteria",
-    "find_bound_states",
-    "find_pole",
-    "find_transition_time",
-    "golden_rule_rate",
-    "interpolated_survival",
-    "lorentzian_pole_closed_form",
-    "parse_config",
-    "pole_approximation",
-    "real_shift",
-    "repeated_survival",
-    "self_energy",
-    "spectral_density",
-    "survival_closed_form_lorentzian",
-    "survival_spectral_integral",
-    "validate_mapping",
-    "zeno_time",
-]
+__all__ = [name for module in (amplitude, config, errors, formfactor, model, resolvent,
+                               selfenergy, zeno) for name in module.__all__]

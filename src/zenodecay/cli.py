@@ -123,8 +123,8 @@ def _write_rate(cfg: RunConfig, model: DecayModel, path: str) -> str:
 
 def _transition_payload(cfg: RunConfig, model: DecayModel) -> dict:
     """The transition report's own fields; the window starts at min(1e-4/Λ, jump time/100)."""
-    return dataclasses.asdict(find_transition_time(
-        model, tau_max=cfg.task.get("tau_max"), grid_points=cfg.task.get("grid_points", 2048)))
+    search = {key: cfg.task[key] for key in ("tau_max", "grid_points") if key in cfg.task}
+    return dataclasses.asdict(find_transition_time(model, **search))
 
 
 def _run_rate(cfg: RunConfig, out_dir: str) -> str:

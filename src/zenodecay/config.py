@@ -16,7 +16,8 @@
     [task]
     # survival:    t_min, t_max, t_points (>= 2), methods
     # rate/sweep:  tau_min, tau_max, tau_points (>= 2)
-    # transition:  tau_max, grid_points (>= 64); searches from 1e-4/bandwidth
+    # transition:  tau_max, grid_points (>= 64); searches from
+    #              min(1e-4/bandwidth, jump time/100)
     # sweep:       omega_a_values (comma list)
 
     [output]
@@ -31,7 +32,11 @@ or keys are rejected outright — a typo must never turn into a silently
 ignored setting.  All numbers must parse as finite decimals, and counts
 must reach their lower bounds.  The same schema applies to an
 already-parsed mapping, which is how emitted JSON summaries are checked
-to round-trip.
+to round-trip.  Every comma list is read by one rule, and an empty entry
+is refused.  One table, ``_FAMILIES``, gives each family its required
+``[model]`` keys and the builder of its coupling;
+:meth:`RunConfig.build_form_factor` turns a parameter the family refuses
+into a :class:`~zenodecay.ConfigError`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,16 +72,24 @@ def _as_float(section: str, key: str, value) -> float:
     return out
 
 
-def _as_float_list(section: str, key: str, value) -> list[float]:
+def _entries(section: str, key: str, value) -> list:
+    """The entries of a comma list: an INI string split at its commas, or a
+    typed list or tuple as it is.  An empty entry is refused."""
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
+        parts = [p.strip() for p in value.split(",")]
+        if "" in parts:
+            raise ConfigError(f"[{section}] {key} = {value!r} has an empty entry")
     elif isinstance(value, (list, tuple)):
         parts = list(value)
     else:
         raise ConfigError(f"[{section}] {key} must be a comma-separated list")
     if not parts:
         raise ConfigError(f"[{section}] {key} must not be empty")
-    return [_as_float(section, key, p) for p in parts]
+    return parts
+
+
+def _as_float_list(section: str, key: str, value) -> list[float]:
+    return [_as_float(section, key, p) for p in _entries(section, key, value)]
 
 
 def _as_text(section: str, key: str, value) -> str:
@@ -93,9 +107,7 @@ _METHODS = tuple(m.value for m in SurvivalMethod)
 
 
 def _as_methods(section: str, key: str, value) -> list[str]:
-    names = [p.strip() for p in value.split(",")] if isinstance(value, str) else list(value)
-    if not names:
-        raise ConfigError(f"[{section}] {key} must not be empty")
+    names = _entries(section, key, value)
     for i, name in enumerate(names):
         if name not in _METHODS:
             raise ConfigError(f"[{section}] {key} entry {name!r} not in {', '.join(_METHODS)}")
@@ -142,12 +154,36 @@ _SCHEMA = {
     "output": {"out_dir": _as_text},
 }
 
-#: The [model] keys each family needs, by the family's ``family`` name.
-_REQUIRED = {
-    LorentzianCoupling.family: {"omega_a", "coupling", "bandwidth"},
-    ThresholdPowerLawCoupling.family: {"omega_a", "coupling", "bandwidth", "threshold",
-                                       "shape_params"},
-    TabulatedCoupling.family: {"omega_a", "table_path"},
+def _lorentzian(m: dict, base_dir: str) -> FormFactor:
+    return LorentzianCoupling(m["coupling"], m["bandwidth"])
+
+
+def _power_law(m: dict, base_dir: str) -> FormFactor:
+    return ThresholdPowerLawCoupling(m["coupling"], m["bandwidth"], m["threshold"],
+                                     *m["shape_params"])
+
+
+def _table(m: dict, base_dir: str) -> FormFactor:
+    path = os.path.join(base_dir, m["table_path"])  # an absolute table_path stays as it is
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns of an empty file
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:  # missing, empty, or not a numeric CSV
+        raise ConfigError(f"cannot read table_path {path!r}: {exc}") from None
+    if table.shape[1] != 2:
+        raise ConfigError(f"table_path {path!r} must have two columns (omega, g2)")
+    kwargs = {"bandwidth": m["bandwidth"]} if "bandwidth" in m else {}
+    return TabulatedCoupling(table[:, 0], table[:, 1], **kwargs)
+
+
+#: Each family by its ``family`` name: the [model] keys it needs, and the
+#: builder of its coupling from the model section and the config's folder.
+_FAMILIES = {
+    LorentzianCoupling.family: ({"omega_a", "coupling", "bandwidth"}, _lorentzian),
+    ThresholdPowerLawCoupling.family: ({"omega_a", "coupling", "bandwidth", "threshold",
+                                        "shape_params"}, _power_law),
+    TabulatedCoupling.family: ({"omega_a", "table_path"}, _table),
 }
 
 
@@ -165,35 +201,15 @@ class RunConfig:
         return self.output.get("out_dir", ".")
 
     def build_form_factor(self) -> FormFactor:
-        m = self.model
-        family = m["family"]
-        if family == "lorentzian":
-            return LorentzianCoupling(coupling=m["coupling"], bandwidth=m["bandwidth"])
-        if family == "threshold_power_law":
-            p, q = m["shape_params"]
-            return ThresholdPowerLawCoupling(
-                coupling=m["coupling"],
-                bandwidth=m["bandwidth"],
-                threshold=m["threshold"],
-                rise_exponent=p,
-                cutoff_exponent=q,
-            )
-        path = m["table_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(self.base_dir, path)
+        """The model's coupling; a parameter its family refuses raises ConfigError."""
+        family = self.model["family"]
+        required, build = _FAMILIES[family]
         try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:  # missing, or not a numeric CSV
-            raise ConfigError(f"cannot read table_path {path!r}: {exc}") from None
-        if table.shape[1] != 2:
-            raise ConfigError(f"table_path {path!r} must have two columns (omega, g2)")
-        kwargs = {}
-        if "bandwidth" in m:
-            kwargs["bandwidth"] = m["bandwidth"]
-        try:
-            return TabulatedCoupling(table[:, 0], table[:, 1], **kwargs)
+            return build(self.model, self.base_dir)
         except ValueError as exc:
-            raise ConfigError(f"invalid coupling table {path!r}: {exc}") from None
+            subject = (f"table {self.model['table_path']!r}" if "table_path" in required
+                       else f"for family={family}")
+            raise ConfigError(f"invalid coupling {subject}: {exc}") from None
 
     def echo(self) -> dict:
         """JSON-ready canonical form (what sweep summaries embed)."""
@@ -226,11 +242,11 @@ def validate_mapping(mapping: dict, base_dir: str = ".") -> RunConfig:
 
     model = sections["model"]
     family = model.get("family")
-    if family not in _REQUIRED:
+    if family not in _FAMILIES:
         raise ConfigError(
-            f"[model] family must be one of {', '.join(_REQUIRED)}, got {family!r}"
+            f"[model] family must be one of {', '.join(_FAMILIES)}, got {family!r}"
         )
-    missing = _REQUIRED[family] - set(model)
+    missing = _FAMILIES[family][0] - set(model)
     if missing:
         raise ConfigError(f"[model] missing key(s) for family={family}: "
                           f"{', '.join(sorted(missing))}")

@@ -8,6 +8,19 @@ and genuinely undefined requests.
 
 from __future__ import annotations
 
+__all__ = [
+    "ZenoDecayError",
+    "ConfigError",
+    "DomainError",
+    "OutOfRangeError",
+    "ContinuationUnsupportedError",
+    "NoDecayError",
+    "ConvergenceError",
+    "ToleranceError",
+    "GridError",
+    "BelowThresholdWarning",
+]
+
 
 class ZenoDecayError(Exception):
     """Base class for all errors raised by this package."""

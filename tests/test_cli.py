@@ -258,6 +258,29 @@ def test_degenerate_grids_exit_2(tmp_path, capsys, sub, task, fragment):
     assert fragment in m.group(0)
 
 
+@pytest.mark.parametrize("model, fragment", [
+    ("family = lorentzian\ncoupling = 0.1\nbandwidth = -1.0\n",
+     "invalid coupling for family=lorentzian: bandwidth must be > 0"),
+    ("family = lorentzian\ncoupling = -0.1\nbandwidth = 1.0\n",
+     "invalid coupling for family=lorentzian: coupling must be >= 0"),
+    ("family = threshold_power_law\ncoupling = 0.1\nbandwidth = 1.0\nthreshold = 0.0\n"
+     "shape_params = 2, 1\n",
+     "invalid coupling for family=threshold_power_law: cutoff_exponent must exceed"),
+    ("family = tabulated\ntable_path = empty.csv\n", "loadtxt: input contained no data"),
+])
+def test_family_refusal_exits_2(tmp_path, capsys, model, fragment):
+    # A parameter the family's constructor refuses is a config error, with
+    # one error line; an empty table is refused, not read through numpy's
+    # warning.
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+    cfg = write_config(tmp_path, f"[model]\n{model}omega_a = 2.0\n")
+    assert main(["transition", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert fragment in m.group(0)
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_survival_method_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
         "[task]\nmethods = closed_form, closed_form\n"))

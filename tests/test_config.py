@@ -118,6 +118,14 @@ def test_tabulated_family_bandwidth_override(tmp_path):
         (LORENTZIAN_INI + "[task]\nt_points = 2.5\n", "integer"),
         (LORENTZIAN_INI + "[task]\nmethods = closed_form, bogus\n", "methods"),
         (LORENTZIAN_INI + "[task]\nomega_a_values =\n", "empty"),
+        # An empty entry is a typo, never a silently dropped value.
+        (LORENTZIAN_INI + "[task]\nomega_a_values = 2,,10\n",
+         "[task] omega_a_values = '2,,10' has an empty entry"),
+        (LORENTZIAN_INI + "[task]\nmethods = closed_form,\n",
+         "methods = 'closed_form,' has an empty entry"),
+        ("[model]\nfamily = threshold_power_law\ncoupling = 0.1\nbandwidth = 1.0\n"
+         "threshold = 0.0\nshape_params = 1,\nomega_a = 0.7\n",
+         "shape_params = '1,' has an empty entry"),
         ("[model]\nfamily = threshold_power_law\ncoupling = 0.1\nbandwidth = 1.0\n"
          "threshold = 0.0\nshape_params = 1\nomega_a = 0.7\n", "exactly two"),
         ("[model]\nfamily = threshold_power_law\ncoupling = 0.1\nbandwidth = 1.0\n"
@@ -239,10 +247,12 @@ def test_validate_mapping_takes_typed_lists(kind):
     assert cfg.task["omega_a_values"] == [0.7, 2.4]
 
 
-@pytest.mark.parametrize("section, key", [("model", "shape_params"), ("task", "omega_a_values")])
-def test_validate_mapping_rejects_a_scalar_list(section, key):
+@pytest.mark.parametrize("value", [5, None])
+@pytest.mark.parametrize("section, key", [("model", "shape_params"), ("task", "omega_a_values"),
+                                          ("task", "methods")])
+def test_validate_mapping_rejects_a_scalar_list(section, key, value):
     mapping = {"model": dict(POWER_LAW_MAPPING, shape_params=[0.5, 4.0]), "task": {}}
-    mapping[section][key] = 0.5
+    mapping[section][key] = value
     with pytest.raises(ConfigError, match=f"{key} must be a comma-separated list"):
         validate_mapping(mapping)
 

@@ -65,8 +65,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
+from _ref import ROOT, extract_src, import_package
 
 LEVELS = (-0.5, 0.7, 2.0, 2.4, 5.3)
 TIMES = np.concatenate([[0.0, -3.0], np.geomspace(1e-4, 1e5, 40)])
@@ -117,15 +116,12 @@ def _records(lor, tpl):
 
 def digests(src: Path) -> dict[str, str]:
     """The digest of each output family of the ``zenodecay`` package under ``src``."""
-    sys.path.insert(0, str(src))
-    import zenodecay
+    import_package(src)
     from zenodecay import (DecayModel, LorentzianCoupling, TabulatedCoupling,
                            ThresholdPowerLawCoupling, find_transition_time,
                            survival_spectral_integral)
     from zenodecay.cli import main as cli_main
 
-    if not Path(zenodecay.__file__).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"zenodecay was imported from {zenodecay.__file__}, not from {src}")
     lor = LorentzianCoupling(0.1, 1.0)
     tpl = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
     om = np.linspace(-100.0, 100.0, 20001)
@@ -154,12 +150,9 @@ def digests(src: Path) -> dict[str, str]:
 
 def digests_at(ref: str) -> dict[str, str]:
     """The digests of the ``src/`` tree at the git ref ``ref``, computed in a subprocess."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
-                             check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True, capture_output=True)
         out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                              "--src", str(Path(tmp) / "src")],
+                              "--src", str(extract_src(ref, tmp))],
                              check=True, capture_output=True, cwd=tmp).stdout
     return dict(line.split() for line in out.decode().splitlines())
 

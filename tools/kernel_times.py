@@ -41,8 +41,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
+from _ref import ROOT, extract_src, import_package
 
 TAB_LEVELS = np.linspace(1.5, 8.0, 40)
 TAB_TIMES = np.linspace(0.0, 50.0, 26)
@@ -57,14 +56,11 @@ def _timed(call) -> float:
 
 def samples(src: Path) -> dict[str, list[float]]:
     """The samples of each measurement, taken with the ``zenodecay`` package under ``src``."""
-    sys.path.insert(0, str(src))
-    import zenodecay
+    import_package(src)
     from zenodecay import (DecayModel, LorentzianCoupling, TabulatedCoupling,
                            ThresholdPowerLawCoupling, amplitude, find_transition_time,
                            survival_spectral_integral)
 
-    if not Path(zenodecay.__file__).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"zenodecay was imported from {zenodecay.__file__}, not from {src}")
     om = np.linspace(-100.0, 100.0, 20001)
     table = TabulatedCoupling(om, LorentzianCoupling(0.1, 1.0).g2(om))
     power_law = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
@@ -108,14 +104,10 @@ def main(argv: list[str]) -> int:
         sides = {"tree": args.src.resolve()}
         if args.against is not None:
             try:
-                archive = subprocess.run(
-                    ["git", "-C", str(ROOT), "archive", "--format=tar", args.against, "src"],
-                    check=True, capture_output=True).stdout
+                sides = {"ref " + args.against: extract_src(args.against, tmp), **sides}
             except subprocess.CalledProcessError as exc:
                 print(exc.stderr.decode().strip(), file=sys.stderr)
                 return 2
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            sides = {"ref " + args.against: Path(tmp) / "src", **sides}
         pooled = {side: {} for side in sides}
         for n in range(args.rounds):
             order = list(sides) if n % 2 == 0 else list(sides)[::-1]
