@@ -12,10 +12,14 @@ resolves to the same one.
 Every bracket advances at once: one call of ``f`` per iteration serves
 all brackets still open, so a scan with many sign changes costs a
 handful of array evaluations instead of one scalar search per crossing.
-A scalar root is the one-bracket case.
+Between the calls each bracket takes brentq's step on its own state, held
+as Python floats: a scalar root is the one-bracket case and pays no
+array overhead per iteration.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,55 +79,77 @@ def bracketed_roots(f, lo, hi, *, xtol, rtol, f_lo=None, f_hi=None) -> np.ndarra
     if np.any(np.isnan(fpre) | np.isnan(fcur)
               | ((np.signbit(fpre) == np.signbit(fcur)) & (fpre != 0.0) & (fcur != 0.0))):
         raise ValueError("f must differ in sign at the two ends of every bracket")
-    rtol = max(float(rtol), _RTOL_FLOOR)
+    xtol, rtol = float(xtol), max(float(rtol), _RTOL_FLOOR)
     index = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
-    if not index.size:
-        return roots
-    xpre, xcur, fpre, fcur = xpre[index], xcur[index], fpre[index], fcur[index]
-    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    brackets = [[i, *state, 0.0, 0.0, 0.0, 0.0] for i, *state in zip(
+        index.tolist(), xpre[index].tolist(), xcur[index].tolist(), fpre[index].tolist(),
+        fcur[index].tolist())]
     for _ in range(_MAX_ITER):
-        # A sign change between the last two points makes xpre the far
-        # end.  (f is nonzero at xpre here, and a zero at xcur ends the
-        # search below, so the signs alone decide.)
-        flip = np.signbit(fpre) != np.signbit(fcur)
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, spre, scur)
-        # Keep the smaller |f| in xcur.
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
-        xcur, fcur = np.where(swap, xblk, xcur), np.where(swap, fblk, fcur)
-        xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
+        stepped = []
+        for state in brackets:
+            if _brent_step(state, xtol, rtol):
+                stepped.append(state)
+            else:
+                roots[state[0]] = state[2]
+        brackets = stepped
+        if not brackets:
+            return roots
+        for state, value in zip(brackets, _values(f, np.array([s[2] for s in brackets]),
+                                                  None).tolist()):
+            state[4] = value
+    raise ConvergenceError(f"{len(brackets)} bracket(s) still open after {_MAX_ITER} iterations",
+                           trajectory=np.array([s[2] for s in brackets]))
 
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if np.any(done):
-            roots[index[done]] = xcur[done]
-            keep = ~done
-            if not np.any(keep):
-                return roots
-            index, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                a[keep] for a in (index, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                                  delta, sbis))
 
-        # Secant step through two distinct points, inverse quadratic
-        # through three; taken where the last step was not tiny, |f|
-        # fell, and the step stays well inside the bracket.
-        with np.errstate(all="ignore"):  # the formula not chosen may divide by zero
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quad)
-            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                    & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre = np.where(good, scur, sbis)
-        scur = np.where(good, stry, sbis)
+def _brent_step(state: list, xtol: float, rtol: float) -> bool:
+    """One step of brentq on a bracket's state, in place; False where it has converged.
 
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-        fcur = _values(f, xcur, None)
-    raise ConvergenceError(
-        f"{index.size} bracket(s) still open after {_MAX_ITER} iterations", trajectory=xcur
-    )
+    ``state`` holds the bracket's index, then xpre, xcur, f(xpre),
+    f(xcur), xblk, f(xblk), spre and scur as floats, in brentq's names:
+    xcur the best point, xpre the one before, xblk the far end, spre and
+    scur the last two steps.  A step moves xcur; its f is the caller's to
+    fill in.  Where xcur is the root it is left there.
+    """
+    _, xpre, xcur, fpre, fcur, xblk, fblk, spre, scur = state
+    # A sign change between the last two points makes xpre the far end.
+    # (f is nonzero at xpre here, and a zero at xcur ends the search
+    # below, so the signs alone decide.)
+    if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        xblk, fblk = xpre, fpre
+        spre = scur = xcur - xpre
+    # Keep the smaller |f| in xcur.
+    if abs(fblk) < abs(fcur):
+        xpre, xcur, xblk = xcur, xblk, xcur
+        fpre, fcur, fblk = fcur, fblk, fcur
+
+    delta = (xtol + rtol * abs(xcur)) / 2
+    sbis = (xblk - xcur) / 2
+    if fcur == 0.0 or abs(sbis) < delta:
+        state[2] = xcur
+        return False
+
+    # Secant step through two distinct points, inverse quadratic through
+    # three; taken where the last step was not tiny, |f| fell, and the
+    # step stays well inside the bracket.  A division by zero would give
+    # a step that is not finite, and bisection.
+    good = False
+    if abs(spre) > delta and abs(fcur) < abs(fpre):
+        try:
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        except ZeroDivisionError:
+            pass
+        else:
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+    if good:
+        spre, scur = scur, stry
+    else:
+        spre = scur = sbis
+
+    step = scur if abs(scur) > delta else math.copysign(delta, sbis)
+    state[1:] = xcur, xcur + step, fcur, fcur, xblk, fblk, spre, scur
+    return True

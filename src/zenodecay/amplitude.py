@@ -27,15 +27,17 @@ Three evaluation routes are provided, all returning a
     where g² vanishes, plus the coupling peak and the kinks of g².  ρ is
     sampled at Gauss–Legendre nodes on each panel with the exact level
     shift Δ_R at every node (a table sums its one logarithm per knot by a
-    tree built once per table, and keeps Δ_R and g² at the nodes of its
-    knot segments for every ω_a; any other family without a closed form
+    tree built once per table, and keeps Δ_R, g², the node offsets,
+    (πg²)² and the mask g² > 0 at the nodes of its knot segments for every
+    ω_a, 6.6 MB for 20001 knots; any other family without a closed form
     takes the Hilbert transform of its g² fit, built once per coupling
     value and shared by equal instances) and stored as Legendre
     coefficients.  Their Fourier transforms are spherical Bessel functions
     (the Filon–Legendre rule), exact in t for the fitted polynomials, so
     every t uses the same coefficients.  First every segment between
-    consecutive kinks of g² is fitted in one pass from the memo, which
-    holds g² there too.  The whole segments, first panels that span
+    consecutive kinks of g² is fitted in one pass from the memo, with ρ
+    formed in place from its arrays and the segment's detuning alone.
+    The whole segments, first panels that span
     exactly one segment (a table's knot segments, most of its panels,
     though ρ needs about a tenth of them), are merged where their fit is
     resolved, over a segment tree of the table: node j of level L spans
@@ -244,10 +246,20 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     return out if np.ndim(omega) else float(out[0])
 
 
-def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """ρ from ω − ω_a, g² and Δ_R at the same energies; zero where g² vanishes."""
-    return np.divide(g2, (detuning - shift) ** 2 + (math.pi * g2) ** 2,
-                     out=np.zeros_like(g2), where=g2 > 0.0)
+def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray, damping=None,
+         positive=None) -> np.ndarray:
+    """ρ from ω − ω_a, g² and Δ_R at the same energies; zero where g² vanishes.
+
+    The denominator is formed in place in ``detuning``, which is
+    overwritten.  ``damping``, (πg²)², and ``positive``, the mask g² > 0,
+    are formed from ``g2`` unless given: a caller that keeps them passes
+    the same floats.
+    """
+    detuning -= shift
+    detuning *= detuning
+    detuning += (math.pi * g2) ** 2 if damping is None else damping
+    return np.divide(g2, detuning, out=np.zeros_like(g2),
+                     where=g2 > 0.0 if positive is None else positive)
 
 
 def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
@@ -293,26 +305,44 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     return np.insert(kinks, at, others[~known]), np.where(whole, row[:-1], -1)
 
 
-def _segment_shifts_uncached(ff: FormFactor):
-    """The sorted kinks of g², and Δ_R and g² at the nodes of every segment between them.
+class _SegmentMemo(NamedTuple):
+    """What ρ takes at the nodes of every segment between consecutive kinks of g², bar ω_a.
 
-    Row j holds Δ_R, and g², at kinks[j] + (kinks[j+1] − kinks[j])·_GL_FRACTION,
-    the nodes a panel spanning exactly that segment samples, filled in
-    chunks of segments to bound the memory of the node arrays.
+    Row j holds, at the nodes kinks[j] + offsets[j] of the segment
+    [kinks[j], kinks[j+1]], which a panel spanning exactly that segment
+    samples: Δ_R, g², the offsets (kinks[j+1] − kinks[j])·_GL_FRACTION
+    that the kernel adds to the segment's detuning, and the damping
+    (πg²)² and the mask g² > 0 of :func:`_rho`.
+    """
+
+    shifts: np.ndarray
+    g2: np.ndarray
+    offsets: np.ndarray
+    damping: np.ndarray
+    positive: np.ndarray
+
+
+def _segment_shifts_uncached(ff: FormFactor):
+    """The sorted kinks of g², and the :class:`_SegmentMemo` of the segments between them.
+
+    The node arrays are filled in chunks of segments to bound their memory.
     """
     kinks = np.unique(ff.kinks())
-    lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
+    lo = kinks[:-1, None]
+    offsets = np.diff(kinks)[:, None] * _GL_FRACTION
     shifts, g2 = np.empty((2, lo.size, _NODES))
     for rows in _chunks(lo.size):
-        nodes = lo[rows] + h[rows] * _GL_FRACTION
+        nodes = lo[rows] + offsets[rows]
         shifts[rows] = real_shift(ff, nodes)
         g2[rows] = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return kinks, shifts, g2
+    return kinks, _SegmentMemo(shifts, g2, offsets, (math.pi * g2) ** 2, g2 > 0.0)
 
 
 # Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
-# them whole first panels of every kernel, take their node shifts and g²
-# once per table (3.2 MB for 20001 knots), not once per ω_a.
+# them whole first panels of every kernel, take their node shifts and g²,
+# and the node offsets, (πg²)² and g² > 0 that ρ forms from them, once
+# per table (6.6 MB for 20001 knots: four float arrays and a mask), not
+# once per ω_a.
 _segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
 
 
@@ -357,39 +387,45 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     # A family with fewer than two kinks has no segments, and its empty
     # memo leaves a table's memo in the cache.
-    kinks, *memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
-                    else _segment_shifts_uncached(ff))
+    kinks, memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
+                   else _segment_shifts_uncached(ff))
     edges, rows = _panel_edges(ff, omega_r, res, kinks)
     whole = rows >= 0
     rows = rows[whole]
     counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": rows.size}
 
-    def density(lo, h, shift=None, g2=None):
+    def density(lo, h, memo=None):
         """ρ at the nodes of the panels [lo, lo + h], one (panels, nodes) block per chunk.
 
-        Δ_R and g² at the nodes are ``shift`` and ``g2`` where given,
-        else one :func:`~zenodecay.real_shift` call for the whole pass and
-        one g² call per chunk.  Nodes are placed from the exact panel edge,
-        and the detuning from ω_a is formed before the node is rounded:
-        near a narrow resonance an edge or node off by one rounding,
-        though far below the panel width, moves mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
+        The panels are the segments of the :class:`_SegmentMemo` ``memo``
+        where given, which serves Δ_R, g² and the rest; else Δ_R comes
+        from one :func:`~zenodecay.real_shift` call for the whole pass and
+        g² from one call per chunk.  Nodes are placed from the exact panel
+        edge, and the detuning from ω_a is formed before the node is
+        rounded: near a narrow resonance an edge or node off by one
+        rounding, though far below the panel width, moves mass by
+        ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        if shift is None:
-            shift = real_shift(ff, lo[:, None] + h[:, None] * _GL_FRACTION)
-            counts["shift_calls"] += 1
-            counts["shift_points"] += shift.size
+        if memo is not None:
+            for cols in _chunks(lo.size):
+                yield _rho((lo[cols] - omega_a)[:, None] + memo.offsets[cols], memo.g2[cols],
+                           memo.shifts[cols], memo.damping[cols], memo.positive[cols])
+            return
+        shift = real_shift(ff, lo[:, None] + h[:, None] * _GL_FRACTION)
+        counts["shift_calls"] += 1
+        counts["shift_points"] += shift.size
         for cols in _chunks(lo.size):
             offset = h[cols, None] * _GL_FRACTION
-            at = (g2[cols] if g2 is not None else np.asarray(
-                ff.g2((lo[cols, None] + offset).ravel()), dtype=float).reshape(offset.shape))
-            yield _rho((lo[cols] - omega_a)[:, None] + offset, at, shift[cols])
+            g2 = np.asarray(ff.g2((lo[cols, None] + offset).ravel()),
+                            dtype=float).reshape(offset.shape)
+            yield _rho((lo[cols] - omega_a)[:, None] + offset, g2, shift[cols])
 
     # Each knot segment samples the nodes of its memo row, so its fit takes
     # Δ_R and g² from the memo, elementwise the same floats as calls.
     # Bisection takes the halves of the whole segments whose fit is open,
     # weighed against their bounds, with every other first panel.
     lo, hi = kinks[:-1], kinks[1:]
-    coef, est, _, split = _fit(lambda lo, h: density(lo, h, *memo), lo, hi)
+    coef, est, _, split = _fit(lambda lo, h: density(lo, h, memo), lo, hi)
     mid = 0.5 * (lo + hi)
     split &= (lo < mid) & (mid < hi)
     halved, kept = rows[split[rows]], rows[~split[rows]]
@@ -423,11 +459,11 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
 
 
 # A table kernel holds ~0.2 MB once merged (1910–2450 panels; ~2 MB
-# unmerged) and, with its segment memo, rebuilds in 8–11 ms: the memo
+# unmerged) and, with its segment memo, rebuilds in 7–9 ms: the memo
 # fit of its knot segments, their merge over the segment tree and the
 # bisection of the rest (20001 knots, ω_a ∈ [1.7, 7.3], one core of a
 # 2-core Xeon), so the cache keeps only the two models a caller works
-# through at once, which leaves room for the 3.2 MB memo.
+# through at once, which leaves room for the 6.6 MB memo.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -657,9 +693,12 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     family's from its g² fit) and stored as Legendre coefficients c_k.
     A fit is resolved where h·(|c_{N−2}| + |c_{N−1}|) is below
     max(1e−14, 1e−11·panel mass).  Δ_R depends on g² alone, so the
-    shifts, and g², at the nodes of every segment between consecutive
-    kinks of g² are memoized once per family (the last one used), and
-    every segment is fitted first, in one pass, from the memo.  The
+    shifts and g² at the nodes of every segment between consecutive kinks
+    of g², with the nodes' offsets from the segment's lower edge, (πg²)²
+    and the mask g² > 0, are memoized once per family (the last one
+    used; 6.6 MB for a 20001-knot table), and every segment is fitted
+    first, in one pass, from the memo, which leaves only the detuning
+    from ω_a to add.  The
     whole segments are the first panels that are exactly such a segment
     (most panels of a table at any ω_a).  Every other first panel, and
     the two halves of each whole segment whose fit is not resolved, is

@@ -34,9 +34,10 @@ must reach their lower bounds.  The same schema applies to an
 already-parsed mapping, which is how emitted JSON summaries are checked
 to round-trip.  Every comma list is read by one rule, and an empty entry
 is refused.  One table, ``_FAMILIES``, gives each family its required
-``[model]`` keys and the builder of its coupling;
-:meth:`RunConfig.build_form_factor` turns a parameter the family refuses
-into a :class:`~zenodecay.ConfigError`.
+``[model]`` keys, the optional ones it also reads, and the builder of its
+coupling: a ``[model]`` key the family does not read is refused like an
+unknown one, and :meth:`RunConfig.build_form_factor` turns a parameter
+the family refuses into a :class:`~zenodecay.ConfigError`.
 """
 
 from __future__ import annotations
@@ -177,13 +178,15 @@ def _table(m: dict, base_dir: str) -> FormFactor:
     return TabulatedCoupling(table[:, 0], table[:, 1], **kwargs)
 
 
-#: Each family by its ``family`` name: the [model] keys it needs, and the
-#: builder of its coupling from the model section and the config's folder.
+#: Each family by its ``family`` name: the [model] keys it needs, those it
+#: also reads when present (a table's ``bandwidth`` overrides the one taken
+#: from its knots), and the builder of its coupling from the model section
+#: and the config's folder.  No family reads any other key.
 _FAMILIES = {
-    LorentzianCoupling.family: ({"omega_a", "coupling", "bandwidth"}, _lorentzian),
+    LorentzianCoupling.family: ({"omega_a", "coupling", "bandwidth"}, set(), _lorentzian),
     ThresholdPowerLawCoupling.family: ({"omega_a", "coupling", "bandwidth", "threshold",
-                                        "shape_params"}, _power_law),
-    TabulatedCoupling.family: ({"omega_a", "table_path"}, _table),
+                                        "shape_params"}, set(), _power_law),
+    TabulatedCoupling.family: ({"omega_a", "table_path"}, {"bandwidth"}, _table),
 }
 
 
@@ -203,7 +206,7 @@ class RunConfig:
     def build_form_factor(self) -> FormFactor:
         """The model's coupling; a parameter its family refuses raises ConfigError."""
         family = self.model["family"]
-        required, build = _FAMILIES[family]
+        required, _, build = _FAMILIES[family]
         try:
             return build(self.model, self.base_dir)
         except ValueError as exc:
@@ -246,10 +249,15 @@ def validate_mapping(mapping: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError(
             f"[model] family must be one of {', '.join(_FAMILIES)}, got {family!r}"
         )
-    missing = _FAMILIES[family][0] - set(model)
+    required, optional, _ = _FAMILIES[family]
+    missing = required - set(model)
     if missing:
         raise ConfigError(f"[model] missing key(s) for family={family}: "
                           f"{', '.join(sorted(missing))}")
+    foreign = set(model) - required - optional - {"family"}
+    if foreign:
+        raise ConfigError(f"[model] key(s) not read by family={family}: "
+                          f"{', '.join(sorted(foreign))}")
     return RunConfig(base_dir=base_dir, **sections)
 
 
@@ -259,8 +267,9 @@ def parse_config(path: str) -> RunConfig:
     Raises
     ------
     ConfigError
-        Missing file, malformed INI, unknown section/key, a value
-        failing the finite-decimal rule, or a count below its bound.
+        Missing file, malformed INI, unknown section/key, a ``[model]``
+        key the family does not read, a value failing the finite-decimal
+        rule, or a count below its bound.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive

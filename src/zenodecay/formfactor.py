@@ -186,6 +186,16 @@ class FormFactor:
         """
         return _memoized(_shared_shift_fit, self)
 
+    @functools.cached_property
+    def _probe_shifts(self) -> dict:
+        """Δ_R at the probes of :func:`~zenodecay.find_bound_states`, by probe energy.
+
+        The scan probes just past each finite support edge at every level,
+        and Δ_R depends on g² alone, so the scan fills this on first use
+        and every later scan of the instance reads it.
+        """
+        return {}
+
     # -- analytic continuation ---------------------------------------
 
     @property

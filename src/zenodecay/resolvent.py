@@ -278,7 +278,9 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
     increasing outside the support because Sigma_I' < 0 there, so each
     side holds at most one bound state: below a finite lower edge one
     exists iff F just below it is positive, above a finite upper edge
-    iff F just above it is negative.
+    iff F just above it is negative.  "Just past" is the probe
+    edge ± 1e-6·max(1, Λ), where Δ_R does not depend on the level: each
+    family instance takes it once and keeps it (``_probe_shifts``).
 
     Returns
     -------
@@ -303,7 +305,10 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
         if not math.isfinite(edge):
             continue
         near = edge + side * 1e-6 * max(1.0, ff.bandwidth)
-        if side * level_fn(near) >= 0.0:
+        probes = ff._probe_shifts
+        if near not in probes:
+            probes[near] = real_shift(ff, near)
+        if side * (near - omega_a - probes[near]) >= 0.0:
             continue
         far = edge + side * max(ff.bandwidth, abs(omega_a - edge), 1.0)
         for _ in range(60):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spectral_reference import reference_amplitude
-from test_selfenergy import _geometric_table, _Semicircle
+from test_selfenergy import _geometric_table, _rough_table, _Semicircle
 from zenodecay import _panels, amplitude
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
@@ -301,11 +301,18 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     assert warm.shift_calls == warm.passes + 1
     for name in cold._fields:
         assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
-    # The memo holds a fresh call's shifts, and g², at the nodes of every segment.
-    kinks, memo, g2 = amplitude._segment_shifts(tab_lorentzian)
-    nodes = kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION
-    assert np.array_equal(memo, real_shift(tab_lorentzian, nodes))
-    assert np.array_equal(g2, tab_lorentzian.g2(nodes))
+    # The memo holds a fresh call's shifts and g² at the nodes of every
+    # segment, the offsets of those nodes from the segment's lower edge,
+    # and (πg²)² and g² > 0 there.
+    kinks, memo = amplitude._segment_shifts(tab_lorentzian)
+    offsets = np.diff(kinks)[:, None] * _panels._GL_FRACTION
+    nodes = kinks[:-1, None] + offsets
+    g2 = tab_lorentzian.g2(nodes)
+    assert np.array_equal(memo.shifts, real_shift(tab_lorentzian, nodes))
+    assert np.array_equal(memo.g2, g2)
+    assert np.array_equal(memo.offsets, offsets)
+    assert np.array_equal(memo.damping, (math.pi * g2) ** 2)
+    assert np.array_equal(memo.positive, g2 > 0.0)
     # Against a build with no whole segments, which takes every shift
     # fresh and merges nothing: the same panels, in another order.
     monkeypatch.setattr(amplitude, "_merge", _identity_merge)
@@ -330,6 +337,44 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
                           direct.widths[direct.width_index[direct_order]])
     # The same bounds, summed in another order.
     assert unmerged.error == pytest.approx(direct.error, rel=1e-13)
+
+
+def _one_expression_rho(detuning, g2, shift, *kept):
+    """ρ as one expression of fresh arrays, none formed in place nor kept."""
+    return np.divide(g2, (detuning - shift) ** 2 + (math.pi * g2) ** 2,
+                     out=np.zeros_like(g2), where=g2 > 0.0)
+
+
+def _fresh_segment_memo(ff):
+    """The segment memo of ``ff``, every array formed at once from fresh calls."""
+    kinks = np.unique(ff.kinks())
+    lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
+    nodes = lo + h * _panels._GL_FRACTION
+    g2 = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return kinks, amplitude._SegmentMemo(real_shift(ff, nodes), g2, h * _panels._GL_FRACTION,
+                                         (math.pi * g2) ** 2, g2 > 0.0)
+
+
+@pytest.mark.parametrize("family, omega_a", [("tab_lorentzian", w) for w in (0.0, 2.0, 5.5, 8.0)]
+                         + [("geometric", 0.01), ("geometric", 2.0), ("rough", 0.5),
+                            ("kinked_semicircle", 0.2)])
+def test_memo_kernel_is_the_kernel_of_fresh_values(request, family, omega_a, monkeypatch):
+    # ρ formed in place from the memo's arrays gives the kernel of ρ formed
+    # as one expression from fresh values, in every field, the counters of
+    # real_shift calls and memo rows included.
+    ff = {"tab_lorentzian": lambda: request.getfixturevalue("tab_lorentzian"),
+          "geometric": _geometric_table, "rough": _rough_table,
+          "kinked_semicircle": _KinkedSemicircle}[family]()
+    amplitude._segment_shifts.cache_clear()
+    kernel = amplitude._kernel_uncached(ff, omega_a)
+    monkeypatch.setattr(amplitude, "_rho", _one_expression_rho)
+    monkeypatch.setattr(amplitude, "_segment_shifts", _fresh_segment_memo)
+    reference = amplitude._kernel_uncached(ff, omega_a)
+    # The grading edges split each of the semicircle's four segments, so
+    # its memo fit keeps no panel; a table's keeps most of them.
+    assert (kernel.memo_rows > 0) == (family != "kinked_semicircle")
+    for name in kernel._fields:
+        assert np.array_equal(getattr(kernel, name), getattr(reference, name)), name
 
 
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])

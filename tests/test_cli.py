@@ -281,6 +281,16 @@ def test_family_refusal_exits_2(tmp_path, capsys, model, fragment):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sub", ["survival", "rate", "transition", "sweep"])
+def test_a_model_key_the_family_does_not_read_exits_2(tmp_path, capsys, sub):
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + "threshold = 5.0\n")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    m = re.fullmatch(ERROR_LINE, capsys.readouterr().err.strip())
+    assert m and m.group(1) == "2" and m.group(2) == "ConfigError"
+    assert "key(s) not read by family=lorentzian: threshold" in m.group(0)
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_survival_method_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
         "[task]\nmethods = closed_form, closed_form\n"))

@@ -257,6 +257,26 @@ def test_validate_mapping_rejects_a_scalar_list(section, key, value):
         validate_mapping(mapping)
 
 
+@pytest.mark.parametrize("family, extra, named", [
+    ("lorentzian", "threshold = 5.0\n", "threshold"),
+    ("lorentzian", "shape_params = 9, 1\ntable_path = nowhere.csv\n", "shape_params, table_path"),
+    ("threshold_power_law", "table_path = nowhere.csv\n", "table_path"),
+    ("tabulated", "coupling = 0.1\n", "coupling"),
+])
+def test_a_model_key_the_family_does_not_read_is_refused(tmp_path, family, extra, named):
+    # A key valid for another family would be silently ignored by this one.
+    params = {"lorentzian": "coupling = 0.1\nbandwidth = 1.0\n",
+              "threshold_power_law": "coupling = 0.1\nbandwidth = 1.0\nthreshold = 0.0\n"
+                                     "shape_params = 0.5, 4\n",
+              "tabulated": "table_path = g2.csv\n"}[family]
+    body = f"[model]\nfamily = {family}\nomega_a = 1.0\n{params}{extra}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, body))
+    assert str(info.value) == f"[model] key(s) not read by family={family}: {named}"
+    # Without the foreign keys the same model is accepted.
+    parse_config(write(tmp_path, body.replace(extra, "")))
+
+
 def test_echo_round_trips_through_the_same_schema(tmp_path):
     cfg = parse_config(write(tmp_path, LORENTZIAN_INI + "[task]\ntau_points = 41\n"))
     again = validate_mapping(cfg.echo(), base_dir=cfg.base_dir)

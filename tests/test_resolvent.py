@@ -413,6 +413,25 @@ def test_bound_state_scan_gives_up_after_60_doublings(monkeypatch):
     assert len(calls) == 2 * (1 + 60)
 
 
+@pytest.mark.parametrize("family", ["semicircle", "tpl_strong", "tab_lorentzian"])
+def test_bound_state_probes_keep_a_fresh_shift(request, family, monkeypatch):
+    # The scan takes Δ_R at its probe past each finite edge once per
+    # instance: the kept value is a fresh real_shift there, and a scan at
+    # another level with no bound state calls real_shift no more.
+    ff = _Semicircle() if family == "semicircle" else request.getfixturevalue(family)
+    find_bound_states(ff, 0.7)
+    bw = max(1.0, ff.bandwidth)
+    probes = {edge + side * 1e-6 * bw for edge, side in zip(ff.support(), (-1.0, 1.0))
+              if math.isfinite(edge)}
+    assert set(ff._probe_shifts) == probes
+    for near, shift in ff._probe_shifts.items():
+        assert shift == resolvent.real_shift(ff, near)
+    calls = []
+    monkeypatch.setattr(resolvent, "real_shift", lambda ff, E: calls.append(E))
+    level = 0.5 * sum(ff.support()) if family != "tpl_strong" else 3.0
+    assert find_bound_states(ff, level) == () and calls == []
+
+
 # -- PoleData validation ----------------------------------------------
 
 

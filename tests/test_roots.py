@@ -87,3 +87,45 @@ def test_unconverged_bracket_raises():
     # 100 steps do not close the bracket, for brentq either.
     with pytest.raises(ConvergenceError):
         bracketed_roots(lambda x: (x - 0.5) ** 3, 0.1, 2.0, xtol=1e-14, rtol=8.9e-16)
+
+
+def _random_function(rng):
+    """A smooth f that is elementwise in x: a polynomial of degree 1 to 7 or a sum of sines."""
+    if rng.random() < 0.5:
+        coef = rng.normal(size=rng.integers(2, 9))
+        return lambda x: np.polynomial.polynomial.polyval(x, coef)
+    amp, freq, phase = rng.normal(size=(3, rng.integers(1, 5)))
+    freq *= 4.0
+    shift = rng.normal(scale=0.3)
+
+    def f(x):
+        out = np.full(np.shape(x), shift)
+        for a, b, c in zip(amp, freq, phase):
+            out += a * np.sin(b * x + c)
+        return out
+    return f
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-300, 1e-12), (1e-14, 8.9e-16), (1e-15, 1e-15)])
+def test_random_functions_match_brentq_alone_and_in_a_batch(xtol, rtol):
+    # A few hundred smooth f, each bracketed at the sign changes of a
+    # coarse grid: every root, found alone or with the others of its f in
+    # one call, is brentq's float.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(20061)
+    roots_seen = 0
+    for _ in range(300):
+        f = _random_function(rng)
+        grid = np.sort(rng.uniform(-3.0, 3.0, 24))
+        values = f(grid)
+        at = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        if not at.size:
+            continue
+        lo, hi = grid[at], grid[at + 1]
+        expected = [optimize.brentq(lambda x: float(f(np.array([x]))[0]), a, b,
+                                    xtol=xtol, rtol=rtol) for a, b in zip(lo, hi)]
+        alone = [bracketed_roots(f, a, b, xtol=xtol, rtol=rtol)[0] for a, b in zip(lo, hi)]
+        assert alone == expected
+        assert bracketed_roots(f, lo, hi, xtol=xtol, rtol=rtol).tolist() == expected
+        roots_seen += at.size
+    assert roots_seen > 300

@@ -1,4 +1,4 @@
-"""Time the layers of a table round and of the power law's τ* search, in fresh processes.
+"""Time the layers of a table round and the τ* searches of two families, in fresh processes.
 
 The measurements, each printed in milliseconds:
 
@@ -15,6 +15,10 @@ The measurements, each printed in milliseconds:
 ``pl_transition``
     ``find_transition_time(grid_points=64)`` on a fresh model of that power
     law at each of those ω_a.
+``lor_transition``
+    ``find_transition_time`` on a fresh model of the Lorentzian (0.1, 1),
+    5 times at each of ω_a ∈ {1.5, 2, 5, 10}: the closed-form ln P on the
+    default grid and a one-bracket root search.
 
 Run from anywhere:
 
@@ -46,6 +50,7 @@ from _ref import ROOT, extract_src, import_package
 TAB_LEVELS = np.linspace(1.5, 8.0, 40)
 TAB_TIMES = np.linspace(0.0, 50.0, 26)
 PL_LEVELS = np.linspace(1.8, 3.0, 8)
+LOR_LEVELS = np.repeat([1.5, 2.0, 5.0, 10.0], 5)
 
 
 def _timed(call) -> float:
@@ -64,7 +69,8 @@ def samples(src: Path) -> dict[str, list[float]]:
     om = np.linspace(-100.0, 100.0, 20001)
     table = TabulatedCoupling(om, LorentzianCoupling(0.1, 1.0).g2(om))
     power_law = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
-    out = {name: [] for name in ("tab_build", "tab_sum", "pl_build", "pl_transition")}
+    out = {name: [] for name in ("tab_build", "tab_sum", "pl_build", "pl_transition",
+                                 "lor_transition")}
     amplitude._kernel_uncached(table, 0.5 * (TAB_LEVELS[0] + TAB_LEVELS[1]))
     for w in TAB_LEVELS:
         out["tab_build"].append(_timed(lambda: amplitude._kernel_uncached(table, w)))
@@ -75,6 +81,10 @@ def samples(src: Path) -> dict[str, list[float]]:
         out["pl_build"].append(_timed(lambda: amplitude._kernel_uncached(power_law, w)))
         model = DecayModel(power_law, w)
         out["pl_transition"].append(_timed(lambda: find_transition_time(model, grid_points=64)))
+    lorentzian = LorentzianCoupling(0.1, 1.0)
+    for w in LOR_LEVELS:
+        model = DecayModel(lorentzian, w)
+        out["lor_transition"].append(_timed(lambda: find_transition_time(model)))
     return out
 
 
