@@ -24,14 +24,17 @@ Three evaluation routes are provided, all returning a
     The integral runs over one fixed set of panels per (family, ω_a),
     laid out by one rule for every family: first edges graded in powers
     of two towards the resonance ω_a + Δ_R(ω_a) and towards a band edge
-    where g² vanishes, plus the coupling peak and the kinks of g².  ρ is
+    where g² vanishes, plus the coupling peak and the kinks of g², where
+    a grading edge that falls strictly inside a kink segment no wider
+    than half its step is left out, since the kinks grade ρ there.  ρ is
     sampled at Gauss–Legendre nodes on each panel with the exact level
     shift Δ_R at every node (a table sums its one logarithm per knot by a
-    tree built once per table, and keeps Δ_R, g², the node offsets,
-    (πg²)² and the mask g² > 0 at the nodes of its knot segments for every
-    ω_a, 6.6 MB for 20001 knots; any other family without a closed form
-    takes the Hilbert transform of its g² fit, built once per coupling
-    value and shared by equal instances) and stored as Legendre
+    tree built once per table, exactly over at most 12 near knots, and
+    keeps Δ_R, g², the node offsets, (πg²)² and the mask g² > 0 at the
+    nodes of its knot segments for every ω_a, 6.6 MB for 20001 knots;
+    any other family without a closed form takes the Hilbert transform
+    of its g² fit, built once per coupling value and shared by equal
+    instances) and stored as Legendre
     coefficients.  Their Fourier transforms are spherical Bessel functions
     (the Filon–Legendre rule), exact in t for the fitted polynomials, so
     every t uses the same coefficients.  First every segment between
@@ -124,7 +127,7 @@ _ODD = np.arange(1.0, 64.0, 2.0)[:, None]
 _JN_LEAD = 1.0 / np.cumprod(_ODD[:_NODES])[:, None]
 _JN_NEXT = 1.0 / (2.0 * _ODD[1:_NODES + 1])
 #: 1/(2m+3)!: 1 − j₀(x) = x²·Σ_m (−x²)^m/(2m+3)!, to 5e-17 relative for x < 1.
-_J0_DEFICIT = np.polynomial.Polynomial([1.0 / math.factorial(2 * m + 3) for m in range(8)])
+_J0_DEFICIT = np.array([1.0 / math.factorial(2 * m + 3) for m in range(8)])
 #: ln P at and above which it is taken from the deficit u (P ≥ ½), below from x.
 _DEFICIT_FLOOR = -math.log(2.0)
 
@@ -275,11 +278,17 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     bounded and the edge takes no grading.  Past R a Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out
     2λ²Λ/(3πR³) of the norm: 2e-16 at λ = Λ = 1 and ω_a = 0, where a
     window of 1e4·max(…) would take 4e-13 off P(0).  Every kink in the
-    window is an edge, so the few other edges are merged into the sorted
-    kinks, which also tells which first panels span exactly one segment
-    between consecutive kinks.  Returns the edges and, per first panel,
-    the index j into ``kinks`` of the segment [kinks[j], kinks[j+1]] it
-    spans, its row in the segment memo, or −1 if it spans none.
+    window is an edge.  Each grading edge carries its step s: res·2^k,
+    |offset|·Λ or Λ·2^−k.  The grading's own panels next to it are at
+    least s/2 wide, so one that falls strictly inside a kink segment no
+    wider than s/2 is dropped: the kinks there already grade ρ more
+    finely, and the segment stays whole.  The window ends and the peak
+    stay, and a family with fewer than two kinks keeps every edge.  The
+    few other edges are merged into the sorted kinks, which also tells
+    which first panels span exactly one segment between consecutive
+    kinks.  Returns the edges and, per first panel, the index j into
+    ``kinks`` of the segment [kinks[j], kinks[j+1]] it spans, its row in
+    the segment memo, or −1 if it spans none.
     """
     a, b = ff.support()
     bw = ff.bandwidth
@@ -289,20 +298,28 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     hi = b if math.isfinite(b) else reach
     steps = res * 2.0 ** np.arange(-3.0, 2.0 + math.log2(reach / res))
     parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, [lo, hi]]
+    scales = [steps, steps, bw * np.abs(_PEAK_OFFSETS), [0.0, 0.0]]
     for edge, inward in ((a, 1.0), (b, -1.0)):
         if math.isfinite(edge) and float(ff.g2(edge)) == 0.0:
             parts.append(edge + inward * bw * _EDGE_STEPS)
-    others = np.unique(np.concatenate(parts))
-    others = others[(others >= lo) & (others <= hi)]
+            scales.append(bw * _EDGE_STEPS)
+    others, scale = np.concatenate(parts), np.concatenate(scales)
+    inside = (others >= lo) & (others <= hi)
+    others, scale = others[inside], scale[inside]
     start = np.searchsorted(kinks, lo)
     kinks = kinks[start:np.searchsorted(kinks, hi, side="right")]
+    # An edge on a kink is that kink; any other lies strictly inside the
+    # kink segment [kinks[at − 1], kinks[at]] where 0 < at < kinks.size.
     at = np.searchsorted(kinks, others)
     known = at < kinks.size
     known[known] = kinks[at[known]] == others[known]
-    at = at[~known]
+    held = ~known & (at > 0) & (at < kinks.size)
+    held[held] = kinks[at[held]] - kinks[at[held] - 1] <= 0.5 * scale[held]
+    others = np.unique(others[~(known | held)])
+    at = np.searchsorted(kinks, others)
     row = np.insert(np.arange(start, start + kinks.size), at, -1)
     whole = (row[:-1] >= 0) & (row[1:] >= 0)
-    return np.insert(kinks, at, others[~known]), np.where(whole, row[:-1], -1)
+    return np.insert(kinks, at, others), np.where(whole, row[:-1], -1)
 
 
 class _SegmentMemo(NamedTuple):
@@ -580,7 +597,8 @@ def _deficit(k: _SpectralKernel, omega_a: float, ts, j, x, j0) -> np.ndarray:
     over the panels per time, so u(t) does not depend on the other times.
     """
     y = np.minimum(x, 1.0) ** 2
-    one_minus_j0 = np.where(x < 1.0, y * _J0_DEFICIT(-y), 1.0 - j0)[:, k.width_index]
+    one_minus_j0 = np.where(x < 1.0, y * np.polynomial.polynomial.polyval(-y, _J0_DEFICIT),
+                            1.0 - j0)[:, k.width_index]
     even = sum(k.terms[n] * j[n] for n in range(1, _HALF))
     odd = sum(k.terms[n] * j[n] for n in range(_HALF, _NODES))
     # expm1(−iδt) = c − i·s with c = −2 sin²(δt/2), s = sin δt.
@@ -686,9 +704,15 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     width out to 1e5 times the model's energy scale, and towards a band
     edge where g² vanishes, from Λ/2 down to 2^−30·Λ; the coupling peak
     and a few bandwidths around it and the kinks of g² (a table's knots)
-    are edges too.  On each panel ρ is sampled at 10 Gauss–Legendre
-    nodes with the exact level shift of :func:`~zenodecay.real_shift` at
-    every node (a table's by the tree sum of its knot logarithms, see
+    are edges too.  A grading edge of step s (the distance res·2^k,
+    |offset|·Λ or Λ·2^−k it was placed at) that falls strictly inside a
+    kink segment no wider than s/2 is left out: the grading's panels
+    there are at least s/2 wide, so the kinks are finer, and the segment
+    stays whole.  A family with fewer than two kinks keeps every edge.
+    On each panel ρ is sampled at 10 Gauss–Legendre nodes with the exact
+    level shift of :func:`~zenodecay.real_shift` at every node (a
+    table's by the tree sum of its knot logarithms, each point summing
+    the at most 12 knots of its leaf's near zone exactly, see
     :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
     family's from its g² fit) and stored as Legendre coefficients c_k.
     A fit is resolved where h·(|c_{N−2}| + |c_{N−1}|) is below

@@ -543,8 +543,9 @@ class TabulatedCoupling(FormFactor):
         The root box, a power-of-two span on a multiple of it, covers
         [c − 2R, c + 2R] (c, R the centre and half-span of the table); a
         box is halved until its near zone — the box and its two neighbours
-        of equal width — holds at most ``_TREE_NEAR`` knots, so clustered
-        knots make deep leaves, not long near sums.  Every box carries its
+        of equal width — holds at most ``_KNOT_NEAR`` = 12 knots (a g² fit's
+        tree stops at 24 nodes), so clustered knots make deep leaves, not
+        long near sums.  Every box carries its
         far field, the sum over the knots outside its near zone, as values
         at ``_TREE_ORDER`` Chebyshev nodes: its parent's far field
         interpolated there, plus the knots that join its far set between
@@ -569,7 +570,10 @@ class TabulatedCoupling(FormFactor):
         the parent's far field, and the far-field series is cut below
         2^(−46) of its first term.  What remains is rounding, the size of
         the direct knot sum's: ε·Σ_j |κ_j (x − ω_j) ln|x − ω_j||.  The tree costs
-        O(n) per knot and level once, and O(``_TREE_NEAR`` + n) per x.
+        O(n) per knot and level once, and O(``_KNOT_NEAR`` + n) per x.  Each
+        near knot costs a logarithm: with 12 near knots instead of 24, a
+        2000-point call on 20001 knots takes 0.52 ms instead of 0.69 ms
+        (one core of a 2-core Xeon).
         """
         om = self.omegas
         fv = self.g2_values
@@ -629,9 +633,16 @@ class TabulatedCoupling(FormFactor):
 
 #: Chebyshev nodes per box of a source tree (series degree 23).
 _TREE_ORDER = 24
-#: A box of a source tree is a leaf once its near zone holds at most this
-#: many sources; they are the exact terms of every point in the leaf.
+#: A box of a g² fit's tree is a leaf once its near zone holds at most this
+#: many sources; they are the exact terms of every point in the leaf, one
+#: division each.
 _TREE_NEAR = 24
+#: The same for a table's knot tree, whose near terms take a logarithm each:
+#: for 20001 knots, twice the leaves of _TREE_NEAR (6434) and a build of
+#: 59–69 ms instead of 43–50 ms, once per table, for ~0.75 of the time per
+#: point.  A near zone of 8 (12832 leaves) was faster still, but took the
+#: peak RSS of 30 table rounds from 58 to 71 MB.
+_KNOT_NEAR = 12
 #: Box indices count box widths from zero; a box is halved only while its
 #: index is below this, so that its children and their neighbours have
 #: exact indices in a float.  Boxes narrower than the float spacing of
@@ -644,7 +655,8 @@ _TREE_LEVELS = 256
 #: (a₀ = 0 included).
 _FAR_TERMS = 48
 #: Points of a tree sum taken together: a chunk's near terms, up to
-#: ``_TREE_NEAR`` per point, and its leaves' coefficients stay below 1 MB.
+#: ``_TREE_NEAR`` per point on either tree, and its leaves' coefficients
+#: stay below 1 MB.
 _TREE_CHUNK = 4096
 #: Offsets, in box widths, of the source boxes that join a box's far set.
 _TREE_OFFSETS = np.array([-3.0, -2.0, 2.0, 3.0])
@@ -703,16 +715,25 @@ class _Tree(NamedTuple):
 
 
 def _chebyshev(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef[k]`` broadcast against t."""
+    """Σ_k c_k·T_k(t) by Clenshaw, with c_k = ``coef[k]`` broadcast against t.
+
+    b_k = 2t·b_{k+1} − b_{k+2} + c_k, formed in place in three buffers
+    that take turns.
+    """
     t2 = 2.0 * t
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
+    b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
     for k in range(_TREE_ORDER - 1, 0, -1):
-        b1, b2 = t2 * b1 - b2 + coef[k], b1
-    return t * b1 - b2 + coef[0]
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += coef[k]
+        b1, b2, b0 = b0, b1, b2
+    np.multiply(t, b1, out=b0)
+    b0 -= b2
+    b0 += coef[0]
+    return b0
 
 
-def _build_tree(sources, weights, centre, radius, field) -> _Tree:
+def _build_tree(sources, weights, centre, radius, field, near) -> _Tree:
     """The tree of Σ_j w_j K(x − ω_j) over sorted sources ω_j within R of c.
 
     Two kernels share it: K(d) = d·ln|d| for a table's knots
@@ -721,7 +742,8 @@ def _build_tree(sources, weights, centre, radius, field) -> _Tree:
     (:func:`_fit_shift`, ``field`` = :func:`_cauchy_field`).  Only the
     action of a source box on a box's Chebyshev nodes, ``field(sums, m1,
     charges, dist, width)``, depends on the kernel; the sum past
-    |x − c| > 2R is the caller's (see :func:`_tree_sum`).
+    |x − c| > 2R is the caller's (see :func:`_tree_sum`).  A box is
+    halved until its near zone holds at most ``near`` sources.
 
     Boxes are dyadic: a box of a level spans [k·w, (k + 1)·w] for its
     integer index k and the level's power-of-two width w, so every edge
@@ -792,7 +814,7 @@ def _build_tree(sources, weights, centre, radius, field) -> _Tree:
                 p = slot[use[:, i], i]
                 dist = 0.5 * width * _CHEB_T - _TREE_OFFSETS[i] * width
                 far[use[:, i]] += field(cheb_sums[p], m1[p], charges[p], dist, width)
-        split = ((near_hi - near_lo > _TREE_NEAR) & (level < _TREE_LEVELS)
+        split = ((near_hi - near_lo > near) & (level < _TREE_LEVELS)
                  & (np.abs(box) < _TREE_INDEX))
         leaf = ~split
         lo = box[leaf] * width
@@ -881,7 +903,7 @@ def _tree_sum(tree: _Tree, x: np.ndarray, leaf: np.ndarray, outer: np.ndarray,
     ``_TREE_CHUNK``, each taking one gather of its leaves' coefficients,
     one ``term`` on its near zones laid end to end and one ``bincount``
     of them: about a hundred numpy calls per chunk, whatever the tree,
-    so that a call on one point costs ~0.15 ms.
+    so that a call on one point costs ~0.1 ms.
     """
     out = np.empty_like(x)
     if np.any(outer):
@@ -906,7 +928,7 @@ def _build_knot_tree(om: np.ndarray, values: np.ndarray) -> _Tree:
     kappa = np.diff(slopes, prepend=0.0, append=0.0)
     centre = 0.5 * (om[0] + om[-1])
     radius = 0.5 * (om[-1] - om[0])
-    return _build_tree(om, kappa, centre, radius, _log_field)
+    return _build_tree(om, kappa, centre, radius, _log_field, _KNOT_NEAR)
 
 
 def _far_coefficients(om: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -1111,7 +1133,7 @@ def _build_shift_fit(ff: FormFactor) -> _ShiftFit:
     nodes = np.repeat(lo, _NODES) + offsets
     charges = (h[:, None] * _GL_W * (coef.T @ _LEG_AT_NODES)).ravel()
     centre, radius = 0.5 * (lo[0] + hi[-1]), 0.5 * (hi[-1] - lo[0])
-    tree = _build_tree(nodes, charges, centre, radius, _cauchy_field)
+    tree = _build_tree(nodes, charges, centre, radius, _cauchy_field, _TREE_NEAR)
     return _ShiftFit(lo, hi, coef, near_lo, near_hi, cells, cell_start, panel[order], offsets,
                      tree, np.array(divergent), tuple(edge_shifts))
 

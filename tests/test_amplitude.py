@@ -258,6 +258,49 @@ def test_panel_edges_give_each_whole_segment_its_memo_row(tab_lorentzian):
         assert (edges[0] > kinks[0]) == (edges[-1] < kinks[-1]) == (ff is not tab_lorentzian)
 
 
+def _recorded_edges(monkeypatch, ff, omega_a):
+    """ω_r, res and the first edges of ``ff``'s kernel at ``omega_a``, as the build placed them."""
+    seen, edges_of = [], amplitude._panel_edges
+
+    def recorded(ff, omega_r, res, kinks):
+        out = edges_of(ff, omega_r, res, kinks)
+        seen.append((omega_r, res, out[0]))
+        return out
+
+    monkeypatch.setattr(amplitude, "_panel_edges", recorded)
+    amplitude._kernel_uncached(ff, omega_a)
+    (found,) = seen
+    return found
+
+
+@pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
+def test_grading_edges_leave_narrow_knot_segments_whole(tab_lorentzian, omega_a, monkeypatch):
+    # A grading edge of step s, res·2^k at the resonance or |offset|·Λ at
+    # the peak, is dropped where it falls strictly inside a knot segment no
+    # wider than s/2: every one placed off a knot lies in a wider segment.
+    omega_r, res, edges = _recorded_edges(monkeypatch, tab_lorentzian, omega_a)
+    knots = tab_lorentzian.omegas
+    steps = res * 2.0 ** np.arange(-3.0, 60.0)
+    offsets = tab_lorentzian.bandwidth * np.array([1.0, 3.0, 10.0, 30.0])
+    peak = tab_lorentzian.peak_energy()
+    grading = np.concatenate((omega_r - steps, omega_r + steps, peak - offsets, peak + offsets))
+    step = np.concatenate((steps, steps, offsets, offsets))
+    placed = np.isin(grading, edges) & ~np.isin(grading, knots)
+    at = np.searchsorted(knots, grading[placed])
+    assert np.count_nonzero(placed) >= 6
+    assert np.all(knots[at] - knots[at - 1] > 0.5 * step[placed])
+
+
+def test_sparse_kinks_keep_every_resonance_edge(monkeypatch):
+    # The semicircle's kinks are 0.5 apart, wider than half of every step
+    # res·2^k that lands inside its support, so no grading edge is dropped.
+    omega_r, res, edges = _recorded_edges(monkeypatch, _KinkedSemicircle(), 0.2)
+    steps = res * 2.0 ** np.arange(-3.0, 10.0)
+    grading = np.concatenate((omega_r - steps, omega_r + steps))
+    inside = grading[(grading >= -1.0) & (grading <= 1.0)]
+    assert inside.size >= 10 and np.all(np.isin(inside, edges))
+
+
 @pytest.mark.parametrize("omega_a", [0.0, 4e-4])
 def test_kernel_window_keeps_a_finite_support_whole(omega_a):
     # A user bandwidth far below the table's span makes the window

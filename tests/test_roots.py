@@ -50,6 +50,23 @@ def test_many_brackets_at_once_match_one_at_a_time():
     assert np.all(np.abs(_wavy(roots)) < 1e-13)
 
 
+def test_interpolation_within_delta_of_the_bracket_bisects():
+    # x² − 1.35 on [0, 2] with xtol = 0.1: the second step's inverse
+    # quadratic step stry = 0.9907 from xcur = 0.675 has
+    # 3|sbis| − delta = 1.9375 ≤ 2|stry| = 1.9813 < 3|sbis| = 1.9875, with
+    # delta = 0.05 and |spre| = 2, so brentq's acceptance test
+    # 2|stry| < min(|spre|, 3|sbis| − delta) turns it down and bisects.
+    # Taking the step instead ends on another root, 1.1725.
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return x * x - 1.35
+
+    expected = optimize.brentq(f, 0.0, 2.0, xtol=0.1, rtol=8.9e-16)
+    assert bracketed_roots(f, 0.0, 2.0, xtol=0.1, rtol=8.9e-16).tolist() == [expected]
+    assert abs(expected - 1.16941) < 1e-5
+
+
 def test_root_at_a_bracket_end():
     def f(x):
         return x - 1.0

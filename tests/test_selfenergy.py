@@ -487,8 +487,6 @@ def test_table_knot_sum_matches_segment_sum(request, table):
     # is no worse than ten times the direct sum's own distance from the
     # segment form; outside, where Δ_R is far below the knot terms, each
     # point is held to the rounding scale ε·Σ|terms| of its own sum.
-    from zenodecay.formfactor import _TREE_NEAR
-
     ff = _test_table(request, table)
     om = ff.omegas
     lo, hi = ff.support()
@@ -515,8 +513,21 @@ def test_table_knot_sum_matches_segment_sum(request, table):
             bound = 4.0 * np.finfo(float).eps * knot_sum_scale(ff, xs)
         assert np.all(np.abs(tree - segment) <= bound)
         assert np.all(np.abs(tree - direct) <= bound)
-    near = ff._knot_tree.near_hi - ff._knot_tree.near_lo
-    assert np.max(near) <= _TREE_NEAR
+
+
+@pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough", "three", "two"])
+def test_knot_tree_near_zones_hold_at_most_twelve_knots(request, table):
+    # Each near knot costs a logarithm per point, so a table's knot tree
+    # halves its boxes down to 12 near knots.
+    tree = _test_table(request, table)._knot_tree
+    assert np.max(tree.near_hi - tree.near_lo) <= 12
+
+
+def test_fit_tree_near_zones_hold_at_most_24_nodes():
+    # A g² fit's tree, whose near terms take a division each, stops at 24
+    # near nodes, so the power law's Δ_R keeps its floats.
+    fit = formfactor._shared_shift_fit(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)).tree
+    assert 12 < np.max(fit.near_hi - fit.near_lo) <= 24
 
 
 @pytest.mark.parametrize("table", ["tab_lorentzian", "geometric", "rough"])

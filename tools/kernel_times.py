@@ -24,6 +24,11 @@ Run from anywhere:
 
     python3 tools/kernel_times.py [--against REF] [--rounds N] [--src DIR]
 
+Under the times, each side's median over the ``tab_build`` kernels of
+their panel count, distinct panel widths and ``shift_points`` (the
+energies of the build's own Δ_R calls): what a change does to the
+kernel, beside what it does to the times.
+
 Each of the N rounds (default 5) times every measurement in one fresh
 interpreter per side.  With ``--against REF`` the ``src/`` tree of the git
 ref REF is extracted with ``git archive`` into a temporary directory, and
@@ -51,6 +56,8 @@ TAB_LEVELS = np.linspace(1.5, 8.0, 40)
 TAB_TIMES = np.linspace(0.0, 50.0, 26)
 PL_LEVELS = np.linspace(1.8, 3.0, 8)
 LOR_LEVELS = np.repeat([1.5, 2.0, 5.0, 10.0], 5)
+#: What each ``tab_build`` kernel reports: panels, distinct widths, Δ_R points.
+KERNEL_COUNTS = ("panels", "distinct widths", "shift_points")
 
 
 def _timed(call) -> float:
@@ -59,8 +66,11 @@ def _timed(call) -> float:
     return time.perf_counter() - start
 
 
-def samples(src: Path) -> dict[str, list[float]]:
-    """The samples of each measurement, taken with the ``zenodecay`` package under ``src``."""
+def samples(src: Path) -> dict[str, dict[str, list[float]]]:
+    """The samples of each measurement in seconds, and the counts of each table kernel.
+
+    Taken with the ``zenodecay`` package under ``src``.
+    """
     import_package(src)
     from zenodecay import (DecayModel, LorentzianCoupling, TabulatedCoupling,
                            ThresholdPowerLawCoupling, amplitude, find_transition_time,
@@ -71,10 +81,14 @@ def samples(src: Path) -> dict[str, list[float]]:
     power_law = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
     out = {name: [] for name in ("tab_build", "tab_sum", "pl_build", "pl_transition",
                                  "lor_transition")}
+    counts = {name: [] for name in KERNEL_COUNTS}
     amplitude._kernel_uncached(table, 0.5 * (TAB_LEVELS[0] + TAB_LEVELS[1]))
     for w in TAB_LEVELS:
         out["tab_build"].append(_timed(lambda: amplitude._kernel_uncached(table, w)))
-        amplitude._spectral_kernel(table, w)
+        kernel = amplitude._spectral_kernel(table, w)
+        for name, value in zip(KERNEL_COUNTS, (kernel.mids.size, kernel.widths.size,
+                                               kernel.shift_points)):
+            counts[name].append(value)
         out["tab_sum"].append(_timed(lambda: survival_spectral_integral(table, w, TAB_TIMES)))
     amplitude._kernel_uncached(power_law, 0.5 * (PL_LEVELS[0] + PL_LEVELS[1]))
     for w in PL_LEVELS:
@@ -85,10 +99,10 @@ def samples(src: Path) -> dict[str, list[float]]:
     for w in LOR_LEVELS:
         model = DecayModel(lorentzian, w)
         out["lor_transition"].append(_timed(lambda: find_transition_time(model)))
-    return out
+    return {"times": out, "counts": counts}
 
 
-def _worker(src: Path) -> dict[str, list[float]]:
+def _worker(src: Path) -> dict[str, dict[str, list[float]]]:
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker", "--src",
                           str(src)], check=True, capture_output=True, cwd=src.parent).stdout
     return json.loads(out)
@@ -119,16 +133,27 @@ def main(argv: list[str]) -> int:
                 print(exc.stderr.decode().strip(), file=sys.stderr)
                 return 2
         pooled = {side: {} for side in sides}
+        counts = {side: {} for side in sides}
         for n in range(args.rounds):
             order = list(sides) if n % 2 == 0 else list(sides)[::-1]
             for side in order:
-                for name, values in _worker(sides[side]).items():
-                    pooled[side].setdefault(name, []).extend(values)
+                got = _worker(sides[side])
+                for into, part in ((pooled, "times"), (counts, "counts")):
+                    for name, values in got[part].items():
+                        into[side].setdefault(name, []).extend(values)
     print(f"{'ms':14s} " + " ".join(f"{side:28s}" for side in sides)
           + (" change" if len(sides) > 1 else ""))
     for name in pooled["tree"]:
         medians = [np.median(pooled[side][name]) for side in sides]
         line = f"{name:14s} " + " ".join(f"{_summary(pooled[side][name]):28s}" for side in sides)
+        if len(sides) > 1:
+            line += f" {medians[1] / medians[0] - 1.0:+.1%}"
+        print(line)
+    print(f"\n{'tab_build kernels, median':28s} " + " ".join(f"{side:>14s}" for side in sides)
+          + (" change" if len(sides) > 1 else ""))
+    for name in KERNEL_COUNTS:
+        medians = [np.median(counts[side][name]) for side in sides]
+        line = f"{name:28s} " + " ".join(f"{m:14.1f}" for m in medians)
         if len(sides) > 1:
             line += f" {medians[1] / medians[0] - 1.0:+.1%}"
         print(line)
