@@ -4,7 +4,9 @@ One panel machinery serves two fits: the spectral kernel of
 :mod:`~zenodecay.amplitude` fits the density ρ of the surviving state,
 and a coupling family without a closed-form level shift fits g² once
 (:mod:`~zenodecay.formfactor`), whose Hilbert transform is then exact.
-Both keep what they build by the family's value, through :func:`_memoized`.
+Both keep their fits by the family's value, the kernel's per level too,
+through :func:`_memoized`; the values that the kernel's ρ takes from g²
+alone on the segments between kinks are kept by the coupling instance.
 The kernel also merges the fits of its knot segments over a binary tree
 of the segments, by exact projection (:func:`_merge`).
 """

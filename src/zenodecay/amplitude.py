@@ -22,40 +22,58 @@ Three evaluation routes are provided, all returning a
     where the sum covers bound states past a finite band edge (weights
     from the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
     The integral runs over one fixed set of panels per (family, ω_a),
-    laid out by one rule for every family: first edges graded in powers
-    of two towards the resonance ω_a + Δ_R(ω_a) and towards a band edge
-    where g² vanishes, plus the coupling peak and the kinks of g², where
-    a grading edge that falls strictly inside a kink segment no wider
-    than half its step is left out, since the kinks grade ρ there.  ρ is
-    sampled at Gauss–Legendre nodes on each panel with the exact level
-    shift Δ_R at every node (a table sums its one logarithm per knot by a
-    tree built once per table, exactly over at most 12 near knots, and
-    keeps Δ_R, g², the node offsets, (πg²)² and the mask g² > 0 at the
-    nodes of its knot segments for every ω_a, 6.6 MB for 20001 knots;
-    any other family without a closed form takes the Hilbert transform
-    of its g² fit, built once per coupling value and shared by equal
-    instances) and stored as Legendre
-    coefficients.  Their Fourier transforms are spherical Bessel functions
-    (the Filon–Legendre rule), exact in t for the fitted polynomials, so
-    every t uses the same coefficients.  First every segment between
-    consecutive kinks of g² is fitted in one pass from the memo, with ρ
-    formed in place from its arrays and the segment's detuning alone.
-    The whole segments, first panels that span
-    exactly one segment (a table's knot segments, most of its panels,
-    though ρ needs about a tenth of them), are merged where their fit is
-    resolved, over a segment tree of the table: node j of level L spans
-    the segments [j·2^L, (j+1)·2^L) and takes the L2 projection of its two
-    children's fits onto one panel, and it is kept where both children are
-    and that panel passes the bisection's own rule.  Every other first
-    panel, and the halves of each whole segment whose fit is open, is
-    bisected until the fit is resolved, with one Δ_R call per pass.  A
-    kernel without kinks takes only that route.  The summed
-    truncation bound is the achieved error for every t at once, and there
-    is no late-time fallback to the pole term.  The same panels and j_k
-    give the deficit u(t) = 1 − e^{iω_a t}·x(t) free of cancellation as
-    t → 0 (expm1 of each panel's detuning from ω_a, a series for 1 − j₀),
-    from which ln P is formed where P ≥ ½; u is summed only at those
-    times.
+    laid out by one rule for every family (:func:`_panel_edges`): first
+    edges graded in powers of two towards the resonance ω_a + Δ_R(ω_a),
+    from an eighth of its width out to 1e5 times the model's energy
+    scale, and towards a band edge where g² vanishes, from Λ/2 down to
+    2^−30·Λ, plus the coupling peak, a few bandwidths around it and the
+    kinks of g² (a table's knots), where a grading edge that falls
+    strictly inside a kink segment no wider than half its step is left
+    out, since the kinks grade ρ there.  ρ is sampled at 10
+    Gauss–Legendre nodes on each panel with the exact level shift Δ_R at
+    every node (a table sums its one logarithm per knot by a tree built
+    once per table, exactly over at most 12 near knots; any other family
+    without a closed form takes the Hilbert transform of its g² fit,
+    built once per coupling value and shared by equal instances) and
+    stored as Legendre coefficients c_k.  What ρ takes at the nodes that
+    does not depend on ω_a, Δ_R, g², (πg²)² and the mask g² > 0, and the
+    nodes' offsets from their panel's lower edge form one record
+    (:class:`_NodeValues`), which one builder forms for the segment memo
+    and for each bisection pass; ρ adds the panel's detuning from ω_a
+    alone.  The segment memo holds that record at the nodes of every
+    segment between consecutive kinks of g²; Δ_R depends on g² alone, so
+    the coupling instance keeps it for every ω_a (6.6 MB for a
+    20001-knot table).  First every such segment is fitted in one pass
+    from the memo.  The whole segments, first panels that span exactly
+    one segment (a table's knot segments, most of its panels, though ρ
+    needs about a tenth of them), are merged where their fit is
+    resolved, over a segment tree of the kinks: node j of level L spans
+    the segments [j·2^L, (j+1)·2^L) and takes the exact L2 projection of
+    its two children's fits onto one panel, which keeps every moment of
+    ρ below degree 10, so the panel mass, P(0) and the short-time
+    deficit, and it is kept where both children are and that panel
+    passes the bisection's own rule; a table's ~2·10⁴ knot segments
+    merge into ~2·10³ panels.  Every other first panel, and the halves
+    of each whole segment whose fit is open, is bisected until the fit
+    is resolved, with one Δ_R call per pass.  A kernel without kinks
+    (Lorentzian, power laws) takes only that route.  Node arrays are
+    filled in chunks of 2048 panels.  A panel of width h around ω_c then
+    contributes, exactly for the fitted polynomial (the Filon–Legendre
+    rule),
+
+        ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
+
+    so every t uses the same coefficients and costs one sum over panels.
+    Times go through in chunks, each with one table of the spherical
+    Bessel functions j_k, one column per time and distinct panel width
+    (:func:`_jn_table`), read for each panel by one ``take`` with the
+    even k (real) in one block and the odd k (imaginary) in another.  The
+    summed truncation bound is the achieved error for every t at once,
+    and there is no late-time fallback to the pole term.  The same panels
+    and j_k give the deficit u(t) = 1 − e^{iω_a t}·x(t) free of
+    cancellation as t → 0 (expm1 of each panel's detuning from ω_a, a
+    series for 1 − j₀), from which ln P is formed where P ≥ ½; u is
+    summed only at those times.
 
 ``pole_approximation``
     Only the resonance-pole term: P(t) = Z·e^{−γ₀t}, the exponential-era
@@ -244,25 +262,45 @@ def spectral_density(ff: FormFactor, omega_a: float, omega) -> np.ndarray:
     """
     omega_a = _level(omega_a)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    g2 = np.atleast_1d(np.asarray(ff.g2(w), dtype=float))
-    out = _rho(w - omega_a, g2, real_shift(ff, w))
+    out = _rho(w - omega_a, _node_values(ff, w, 0.0))
     return out if np.ndim(omega) else float(out[0])
 
 
-def _rho(detuning: np.ndarray, g2: np.ndarray, shift: np.ndarray, damping=None,
-         positive=None) -> np.ndarray:
-    """ρ from ω − ω_a, g² and Δ_R at the same energies; zero where g² vanishes.
+class _NodeValues(NamedTuple):
+    """What ρ takes at the nodes lo + offsets of a block of panels, bar ω_a, one row per panel.
 
-    The denominator is formed in place in ``detuning``, which is
-    overwritten.  ``damping``, (πg²)², and ``positive``, the mask g² > 0,
-    are formed from ``g2`` unless given: a caller that keeps them passes
-    the same floats.
+    Δ_R and g² at the nodes, the offsets from each panel's lower edge
+    that the kernel adds to the panel's detuning, and the damping (πg²)²
+    and the mask g² > 0 of :func:`_rho`.
     """
-    detuning -= shift
+
+    shifts: np.ndarray
+    g2: np.ndarray
+    offsets: np.ndarray
+    damping: np.ndarray
+    positive: np.ndarray
+
+    def rows(self, cols) -> "_NodeValues":
+        """The values of the panels ``cols``."""
+        return _NodeValues(*(field[cols] for field in self))
+
+
+def _node_values(ff: FormFactor, lo, offsets) -> _NodeValues:
+    """The :class:`_NodeValues` at the energies lo + offsets, Δ_R from one real_shift call."""
+    nodes = lo + offsets
+    g2 = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return _NodeValues(real_shift(ff, nodes), g2, offsets, (math.pi * g2) ** 2, g2 > 0.0)
+
+
+def _rho(detuning: np.ndarray, values: _NodeValues) -> np.ndarray:
+    """ρ from ω − ω_a and the :class:`_NodeValues` at the same energies; zero where g² vanishes.
+
+    The denominator is formed in place in ``detuning``, which is overwritten.
+    """
+    detuning -= values.shifts
     detuning *= detuning
-    detuning += (math.pi * g2) ** 2 if damping is None else damping
-    return np.divide(g2, detuning, out=np.zeros_like(g2),
-                     where=g2 > 0.0 if positive is None else positive)
+    detuning += values.damping
+    return np.divide(values.g2, detuning, out=np.zeros_like(values.g2), where=values.positive)
 
 
 def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
@@ -322,45 +360,30 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     return np.insert(kinks, at, others), np.where(whole, row[:-1], -1)
 
 
-class _SegmentMemo(NamedTuple):
-    """What ρ takes at the nodes of every segment between consecutive kinks of g², bar ω_a.
+def _segment_values(ff: FormFactor):
+    """The sorted kinks of g², and the :class:`_NodeValues` of the segments between them.
 
-    Row j holds, at the nodes kinks[j] + offsets[j] of the segment
+    Row j holds the nodes kinks[j] + offsets[j] of the segment
     [kinks[j], kinks[j+1]], which a panel spanning exactly that segment
-    samples: Δ_R, g², the offsets (kinks[j+1] − kinks[j])·_GL_FRACTION
-    that the kernel adds to the segment's detuning, and the damping
-    (πg²)² and the mask g² > 0 of :func:`_rho`.
+    samples.  Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments,
+    most of them whole first panels of every kernel, take their values
+    once per coupling instance, not once per ω_a: the first kernel fills
+    them, in chunks of segments that bound the memory of their node
+    arrays, and the instance keeps them (``_level_free``; 6.6 MB for a
+    20001-knot table: four float arrays and a mask).
     """
-
-    shifts: np.ndarray
-    g2: np.ndarray
-    offsets: np.ndarray
-    damping: np.ndarray
-    positive: np.ndarray
-
-
-def _segment_shifts_uncached(ff: FormFactor):
-    """The sorted kinks of g², and the :class:`_SegmentMemo` of the segments between them.
-
-    The node arrays are filled in chunks of segments to bound their memory.
-    """
-    kinks = np.unique(ff.kinks())
-    lo = kinks[:-1, None]
-    offsets = np.diff(kinks)[:, None] * _GL_FRACTION
-    shifts, g2 = np.empty((2, lo.size, _NODES))
-    for rows in _chunks(lo.size):
-        nodes = lo[rows] + offsets[rows]
-        shifts[rows] = real_shift(ff, nodes)
-        g2[rows] = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return kinks, _SegmentMemo(shifts, g2, offsets, (math.pi * g2) ** 2, g2 > 0.0)
-
-
-# Δ_R depends on g² alone, so a table's ~2·10⁴ knot segments, most of
-# them whole first panels of every kernel, take their node shifts and g²,
-# and the node offsets, (πg²)² and g² > 0 that ρ forms from them, once
-# per table (6.6 MB for 20001 knots: four float arrays and a mask), not
-# once per ω_a.
-_segment_shifts = lru_cache(maxsize=1)(_segment_shifts_uncached)
+    kept = ff._level_free
+    if "segments" not in kept:
+        kinks = np.unique(ff.kinks())
+        lo, offsets = kinks[:-1, None], np.diff(kinks)[:, None] * _GL_FRACTION
+        shifts, g2, damping = np.empty((3, lo.size, _NODES))
+        memo = _NodeValues(shifts, g2, offsets, damping, np.empty(g2.shape, dtype=bool))
+        for rows in _chunks(lo.size):
+            # The offsets field is written onto itself.
+            for field, values in zip(memo, _node_values(ff, lo[rows], offsets[rows])):
+                field[rows] = values
+        kept["segments"] = kinks, memo
+    return kept["segments"]
 
 
 class _SpectralKernel(NamedTuple):
@@ -402,40 +425,29 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     # the broad regime, where ρ has no structure narrower than the
     # coupling scale.
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
-    # A family with fewer than two kinks has no segments, and its empty
-    # memo leaves a table's memo in the cache.
-    kinks, memo = (_memoized(_segment_shifts, ff) if np.size(ff.kinks()) > 1
-                   else _segment_shifts_uncached(ff))
+    kinks, memo = _segment_values(ff)
     edges, rows = _panel_edges(ff, omega_r, res, kinks)
     whole = rows >= 0
     rows = rows[whole]
     counts = {"shift_calls": 1, "shift_points": 1, "memo_rows": rows.size}
 
-    def density(lo, h, memo=None):
+    def density(lo, h, values=None):
         """ρ at the nodes of the panels [lo, lo + h], one (panels, nodes) block per chunk.
 
-        The panels are the segments of the :class:`_SegmentMemo` ``memo``
-        where given, which serves Δ_R, g² and the rest; else Δ_R comes
-        from one :func:`~zenodecay.real_shift` call for the whole pass and
-        g² from one call per chunk.  Nodes are placed from the exact panel
-        edge, and the detuning from ω_a is formed before the node is
-        rounded: near a narrow resonance an edge or node off by one
-        rounding, though far below the panel width, moves mass by
-        ulp(ω)·ρ_max ~ ulp(ω)/Γ.
+        ``values`` holds the :class:`_NodeValues` of the panels where
+        given, the segment memo's; else they are taken for the whole pass,
+        Δ_R from one :func:`~zenodecay.real_shift` call.  Nodes are placed
+        from the exact panel edge, and the detuning from ω_a is formed
+        before the node is rounded: near a narrow resonance an edge or
+        node off by one rounding, though far below the panel width, moves
+        mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
-        if memo is not None:
-            for cols in _chunks(lo.size):
-                yield _rho((lo[cols] - omega_a)[:, None] + memo.offsets[cols], memo.g2[cols],
-                           memo.shifts[cols], memo.damping[cols], memo.positive[cols])
-            return
-        shift = real_shift(ff, lo[:, None] + h[:, None] * _GL_FRACTION)
-        counts["shift_calls"] += 1
-        counts["shift_points"] += shift.size
+        if values is None:
+            values = _node_values(ff, lo[:, None], h[:, None] * _GL_FRACTION)
+            counts["shift_calls"] += 1
+            counts["shift_points"] += values.shifts.size
         for cols in _chunks(lo.size):
-            offset = h[cols, None] * _GL_FRACTION
-            g2 = np.asarray(ff.g2((lo[cols, None] + offset).ravel()),
-                            dtype=float).reshape(offset.shape)
-            yield _rho((lo[cols] - omega_a)[:, None] + offset, g2, shift[cols])
+            yield _rho((lo[cols] - omega_a)[:, None] + values.offsets[cols], values.rows(cols))
 
     # Each knot segment samples the nodes of its memo row, so its fit takes
     # Δ_R and g² from the memo, elementwise the same floats as calls.
@@ -475,12 +487,13 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     )
 
 
-# A table kernel holds ~0.2 MB once merged (1910–2450 panels; ~2 MB
-# unmerged) and, with its segment memo, rebuilds in 7–9 ms: the memo
-# fit of its knot segments, their merge over the segment tree and the
-# bisection of the rest (20001 knots, ω_a ∈ [1.7, 7.3], one core of a
-# 2-core Xeon), so the cache keeps only the two models a caller works
-# through at once, which leaves room for the 6.6 MB memo.
+# A table kernel holds ~0.2 MB once merged (1833–2458 panels over
+# ω_a ∈ [1.5, 8], median 1872; ~2 MB unmerged) and, with its segment
+# memo, rebuilds in 7–12 ms (quartiles): the memo fit of its knot
+# segments, their merge over the segment tree and the bisection of the
+# rest (20001 knots, one core of a shared 2-core Xeon), so the cache
+# keeps only the two models a caller works through at once.  Each keeps
+# its coupling alive, and with a table the 6.6 MB memo the table holds.
 _kernel_cached = lru_cache(maxsize=2)(_kernel_uncached)
 
 
@@ -697,69 +710,23 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
 
     Notes
     -----
-    Everything that does not depend on t is built once per
-    (family, omega_a) pair and memoized: bound states and a fixed set of
-    panels over the support.  Their first edges are graded in powers of
-    two towards the resonance ω_a + Δ_R(ω_a), from an eighth of its
-    width out to 1e5 times the model's energy scale, and towards a band
-    edge where g² vanishes, from Λ/2 down to 2^−30·Λ; the coupling peak
-    and a few bandwidths around it and the kinks of g² (a table's knots)
-    are edges too.  A grading edge of step s (the distance res·2^k,
-    |offset|·Λ or Λ·2^−k it was placed at) that falls strictly inside a
-    kink segment no wider than s/2 is left out: the grading's panels
-    there are at least s/2 wide, so the kinks are finer, and the segment
-    stays whole.  A family with fewer than two kinks keeps every edge.
-    On each panel ρ is sampled at 10 Gauss–Legendre nodes with the exact
-    level shift of :func:`~zenodecay.real_shift` at every node (a
-    table's by the tree sum of its knot logarithms, each point summing
-    the at most 12 knots of its leaf's near zone exactly, see
-    :meth:`~zenodecay.TabulatedCoupling.shift_closed_form`; another
-    family's from its g² fit) and stored as Legendre coefficients c_k.
-    A fit is resolved where h·(|c_{N−2}| + |c_{N−1}|) is below
-    max(1e−14, 1e−11·panel mass).  Δ_R depends on g² alone, so the
-    shifts and g² at the nodes of every segment between consecutive kinks
-    of g², with the nodes' offsets from the segment's lower edge, (πg²)²
-    and the mask g² > 0, are memoized once per family (the last one
-    used; 6.6 MB for a 20001-knot table), and every segment is fitted
-    first, in one pass, from the memo, which leaves only the detuning
-    from ω_a to add.  The
-    whole segments are the first panels that are exactly such a segment
-    (most panels of a table at any ω_a).  Every other first panel, and
-    the two halves of each whole segment whose fit is not resolved, is
-    bisected until its fit is, each pass taking Δ_R from one
-    :func:`~zenodecay.real_shift` call.  The values are the same floats
-    either way, and the panels' node arrays are filled in chunks of 2048
-    panels.  The resolved whole segments are then merged over a segment
-    tree of the family's kinks: node j of level L spans the segments
-    [j·2^L, (j+1)·2^L), its coefficients are the exact L2 projection of
-    its two children's fitted polynomials, formed a level at a time, and
-    it is kept where both children are kept and its own bound passes the
-    same rule.  The panels are the kept nodes with no kept parent, each
-    with its own bound.  The projection keeps every moment of ρ below
-    degree 10, so the panel mass, P(0) and the short-time deficit.  A
-    table's ~2·10⁴ knot segments merge into ~2·10³ panels; a kernel
-    without kinks (Lorentzian, power laws) has no whole segments and is
-    only bisected.
-    A panel of width h around ω_c then contributes, exactly for the
-    fitted polynomial,
-
-        ∫ ρ e^{−iωt} dω = h·e^{−iω_c t}·Σ_k c_k (−i)^k j_k(th/2),
-
-    so every t costs one sum over panels.  Times go through in chunks,
-    each with one table of the j_k, one column per time and distinct
-    panel width (``_jn_table``: the upward recurrence where the argument
-    exceeds the order, the series or Miller's backward recurrence
-    elsewhere), and with panel arrays of one row per time: the j_k of
-    each panel, read from the table by one ``take`` with the even k in
-    one contiguous block and the odd k in another, meet the even-k
-    (real) and odd-k (imaginary) blocks of h·c_k(−i)^k.  Every step is
-    elementwise until the sum over panels, so a time's value does not
-    depend on the others in the call.  The sum of the panels' bounds is
-    the achieved error, the same for every t.
-    The panel sum is the only route at every t: late times keep the
-    non-exponential tail that departs from the pole term Z·e^{−γ₀t},
-    and a table, which has no pole, is evaluated like any other family.
-    Only the rounding of the phases t·ω grows with t.
+    What does not depend on t is built once per (family, omega_a) pair,
+    by the first call at that pair: the bound states and a fixed set of
+    panels over the support, with the Legendre coefficients of ρ on
+    each, kept for the last two pairs (an unhashable custom family
+    builds them at every call).  The values ρ takes from g² alone at the
+    nodes of the segments between consecutive kinks of g² are built once
+    per coupling instance, by its first kernel, and the instance keeps
+    them.  The module docstring gives the recipe.  Every t is then one
+    sum over the panels, exact for the fitted polynomials, and every
+    step is elementwise until that sum, so a time's value does not
+    depend on the others in the call.  A panel's fit is resolved where
+    h·(|c_{N−2}| + |c_{N−1}|) is below max(1e−14, 1e−11·panel mass);
+    the sum of the panels' bounds is the achieved error, the same for
+    every t.  The panel sum is the only route at every t: late times
+    keep the non-exponential tail that departs from the pole term
+    Z·e^{−γ₀t}, and a table, which has no pole, is evaluated like any
+    other family.  Only the rounding of the phases t·ω grows with t.
 
     Raises
     ------

@@ -13,8 +13,9 @@ Subcommands (all take ``--config PATH`` and ``--out DIR``):
     ``tau_max`` -> ``transition.json`` (the report's fields + config echo).
 ``sweep``
     Rate curve + transition report per omega_a value; one CSV per entry
-    under a content-addressed name, plus ``sweep_summary.json``.  Every
-    run recomputes and rewrites each entry.
+    under a content-addressed name, plus ``sweep_summary.json``.  The
+    coupling is built once for all entries; every run recomputes and
+    rewrites each entry.
 
 Every ``[task]`` value was checked when the config was parsed
 (:mod:`zenodecay.config`), whichever subcommand runs; what is left here
@@ -141,15 +142,15 @@ def _run_sweep(cfg: RunConfig, out_dir: str) -> str:
     if not values:
         raise ConfigError("[task] omega_a_values is required for sweep")
     task = {k: v for k, v in cfg.task.items() if k != "omega_a_values"}
+    # The coupling does not depend on omega_a: one build serves every entry.
+    ff = cfg.build_form_factor()
     entries = []
     for omega_a in values:
-        entry_cfg = dataclasses.replace(cfg, model={**cfg.model, "omega_a": omega_a})
-        key = _json_text({"model": entry_cfg.model, "task": task}).encode()
+        key = _json_text({"model": {**cfg.model, "omega_a": omega_a}, "task": task}).encode()
         csv_name = f"rate_{hashlib.sha256(key).hexdigest()[:16]}.csv"
-        model = _build_model(entry_cfg)
-        _write_rate(entry_cfg, model, os.path.join(out_dir, csv_name))
-        entries.append({"omega_a": omega_a, "csv": csv_name,
-                        **_transition_payload(entry_cfg, model)})
+        model = DecayModel(ff, omega_a)
+        _write_rate(cfg, model, os.path.join(out_dir, csv_name))
+        entries.append({"omega_a": omega_a, "csv": csv_name, **_transition_payload(cfg, model)})
     payload = {"entries": entries, "config": cfg.echo()}
     return _write_text(os.path.join(out_dir, "sweep_summary.json"), _json_text(payload))
 

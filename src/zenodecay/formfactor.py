@@ -187,12 +187,15 @@ class FormFactor:
         return _memoized(_shared_shift_fit, self)
 
     @functools.cached_property
-    def _probe_shifts(self) -> dict:
-        """Δ_R at the probes of :func:`~zenodecay.find_bound_states`, by probe energy.
+    def _level_free(self) -> dict:
+        """What depends on g² alone, so on no level: filled on first use, kept by the instance.
 
-        The scan probes just past each finite support edge at every level,
-        and Δ_R depends on g² alone, so the scan fills this on first use
-        and every later scan of the instance reads it.
+        ``"probes"``: Δ_R at the probes of :func:`~zenodecay.find_bound_states`
+        just past each finite support edge, by probe energy, which every
+        scan of the instance reads.  ``"segments"``: the sorted kinks of
+        g² and the spectral kernel's node values on the segments between
+        them (``amplitude._segment_values``), which every kernel of the
+        instance reads.
         """
         return {}
 

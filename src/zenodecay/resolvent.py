@@ -280,7 +280,7 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
     exists iff F just below it is positive, above a finite upper edge
     iff F just above it is negative.  "Just past" is the probe
     edge ± 1e-6·max(1, Λ), where Δ_R does not depend on the level: each
-    family instance takes it once and keeps it (``_probe_shifts``).
+    family instance takes it once and keeps it (``_level_free``).
 
     Returns
     -------
@@ -305,7 +305,7 @@ def find_bound_states(ff: FormFactor, omega_a: float) -> tuple:
         if not math.isfinite(edge):
             continue
         near = edge + side * 1e-6 * max(1.0, ff.bandwidth)
-        probes = ff._probe_shifts
+        probes = ff._level_free.setdefault("probes", {})
         if near not in probes:
             probes[near] = real_shift(ff, near)
         if side * (near - omega_a - probes[near]) >= 0.0:

@@ -270,10 +270,12 @@ def find_transition_time(
     is not finite), keeps its exact zeros of γ(τ) − γ₀, brackets every
     sign change and refines all brackets together to relative 1e−12
     (Brent's method, one γ(τ) array per iteration for every bracket still
-    open).  For a threshold family the window can reach past the
-    exponential era, where the power-law tail of P(τ) overtakes the pole
-    term and γ(τ) crosses γ₀ again; those late crossings are reported in
-    ``all_roots`` like any other.
+    open).  The roots are the distinct values among the grid zeros and
+    the refined brackets: two neighbouring brackets that both refine to
+    the grid node they share give one root.  For a threshold family the
+    window can reach past the exponential era, where the power-law tail
+    of P(τ) overtakes the pole term and γ(τ) crosses γ₀ again; those late
+    crossings are reported in ``all_roots`` like any other.
 
     Parameters
     ----------
@@ -330,8 +332,11 @@ def find_transition_time(
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     refined = bracketed_roots(rate_shift, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-12,
                               f_lo=vals[i], f_hi=vals[i + 1])
-    # Brackets are disjoint grid cells, and a grid zero opens none of them.
-    roots = sorted(taus[vals == 0.0].tolist() + refined.tolist())
+    # A grid zero opens no bracket, but two neighbouring cells share a node
+    # and can both refine to it: that crossing is reported once.  (A set,
+    # not np.unique, whose first call imports numpy.ma: +0.4 MB of RSS on
+    # the closed-form route, which calls it nowhere else.)
+    roots = sorted(set(taus[vals == 0.0].tolist() + refined.tolist()))
 
     if guaranteed and not roots:
         raise GridError(

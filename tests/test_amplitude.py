@@ -331,13 +331,15 @@ def _counted_shifts(monkeypatch):
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
 def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a, monkeypatch):
     # At omega_a = 0 the resonance sits on the coupling peak, where
-    # resonance points split knot segments and bisection runs.
+    # resonance points split knot segments and bisection runs.  A fresh
+    # instance of the table holds no segment values yet.
+    table = TabulatedCoupling(tab_lorentzian.omegas, tab_lorentzian.g2_values)
     calls = _counted_shifts(monkeypatch)
-    amplitude._segment_shifts.cache_clear()
-    cold = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    cold = amplitude._kernel_uncached(table, omega_a)
+    kept = table._level_free["segments"]
     calls.clear()
-    warm = amplitude._kernel_uncached(tab_lorentzian, omega_a)
-    assert amplitude._segment_shifts.cache_info().hits == 1
+    warm = amplitude._kernel_uncached(table, omega_a)
+    assert table._level_free["segments"] is kept
     memo_nodes = sum(w.size for w in calls)
     # The build counts its own calls: one for the resonance, one per pass.
     assert (warm.shift_calls, warm.shift_points) == (len(calls), memo_nodes)
@@ -347,11 +349,11 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     # The memo holds a fresh call's shifts and g² at the nodes of every
     # segment, the offsets of those nodes from the segment's lower edge,
     # and (πg²)² and g² > 0 there.
-    kinks, memo = amplitude._segment_shifts(tab_lorentzian)
+    kinks, memo = kept
     offsets = np.diff(kinks)[:, None] * _panels._GL_FRACTION
     nodes = kinks[:-1, None] + offsets
-    g2 = tab_lorentzian.g2(nodes)
-    assert np.array_equal(memo.shifts, real_shift(tab_lorentzian, nodes))
+    g2 = table.g2(nodes)
+    assert np.array_equal(memo.shifts, real_shift(table, nodes))
     assert np.array_equal(memo.g2, g2)
     assert np.array_equal(memo.offsets, offsets)
     assert np.array_equal(memo.damping, (math.pi * g2) ** 2)
@@ -359,7 +361,7 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     # Against a build with no whole segments, which takes every shift
     # fresh and merges nothing: the same panels, in another order.
     monkeypatch.setattr(amplitude, "_merge", _identity_merge)
-    unmerged = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    unmerged = amplitude._kernel_uncached(table, omega_a)
     edges_of = amplitude._panel_edges
 
     def no_rows(*args):
@@ -368,7 +370,7 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
 
     monkeypatch.setattr(amplitude, "_panel_edges", no_rows)
     calls.clear()
-    direct = amplitude._kernel_uncached(tab_lorentzian, omega_a)
+    direct = amplitude._kernel_uncached(table, omega_a)
     # The memo serves the knot segments, most of the table's panels.
     assert memo_nodes < 0.2 * sum(w.size for w in calls)
     assert direct.memo_rows == 0 and warm.memo_rows > 0.9 * (warm.mids.size + warm.merged)
@@ -382,9 +384,10 @@ def test_table_segment_shifts_leave_the_kernel_as_it_is(tab_lorentzian, omega_a,
     assert unmerged.error == pytest.approx(direct.error, rel=1e-13)
 
 
-def _one_expression_rho(detuning, g2, shift, *kept):
-    """ρ as one expression of fresh arrays, none formed in place nor kept."""
-    return np.divide(g2, (detuning - shift) ** 2 + (math.pi * g2) ** 2,
+def _one_expression_rho(detuning, values):
+    """ρ as one expression of fresh arrays from Δ_R and g² alone, none formed in place nor kept."""
+    g2 = values.g2
+    return np.divide(g2, (detuning - values.shifts) ** 2 + (math.pi * g2) ** 2,
                      out=np.zeros_like(g2), where=g2 > 0.0)
 
 
@@ -394,8 +397,8 @@ def _fresh_segment_memo(ff):
     lo, h = kinks[:-1, None], np.diff(kinks)[:, None]
     nodes = lo + h * _panels._GL_FRACTION
     g2 = np.asarray(ff.g2(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return kinks, amplitude._SegmentMemo(real_shift(ff, nodes), g2, h * _panels._GL_FRACTION,
-                                         (math.pi * g2) ** 2, g2 > 0.0)
+    return kinks, amplitude._NodeValues(real_shift(ff, nodes), g2, h * _panels._GL_FRACTION,
+                                        (math.pi * g2) ** 2, g2 > 0.0)
 
 
 @pytest.mark.parametrize("family, omega_a", [("tab_lorentzian", w) for w in (0.0, 2.0, 5.5, 8.0)]
@@ -408,16 +411,22 @@ def test_memo_kernel_is_the_kernel_of_fresh_values(request, family, omega_a, mon
     ff = {"tab_lorentzian": lambda: request.getfixturevalue("tab_lorentzian"),
           "geometric": _geometric_table, "rough": _rough_table,
           "kinked_semicircle": _KinkedSemicircle}[family]()
-    amplitude._segment_shifts.cache_clear()
     kernel = amplitude._kernel_uncached(ff, omega_a)
     monkeypatch.setattr(amplitude, "_rho", _one_expression_rho)
-    monkeypatch.setattr(amplitude, "_segment_shifts", _fresh_segment_memo)
+    monkeypatch.setattr(amplitude, "_segment_values", _fresh_segment_memo)
     reference = amplitude._kernel_uncached(ff, omega_a)
     # The grading edges split each of the semicircle's four segments, so
     # its memo fit keeps no panel; a table's keeps most of them.
     assert (kernel.memo_rows > 0) == (family != "kinked_semicircle")
     for name in kernel._fields:
         assert np.array_equal(getattr(kernel, name), getattr(reference, name)), name
+
+
+def _segment_rows(ff):
+    """The node rows of every segment between consecutive kinks of ``ff``, as bytes."""
+    kinks = np.unique(ff.kinks())
+    return {row.tobytes() for row in kinks[:-1, None] + np.diff(kinks)[:, None]
+            * _panels._GL_FRACTION}
 
 
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
@@ -429,13 +438,28 @@ def test_warm_table_build_fits_no_knot_segment_twice(tab_lorentzian, omega_a, mo
     amplitude._kernel_uncached(tab_lorentzian, omega_a)
     calls = _counted_shifts(monkeypatch)
     kernel = amplitude._kernel_uncached(tab_lorentzian, omega_a)
-    kinks = np.unique(tab_lorentzian.kinks())
-    segments = kinks[:-1, None] + np.diff(kinks)[:, None] * _panels._GL_FRACTION
     fresh = [row.tobytes() for w in calls if w.ndim == 2 for row in w]
     assert len(fresh) * _panels._NODES + 1 == kernel.shift_points
-    memo = {row.tobytes() for row in segments}
+    memo = _segment_rows(tab_lorentzian)
     assert len(fresh) > 0
     assert sum(row in memo for row in fresh) == 0
+
+
+def test_each_table_keeps_its_segment_values(monkeypatch):
+    # The segment values live on the coupling instance: building another
+    # table's kernel in between leaves them, so the third build below
+    # takes Δ_R at none of table A's segment nodes.
+    om = np.linspace(-20.0, 20.0, 401)
+    table_a = TabulatedCoupling(om, LorentzianCoupling(0.1, 1.0).g2(om))
+    table_b = TabulatedCoupling(om, LorentzianCoupling(0.2, 1.0).g2(om))
+    amplitude._kernel_uncached(table_a, 2.0)
+    amplitude._kernel_uncached(table_b, 2.0)
+    calls = _counted_shifts(monkeypatch)
+    amplitude._kernel_uncached(table_a, 2.0)
+    segments = _segment_rows(table_a)
+    fresh = [row.tobytes() for w in calls if w.ndim == 2 for row in w]
+    assert len(fresh) > 0
+    assert sum(row in segments for row in fresh) == 0
 
 
 @pytest.mark.parametrize("table, omega_a", [("tab_lorentzian", w) for w in (0.0, 2.0, 5.5, 8.0)]
@@ -546,9 +570,11 @@ def test_kernel_panels_start_graded_at_resonance_and_threshold(family, args, ome
 def test_rho_is_zero_where_g2_vanishes():
     # Even where the detuning equals the shift, so that the denominator is 0.
     detuning, shift = np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.3, 1.0])
+    g2 = np.array([0.0, 0.1, 0.0])
+    values = amplitude._NodeValues(shift, g2, np.zeros(3), (math.pi * g2) ** 2, g2 > 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rho = amplitude._rho(detuning, np.array([0.0, 0.1, 0.0]), shift)
+        rho = amplitude._rho(detuning, values)
     assert rho[0] == rho[2] == 0.0 and not np.any(np.signbit(rho))
     assert rho[1] == 0.1 / ((1.0 - 0.3) ** 2 + (math.pi * 0.1) ** 2)
 

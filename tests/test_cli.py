@@ -12,7 +12,7 @@ import pytest
 
 import zenodecay
 from zenodecay.cli import main
-from zenodecay.config import validate_mapping
+from zenodecay.config import RunConfig, validate_mapping
 from zenodecay.errors import ToleranceError
 from zenodecay.zeno import TransitionReport
 
@@ -134,6 +134,18 @@ def test_transition_json_is_deterministic(tmp_path, capsys):
     assert a == b
 
 
+def test_transition_exits_0_where_two_cells_refine_to_their_shared_node(tmp_path, capsys):
+    # The first model of test_zeno's SHARED_NODE_MODELS: neighbouring late
+    # brackets refine to one grid node, which the report takes once.
+    cfg = write_config(tmp_path, (
+        "[model]\nfamily = threshold_power_law\ncoupling = 1e-4\nbandwidth = 1.0\n"
+        "threshold = 0.0\nshape_params = 2, 5\nomega_a = 2.5\n"))
+    assert main(["transition", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    roots = json.loads((tmp_path / "transition.json").read_text(encoding="utf-8"))["all_roots"]
+    assert len(roots) > 1 and all(a < b for a, b in zip(roots, roots[1:]))
+
+
 # -- sweep ----------------------------------------------------------------
 
 def test_sweep_outputs_and_determinism(tmp_path, capsys):
@@ -154,6 +166,23 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     assert {n: (out / n).read_bytes() for n in names} == first
+
+
+def test_sweep_builds_its_coupling_once(tmp_path, capsys, monkeypatch):
+    # The coupling does not depend on omega_a, so every entry shares one.
+    built = []
+    build = RunConfig.build_form_factor
+
+    def counted(cfg):
+        built.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(RunConfig, "build_form_factor", counted)
+    cfg = write_config(tmp_path, BASE.format(omega_a=2.0) + (
+        "[task]\nomega_a_values = 2, 5, 10\ntau_min = 1e-3\ntau_max = 30.0\ntau_points = 8\n"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_sweep_requires_values(tmp_path, capsys):

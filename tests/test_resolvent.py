@@ -423,8 +423,8 @@ def test_bound_state_probes_keep_a_fresh_shift(request, family, monkeypatch):
     bw = max(1.0, ff.bandwidth)
     probes = {edge + side * 1e-6 * bw for edge, side in zip(ff.support(), (-1.0, 1.0))
               if math.isfinite(edge)}
-    assert set(ff._probe_shifts) == probes
-    for near, shift in ff._probe_shifts.items():
+    assert set(ff._level_free["probes"]) == probes
+    for near, shift in ff._level_free["probes"].items():
         assert shift == resolvent.real_shift(ff, near)
     calls = []
     monkeypatch.setattr(resolvent, "real_shift", lambda ff, E: calls.append(E))

@@ -446,6 +446,22 @@ def test_transition_search_scans_its_grid_once(model10, monkeypatch):
     assert sizes == [2048]
 
 
+# Power laws (λ, p, q) with Λ = 1 and threshold 0 at ω_a, on whose late
+# beating two neighbouring grid cells can both refine to the node they share.
+SHARED_NODE_MODELS = [(1e-4, 2.0, 5.0, 2.5), (1e-3, 2.0, 5.0, 2.5), (1e-2, 1.5, 6.0, 1.0),
+                      (1e-2, 1.5, 6.0, 2.5), (0.1, 1.5, 6.0, 2.5), (0.1, 2.0, 5.0, 0.1)]
+
+
+@pytest.mark.parametrize("lam, p, q, omega_a", SHARED_NODE_MODELS)
+def test_transition_reports_a_crossing_at_a_shared_node_once(lam, p, q, omega_a):
+    # The report takes the distinct roots, so it builds, ascending strictly.
+    model = DecayModel(ThresholdPowerLawCoupling(lam, 1.0, 0.0, p, q), omega_a)
+    report = find_transition_time(model)
+    roots = np.array(report.all_roots)
+    assert roots.size >= 1 and report.tau_star == roots[0] > 0.0
+    assert np.all(np.diff(roots) > 0.0)
+
+
 @pytest.mark.parametrize("family, omega_a", [("lorentzian", 2.0), ("threshold_power_law", 2.4)])
 def test_transition_time_approaches_kofman_kurizki_crossing(family, omega_a):
     # tau*_KK, where the weak-coupling rate meets the golden rule, does not
