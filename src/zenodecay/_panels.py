@@ -208,6 +208,24 @@ def _half_maps():
     return maps.real.copy(), maps.imag / step
 
 
+def _distinct(values, inverse: bool = False):
+    """``np.unique(values)``, or with ``inverse`` also the index of each value among them.
+
+    A sort and a mask of neighbours that differ give the same floats
+    without the import of ``numpy.ma`` that the first ``np.unique`` call
+    of a process makes (~20 ms).
+    """
+    order = np.argsort(values, axis=None)
+    ordered = np.ravel(values)[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    if not inverse:
+        return ordered[first]
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
 def _chunks(panels: int):
     """Slices of up to _PANEL_CHUNK consecutive panels out of ``panels``."""
     return (slice(i, i + _PANEL_CHUNK) for i in range(0, panels, _PANEL_CHUNK))

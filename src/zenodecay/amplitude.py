@@ -97,7 +97,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._panels import _DEGREES, _GL_FRACTION, _NODES, _chunks, _fit, _memoized, _merge, _refine
+from ._panels import (_DEGREES, _GL_FRACTION, _NODES, _chunks, _distinct, _fit, _memoized, _merge,
+                      _refine)
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, _lorentzian
 from .resolvent import PoleData, _level, find_bound_states
@@ -353,7 +354,7 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     known[known] = kinks[at[known]] == others[known]
     held = ~known & (at > 0) & (at < kinks.size)
     held[held] = kinks[at[held]] - kinks[at[held] - 1] <= 0.5 * scale[held]
-    others = np.unique(others[~(known | held)])
+    others = _distinct(others[~(known | held)])
     at = np.searchsorted(kinks, others)
     row = np.insert(np.arange(start, start + kinks.size), at, -1)
     whole = (row[:-1] >= 0) & (row[1:] >= 0)
@@ -374,7 +375,7 @@ def _segment_values(ff: FormFactor):
     """
     kept = ff._level_free
     if "segments" not in kept:
-        kinks = np.unique(ff.kinks())
+        kinks = _distinct(ff.kinks())
         lo, offsets = kinks[:-1, None], np.diff(kinks)[:, None] * _GL_FRACTION
         shifts, g2, damping = np.empty((3, lo.size, _NODES))
         memo = _NodeValues(shifts, g2, offsets, damping, np.empty(g2.shape, dtype=bool))
@@ -467,7 +468,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     *whole_panels, merged = _merge(kinks, kept, coef, est)
     lo, hi, coef, est = (np.concatenate(part, axis=-1) for part in zip(refined, whole_panels))
     h = hi - lo
-    widths, width_index = np.unique(h, return_inverse=True)
+    widths, width_index = _distinct(h, inverse=True)
     # h·c_k times the real or imaginary unit of (−i)^k, in the rows of _EVEN_ODD.
     coef *= h
     coef *= _PHASE_SIGN[:, None]
@@ -476,9 +477,8 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
         mids=0.5 * (lo + hi),
         detunings=(lo - omega_a) + 0.5 * h,
         widths=widths,
-        # int32 keeps the index of a table kernel (~2·10³ panels after the
-        # merge, of ~2·10⁴ built) small.
-        width_index=width_index.astype(np.int32),
+        # intp, which ``take`` uses as it is; an int32 index it converts at every call.
+        width_index=width_index,
         terms=coef[_EVEN_ODD],
         error=float(np.sum(est)),
         passes=passes,

@@ -334,8 +334,7 @@ def find_transition_time(
                               f_lo=vals[i], f_hi=vals[i + 1])
     # A grid zero opens no bracket, but two neighbouring cells share a node
     # and can both refine to it: that crossing is reported once.  (A set,
-    # not np.unique, whose first call imports numpy.ma: +0.4 MB of RSS on
-    # the closed-form route, which calls it nowhere else.)
+    # not np.unique, whose first call imports numpy.ma: +0.4 MB of RSS.)
     roots = sorted(set(taus[vals == 0.0].tolist() + refined.tolist()))
 
     if guaranteed and not roots:

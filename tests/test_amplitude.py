@@ -1,6 +1,9 @@
 """Survival amplitude: closed form, spectral route, pole approximation."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -646,6 +649,48 @@ def test_hand_built_series_probabilities_follow_amplitudes():
     assert np.array_equal(s.probabilities, np.abs(s.amplitudes) ** 2)
     s.amplitudes[1] = 0.3 + 0.4j
     assert np.array_equal(s.probabilities, np.abs(np.array([1.0, 0.3 + 0.4j])) ** 2)
+
+
+# -- distinct values without numpy.ma -----------------------------------
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(5)
+    for values in (np.empty(0), np.array([2.0]), rng.integers(0, 40, 500) * 0.25,
+                   rng.standard_normal((30, 7)), np.geomspace(1e-3, 1e3, 101)):
+        assert np.array_equal(_panels._distinct(values), np.unique(values))
+        distinct, index = _panels._distinct(values, inverse=True)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(distinct, expected)
+        assert index.dtype == np.intp
+        assert np.array_equal(index, inverse.ravel())
+
+
+# Builds a power-law kernel (with its g² fit) and a table kernel, and
+# finds an effective bandwidth: every call site of the distinct values.
+_WITHOUT_NUMPY_MA = """
+import sys
+import numpy as np
+from zenodecay import amplitude
+from zenodecay.formfactor import (LorentzianCoupling, TabulatedCoupling,
+                                  ThresholdPowerLawCoupling, effective_bandwidth_coupling)
+
+tpl = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+om = np.linspace(-10.0, 10.0, 201)
+amplitude._spectral_kernel(tpl, 2.4)
+amplitude._spectral_kernel(TabulatedCoupling(om, LorentzianCoupling(0.1, 1.0).g2(om)), 2.0)
+effective_bandwidth_coupling(tpl)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_kernels_and_bandwidth_do_not_import_numpy_ma():
+    # The first np.unique call of a process imports numpy.ma (~20 ms).
+    src = os.path.dirname(os.path.dirname(amplitude.__file__))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_MA], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # -- spherical-Bessel table ----------------------------------------------
