@@ -129,13 +129,11 @@ _PEAK_OFFSETS = np.array([-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0])
 #: First edges at these multiples of Λ from a support edge where g² vanishes.
 _EDGE_STEPS = 2.0 ** -np.arange(1.0, 31.0)
 
-#: The spherical-Bessel table j_k(x), k < _NODES: where x > k, the upward
-#: recurrence from j₀ = sin x/x and j₁, with the operations in the order
-#: of scipy's ``spherical_jn``, so those entries are the same floats (the
-#: late-time γ(τ) of a threshold family beats through γ₀, and which sign
-#: change a search lands on follows its last bits); where x ≤ k, two terms
-#: of the power series below _JN_SERIES_BELOW and Miller's backward
-#: recurrence from order _JN_MILLER_START above, within 2.3e-16 of j_k.
+#: The spherical-Bessel table j_k(x), k < _NODES, takes two terms of the
+#: power series below _JN_SERIES_BELOW and Miller's backward recurrence
+#: from order _JN_MILLER_START up to x = _NODES − 1, within 2.3e-16 of
+#: every j_k there (30-digit mpmath); the upward recurrence past it.  No
+#: entry is held to scipy's ``spherical_jn`` bit for bit.
 _JN_SERIES_BELOW = 1e-4
 _JN_MILLER_START = 24
 #: Table arguments, and panel values, per batch of times: bounds their memory.
@@ -541,10 +539,9 @@ def _jn_miller(x: np.ndarray) -> np.ndarray:
 
 
 def _jn_upward(x: np.ndarray) -> np.ndarray:
-    """j_k(x) for x > 1 by the upward recurrence from j₀ and j₁.
+    """j_k(x) for x > 9, where every k < x, by the upward recurrence from j₀ and j₁.
 
-    j_{k+1} = ((2k+1)·j_k)/x − j_{k−1}: multiply, divide, subtract, in
-    that order.  Rows k ≥ x lose digits and are not used.
+    j_{k+1} = ((2k+1)·j_k)/x − j_{k−1}, which loses digits only at k ≥ x.
     """
     out = np.empty((_NODES, x.size))
     rows = list(out)
@@ -561,25 +558,17 @@ def _jn_upward(x: np.ndarray) -> np.ndarray:
 def _jn_table(x: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_k(x), k = 0 … 9, at x ≥ 0: (10, x.size).
 
-    j₀ and the j_k with k < x take the upward recurrence; the j_k with
-    k ≥ x take the series or Miller's recurrence.  Each x takes its
-    routes from its own value, and every step is elementwise, so a
-    column does not depend on which other arguments share the call.
+    Each x takes one route for all its rows, chosen from its own value:
+    the series below 10⁻⁴, Miller's recurrence up to 9 and the upward
+    recurrence above, where every k < x.  Every step is elementwise, so
+    a column does not depend on which other arguments share the call.
     """
     out = np.empty((_NODES, x.size))
-    series = np.flatnonzero(x < _JN_SERIES_BELOW)
-    miller = np.flatnonzero((x >= _JN_SERIES_BELOW) & (x <= _NODES - 1))
-    upward = np.flatnonzero(x > 1.0)
-    head = np.flatnonzero((x > 0.0) & (x <= 1.0))
-    if series.size:
-        out[:, series] = _jn_series(x[series])
-    if miller.size:
-        out[:, miller] = _jn_miller(x[miller])
-    if upward.size:
-        xu = x[upward]
-        out[:, upward] = np.where(_DEGREES[:, None] < xu, _jn_upward(xu), out[:, upward])
-    if head.size:
-        out[0, head] = np.sin(x[head]) / x[head]
+    route = (x >= _JN_SERIES_BELOW).astype(int) + (x > _NODES - 1)
+    for n, jn in enumerate((_jn_series, _jn_miller, _jn_upward)):
+        cols = np.flatnonzero(route == n)
+        if cols.size:
+            out[:, cols] = jn(x[cols])
     return out
 
 

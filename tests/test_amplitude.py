@@ -720,9 +720,16 @@ def test_bessel_table_matches_scipy():
     oracle = np.where(x >= 1e-300, special.spherical_jn(degrees, x), 0.0)
     oracle[0, x < 1e-300] = 1.0
     assert np.max(np.abs(table - oracle)) <= 1e-15
-    # Where x > k both take the upward recurrence from sin x/x, step for step.
-    upward = degrees < x
-    assert np.array_equal(table[upward], oracle[upward])
+    # Miller's recurrence serves every row on [1e-4, 9]: against 30-digit
+    # j_k there, at its ends, at the integers and at their float neighbours.
+    mpmath = pytest.importorskip("mpmath")
+    ends = np.array([_JN_SERIES_BELOW, *range(1, 10)])
+    x = np.concatenate([ends, np.nextafter(ends[1:], 0.0), np.nextafter(ends[:-1], 9.0),
+                        np.geomspace(_JN_SERIES_BELOW, 9.0, 100), np.linspace(0.09, 9.0, 100)])
+    with mpmath.workdps(30):
+        exact = np.array([[float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(v)))
+                                 * mpmath.besselj(k + 0.5, v)) for v in x] for k in range(10)])
+    assert np.max(np.abs(_jn_table(x) - exact)) <= 2.3e-16
 
 
 def test_bessel_table_columns_do_not_depend_on_the_batch():

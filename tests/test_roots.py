@@ -67,6 +67,22 @@ def test_interpolation_within_delta_of_the_bracket_bisects():
     assert abs(expected - 1.16941) < 1e-5
 
 
+def test_interpolation_whose_denominator_underflows_bisects():
+    # 1e-300·(x³ − 0.5) on [0, 1]: the values are ~1e-300, so the
+    # interpolation's denominator, a product of differences of them,
+    # underflows to 0 on several steps.  The division raises
+    # ZeroDivisionError on Python floats; the step bisects there, as
+    # brentq's division by zero gives a step that is not finite.
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return 1e-300 * (x**3 - 0.5)
+
+    expected = optimize.brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+    assert bracketed_roots(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16).tolist() == [expected]
+    assert expected == 0.7937005259840553
+
+
 def test_root_at_a_bracket_end():
     def f(x):
         return x - 1.0

@@ -48,7 +48,8 @@ TAU_STAR = 0.5037246419993476
 # by one scalar brentq per bracket on the rate built with scipy's
 # spherical_jn, before the package had its own root solver and Bessel table;
 # TABLE_CROSSINGS are the package's own.  They differ only through the j_k
-# with k >= x, where the table runs Miller's recurrence and scipy runs AMOS.
+# at x <= 9, where the table runs Miller's recurrence for every k, and scipy
+# the upward recurrence where k < x and AMOS where k >= x.
 # Their tau* at 2.4 (P ~ 0.997) comes from ln P of the deficit 1 - x, and
 # the reference rate meets gamma0 there to 3e-14.  The later roots follow
 # the last bits of gamma0 (see the test below); they are pinned for the
@@ -74,21 +75,21 @@ SCIPY_CROSSINGS = {
     ),
 }
 TABLE_CROSSINGS = {
-    (2.4, 64): (0.33977561665585804, 8976.210986732307),
+    (2.4, 64): (0.33977561665585804, 8976.210998242988),
     (2.4, 2048): (
-        0.3397756166558581, 8903.149186435192, 8919.510851146944, 9200.64689036228,
-        9379.15567944069, 9474.705000264534, 9645.496493530933, 9748.78624913865,
-        9945.764164522592, 10067.259427753972, 10230.355018865923, 10529.323261288007,
-        11381.748055537864, 11628.355256105124, 11919.618595417447, 12116.476476651547,
+        0.3397756166558581, 8903.149196618957, 8919.51084617539, 9200.646870887998,
+        9379.155693186582, 9474.705008060217, 9645.496480335463, 9748.786220055426,
+        9945.764187071236, 10069.8699192363, 10230.35503261911, 10526.712667303378,
+        11381.74806894528, 11628.355261805755, 11919.618579942222, 12116.476476713207,
     ),
     (0.7, 2048): (
-        374.51290214904185, 376.07926978713664, 400.67360659907564, 403.6491702049258,
-        409.513135075236, 412.7212155719159, 418.3836646784633, 421.76284764349816,
-        427.27932757089496, 430.77983158812026, 436.1965332609109, 439.7756314337455,
-        445.13316713807194, 448.7522164387408, 463.06172980819076, 466.65008724669394,
-        472.0546560082286, 475.5700384576768, 490.1091699199304, 493.3397743469682,
-        499.1808684130266, 502.17915120956616, 508.29529062320233, 510.97494096409923,
-        517.4743737976701, 519.705118785636,
+        374.51290214989314, 376.0792697884365, 400.67360659855046, 403.649170206427,
+        409.51313507604857, 412.7212155712051, 418.38366467820305, 421.76284764345553,
+        427.2793275717103, 430.779831588008, 436.1965332607451, 439.77563143249506,
+        445.13316713835536, 448.75221643906866, 463.0617298068752, 466.65008724657633,
+        472.05465600595943, 475.57003845760335, 490.10916992023687, 493.3397743470854,
+        499.18086841348105, 502.17915121004347, 508.2952906228006, 510.9749409639969,
+        517.4743737984438, 519.7051187851075,
     ),
 }
 
