@@ -6,14 +6,17 @@ and a coupling family without a closed-form level shift fits g² once
 (:mod:`~zenodecay.formfactor`), whose Hilbert transform is then exact.
 Both keep their fits by the family's value, the kernel's per level too,
 through :func:`_memoized`; the values that the kernel's ρ takes from g²
-alone on the segments between kinks are kept by the coupling instance.
+alone on the segments between kinks are kept by the coupling instance,
+and on the lattice cells of its bisection by the g² fit (:class:`_CellMemo`).
 The kernel also merges the fits of its knot segments over a binary tree
 of the segments, by exact projection (:func:`_merge`).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import threading
 
 import numpy as np
 
@@ -224,6 +227,57 @@ def _distinct(values, inverse: bool = False):
     index = np.empty(order.size, dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     return ordered[first], index
+
+
+class _CellMemo:
+    """Rows of values by the exact edge and width (lo, h) of a panel, at most ``bound`` of them.
+
+    The least recently used row goes first once the memo is full.  Each
+    call takes the lock, so that threads sharing a coupling share its
+    memo; ``hits`` and ``misses`` count the rows :meth:`take` was asked
+    for.
+    """
+
+    def __init__(self, bound: int, width: int):
+        self.bound = bound
+        self.slots: collections.OrderedDict = collections.OrderedDict()
+        # Left uninitialised: a row's memory is taken only once it is written.
+        self.rows = np.empty((bound, width))
+        self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __reduce__(self):
+        # A pickled or copied memo starts empty: its rows are a cache, and a lock does not pickle.
+        return _CellMemo, (self.bound, self.rows.shape[1])
+
+    def take(self, lo: np.ndarray, h: np.ndarray):
+        """The mask of the panels held, and their rows in that order."""
+        held, found = [], []
+        with self.lock:
+            for key in zip(lo.tolist(), h.tolist()):
+                slot = self.slots.get(key)
+                held.append(slot is not None)
+                if slot is not None:
+                    self.slots.move_to_end(key)
+                    found.append(slot)
+            self.hits += len(found)
+            self.misses += len(held) - len(found)
+            return np.array(held, dtype=bool), self.rows[found]
+
+    def put(self, lo: np.ndarray, h: np.ndarray, rows: np.ndarray) -> None:
+        """Keep ``rows`` for the panels [lo, lo + h], the least recently used out past the bound."""
+        with self.lock:
+            for key, row in zip(zip(lo.tolist(), h.tolist()), rows):
+                if key in self.slots:
+                    continue
+                slot = len(self.slots)
+                if slot == self.bound:
+                    slot = self.slots.popitem(last=False)[1]
+                self.slots[key] = slot
+                self.rows[slot] = row
 
 
 def _chunks(panels: int):

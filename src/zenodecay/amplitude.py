@@ -23,19 +23,28 @@ Three evaluation routes are provided, all returning a
     from the resolvent module) and ∫ρ + Σw_b = 1 expresses completeness.
     The integral runs over one fixed set of panels per (family, ω_a),
     laid out by one rule for every family (:func:`_panel_edges`): first
-    edges graded in powers of two towards the resonance ω_a + Δ_R(ω_a),
-    from an eighth of its width out to 1e5 times the model's energy
-    scale, and towards a band edge where g² vanishes, from Λ/2 down to
-    2^−30·Λ, plus the coupling peak, a few bandwidths around it and the
-    kinks of g² (a table's knots), where a grading edge that falls
-    strictly inside a kink segment no wider than half its step is left
-    out, since the kinks grade ρ there.  ρ is sampled at 10
+    edges on one dyadic lattice of the coupling, origin + Λ·m·2^k with
+    the origin a finite support edge, which does not move with ω_a.  The
+    lattice cells are graded in powers of two towards the resonance
+    ω_a + Δ_R(ω_a), from a quarter of its width out to 1e5 times the
+    model's energy scale, towards a band edge where g² vanishes, from
+    2^−30·Λ, and towards the coupling peak, from Λ; the kinks of g² (a
+    table's knots) are edges too, and a grading edge that falls strictly
+    inside a kink segment no wider than half its step is left out, since
+    the kinks grade ρ there.  ρ is sampled at 10
     Gauss–Legendre nodes on each panel with the exact level shift Δ_R at
     every node (a table sums its one logarithm per knot by a tree built
     once per table, exactly over at most 12 near knots; any other family
     without a closed form takes the Hilbert transform of its g² fit,
     built once per coupling value and shared by equal instances) and
-    stored as Legendre coefficients c_k.  What ρ takes at the nodes that
+    stored as Legendre coefficients c_k.  Bisection halves a lattice cell
+    into two, so every panel of a kernel without kinks is a lattice cell,
+    whatever ω_a.  A family that takes Δ_R from
+    its g² fit keeps Δ_R and g² at the nodes of the last 4096 cells any
+    of its kernels took in a memo on that fit (:func:`_cell_values`), so
+    that equal instances share it too, and each bisection pass takes Δ_R
+    fresh only at the cells the memo lacks; over a run of levels most
+    cells recur.  What ρ takes at the nodes that
     does not depend on ω_a, Δ_R, g², (πg²)² and the mask g² > 0, and the
     nodes' offsets from their panel's lower edge form one record
     (:class:`_NodeValues`), which one builder forms for the segment memo
@@ -55,8 +64,9 @@ Three evaluation routes are provided, all returning a
     passes the bisection's own rule; a table's ~2·10⁴ knot segments
     merge into ~2·10³ panels.  Every other first panel, and the halves
     of each whole segment whose fit is open, is bisected until the fit
-    is resolved, with one Δ_R call per pass.  A kernel without kinks
-    (Lorentzian, power laws) takes only that route.  Node arrays are
+    is resolved, with one Δ_R call per pass, on the cells the memo lacks
+    where there is one.  A kernel without kinks (Lorentzian, power laws)
+    takes only that route.  Node arrays are
     filled in chunks of 2048 panels.  A panel of width h around ω_c then
     contributes, exactly for the fitted polynomial (the Filon–Legendre
     rule),
@@ -97,8 +107,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._panels import (_DEGREES, _GL_FRACTION, _NODES, _chunks, _distinct, _fit, _memoized, _merge,
-                      _refine)
+from ._panels import (_DEGREES, _GL_FRACTION, _NODES, _CellMemo, _chunks, _distinct, _fit,
+                      _memoized, _merge, _refine)
 from .errors import DomainError, NoDecayError, ToleranceError
 from .formfactor import FormFactor, _lorentzian
 from .resolvent import PoleData, _level, find_bound_states
@@ -124,10 +134,12 @@ _EVEN_ODD = np.concatenate((_DEGREES[0::2], _DEGREES[1::2]))
 _HALF = _NODES // 2
 #: Reach of the kernel's panels in units of max(|ω_r|, |peak|, Λ).
 _WINDOW = 1e5
-#: First edges at the coupling peak plus these multiples of Λ.
-_PEAK_OFFSETS = np.array([-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 30.0])
-#: First edges at these multiples of Λ from a support edge where g² vanishes.
-_EDGE_STEPS = 2.0 ** -np.arange(1.0, 31.0)
+#: The finest first cells, in units of Λ, at the coupling peak and at a
+#: support edge where g² vanishes.
+_PEAK_FINEST = 1.0
+_EDGE_FINEST = 2.0 ** -30
+#: The finest first cells at the resonance, in units of res.
+_RES_FINEST = 0.25
 
 #: The spherical-Bessel table j_k(x), k < _NODES, takes two terms of the
 #: power series below _JN_SERIES_BELOW and Miller's backward recurrence
@@ -291,6 +303,27 @@ def _node_values(ff: FormFactor, lo, offsets) -> _NodeValues:
     return _NodeValues(real_shift(ff, nodes), g2, offsets, (math.pi * g2) ** 2, g2 > 0.0)
 
 
+def _cell_values(ff: FormFactor, memo: _CellMemo, lo: np.ndarray, h: np.ndarray) -> _NodeValues:
+    """The :class:`_NodeValues` of the panels [lo, lo + h], the cells ``memo`` lacks from one call.
+
+    ``memo`` keeps Δ_R and g² at the nodes by the exact (lo, h) of the
+    panel, so a cell that any kernel of the coupling value took before
+    gives the floats a fresh call would (Δ_R and g² of a point do not
+    depend on the other points of a call); the missing cells go to one
+    :func:`_node_values` call, as few as none, and into the memo.  Where
+    origin + Λ·u is exact, as for a threshold at 0 and Λ = 1, a lattice
+    cell has the same (lo, h) however a kernel reached it; elsewhere a
+    cell that another kernel reached by other roundings is a miss.
+    """
+    held, rows = memo.take(lo, h)
+    fresh = _node_values(ff, lo[~held, None], h[~held, None] * _GL_FRACTION)
+    memo.put(lo[~held], h[~held], np.concatenate((fresh.shifts, fresh.g2), axis=1))
+    shifts, g2 = np.empty((2, lo.size, _NODES))
+    shifts[held], g2[held] = rows[:, :_NODES], rows[:, _NODES:]
+    shifts[~held], g2[~held] = fresh.shifts, fresh.g2
+    return _NodeValues(shifts, g2, h[:, None] * _GL_FRACTION, (math.pi * g2) ** 2, g2 > 0.0)
+
+
 def _rho(detuning: np.ndarray, values: _NodeValues) -> np.ndarray:
     """ρ from ω − ω_a and the :class:`_NodeValues` at the same energies; zero where g² vanishes.
 
@@ -302,47 +335,88 @@ def _rho(detuning: np.ndarray, values: _NodeValues) -> np.ndarray:
     return np.divide(values.g2, detuning, out=np.zeros_like(values.g2), where=values.positive)
 
 
-def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
-    """First panel edges of the spectral kernel, graded where ρ has structure.
+def _graded(p: float, finest: float, top: int):
+    """Lattice points graded towards p, and the width of the cell each starts outwards.
+
+    In lattice units, where the cells of level k are [m·2^k, (m+1)·2^k]:
+    from the cells of level ``top``, every cell closer to p than half its
+    width is halved, down to the level of the largest power of two at
+    most ``finest``.  The points are the edges of the cells left.  Above
+    p the cells of level k start at up_k, the first multiple of 2^k at
+    least 2^(k−1) above p, one or two of them up to up_{k+1}; below p
+    likewise down to down_k; the finest cells fill the span between the
+    down and up of the level above them.  No cell is narrower than the
+    float spacing at p, where its edges would round together.
+    """
+    w = 2.0 ** np.arange(math.floor(math.log2(max(finest, math.ulp(p)))), top + 1.0)
+    up = np.ceil((p + 0.5 * w) / w) * w
+    down = np.floor((p - 0.5 * w) / w) * w
+    centre = down[1] + w[0] * np.arange((up[1] - down[1]) / w[0] + 1.0)
+    second = np.concatenate((up[1:-1] + w[1:-1], down[1:-1] - w[1:-1]))
+    inner = np.concatenate((second[:w.size - 2] < up[2:], second[w.size - 2:] > down[2:]))
+    points = np.concatenate((centre, up[1:], down[1:], second[inner]))
+    steps = np.concatenate((np.full(centre.size, w[0]), w[1:], w[1:], np.tile(w[1:-1], 2)[inner]))
+    return points, steps
+
+
+def _grading(ff: FormFactor, omega_r: float, res: float):
+    """The grading edges of the kernel's first panels, with their steps, and its window [lo, hi].
 
     ρ is fine-grained in two places only: the resonance near ω_r, of
     width ~res, and a finite support edge where g² vanishes (a threshold).
-    Edges go at ω_r ± res·2^k for k ≥ −3 out to the window, which ends
-    at a finite support edge and otherwise at ±R, R = 1e5·max(|ω_r|,
-    |peak|, Λ); at Λ·2^−k, k = 1 … 30, from each vanishing edge; at the
-    coupling peak and peak ± {1, 3, 10, 30}·Λ; and at ``kinks``, the
-    sorted distinct kinks of g².  Where g² jumps at an edge, ρ stays
-    bounded and the edge takes no grading.  Past R a Lorentzian's ρ ≈ λ²Λ/(πω⁴) leaves out
-    2λ²Λ/(3πR³) of the norm: 2e-16 at λ = Λ = 1 and ω_a = 0, where a
-    window of 1e4·max(…) would take 4e-13 off P(0).  Every kink in the
-    window is an edge.  Each grading edge carries its step s: res·2^k,
-    |offset|·Λ or Λ·2^−k.  The grading's own panels next to it are at
-    least s/2 wide, so one that falls strictly inside a kink segment no
-    wider than s/2 is dropped: the kinks there already grade ρ more
-    finely, and the segment stays whole.  The window ends and the peak
-    stay, and a family with fewer than two kinks keeps every edge.  The
-    few other edges are merged into the sorted kinks, which also tells
-    which first panels span exactly one segment between consecutive
-    kinks.  Returns the edges and, per first panel, the index j into
-    ``kinks`` of the segment [kinks[j], kinks[j+1]] it spans, its row in
-    the segment memo, or −1 if it spans none.
+    Every grading edge lies on one lattice of the coupling, at
+    origin + Λ·m·2^k with the origin a finite support edge (else 0), so
+    that no edge depends on ω_a but through the resonance's own cells:
+    the edges of the cells of :func:`_graded` around ω_r down to a width
+    of res/4, around each vanishing edge down to 2^−30·Λ and around the
+    coupling peak down to Λ, the finer cells of the three gradings kept
+    where they overlap, so that the first panels are lattice cells too.
+    Cells up to level top = ⌈log₂(R/Λ)⌉ + 1, R = 1e5·max(|ω_r|, |peak|, Λ),
+    cover the window, which ends at a finite support edge and otherwise
+    at the first edge at least R from 0.  Past R a Lorentzian's
+    ρ ≈ λ²Λ/(πω⁴) leaves out 2λ²Λ/(3πR³) of the norm: 2e-16 at
+    λ = Λ = 1 and ω_a = 0.  Where g² jumps at an edge, ρ stays bounded
+    and the edge takes no grading.  Returns the edges strictly inside the
+    window, sorted and distinct, each with its step s, the width of the
+    finest cell it starts outwards, and the window's ends.
     """
     a, b = ff.support()
     bw = ff.bandwidth
     peak = ff.peak_energy()
+    origin = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
     reach = _WINDOW * max(abs(omega_r), abs(peak), bw)
-    lo = a if math.isfinite(a) else -reach
-    hi = b if math.isfinite(b) else reach
-    steps = res * 2.0 ** np.arange(-3.0, 2.0 + math.log2(reach / res))
-    parts = [omega_r - steps, omega_r + steps, peak + bw * _PEAK_OFFSETS, [lo, hi]]
-    scales = [steps, steps, bw * np.abs(_PEAK_OFFSETS), [0.0, 0.0]]
-    for edge, inward in ((a, 1.0), (b, -1.0)):
-        if math.isfinite(edge) and float(ff.g2(edge)) == 0.0:
-            parts.append(edge + inward * bw * _EDGE_STEPS)
-            scales.append(bw * _EDGE_STEPS)
-    others, scale = np.concatenate(parts), np.concatenate(scales)
-    inside = (others >= lo) & (others <= hi)
-    others, scale = others[inside], scale[inside]
+    top = math.ceil(math.log2(reach / bw)) + 1
+    towards = [(omega_r, _RES_FINEST * res), (peak, _PEAK_FINEST * bw)]
+    towards += [(edge, _EDGE_FINEST * bw) for edge in (a, b)
+                if math.isfinite(edge) and float(ff.g2(edge)) == 0.0]
+    points, steps = zip(*(_graded((p - origin) / bw, finest / bw, top) for p, finest in towards))
+    edges, steps = origin + bw * np.concatenate(points), bw * np.concatenate(steps)
+    lo = a if math.isfinite(a) else edges[edges <= -reach].max(initial=edges.min())
+    hi = b if math.isfinite(b) else edges[edges >= reach].min(initial=edges.max())
+    inside = (edges > lo) & (edges < hi)
+    order = np.lexsort((steps[inside], edges[inside]))
+    edges, steps = edges[inside][order], steps[inside][order]
+    first = np.append(True, edges[1:] != edges[:-1])
+    return edges[first], steps[first], lo, hi
+
+
+def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
+    """First panel edges of the spectral kernel, graded where ρ has structure.
+
+    The edges of :func:`_grading` in its window, and ``kinks``, the
+    sorted distinct kinks of g² (a table's knots), that lie there.  The
+    grading's own panels next to an edge of step s are at least s/2 wide,
+    so one that falls strictly inside a kink segment no wider than s/2 is
+    dropped: the kinks there already grade ρ more finely, and the segment
+    stays whole.  The window ends stay, and a family with fewer than two
+    kinks keeps every edge.  The grading edges are merged into the sorted
+    kinks, which also tells which first panels span exactly one segment
+    between consecutive kinks.  Returns the edges and, per first panel,
+    the index j into ``kinks`` of the segment [kinks[j], kinks[j+1]] it
+    spans, its row in the segment memo, or −1 if it spans none.
+    """
+    others, scale, lo, hi = _grading(ff, omega_r, res)
+    others, scale = np.concatenate(([lo], others, [hi])), np.concatenate(([0.0], scale, [0.0]))
     start = np.searchsorted(kinks, lo)
     kinks = kinks[start:np.searchsorted(kinks, hi, side="right")]
     # An edge on a kink is that kink; any other lies strictly inside the
@@ -352,7 +426,7 @@ def _panel_edges(ff: FormFactor, omega_r: float, res: float, kinks: np.ndarray):
     known[known] = kinks[at[known]] == others[known]
     held = ~known & (at > 0) & (at < kinks.size)
     held[held] = kinks[at[held]] - kinks[at[held] - 1] <= 0.5 * scale[held]
-    others = _distinct(others[~(known | held)])
+    others = others[~(known | held)]
     at = np.searchsorted(kinks, others)
     row = np.insert(np.arange(start, start + kinks.size), at, -1)
     whole = (row[:-1] >= 0) & (row[1:] >= 0)
@@ -396,9 +470,14 @@ class _SpectralKernel(NamedTuple):
     ``merged`` counts the panels that merging the whole segments
     removed, so ``merged`` + ``mids.size`` panels were built.
     ``shift_calls`` counts the :func:`~zenodecay.real_shift` calls of
-    the build itself, one for ω_r and one per bisection pass,
-    ``shift_points`` the energies they cover, and ``memo_rows`` the
-    whole segments served from the segment memo.
+    the build itself, one for ω_r and one per bisection pass (on no
+    energy where the cell memo holds every cell of the pass),
+    ``shift_points`` the energies whose Δ_R the build takes, ω_r and the
+    nodes of every pass, from a call or from the cell memo, and
+    ``memo_rows`` the whole segments served from the segment memo.  The
+    cell memo counts the cells it served and those it lacked itself
+    (``hits``, ``misses``), so that a kernel's fields do not depend on
+    which kernels were built before it.
     """
 
     bound: tuple
@@ -425,6 +504,7 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
     # coupling scale.
     res = min(max(math.pi * float(ff.g2(omega_r)), 1e-12 * ff.bandwidth), 0.5 * ff.bandwidth)
     kinks, memo = _segment_values(ff)
+    cells = ff._shift_fit.kernel_cells if ff.shift_closed_form is None else None
     edges, rows = _panel_edges(ff, omega_r, res, kinks)
     whole = rows >= 0
     rows = rows[whole]
@@ -442,7 +522,8 @@ def _kernel_uncached(ff: FormFactor, omega_a: float) -> _SpectralKernel:
         mass by ulp(ω)·ρ_max ~ ulp(ω)/Γ.
         """
         if values is None:
-            values = _node_values(ff, lo[:, None], h[:, None] * _GL_FRACTION)
+            values = (_node_values(ff, lo[:, None], h[:, None] * _GL_FRACTION) if cells is None
+                      else _cell_values(ff, cells, lo, h))
             counts["shift_calls"] += 1
             counts["shift_points"] += values.shifts.size
         for cols in _chunks(lo.size):
@@ -706,7 +787,9 @@ def survival_spectral_integral(ff: FormFactor, omega_a: float, times) -> Surviva
     builds them at every call).  The values ρ takes from g² alone at the
     nodes of the segments between consecutive kinks of g² are built once
     per coupling instance, by its first kernel, and the instance keeps
-    them.  The module docstring gives the recipe.  Every t is then one
+    them; a family that fits its g² keeps Δ_R and g² at the nodes of the
+    last 4096 lattice cells its kernels took on that fit, which equal
+    instances share.  The module docstring gives the recipe.  Every t is then one
     sum over the panels, exact for the fitted polynomials, and every
     step is elementwise until that sum, so a time's value does not
     depend on the others in the call.  A panel's fit is resolved where

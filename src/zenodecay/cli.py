@@ -37,6 +37,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -77,11 +78,11 @@ def _write_text(path: str, text: str) -> str:
 
 def _csv(header: list[str], columns) -> str:
     """CSV text of equal-length float columns, each float as its shortest
-    round-trip decimal (``repr`` of the Python float)."""
-    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in zip(*cells)]
-    return "\n".join(lines) + "\n"
+    round-trip decimal (``repr`` of the Python float); a scalar column
+    holds one value on every row, and takes one ``repr``."""
+    cells = [itertools.repeat(repr(float(c))) if np.ndim(c) == 0
+             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -118,8 +119,8 @@ def _run_survival(cfg: RunConfig, out_dir: str) -> str:
 
 def _write_rate(cfg: RunConfig, model: DecayModel, path: str) -> str:
     curve = effective_rate_curve(model, _tau_grid(cfg, model))
-    gamma0 = np.full(curve.taus.shape, curve.gamma0)
-    return _write_text(path, _csv(["tau", "gamma", "gamma0"], (curve.taus, curve.gammas, gamma0)))
+    return _write_text(path, _csv(["tau", "gamma", "gamma0"],
+                                  (curve.taus, curve.gammas, curve.gamma0)))
 
 
 def _transition_payload(cfg: RunConfig, model: DecayModel) -> dict:

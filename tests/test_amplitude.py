@@ -1,9 +1,12 @@
 """Survival amplitude: closed form, spectral route, pole approximation."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 
 from spectral_reference import reference_amplitude
 from test_selfenergy import _geometric_table, _rough_table, _Semicircle
-from zenodecay import _panels, amplitude
+from zenodecay import _panels, amplitude, formfactor
 from zenodecay.amplitude import (
     _JN_SERIES_BELOW,
     SurvivalMethod,
@@ -278,30 +281,156 @@ def _recorded_edges(monkeypatch, ff, omega_a):
 
 @pytest.mark.parametrize("omega_a", [0.0, 2.0, 5.5, 8.0])
 def test_grading_edges_leave_narrow_knot_segments_whole(tab_lorentzian, omega_a, monkeypatch):
-    # A grading edge of step s, res·2^k at the resonance or |offset|·Λ at
-    # the peak, is dropped where it falls strictly inside a knot segment no
-    # wider than s/2: every one placed off a knot lies in a wider segment.
+    # A grading edge of step s, the width of the lattice cell it starts
+    # outwards, is dropped where it falls strictly inside a knot segment no
+    # wider than s/2: every one placed off a knot lies in a wider segment,
+    # and every one left out in a segment no wider.
     omega_r, res, edges = _recorded_edges(monkeypatch, tab_lorentzian, omega_a)
     knots = tab_lorentzian.omegas
-    steps = res * 2.0 ** np.arange(-3.0, 60.0)
-    offsets = tab_lorentzian.bandwidth * np.array([1.0, 3.0, 10.0, 30.0])
-    peak = tab_lorentzian.peak_energy()
-    grading = np.concatenate((omega_r - steps, omega_r + steps, peak - offsets, peak + offsets))
-    step = np.concatenate((steps, steps, offsets, offsets))
+    grading, step, lo, hi = amplitude._grading(tab_lorentzian, omega_r, res)
+    assert (lo, hi) == (knots[0], knots[-1])
     placed = np.isin(grading, edges) & ~np.isin(grading, knots)
     at = np.searchsorted(knots, grading[placed])
     assert np.count_nonzero(placed) >= 6
     assert np.all(knots[at] - knots[at - 1] > 0.5 * step[placed])
+    dropped = ~np.isin(grading, edges)
+    at = np.searchsorted(knots, grading[dropped])
+    assert np.count_nonzero(dropped) > 0
+    assert np.all(knots[at] - knots[at - 1] <= 0.5 * step[dropped])
 
 
 def test_sparse_kinks_keep_every_resonance_edge(monkeypatch):
     # The semicircle's kinks are 0.5 apart, wider than half of every step
-    # res·2^k that lands inside its support, so no grading edge is dropped.
-    omega_r, res, edges = _recorded_edges(monkeypatch, _KinkedSemicircle(), 0.2)
-    steps = res * 2.0 ** np.arange(-3.0, 10.0)
-    grading = np.concatenate((omega_r - steps, omega_r + steps))
-    inside = grading[(grading >= -1.0) & (grading <= 1.0)]
-    assert inside.size >= 10 and np.all(np.isin(inside, edges))
+    # that lands inside its support, so no grading edge is dropped, the
+    # finest cells at the resonance among them.
+    ff = _KinkedSemicircle()
+    omega_r, res, edges = _recorded_edges(monkeypatch, ff, 0.2)
+    grading, _, lo, hi = amplitude._grading(ff, omega_r, res)
+    assert (lo, hi) == (-1.0, 1.0)
+    assert np.count_nonzero(np.abs(grading - omega_r) <= res) >= 4
+    assert grading.size >= 10 and np.all(np.isin(grading, edges))
+
+
+def _is_lattice_cell(lo, hi):
+    """Whether each [lo, hi] is a dyadic cell [m·2^k, (m+1)·2^k] of the lattice at 0 with Λ = 1."""
+    h = hi - lo
+    mantissa, _ = np.frexp(h)
+    return (mantissa == 0.5) & (np.mod(lo / h, 1.0) == 0.0)
+
+
+@pytest.mark.parametrize("omega_a", [0.7, 1.1, 2.4])
+def test_power_law_panels_are_lattice_cells(omega_a, monkeypatch):
+    # With the threshold at 0 and Λ = 1 the lattice is exact in floats:
+    # every first panel, and every panel bisection makes of them, is a
+    # cell [m·2^k, (m+1)·2^k], whatever the level.
+    ff = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    _, _, edges = _recorded_edges(monkeypatch, ff, omega_a)
+    assert edges[0] == 0.0 and np.all(_is_lattice_cell(edges[:-1], edges[1:]))
+    kernel = amplitude._kernel_uncached(ff, omega_a)
+    h = kernel.widths[kernel.width_index]
+    assert np.all(_is_lattice_cell(kernel.mids - 0.5 * h, kernel.mids + 0.5 * h))
+
+
+def _own_memo(ff, bound=formfactor._KERNEL_CELLS):
+    """``ff`` with a g² fit of its own, its cell memo empty and bounded by ``bound`` cells."""
+    fit = formfactor._build_shift_fit(ff)
+    vars(ff)["_shift_fit"] = fit._replace(kernel_cells=_panels._CellMemo(bound, 2 * _panels._NODES))
+    return ff
+
+
+def test_power_law_kernel_does_not_depend_on_the_levels_built_before():
+    # The cell memo serves the floats a fresh call would give, so a kernel
+    # built cold, one built after 20 other levels and one rebuilt after a
+    # small bound has evicted most of its cells agree in every field.
+    ff = _own_memo(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0))
+    memo = ff._shift_fit.kernel_cells
+    cold = amplitude._kernel_uncached(ff, 2.4)
+    assert memo.hits == 0 and memo.misses == len(memo) > 0
+    for omega_a in np.linspace(1.0, 3.0, 20):
+        amplitude._kernel_uncached(ff, omega_a)
+    hits = memo.hits
+    warm = amplitude._kernel_uncached(ff, 2.4)
+    assert memo.hits - hits > 0.5 * (warm.shift_points - 1) / _panels._NODES
+    small = _own_memo(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0), bound=64)
+    tight = small._shift_fit.kernel_cells
+    for omega_a in (2.4, 1.0, 1.7, 2.9):
+        amplitude._kernel_uncached(small, omega_a)
+        assert len(tight) <= 64
+    evicted = amplitude._kernel_uncached(small, 2.4)
+    assert 0 < tight.hits and len(tight) == 64
+    for kernel in (warm, evicted):
+        for name in cold._fields:
+            assert np.array_equal(getattr(cold, name), getattr(kernel, name)), name
+
+
+def test_threads_sharing_a_cell_memo_build_the_kernels_of_lone_builds():
+    # Threads building kernels of one coupling value at once share its
+    # memo; with a bound far below their cells it evicts all the while.
+    # Each kernel is still that of a build alone, and the memo counts
+    # every cell asked for once.
+    levels = np.linspace(1.0, 3.0, 6)
+    lone_ff = _own_memo(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0))
+    lone = [amplitude._kernel_uncached(lone_ff, omega_a) for omega_a in levels]
+    ff = _own_memo(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0), bound=64)
+    memo = ff._shift_fit.kernel_cells
+    built = {}
+
+    def build(i):
+        for n in range(2):
+            built[i, n] = amplitude._kernel_uncached(ff, levels[i])
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(levels.size)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 2 * levels.size and len(memo) <= 64
+    cells = sum((kernel.shift_points - 1) // _panels._NODES for kernel in built.values())
+    assert memo.hits + memo.misses == cells
+    for (i, _), kernel in built.items():
+        for name in kernel._fields:
+            assert np.array_equal(getattr(kernel, name), getattr(lone[i], name)), name
+
+
+def test_a_coupling_with_a_cell_memo_pickles_and_copies():
+    # The memo travels as an empty one, so a coupling whose kernels filled
+    # it still pickles and deep-copies, and the copy builds the same kernel.
+    ff = _own_memo(ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0))
+    kernel = amplitude._kernel_uncached(ff, 2.4)
+    for copied in (pickle.loads(pickle.dumps(ff)), copy.deepcopy(ff)):
+        memo = copied._shift_fit.kernel_cells
+        assert copied == ff and len(memo) == 0 and memo.bound == formfactor._KERNEL_CELLS
+        again = amplitude._kernel_uncached(copied, 2.4)
+        for name in kernel._fields:
+            assert np.array_equal(getattr(kernel, name), getattr(again, name)), name
+
+
+def test_equal_couplings_share_the_cell_memo():
+    # Equal instances share one fit, so one memo: the second instance's
+    # build takes no cell fresh.  Another coupling value, on the same
+    # lattice cells, has a memo of its own and reads none of these cells:
+    # its kernel is that of a memo it alone filled.
+    first = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    second = ThresholdPowerLawCoupling(0.1, 1.0, 0.0, 0.5, 4.0)
+    memo = first._shift_fit.kernel_cells
+    assert second is not first and second._shift_fit.kernel_cells is memo
+    amplitude._kernel_uncached(first, 2.2)
+    misses = memo.misses
+    amplitude._kernel_uncached(second, 2.2)
+    assert memo.misses == misses
+    other = ThresholdPowerLawCoupling(0.2, 1.0, 0.0, 0.5, 4.0)
+    assert other._shift_fit.kernel_cells is not memo
+    shared = amplitude._kernel_uncached(other, 2.2)
+    alone_ff = _own_memo(ThresholdPowerLawCoupling(0.2, 1.0, 0.0, 0.5, 4.0))
+    alone = amplitude._kernel_uncached(alone_ff, 2.2)
+    for name in shared._fields:
+        assert np.array_equal(getattr(shared, name), getattr(alone, name)), name
 
 
 @pytest.mark.parametrize("omega_a", [0.0, 4e-4])

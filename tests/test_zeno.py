@@ -54,42 +54,45 @@ TAU_STAR = 0.5037246419993476
 # the reference rate meets gamma0 there to 3e-14.  The later roots follow
 # the last bits of gamma0 (see the test below); they are pinned for the
 # pole found with Sigma off the cut from the g2 fit and for the kernel's
-# panels graded at the resonance and the threshold.  One scalar brentq per
-# bracket on scipy's j_k still gives SCIPY_CROSSINGS to the last bit.
+# panels on the coupling's dyadic lattice, whose cells are graded towards
+# the resonance, the threshold and the peak; the late roots moved when the
+# first edges moved onto that lattice, in number nowhere.  One scalar brentq
+# per bracket on scipy's j_k still gives SCIPY_CROSSINGS to the last bit:
+# they were re-derived that way, on the package's grid of gamma - gamma0.
 SCIPY_CROSSINGS = {
-    (2.4, 64): (0.33977561665585804, 8976.210986178823),
+    (2.4, 64): (0.33977561665585804, 11526.54838628844),
     (2.4, 2048): (
-        0.3397756166558581, 8903.149198846653, 8919.510861439112, 9200.646876430159,
-        9379.15570241924, 9474.704996295568, 9645.496493530933, 9748.78624913865,
-        9945.764164522592, 10067.259427753972, 10230.35502097497, 10529.323261288007,
-        11381.748055537864, 11628.355256105124, 11919.618595417447, 12116.476481201635,
+        0.3397756166558581, 8903.149203688394, 8922.122970004619, 9211.086599882197,
+        9373.933105054668, 9474.70497480316, 9627.218786360503, 9748.78625896466,
+        9948.375133750855, 10069.869910824997, 10227.74412524552, 10521.491594090614,
+        11381.748039332746, 11623.134434545434, 11917.007428819066, 12137.357047795176,
     ),
     (0.7, 2048): (
-        374.5129021485142, 376.07926978822593, 400.67360659852, 403.6491702049833,
-        409.51313507528266, 412.72121557166895, 418.3836646792251, 421.7628476442557,
-        427.2793275704506, 430.77983158832046, 436.19653326224125, 439.77563143281486,
-        445.1331671383136, 448.75221643816866, 463.0617298071592, 466.6500872469767,
-        472.05465600779667, 475.5700384575392, 490.10916992067786, 493.33977434793,
-        499.1808684130276, 502.1791512095242, 508.29529062260696, 510.9749409623611,
-        517.4743737981406, 519.7051187857505,
+        374.51290214796825, 376.0792697902374, 400.6736065976228, 403.6491702056578,
+        409.51313507627407, 412.7212155716916, 418.38366467904416, 421.7628476436789,
+        427.27932757027725, 430.77983158819245, 436.19653326147954, 439.775631433283,
+        445.1331671380181, 448.75221643847357, 463.0617298063875, 466.65008724611283,
+        472.05465600668765, 475.57003845763387, 490.1091699197297, 493.3397743479356,
+        499.1808684123437, 502.17915120937386, 508.2952906235047, 510.97494096320474,
+        517.4743737975011, 519.7051187871925,
     ),
 }
 TABLE_CROSSINGS = {
-    (2.4, 64): (0.33977561665585804, 8976.210998242988),
+    (2.4, 64): (0.33977561665585804, 11349.035981274483),
     (2.4, 2048): (
-        0.3397756166558581, 8903.149196618957, 8919.51084617539, 9200.646870887998,
-        9379.155693186582, 9474.705008060217, 9645.496480335463, 9748.786220055426,
-        9945.764187071236, 10069.8699192363, 10230.35503261911, 10526.712667303378,
-        11381.74806894528, 11628.355261805755, 11919.618579942222, 12116.476476713207,
+        0.3397756166558581, 8903.149196431918, 8922.122981442553, 9211.086604687323,
+        9373.933077874455, 9474.705009025216, 9637.66320600731, 9748.786236067801,
+        9948.375140265693, 10069.86990122749, 10227.744127921213, 10521.491603420047,
+        11379.137137821617, 11623.134441292916, 11914.396278187498, 12137.357052872509,
     ),
     (0.7, 2048): (
-        374.51290214989314, 376.0792697884365, 400.67360659855046, 403.649170206427,
-        409.51313507604857, 412.7212155712051, 418.38366467820305, 421.76284764345553,
-        427.2793275717103, 430.779831588008, 436.1965332607451, 439.77563143249506,
-        445.13316713835536, 448.75221643906866, 463.0617298068752, 466.65008724657633,
-        472.05465600595943, 475.57003845760335, 490.10916992023687, 493.3397743470854,
-        499.18086841348105, 502.17915121004347, 508.2952906228006, 510.9749409639969,
-        517.4743737984438, 519.7051187851075,
+        374.51290214777157, 376.0792697888618, 400.67360659885117, 403.6491702050695,
+        409.51313507596933, 412.7212155721525, 418.3836646779144, 421.7628476432216,
+        427.2793275706107, 430.77983158902543, 436.19653326148733, 439.77563143405604,
+        445.1331671379528, 448.7522164386249, 463.06172980676985, 466.65008724679893,
+        472.0546560078838, 475.5700384567811, 490.10916992057713, 493.3397743476552,
+        499.1808684134319, 502.17915120907924, 508.2952906231785, 510.97494096336766,
+        517.4743737985912, 519.7051187865632,
     ),
 }
 
